@@ -12,6 +12,7 @@ from .errors import (
     DegenerateSpectrumError,
     DimensionError,
     GaussGaugeError,
+    NonFiniteInputError,
     NotGaugeableError,
     PhysicalityError,
     StabilityError,

@@ -1,41 +1,18 @@
 """Numeric kernels for the 2x2 closed-form paths and fixed-step integration.
 
-Every kernel is written in plain scalar/array numpy compatible with numba's
-nopython mode. With numba available (and ``GAUSSGAUGE_NO_NUMBA`` unset) the
-functions are JIT-compiled; otherwise the pure-numpy definitions run as-is.
-``benchmarks/bench_kernels.py`` compares the two paths.
+Plain scalar/array numpy: the one-mode closed forms take and return floats,
+the series and RK4 kernels take and return arrays.
 """
 
 import math
-import os
 
 import numpy as np
-
-NUMBA_DISABLED = os.environ.get("GAUSSGAUGE_NO_NUMBA", "").strip().lower() in {"1", "true", "yes"}
-
-if not NUMBA_DISABLED:
-    try:
-        from numba import njit as _njit
-
-        JIT_ENABLED = True
-    except ImportError:  # pragma: no cover - numba is a declared dependency
-        JIT_ENABLED = False
-else:
-    JIT_ENABLED = False
-
-
-def _maybe_jit(fn):
-    if JIT_ENABLED:
-        return _njit(cache=True)(fn)
-    return fn
 
 
 # Taylor window for sin(x)/x and sinh(x)/x; below this the direct quotient
 # loses no accuracy either, but the series keeps the branch functions exactly
 # continuous through x = 0.
 _SMALL_X = 1e-4
-# relative gate |det B0| < gate * scale^2 for the degenerate exponential branch
-_DEGENERATE_GATE = 1e-12
 
 
 def _sinc_like(x):
@@ -54,14 +31,13 @@ def _sinch_like(x):
     return math.sinh(x) / x
 
 
-_sinc_like = _maybe_jit(_sinc_like)
-_sinch_like = _maybe_jit(_sinch_like)
-
-
 def expm2_kernel(b11, b12, b21, b22, t):
-    """exp(t*B) for real 2x2 B via the scalar-shift three-branch closed form.
+    """exp(t*B) for real 2x2 B via the scalar-shift closed form.
 
-    Returns the four entries (e11, e12, e21, e22).
+    exp(t B0) = c I + s B0 with the traceless part B0; the series-evaluated
+    sinh(x)/x and sin(x)/x carry det B0 -> 0 continuously into I + t B0, so a
+    nilpotent B0 (det B0 = 0) gives I + t B0 exactly. Returns the four entries
+    (e11, e12, e21, e22).
     """
     half_tr = 0.5 * (b11 + b22)
     # traceless part B0; B0^2 = -det(B0) * I
@@ -70,12 +46,8 @@ def expm2_kernel(b11, b12, b21, b22, t):
     a21 = b21
     a22 = b22 - half_tr
     det0 = a11 * a22 - a12 * a21
-    scale = max(abs(a11), abs(a12), abs(a21), abs(a22))
     factor = math.exp(t * half_tr)
-    if abs(det0) < _DEGENERATE_GATE * scale * scale or scale == 0.0:
-        c = 1.0
-        s = t
-    elif det0 < 0.0:
+    if det0 < 0.0:
         nu = math.sqrt(-det0)
         c = math.cosh(nu * t)
         s = t * _sinch_like(nu * t)
@@ -91,9 +63,6 @@ def expm2_kernel(b11, b12, b21, b22, t):
     )
 
 
-expm2_kernel = _maybe_jit(expm2_kernel)
-
-
 def jury_triple(a, b, c, d):
     """Jury/Schur stability triple (1-D, 1-T+D, 1+T+D) of a 2x2 matrix."""
     tr = a + d
@@ -101,32 +70,11 @@ def jury_triple(a, b, c, d):
     return 1.0 - det, 1.0 - tr + det, 1.0 + tr + det
 
 
-jury_triple = _maybe_jit(jury_triple)
-
-
-def spectral_radius2(a, b, c, d):
-    """Spectral radius of a real 2x2 matrix from its characteristic roots."""
-    tr = a + d
-    det = a * d - b * c
-    disc = tr * tr - 4.0 * det
-    if disc >= 0.0:
-        rt = math.sqrt(disc)
-        return max(abs(0.5 * (tr + rt)), abs(0.5 * (tr - rt)))
-    # complex pair: |lambda|^2 = det
-    return math.sqrt(det)
-
-
-spectral_radius2 = _maybe_jit(spectral_radius2)
-
-
 def symmetric_eig2(s11, s12, s22):
     """Ascending eigenvalues of a symmetric 2x2 matrix."""
     mean = 0.5 * (s11 + s22)
     rad = math.hypot(0.5 * (s11 - s22), s12)
     return mean - rad, mean + rad
-
-
-symmetric_eig2 = _maybe_jit(symmetric_eig2)
 
 
 def lyap2_closed(a, b, c, d, d11, d12, d22):
@@ -178,9 +126,6 @@ def lyap2_closed(a, b, c, d, d11, d12, d22):
     return s11, s12, s22, True
 
 
-lyap2_closed = _maybe_jit(lyap2_closed)
-
-
 def stein2_closed(a, b, c, d, y11, y12, y22):
     """One-mode Stein solve S = X S X^T + Y via the adjugate closed form.
 
@@ -208,9 +153,6 @@ def stein2_closed(a, b, c, d, y11, y12, y22):
     return s11 / denom, s12 / denom, s22 / denom, denom
 
 
-stein2_closed = _maybe_jit(stein2_closed)
-
-
 def jordan_stein2(alpha, n11, n12, n21, n22, t, y11, y12, y22):
     """Stein solution on a Jordan drift X = alpha*(I + t*N) with N^2 = 0.
 
@@ -235,9 +177,6 @@ def jordan_stein2(alpha, n11, n12, n21, n22, t, y11, y12, y22):
     )
 
 
-jordan_stein2 = _maybe_jit(jordan_stein2)
-
-
 def stein_series_iter(x, y, tol, max_terms):
     """Partial sums of sum_n X^n Y X^T^n until the increment max-norm < tol.
 
@@ -252,9 +191,6 @@ def stein_series_iter(x, y, tol, max_terms):
         if np.max(np.abs(term)) < tol:
             return s, n, True
     return s, max_terms, False
-
-
-stein_series_iter = _maybe_jit(stein_series_iter)
 
 
 def rk4_moments(a, dmat, u, d0, v0, t, steps):
@@ -281,21 +217,3 @@ def rk4_moments(a, dmat, u, d0, v0, t, steps):
         d = d + (h / 6.0) * (k1d + 2.0 * k2d + 2.0 * k3d + k4d)
         v = v + (h / 6.0) * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
     return d, v
-
-
-rk4_moments = _maybe_jit(rk4_moments)
-
-
-def stein2_batch(xs, ys, out):
-    """Batched one-mode Stein closed form; xs (n,4), ys (n,3) -> out (n,3)."""
-    for i in range(xs.shape[0]):
-        s11, s12, s22, _ = stein2_closed(
-            xs[i, 0], xs[i, 1], xs[i, 2], xs[i, 3], ys[i, 0], ys[i, 1], ys[i, 2]
-        )
-        out[i, 0] = s11
-        out[i, 1] = s12
-        out[i, 2] = s22
-    return out
-
-
-stein2_batch = _maybe_jit(stein2_batch)

@@ -10,7 +10,8 @@ verify           run the invariant suites; exit 1 on any failure
 
 Configuration precedence: command-line flags > config file (`key = value`
 lines) > built-in defaults. Exit codes: 0 success, 1 verification failure,
-2 invalid configuration.
+2 invalid configuration. `--jobs N` and a config-file `jobs = N` are
+accepted so older configurations still run, and ignored: rows run serially.
 """
 
 import argparse
@@ -52,7 +53,8 @@ def _add_common(parser):
     parser.add_argument("--format", choices=("csv", "json"), default=None, dest="fmt")
     parser.add_argument("--config", help="config file with 'key = value' lines")
     parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--jobs", type=int, default=None, help="parallel row workers")
+    parser.add_argument("--jobs", type=int, default=None,
+                        help="accepted for old configs and ignored; rows run serially")
     for name in _MODEL_FLAGS:
         parser.add_argument(f"--{name.replace('_', '-')}", type=float, default=None, dest=name)
 
@@ -122,7 +124,7 @@ def _merge_config(args):
             model[key] = float(value)
         elif key in {"format", "fmt"}:
             settings["fmt"] = value
-        elif key in {"seed", "jobs"}:
+        elif key in {"seed", "jobs"}:  # jobs: still parsed, then ignored
             settings[key] = int(value)
         elif key in {"axis", "branch", "diffusion", "out", "fault"}:
             settings[key] = value
@@ -134,8 +136,7 @@ def _merge_config(args):
         flag = getattr(args, name, None)
         if flag is not None:
             model[name] = flag
-    for attr in ("fmt", "seed", "jobs", "axis", "branch", "diffusion", "out", "fault",
-                 "ep_gap_tol"):
+    for attr in ("fmt", "seed", "axis", "branch", "diffusion", "out", "fault", "ep_gap_tol"):
         flag = getattr(args, attr, None)
         if flag is not None:
             settings[attr] = flag
@@ -168,7 +169,6 @@ def _build_sweep_config(args):
         fmt=settings.get("fmt", "csv"),
         out=settings.get("out"),
         seed=settings.get("seed", 0),
-        jobs=settings.get("jobs", 1),
         ep_gap_tol=settings.get("ep_gap_tol", EP_GAP_TOL),
     )
 

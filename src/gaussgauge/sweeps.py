@@ -2,15 +2,14 @@
 
 Each command produces a SweepTable: numeric rows in grid order, a fixed
 column list, and a metadata block with the fully resolved configuration so
-that a run is reproducible from its own output. Rows are independent and are
-evaluated in parallel (ordered collection keeps the output deterministic).
-Stable numeric formatting (17 significant digits in CSV, shortest-roundtrip
-repr in JSON) makes identical configurations byte-identical.
+that a run is reproducible from its own output. Rows are evaluated one after
+another in grid order. Stable numeric formatting (17 significant digits in
+CSV, shortest-roundtrip repr in JSON) makes identical configurations
+byte-identical.
 """
 
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -95,7 +94,6 @@ class SweepConfig:
     fmt: str = "csv"
     out: str = None
     seed: int = 0
-    jobs: int = 1
     fault: str = None
     ep_gap_tol: float = EP_GAP_TOL
 
@@ -124,13 +122,6 @@ class SweepTable:
         idx = [self.columns.index(k) for k in flags]
         want = list(flags.values())
         return [r for r in self.rows if all(r[i] == w for i, w in zip(idx, want))]
-
-
-def _map_rows(fn, points, jobs):
-    if jobs and jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(fn, points))
-    return [fn(p) for p in points]
 
 
 def _diffusion_model(config):
@@ -189,7 +180,7 @@ def run_drift_eigs(config):
             1.0 if gap < config.ep_gap_tol else 0.0,
         ]
 
-    rows = _map_rows(row, grid.points(), config.jobs)
+    rows = [row(value) for value in grid.points()]
     return SweepTable(
         columns=("delta", "re_lambda_plus", "re_lambda_minus", "im_lambda_plus",
                  "im_lambda_minus", "gap", "ep"),
@@ -216,7 +207,7 @@ def run_squeezed_gauge(config, axis, branch):
         lo, hi = np.linalg.eigvalsh(cov.S)
         return [value, lo, hi, lo + hi, 1.0 if branch is EpBranch.PLUS else -1.0]
 
-    rows = _map_rows(row, grid.points(), config.jobs)
+    rows = [row(value) for value in grid.points()]
     return SweepTable(
         columns=(axis, "lambda1", "lambda2", "trace", "branch"),
         rows=tuple(tuple(r) for r in rows),
@@ -251,7 +242,7 @@ def run_nm_surface(config):
         points.append((omega, omega, 1.0))
         points.append((-omega, omega, -1.0))
 
-    rows = _map_rows(lambda p: _nm_point_row(config, *p), points, config.jobs)
+    rows = [_nm_point_row(config, *p) for p in points]
     return SweepTable(
         columns=("lam", "omega", "lambda_min", "lambda_max", "s_qp", "defective",
                  "cp_margin", "unstable", "on_branch"),
@@ -282,7 +273,7 @@ def run_nm_branch(config):
         return [omega, sign, lo, hi, s[0, 1]]
 
     points = [(omega, sign) for omega in grid.points() for sign in (1.0, -1.0)]
-    rows = _map_rows(row, points, config.jobs)
+    rows = [row(p) for p in points]
     return SweepTable(
         columns=("omega", "branch", "lambda1", "lambda2", "s_qp"),
         rows=tuple(tuple(r) for r in rows),

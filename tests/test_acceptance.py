@@ -63,7 +63,7 @@ def report(criterion, passed, detail):
 
 
 def warmup_kernels():
-    """Trigger JIT compilation outside the timed regions."""
+    """Run each solver path once outside the timed regions (imports, first-call set-up)."""
     solve_lyapunov(-np.eye(2), np.eye(2))
     solve_stein(0.5 * np.eye(2), np.eye(2))
     stein_series(0.5 * np.eye(2), np.eye(2))

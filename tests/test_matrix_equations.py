@@ -9,7 +9,10 @@ from gaussgauge import (
     DegenerateSpectrumError,
     DimensionError,
     GaugeSource,
+    GaussianChannel,
+    GaussianGenerator,
     JordanDrift2x2,
+    NonFiniteInputError,
     StabilityError,
     StabilityMode,
     expm2,
@@ -235,7 +238,15 @@ class TestExpm2:
     def test_degenerate_branch(self):
         b = np.array([[1.0, 1.0], [-1.0, -1.0]])  # lambda = omega
         t = 1.4
-        npt.assert_allclose(expm2(b, t), np.eye(2) + t * b, atol=1e-14)
+        npt.assert_array_equal(expm2(b, t), np.eye(2) + t * b)
+
+    def test_near_nilpotent_long_time(self):
+        # det B0 = 5e-15 and t = 1000: the sin(x)/x series keeps the
+        # t^2 det B0 / 2 ~ 2.5e-9 term that a cut to I + t B would drop
+        b = np.array([[0.0, 1.0], [-5e-15, 0.0]])
+        reference = scipy.linalg.expm(1000.0 * b)
+        err = np.abs(expm2(b, 1000.0) - reference).max()
+        assert err <= 1e-15 * np.abs(reference).max()
 
     def test_matches_general_exponential(self, rng):
         # relative to the exponential's own scale; the bound absorbs the
@@ -289,12 +300,50 @@ class TestGuards:
         b = rng.standard_normal((2, 2))
         npt.assert_array_equal(expm2(b, 0.0), np.eye(2))
 
-    def test_dense_solver_dimension_cap(self):
+    def test_large_solves_match_kronecker_oracle(self, rng):
+        # no size cap: 2N = 22 against the dense vectorized systems
         dim = 22
-        with pytest.raises(DimensionError):
-            solve_lyapunov(-np.eye(dim), np.eye(dim))
-        with pytest.raises(DimensionError):
-            solve_stein(0.5 * np.eye(dim), np.eye(dim))
+        eye = np.eye(dim)
+        for _ in range(3):
+            a = random_hurwitz(rng, dim)
+            x = random_schur_stable(rng, dim)
+            d = random_psd(rng, dim)
+            lhs = np.kron(eye, a) + np.kron(a, eye)
+            lyap = np.linalg.solve(lhs, -d.reshape(-1)).reshape(dim, dim)
+            stein = np.linalg.solve(np.eye(dim * dim) - np.kron(x, x), d.reshape(-1))
+            stein = stein.reshape(dim, dim)
+            for got, want in ((solve_lyapunov(a, d).S, lyap), (solve_stein(x, d).S, stein)):
+                want = 0.5 * (want + want.T)
+                npt.assert_allclose(got, want, atol=1e-12 * np.abs(want).max())
+
+    def test_stein_eigenvalue_near_minus_one(self, rng):
+        # above dimension 10 scipy maps Stein to Lyapunov through (X + I)^-1,
+        # which loses accuracy like 1 / (1 + lambda); pin it at lambda = -0.999
+        q, _ = np.linalg.qr(rng.standard_normal((12, 12)))
+        x = q @ np.diag(np.r_[-0.999, rng.uniform(-0.9, 0.9, 11)]) @ q.T
+        cov = solve_stein(x, random_psd(rng, 12))
+        assert cov.residual <= 1e-11 * np.abs(cov.S).max()
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("entry", [
+        lambda bad: solve_lyapunov(-np.eye(4), bad),
+        lambda bad: solve_lyapunov(bad, np.eye(4)),
+        lambda bad: solve_stein(bad, np.eye(4)),
+        lambda bad: solve_stein(0.5 * np.eye(4), bad),
+        lambda bad: stein_series(0.5 * np.eye(4), bad),
+        lambda bad: GaussianChannel(X=bad, Y=np.eye(4), delta=np.zeros(4)),
+        lambda bad: GaussianChannel(X=np.eye(4), Y=bad, delta=np.zeros(4)),
+        lambda bad: GaussianChannel(X=np.eye(4), Y=np.eye(4), delta=bad[0]),
+        lambda bad: GaussianGenerator(A=bad, D=np.eye(4), u=np.zeros(4)),
+        lambda bad: GaussianGenerator(A=-np.eye(4), D=bad, u=np.zeros(4)),
+        lambda bad: GaussianGenerator(A=-np.eye(4), D=np.eye(4), u=bad[0]),
+    ], ids=["lyap-D", "lyap-A", "stein-X", "stein-Y", "series-Y", "channel-X", "channel-Y",
+            "channel-delta", "generator-A", "generator-D", "generator-u"])
+    def test_non_finite_input_rejected(self, entry, value):
+        bad = -0.5 * np.eye(4)
+        bad[0, 0] = value
+        with pytest.raises(NonFiniteInputError):
+            entry(bad)
 
     def test_shape_validation(self):
         with pytest.raises(DimensionError):

@@ -315,11 +315,15 @@ class TestCli:
         assert "re_lambda_plus" in proc.stdout
 
     def test_parallel_rows_keep_grid_order(self, tmp_path):
-        serial, parallel = tmp_path / "serial.csv", tmp_path / "parallel.csv"
+        # --jobs and a config-file jobs key are accepted and ignored
+        plain, flag, keyed = (tmp_path / f"{name}.csv" for name in ("plain", "flag", "keyed"))
+        config = tmp_path / "jobs.cfg"
+        config.write_text("jobs = 4\n")
         base = ["nm-surface", "--grid=-1:1:9", "--grid2=-1:1:9", "--diffusion", "aniso"]
-        assert self.run_cli(base + ["--jobs", "1", "--out", str(serial)]) == 0
-        assert self.run_cli(base + ["--jobs", "4", "--out", str(parallel)]) == 0
-        assert serial.read_bytes() == parallel.read_bytes()
+        assert self.run_cli(base + ["--out", str(plain)]) == 0
+        assert self.run_cli(base + ["--jobs", "4", "--out", str(flag)]) == 0
+        assert self.run_cli(base + ["--config", str(config), "--out", str(keyed)]) == 0
+        assert flag.read_bytes() == plain.read_bytes() == keyed.read_bytes()
 
 
 class TestVerifyCommand:
