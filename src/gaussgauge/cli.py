@@ -10,8 +10,7 @@ verify           run the invariant suites; exit 1 on any failure
 
 Configuration precedence: command-line flags > config file (`key = value`
 lines) > built-in defaults. Exit codes: 0 success, 1 verification failure,
-2 invalid configuration. `--jobs N` and a config-file `jobs = N` are
-accepted so older configurations still run, and ignored: rows run serially.
+2 invalid configuration.
 """
 
 import argparse
@@ -53,8 +52,6 @@ def _add_common(parser):
     parser.add_argument("--format", choices=("csv", "json"), default=None, dest="fmt")
     parser.add_argument("--config", help="config file with 'key = value' lines")
     parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--jobs", type=int, default=None,
-                        help="accepted for old configs and ignored; rows run serially")
     for name in _MODEL_FLAGS:
         parser.add_argument(f"--{name.replace('_', '-')}", type=float, default=None, dest=name)
 
@@ -124,7 +121,7 @@ def _merge_config(args):
             model[key] = float(value)
         elif key in {"format", "fmt"}:
             settings["fmt"] = value
-        elif key in {"seed", "jobs"}:  # jobs: still parsed, then ignored
+        elif key == "seed":
             settings[key] = int(value)
         elif key in {"axis", "branch", "diffusion", "out", "fault"}:
             settings[key] = value

@@ -16,7 +16,7 @@ class StabilityError(GaussGaugeError):
 
 
 class DegenerateSpectrumError(GaussGaugeError):
-    """The matrix-equation system is singular (resonant eigenvalue pair)."""
+    """A matrix lacks the spectral structure the operation needs (e.g. a zero nilpotent part)."""
 
 
 class NotGaugeableError(GaussGaugeError):

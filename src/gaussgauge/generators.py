@@ -22,7 +22,6 @@ from .phase_space import (
     Ordering,
     symplectic_form,
 )
-from . import _kernels
 
 
 @dataclass(frozen=True)
@@ -275,13 +274,19 @@ def propagate_moments(generator, state, t, steps):
         raise DimensionError("steps must be >= 1")
     if generator.A.shape[0] != state.d.shape[0]:
         raise DimensionError("generator and state mode counts differ")
-    d, v = _kernels.rk4_moments(
-        np.ascontiguousarray(generator.A),
-        np.ascontiguousarray(generator.D),
-        np.ascontiguousarray(generator.u),
-        np.ascontiguousarray(state.d),
-        np.ascontiguousarray(state.V),
-        float(t),
-        int(steps),
-    )
+    a, dmat, u = generator.A, generator.D, generator.u
+    at = a.T.copy()
+
+    def rates(d, v):
+        return a @ d + u, a @ v + v @ at + dmat
+
+    d, v = state.d, state.V
+    h = t / steps
+    for _ in range(steps):
+        k1d, k1v = rates(d, v)
+        k2d, k2v = rates(d + 0.5 * h * k1d, v + 0.5 * h * k1v)
+        k3d, k3v = rates(d + 0.5 * h * k2d, v + 0.5 * h * k2v)
+        k4d, k4v = rates(d + h * k3d, v + h * k3v)
+        d = d + (h / 6.0) * (k1d + 2.0 * k2d + 2.0 * k3d + k4d)
+        v = v + (h / 6.0) * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
     return MomentState(d=d, V=0.5 * (v + v.T))

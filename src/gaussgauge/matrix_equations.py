@@ -1,14 +1,14 @@
 """Stability classification and the Lyapunov/Stein/Jordan gauge-matrix solvers.
 
-The one-mode (2x2) problems go through closed forms: explicit elimination of
-the reduced 3x3 system for A S + S A^T + D = 0, the adjugate formulas with
-denominator (1-det)(1-tr+det)(1+tr+det) for S = X S X^T + Y, and a geometric
-series in rho = alpha^2 on defective drifts X = alpha (I + t N), N^2 = 0.
-Larger problems go to scipy's Schur-based solvers (Bartels-Stewart for
-Lyapunov; Stein by direct solve below dimension 10 and by the bilinear map to
-a Lyapunov equation above), with no size cap.
+A S + S A^T + D = 0 goes to scipy's Bartels-Stewart solver at every size.
+The one-mode (2x2) Stein equation S = X S X^T + Y takes the adjugate closed
+form with denominator (1-det)(1-tr+det)(1+tr+det); larger ones go to scipy
+(direct solve below dimension 10, the bilinear map to a Lyapunov equation
+above), with no size cap. Defective one-mode drifts X = alpha (I + t N),
+N^2 = 0, have a geometric-series closed form in rho = alpha^2.
 """
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -19,10 +19,15 @@ from .errors import (
     ConvergenceError,
     DegenerateSpectrumError,
     DimensionError,
+    NonFiniteInputError,
     StabilityError,
     require_finite,
 )
-from . import _kernels
+
+
+# Taylor window for sin(x)/x and sinh(x)/x; below it the direct quotient loses
+# no accuracy either, but the series keeps the ratio exactly continuous at 0.
+_SMALL_X = 1e-4
 
 
 class StabilityMode(str, Enum):
@@ -64,10 +69,17 @@ def stability(matrix, mode=StabilityMode.CONTINUOUS):
     m = np.asarray(matrix, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DimensionError(f"stability needs a square matrix, got shape {m.shape}")
-    eigs = np.linalg.eigvals(m)
+    try:
+        eigs = np.linalg.eigvals(m)
+    except np.linalg.LinAlgError:
+        require_finite(matrix=m)
+        raise
     triple = None
     if mode is StabilityMode.DISCRETE and m.shape == (2, 2):
-        triple = _kernels.jury_triple(m[0, 0], m[0, 1], m[1, 0], m[1, 1])
+        a, b, c, d = m.ravel().tolist()
+        tr = a + d
+        det = a * d - b * c
+        triple = (1.0 - det, 1.0 - tr + det, 1.0 + tr + det)
     return StabilityReport(
         hurwitz=bool(np.max(eigs.real) < 0.0),
         spectral_radius=float(np.max(np.abs(eigs))),
@@ -114,23 +126,15 @@ def _square_pair(a, b, name_a, name_b):
 def solve_lyapunov(A, D):
     """Unique symmetric solution of A S + S A^T + D = 0 for Hurwitz A.
 
-    2x2 inputs take the closed-form elimination path; larger ones scipy's
-    Bartels-Stewart solver. The equation defect in max-norm is recorded on
-    the result.
+    scipy's Bartels-Stewart solver at every size; the Hurwitz gate excludes
+    the resonant pairs lambda_i + lambda_j = 0 that would make it singular.
+    The equation defect in max-norm is recorded on the result.
     """
     A, D = _square_pair(A, D, "A", "D")
     if not stability(A, StabilityMode.CONTINUOUS).hurwitz:
         raise StabilityError("Lyapunov gauging requires a Hurwitz drift")
-    if A.shape == (2, 2):
-        s11, s12, s22, ok = _kernels.lyap2_closed(
-            A[0, 0], A[0, 1], A[1, 0], A[1, 1], D[0, 0], D[0, 1], D[1, 1]
-        )
-        if not ok:
-            raise DegenerateSpectrumError("resonant spectrum: lambda_i + lambda_j = 0")
-        S = np.array([[s11, s12], [s12, s22]])
-    else:
-        S = scipy.linalg.solve_continuous_lyapunov(A, -D)
-        S = 0.5 * (S + S.T)
+    S = scipy.linalg.solve_continuous_lyapunov(A, -D)
+    S = 0.5 * (S + S.T)
     return GaugeCovariance(S=S, source=GaugeSource.LYAPUNOV, residual=lyapunov_residual(A, S, D))
 
 
@@ -142,14 +146,31 @@ def solve_stein(X, Y):
     from Y.
     """
     X, Y = _square_pair(X, Y, "X", "Y")
-    if stability(X, StabilityMode.DISCRETE).spectral_radius >= 1.0:
+    report = stability(X, StabilityMode.DISCRETE)
+    if report.spectral_radius >= 1.0:
         raise StabilityError("Stein gauging requires spectral radius < 1")
     if X.shape == (2, 2):
-        s11, s12, s22, denom = _kernels.stein2_closed(
-            X[0, 0], X[0, 1], X[1, 0], X[1, 1], Y[0, 0], Y[0, 1], Y[1, 1]
-        )
+        # determinant of the reduced 3x3 system: the product of the Jury triple
+        denom = math.prod(report.jury_triple)
         if denom <= 0.0:
             raise StabilityError("Stein denominator not positive; drift not Schur stable")
+        a, b, c, d = X.ravel().tolist()
+        y11, y12, _, y22 = Y.ravel().tolist()
+        s11 = (
+            (a * d**3 - a * d - b * c * d**2 - b * c - d**2 + 1.0) * y11
+            + (-2.0 * a * b * d**2 + 2.0 * a * b + 2.0 * b**2 * c * d) * y12
+            + (a * b**2 * d - b**3 * c + b**2) * y22
+        ) / denom
+        s12 = (
+            (-a * c * d**2 + a * c + b * c**2 * d) * y11
+            + (a**2 * d**2 - a**2 - b**2 * c**2 - d**2 + 1.0) * y12
+            + (-(a**2) * b * d + a * b**2 * c + b * d) * y22
+        ) / denom
+        s22 = (
+            (a * c**2 * d - b * c**3 + c**2) * y11
+            + (-2.0 * a**2 * c * d + 2.0 * a * b * c**2 + 2.0 * c * d) * y12
+            + (a**3 * d - a**2 * b * c - a**2 - a * d - b * c + 1.0) * y22
+        ) / denom
         S = np.array([[s11, s12], [s12, s22]])
     else:
         S = scipy.linalg.solve_discrete_lyapunov(X, Y)
@@ -164,10 +185,14 @@ def stein_series(X, Y, tol=1e-12, max_terms=100_000):
     ConvergenceError at the term cap (spectral radius >= 1 suspected).
     """
     X, Y = _square_pair(X, Y, "X", "Y")
-    S, _, converged = _kernels.stein_series_iter(
-        np.ascontiguousarray(X), np.ascontiguousarray(Y), tol, max_terms
-    )
-    if not converged:
+    S = term = Y
+    xt = X.T.copy()
+    for _ in range(max_terms):
+        term = X @ term @ xt
+        S = S + term
+        if np.max(np.abs(term)) < tol:
+            break
+    else:
         raise ConvergenceError(f"Stein series not converged after {max_terms} terms")
     S = 0.5 * (S + S.T)
     return GaugeCovariance(
@@ -212,11 +237,15 @@ def stein_jordan_closed_form(drift, Y):
     Y = np.asarray(Y, dtype=float)
     if Y.shape != (2, 2):
         raise DimensionError("Jordan closed form is a one-mode path; Y must be 2x2")
-    n = drift.nilpotent
-    s11, s12, s22 = _kernels.jordan_stein2(
-        drift.alpha, n[0, 0], n[0, 1], n[1, 0], n[1, 1], drift.t, Y[0, 0], Y[0, 1], Y[1, 1]
+    n, t = drift.nilpotent, drift.t
+    rho = drift.alpha * drift.alpha
+    one = 1.0 - rho
+    ny = n @ Y
+    S = (
+        Y / one
+        + (rho * t / (one * one)) * (ny + ny.T)
+        + (rho * (1.0 + rho) * t * t / (one * one * one)) * (ny @ n.T)
     )
-    S = np.array([[s11, s12], [s12, s22]])
     return GaugeCovariance(
         S=S,
         source=GaugeSource.JORDAN_CLOSED_FORM,
@@ -227,15 +256,40 @@ def stein_jordan_closed_form(drift, Y):
 def expm2(B, t=1.0):
     """Closed-form exp(t B) for real 2x2 B.
 
-    Splits B into scalar and traceless parts and picks the hyperbolic,
-    trigonometric, or degenerate (I + t B0) branch from det of the traceless
-    part; series-evaluated sin(x)/x, sinh(x)/x keep the branches continuous.
+    With the traceless part B0 (B0^2 = -det(B0) I), exp(t B0) = c I + s B0,
+    hyperbolic for det B0 < 0 and trigonometric otherwise. Near x = 0 the
+    ratios sinh(x)/x and sin(x)/x come from their Taylor series, which keeps
+    them continuous through det B0 = 0, where a nilpotent B0 gives I + t B0
+    exactly.
     """
     B = np.asarray(B, dtype=float)
     if B.shape != (2, 2):
         raise DimensionError(f"expm2 expects a 2x2 matrix, got {B.shape}")
-    e11, e12, e21, e22 = _kernels.expm2_kernel(B[0, 0], B[0, 1], B[1, 0], B[1, 1], float(t))
-    return np.array([[e11, e12], [e21, e22]])
+    b11, b12, b21, b22 = entries = B.ravel().tolist()
+    t = float(t)
+    if not (all(map(math.isfinite, entries)) and math.isfinite(t)):
+        raise NonFiniteInputError("expm2 needs a finite B and t")
+    half_tr = 0.5 * (b11 + b22)
+    a11 = b11 - half_tr
+    a22 = b22 - half_tr
+    det0 = a11 * a22 - b12 * b21
+    factor = math.exp(t * half_tr)
+    if det0 < 0.0:
+        x = math.sqrt(-det0) * t
+        c, odd, sign = math.cosh(x), math.sinh, 1.0
+    else:
+        x = math.sqrt(det0) * t
+        c, odd, sign = math.cos(x), math.sin, -1.0
+    if abs(x) < _SMALL_X:
+        x2 = x * x
+        ratio = 1.0 + sign * x2 / 6.0 + x2 * x2 / 120.0
+    else:
+        ratio = odd(x) / x
+    s = t * ratio
+    return np.array([
+        [factor * (c + s * a11), factor * s * b12],
+        [factor * s * b21, factor * (c + s * a22)],
+    ])
 
 
 def drift_exponential(A, t=1.0):

@@ -7,13 +7,13 @@ are supported: grouped (q1..qN, p1..pN), the internal canonical one, and
 interleaved (q1, p1, ..., qN, pN); `reorder` converts between them.
 """
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
 
 from .errors import DimensionError, NotGaugeableError, require_finite
-from ._kernels import symmetric_eig2
 
 
 class Ordering(str, Enum):
@@ -121,6 +121,7 @@ class MomentState:
         n2 = _check_even(d.shape[0], "moment vector")
         if v.shape != (2 * n2, 2 * n2):
             raise DimensionError(f"covariance shape {v.shape} does not match d of length {2 * n2}")
+        require_finite(d=d, V=v)
         if np.max(np.abs(v - v.T)) > 1e-12 * (1.0 + np.max(np.abs(v))):
             raise DimensionError("covariance matrix must be symmetric")
         object.__setattr__(self, "d", _freeze(d))
@@ -258,7 +259,8 @@ def cp_check(channel, method=None, rel_tol=1e-10):
         if channel.modes != 1:
             raise DimensionError("determinant CP condition applies to one mode only")
         x, y = channel.X, channel.Y
-        lam_min, _ = symmetric_eig2(y[0, 0], y[0, 1], y[1, 1])
+        y11, y12, _, y22 = y.ravel().tolist()
+        lam_min = 0.5 * (y11 + y22) - math.hypot(0.5 * (y11 - y22), y12)
         alpha = 0.5 * (1.0 - float(np.linalg.det(x)))
         slack = float(np.linalg.det(y)) - alpha * alpha
         margin = min(lam_min, slack)

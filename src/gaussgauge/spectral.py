@@ -11,11 +11,12 @@ drive u. The truncation (and the block-triangularity argument behind it) is
 the numerical stand-in for the operator statement, not a quoted result.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError
+from .errors import DimensionError, NonFiniteInputError, require_finite
 
 
 @dataclass(frozen=True)
@@ -53,6 +54,8 @@ def _jordan_2x2(m, tol):
     det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
     disc = tau * tau - 4.0 * det
     scale = 1.0 + float(np.max(np.abs(m)))
+    if not math.isfinite(scale):
+        raise NonFiniteInputError("matrix has non-finite entries")
     center = 0.5 * tau
     off_identity = float(np.max(np.abs(m - center * np.eye(2))))
     if disc >= 0:
@@ -159,7 +162,11 @@ def jordan_structure(matrix, tol=None):
         raise DimensionError(f"jordan_structure needs a square matrix, got {m.shape}")
     if m.shape == (2, 2) and not np.iscomplexobj(m):
         return _jordan_2x2(m.astype(float), 1e-12 if tol is None else tol)
-    eigs = np.linalg.eigvals(m)
+    try:
+        eigs = np.linalg.eigvals(m)
+    except np.linalg.LinAlgError:
+        require_finite(matrix=m)
+        raise
     scale = 1.0 + float(np.max(np.abs(m)))
     ctol = (1e-7 * scale) if tol is None else tol
     clusters = _cluster(list(eigs), ctol)

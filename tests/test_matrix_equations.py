@@ -6,16 +6,17 @@ import scipy.linalg
 
 from gaussgauge import (
     ConvergenceError,
-    DegenerateSpectrumError,
     DimensionError,
     GaugeSource,
     GaussianChannel,
     GaussianGenerator,
     JordanDrift2x2,
+    MomentState,
     NonFiniteInputError,
     StabilityError,
     StabilityMode,
     expm2,
+    jordan_structure,
     solve_lyapunov,
     solve_stein,
     stability,
@@ -93,16 +94,16 @@ class TestSolveLyapunov:
             cov = solve_lyapunov(a, d)
             assert cov.residual <= 1e-10 * (1.0 + np.abs(d).max())
 
-    def test_closed_form_agrees_with_kronecker_route(self, rng):
+    def test_agrees_with_kronecker_oracle(self, rng):
         for _ in range(300):
             a = random_hurwitz(rng, 2)
             d = random_psd(rng, 2)
-            closed = solve_lyapunov(a, d).S
+            solved = solve_lyapunov(a, d).S
             lhs = np.kron(np.eye(2), a) + np.kron(a, np.eye(2))
             direct = np.linalg.solve(lhs, -d.reshape(-1)).reshape(2, 2)
-            npt.assert_allclose(closed, 0.5 * (direct + direct.T), atol=1e-11)
+            npt.assert_allclose(solved, 0.5 * (direct + direct.T), atol=1e-11)
 
-    def test_zero_pivot_routes_to_direct_solve(self):
+    def test_residual_with_zero_diagonal_drift_entry(self):
         a = np.array([[0.0, 1.0], [-1.0, -0.5]])  # Hurwitz with a11 = 0
         d = np.array([[1.0, 0.2], [0.2, 2.0]])
         cov = solve_lyapunov(a, d)
@@ -118,13 +119,8 @@ class TestSolveLyapunov:
         assert np.array_equal(first, second)
 
     def test_resonant_spectrum_rejected(self):
-        # eigenvalues +-i are excluded by the Hurwitz gate already; a Hurwitz
-        # matrix cannot be resonant, so force the degenerate path directly
-        from gaussgauge._kernels import lyap2_closed
-
-        _, _, _, ok = lyap2_closed(0.0, 1.0, -1.0, 0.0, 1.0, 0.0, 1.0)
-        assert not ok
-        with pytest.raises((StabilityError, DegenerateSpectrumError)):
+        # eigenvalues +-i (lambda_1 + lambda_2 = 0) fail the Hurwitz gate
+        with pytest.raises(StabilityError):
             solve_lyapunov(np.array([[0.0, 1.0], [-1.0, 0.0]]), np.eye(2))
 
 
@@ -255,7 +251,7 @@ class TestExpm2:
         worst = 0.0
         for _ in range(500):
             b = rng.uniform(-2, 2, size=(2, 2))
-            t = rng.uniform(0.0, 5.0)
+            t = rng.uniform(-5.0, 5.0)
             reference = scipy.linalg.expm(t * b)
             err = np.abs(expm2(b, t) - reference).max() / (1.0 + np.abs(reference).max())
             worst = max(worst, err)
@@ -337,8 +333,16 @@ class TestGuards:
         lambda bad: GaussianGenerator(A=bad, D=np.eye(4), u=np.zeros(4)),
         lambda bad: GaussianGenerator(A=-np.eye(4), D=bad, u=np.zeros(4)),
         lambda bad: GaussianGenerator(A=-np.eye(4), D=np.eye(4), u=bad[0]),
+        lambda bad: stability(bad),
+        lambda bad: expm2(bad[:2, :2]),
+        lambda bad: expm2(-np.eye(2), bad[0, 0]),
+        lambda bad: jordan_structure(bad[:2, :2]),
+        lambda bad: jordan_structure(bad),
+        lambda bad: MomentState(d=np.zeros(4), V=bad),
+        lambda bad: MomentState(d=bad[0], V=np.eye(4)),
     ], ids=["lyap-D", "lyap-A", "stein-X", "stein-Y", "series-Y", "channel-X", "channel-Y",
-            "channel-delta", "generator-A", "generator-D", "generator-u"])
+            "channel-delta", "generator-A", "generator-D", "generator-u", "stability",
+            "expm2-B", "expm2-t", "jordan-2x2", "jordan-4x4", "state-V", "state-d"])
     def test_non_finite_input_rejected(self, entry, value):
         bad = -0.5 * np.eye(4)
         bad[0, 0] = value

@@ -314,16 +314,16 @@ class TestCli:
         assert proc.returncode == 0
         assert "re_lambda_plus" in proc.stdout
 
-    def test_parallel_rows_keep_grid_order(self, tmp_path):
-        # --jobs and a config-file jobs key are accepted and ignored
-        plain, flag, keyed = (tmp_path / f"{name}.csv" for name in ("plain", "flag", "keyed"))
+    def test_jobs_option_rejected(self, tmp_path, capsys):
+        # rows run serially; neither the --jobs flag nor a jobs key exists
+        with pytest.raises(SystemExit) as err:
+            self.run_cli(["nm-surface", "--jobs", "4"])
+        assert err.value.code == 2
         config = tmp_path / "jobs.cfg"
         config.write_text("jobs = 4\n")
-        base = ["nm-surface", "--grid=-1:1:9", "--grid2=-1:1:9", "--diffusion", "aniso"]
-        assert self.run_cli(base + ["--out", str(plain)]) == 0
-        assert self.run_cli(base + ["--jobs", "4", "--out", str(flag)]) == 0
-        assert self.run_cli(base + ["--config", str(config), "--out", str(keyed)]) == 0
-        assert flag.read_bytes() == plain.read_bytes() == keyed.read_bytes()
+        capsys.readouterr()
+        assert self.run_cli(["nm-surface", "--config", str(config)]) == 2
+        assert "unknown config key 'jobs'" in capsys.readouterr().err
 
 
 class TestVerifyCommand:
