@@ -67,7 +67,8 @@ def build_parser():
     _add_common(p)
     p.add_argument("--grid", type=_parse_grid, default=None, help="delta grid lo:hi:count")
     p.add_argument("--ep-gap-tol", type=float, default=None, dest="ep_gap_tol",
-                   help="eigenvalue-gap threshold for EP markers")
+                   help="also mark rows whose eigenvalue gap is below this as EPs "
+                        "(a vanishing discriminant always marks one)")
 
     p = sub.add_parser("squeezed-gauge", help="EP-branch gauge eigenvalues along an axis")
     _add_common(p)

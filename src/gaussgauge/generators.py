@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, PhysicalityError, require_finite
-from .matrix_equations import StabilityMode, drift_exponential, solve_lyapunov, stability
+from .errors import DimensionError, PhysicalityError, StabilityError, require_finite
+from .matrix_equations import drift_exponential, solve_lyapunov
 from .phase_space import (
     CpMethod,
     CpReport,
@@ -253,11 +253,13 @@ def semigroup_channel(generator, t, tol=1e-10):
         )
     if not np.any(D):
         y_t = np.zeros((n2, n2))
-    elif stability(A, StabilityMode.CONTINUOUS).hurwitz:
-        s = solve_lyapunov(A, D).S
-        y_t = s - x_t @ s @ x_t.T
     else:
-        y_t = _diffusion_integral(A, D, t, tol)
+        try:
+            s = solve_lyapunov(A, D).S
+        except StabilityError:  # A not Hurwitz
+            y_t = _diffusion_integral(A, D, t, tol)
+        else:
+            y_t = s - x_t @ s @ x_t.T
     delta_t = _delta_integral(A, u, t, x_t)
     return GaussianChannel(
         X=x_t, Y=0.5 * (y_t + y_t.T), delta=delta_t, ordering=generator.ordering

@@ -23,11 +23,7 @@ from .errors import (
     StabilityError,
     require_finite,
 )
-
-
-# Taylor window for sin(x)/x and sinh(x)/x; below it the direct quotient loses
-# no accuracy either, but the series keeps the ratio exactly continuous at 0.
-_SMALL_X = 1e-4
+from .onemode import expm2_entries, jury_triple, stein2_denominator, stein2_entries
 
 
 class StabilityMode(str, Enum):
@@ -76,10 +72,7 @@ def stability(matrix, mode=StabilityMode.CONTINUOUS):
         raise
     triple = None
     if mode is StabilityMode.DISCRETE and m.shape == (2, 2):
-        a, b, c, d = m.ravel().tolist()
-        tr = a + d
-        det = a * d - b * c
-        triple = (1.0 - det, 1.0 - tr + det, 1.0 + tr + det)
+        triple = jury_triple(*m.ravel().tolist())
     return StabilityReport(
         hurwitz=bool(np.max(eigs.real) < 0.0),
         spectral_radius=float(np.max(np.abs(eigs))),
@@ -150,27 +143,11 @@ def solve_stein(X, Y):
     if report.spectral_radius >= 1.0:
         raise StabilityError("Stein gauging requires spectral radius < 1")
     if X.shape == (2, 2):
-        # determinant of the reduced 3x3 system: the product of the Jury triple
-        denom = math.prod(report.jury_triple)
-        if denom <= 0.0:
+        x = X.ravel().tolist()
+        if stein2_denominator(*x) <= 0.0:
             raise StabilityError("Stein denominator not positive; drift not Schur stable")
-        a, b, c, d = X.ravel().tolist()
         y11, y12, _, y22 = Y.ravel().tolist()
-        s11 = (
-            (a * d**3 - a * d - b * c * d**2 - b * c - d**2 + 1.0) * y11
-            + (-2.0 * a * b * d**2 + 2.0 * a * b + 2.0 * b**2 * c * d) * y12
-            + (a * b**2 * d - b**3 * c + b**2) * y22
-        ) / denom
-        s12 = (
-            (-a * c * d**2 + a * c + b * c**2 * d) * y11
-            + (a**2 * d**2 - a**2 - b**2 * c**2 - d**2 + 1.0) * y12
-            + (-(a**2) * b * d + a * b**2 * c + b * d) * y22
-        ) / denom
-        s22 = (
-            (a * c**2 * d - b * c**3 + c**2) * y11
-            + (-2.0 * a**2 * c * d + 2.0 * a * b * c**2 + 2.0 * c * d) * y12
-            + (a**3 * d - a**2 * b * c - a**2 - a * d - b * c + 1.0) * y22
-        ) / denom
+        s11, s12, s22 = stein2_entries(*x, y11, y12, y22)
         S = np.array([[s11, s12], [s12, s22]])
     else:
         S = scipy.linalg.solve_discrete_lyapunov(X, Y)
@@ -254,42 +231,16 @@ def stein_jordan_closed_form(drift, Y):
 
 
 def expm2(B, t=1.0):
-    """Closed-form exp(t B) for real 2x2 B.
-
-    With the traceless part B0 (B0^2 = -det(B0) I), exp(t B0) = c I + s B0,
-    hyperbolic for det B0 < 0 and trigonometric otherwise. Near x = 0 the
-    ratios sinh(x)/x and sin(x)/x come from their Taylor series, which keeps
-    them continuous through det B0 = 0, where a nilpotent B0 gives I + t B0
-    exactly.
-    """
+    """Closed-form exp(t B) for real 2x2 B (see `onemode.expm2_entries`)."""
     B = np.asarray(B, dtype=float)
     if B.shape != (2, 2):
         raise DimensionError(f"expm2 expects a 2x2 matrix, got {B.shape}")
-    b11, b12, b21, b22 = entries = B.ravel().tolist()
+    entries = B.ravel().tolist()
     t = float(t)
     if not (all(map(math.isfinite, entries)) and math.isfinite(t)):
         raise NonFiniteInputError("expm2 needs a finite B and t")
-    half_tr = 0.5 * (b11 + b22)
-    a11 = b11 - half_tr
-    a22 = b22 - half_tr
-    det0 = a11 * a22 - b12 * b21
-    factor = math.exp(t * half_tr)
-    if det0 < 0.0:
-        x = math.sqrt(-det0) * t
-        c, odd, sign = math.cosh(x), math.sinh, 1.0
-    else:
-        x = math.sqrt(det0) * t
-        c, odd, sign = math.cos(x), math.sin, -1.0
-    if abs(x) < _SMALL_X:
-        x2 = x * x
-        ratio = 1.0 + sign * x2 / 6.0 + x2 * x2 / 120.0
-    else:
-        ratio = odd(x) / x
-    s = t * ratio
-    return np.array([
-        [factor * (c + s * a11), factor * s * b12],
-        [factor * s * b21, factor * (c + s * a22)],
-    ])
+    e11, e12, e21, e22 = expm2_entries(*entries, t)
+    return np.array([[e11, e12], [e21, e22]])
 
 
 def drift_exponential(A, t=1.0):

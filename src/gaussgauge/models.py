@@ -229,26 +229,41 @@ def nm_diffusion(params, t, lam=None, omega=None):
     """Near-minimal diffusion matrix of the selected model at time t."""
     lam = params.lam if lam is None else lam
     omega = params.omega if omega is None else omega
-    kt = memory_factor(params, t)
+    if isinstance(params.diffusion, DriftAlignedDiffusion) and lam * lam + omega * omega == 0.0:
+        raise DegenerateModelError("drift-aligned diffusion undefined at B = 0")
+    y11, y12, y22 = nm_diffusion_entries(params, memory_factor(params, t), lam, omega)
+    return np.array([[y11, y12], [y12, y22]])
+
+
+def nm_diffusion_entries(params, kt, lam, omega):
+    """Entries (y11, y12, y22) of the model's Y_t at memory factor kt = kappa(t).
+
+    lam and omega are floats or arrays of one shape; an entry that does not
+    depend on them is a float. Raises PhysicalityError when the determinant
+    target is not positive. The drift-aligned model is undefined at B = 0,
+    where its array entries are NaN (`nm_diffusion` raises there instead).
+    """
     model = params.diffusion
     if isinstance(model, IsotropicDiffusion):
         y = 0.5 * abs(1.0 - kt * kt) + params.eps_buffer
-        return y * np.eye(2)
+        return y, 0.0, y
     g = 0.5 * (1.0 - kt * kt) + params.eps_buffer
     if g <= 0:
         raise PhysicalityError(
             f"determinant target {g:.3e} not positive (kappa(t) = {kt:.4f} > 1)"
         )
     if isinstance(model, AnisotropicDiffusion):
-        return np.diag([g * math.exp(model.s), g * math.exp(-model.s)])
+        return g * math.exp(model.s), 0.0, g * math.exp(-model.s)
     if isinstance(model, DriftAlignedDiffusion):
-        b = drift_tensor(lam, omega)
-        w = b @ b.T
-        tr = float(np.trace(w))
-        if tr == 0.0:
-            raise DegenerateModelError("drift-aligned diffusion undefined at B = 0")
-        m = np.eye(2) + model.alpha * w / tr
-        return (g / math.sqrt(float(np.linalg.det(m)))) * m
+        # M = I + alpha B B^T / tr(B B^T); (B B^T)_11 = (B B^T)_22 = lam^2 + omega^2
+        w11 = lam * lam + omega * omega
+        w12 = -2.0 * lam * omega
+        tr = w11 + w11
+        with np.errstate(divide="ignore", invalid="ignore"):
+            m11 = 1.0 + model.alpha * w11 / tr
+            m12 = model.alpha * w12 / tr
+        scale = g / np.sqrt(m11 * m11 - m12 * m12)
+        return scale * m11, scale * m12, scale * m11
     raise DimensionError(f"unknown diffusion model {model!r}")
 
 

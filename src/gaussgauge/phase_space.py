@@ -7,13 +7,13 @@ are supported: grouped (q1..qN, p1..pN), the internal canonical one, and
 interleaved (q1, p1, ..., qN, pN); `reorder` converts between them.
 """
 
-import math
 from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
 
 from .errors import DimensionError, NotGaugeableError, require_finite
+from .onemode import cp_margin_entries
 
 
 class Ordering(str, Enum):
@@ -251,19 +251,15 @@ def cp_check(channel, method=None, rel_tol=1e-10):
     if method is None:
         method = CpMethod.DET_CONDITION if channel.modes == 1 else CpMethod.HERMITIAN_EIG
     method = CpMethod(method)
-    z = cp_matrix(channel)
-    tol = rel_tol * (1.0 + float(np.max(np.abs(z))))
     if method is CpMethod.HERMITIAN_EIG:
+        z = cp_matrix(channel)
+        tol = rel_tol * (1.0 + float(np.max(np.abs(z))))
         margin = float(np.linalg.eigvalsh(z).min())
     else:
         if channel.modes != 1:
             raise DimensionError("determinant CP condition applies to one mode only")
-        x, y = channel.X, channel.Y
-        y11, y12, _, y22 = y.ravel().tolist()
-        lam_min = 0.5 * (y11 + y22) - math.hypot(0.5 * (y11 - y22), y12)
-        alpha = 0.5 * (1.0 - float(np.linalg.det(x)))
-        slack = float(np.linalg.det(y)) - alpha * alpha
-        margin = min(lam_min, slack)
+        y11, y12, _, y22 = channel.Y.ravel().tolist()
+        margin, tol = cp_margin_entries(*channel.X.ravel().tolist(), y11, y12, y22, rel_tol)
     return CpReport(passes=margin >= -tol, margin=margin, method=method, tolerance=tol)
 
 

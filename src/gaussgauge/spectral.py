@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, NonFiniteInputError, require_finite
+from .onemode import DISC_TOL, jordan2_entries
 
 
 @dataclass(frozen=True)
@@ -50,14 +51,10 @@ def _min_pairwise_gap(eigs):
 
 
 def _jordan_2x2(m, tol):
-    tau = m[0, 0] + m[1, 1]
-    det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
-    disc = tau * tau - 4.0 * det
-    scale = 1.0 + float(np.max(np.abs(m)))
-    if not math.isfinite(scale):
+    entries = m.ravel().tolist()
+    if not all(map(math.isfinite, entries)):
         raise NonFiniteInputError("matrix has non-finite entries")
-    center = 0.5 * tau
-    off_identity = float(np.max(np.abs(m - center * np.eye(2))))
+    center, disc, double, defective = jordan2_entries(*entries, tol)
     if disc >= 0:
         rt = np.sqrt(disc)
         eigs = (center - 0.5 * rt + 0j, center + 0.5 * rt + 0j)
@@ -65,21 +62,13 @@ def _jordan_2x2(m, tol):
         rt = np.sqrt(-disc)
         eigs = (center - 0.5j * rt, center + 0.5j * rt)
     gap = abs(eigs[1] - eigs[0])
-    if abs(disc) <= tol * scale * scale and off_identity > tol * scale:
+    if double:
+        # a single eigenvalue: one Jordan block, or a multiple of the identity
         return JordanReport(
             eigenvalues=(center + 0j,),
             multiplicities=(2,),
-            block_sizes=((2,),),
-            defective=True,
-            coalescence_gap=gap,
-        )
-    if abs(disc) <= tol * scale * scale:
-        # proportional to the identity: diagonalizable double eigenvalue
-        return JordanReport(
-            eigenvalues=(center + 0j,),
-            multiplicities=(2,),
-            block_sizes=((1, 1),),
-            defective=False,
+            block_sizes=((2,),) if defective else ((1, 1),),
+            defective=defective,
             coalescence_gap=gap,
         )
     return JordanReport(
@@ -161,7 +150,7 @@ def jordan_structure(matrix, tol=None):
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DimensionError(f"jordan_structure needs a square matrix, got {m.shape}")
     if m.shape == (2, 2) and not np.iscomplexobj(m):
-        return _jordan_2x2(m.astype(float), 1e-12 if tol is None else tol)
+        return _jordan_2x2(m.astype(float), DISC_TOL if tol is None else tol)
     try:
         eigs = np.linalg.eigvals(m)
     except np.linalg.LinAlgError:

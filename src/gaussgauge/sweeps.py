@@ -2,10 +2,12 @@
 
 Each command produces a SweepTable: numeric rows in grid order, a fixed
 column list, and a metadata block with the fully resolved configuration so
-that a run is reproducible from its own output. Rows are evaluated one after
-another in grid order. Stable numeric formatting (17 significant digits in
-CSV, shortest-roundtrip repr in JSON) makes identical configurations
-byte-identical.
+that a run is reproducible from its own output. The non-Markovian tables
+(`nm-surface`, `nm-branch`) are evaluated a grid line at a time through the
+array-valued one-mode kernels of `onemode`, which give the scalar API's
+values bit for bit; the other tables row by row. Stable numeric formatting
+(17 significant digits in CSV, shortest-roundtrip repr in JSON) makes
+identical configurations byte-identical.
 """
 
 import json
@@ -15,8 +17,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__
-from .errors import DegenerateModelError, DimensionError, PhysicalityError
-from .matrix_equations import StabilityMode, solve_stein, stability
+from .errors import DimensionError, PhysicalityError, StabilityError
+from .matrix_equations import solve_stein
 from .models import (
     AnisotropicDiffusion,
     DriftAlignedDiffusion,
@@ -24,12 +26,20 @@ from .models import (
     IsotropicDiffusion,
     NmFamilyParams,
     SqueezedReservoirParams,
+    memory_factor,
     nm_channel,
+    nm_diffusion_entries,
     squeezed_drift_eigenvalues,
     squeezed_ep_gauge,
 )
-from .phase_space import CpMethod, cp_check
-from .spectral import jordan_structure
+from .onemode import (
+    DISC_TOL,
+    cp_margin_entries,
+    expm2_entries,
+    jordan2_entries,
+    stein2_denominator,
+    stein2_entries,
+)
 
 # Documented sweep defaults: the strong-drive/weak-damping regime, where the
 # sweep trends are clean on the default grids (gauge eigenvalues monotone in
@@ -134,18 +144,6 @@ def _diffusion_model(config):
     raise DimensionError(f"unknown diffusion model {config.diffusion!r}")
 
 
-def _nm_params(config, lam, omega):
-    return NmFamilyParams(
-        lam=lam,
-        omega=omega,
-        gamma=config.param("gamma"),
-        r_mem=config.param("r_mem"),
-        nu=config.param("nu"),
-        diffusion=_diffusion_model(config),
-        eps_buffer=config.param("eps_buffer"),
-    )
-
-
 def _base_meta(config, **extra):
     meta = {
         "command": config.command,
@@ -170,6 +168,10 @@ def run_drift_eigs(config):
         p = SqueezedReservoirParams(kappa, delta, eps, r, phi)
         lam_minus, lam_plus = squeezed_drift_eigenvalues(p)
         gap = abs(lam_plus - lam_minus)
+        # an EP where the discriminant eps^2 - delta^2 vanishes: near it the
+        # gap grows like its square root, so a point an ulp off delta = +-eps
+        # has a gap of ~1e-8 and a gap threshold alone misses it
+        ep = abs(eps * eps - delta * delta) <= DISC_TOL * (eps * eps + delta * delta)
         return [
             delta,
             lam_plus.real,
@@ -177,7 +179,7 @@ def run_drift_eigs(config):
             lam_plus.imag,
             lam_minus.imag,
             gap,
-            1.0 if gap < config.ep_gap_tol else 0.0,
+            1.0 if ep or gap < config.ep_gap_tol else 0.0,
         ]
 
     rows = [row(value) for value in grid.points()]
@@ -215,38 +217,85 @@ def run_squeezed_gauge(config, axis, branch):
     )
 
 
-def _nm_point_row(config, lam, omega, on_branch):
+def _nm_setup(config):
+    """The family parameters and time of a non-Markovian table, validated once.
+
+    lam and omega of the parameters are placeholders: every point passes its own.
+    """
+    params = NmFamilyParams(
+        lam=0.0,
+        omega=0.0,
+        gamma=config.param("gamma"),
+        r_mem=config.param("r_mem"),
+        nu=config.param("nu"),
+        diffusion=_diffusion_model(config),
+        eps_buffer=config.param("eps_buffer"),
+    )
     t = config.param("t")
+    if t <= 0:
+        raise DimensionError("family time must be positive")
+    return params, t
+
+
+def _stack2x2(m11, m12, m21, m22):
+    """The (n, 2, 2) stack of matrices with the given 1-D entry arrays."""
+    return np.stack([m11, m12, m21, m22], axis=-1).reshape(-1, 2, 2)
+
+
+def _nm_line(params, t, lam, omega):
+    """Gauge columns of the non-Markovian family at the points (lam[i], omega[i]).
+
+    lam and omega are 1-D arrays, one grid line: evaluating a line at a time
+    keeps the temporaries small next to the table. Returns the columns
+    lambda_min, lambda_max, s_qp, defective, cp_margin and unstable. Where the
+    model is undefined (B = 0 drift alignment, CP violation) the row carries
+    NaN values and margin, defective 0 and unstable 1; where the channel is
+    not Schur stable it carries NaN values and unstable 1.
+    """
+    kt = memory_factor(params, t)
+    # X_t = kappa(t) exp(t B) with B = [[lam, omega], [-omega, -lam]]
+    x = tuple(kt * e for e in expm2_entries(lam, omega, -omega, -lam, t))
     try:
-        channel = nm_channel(_nm_params(config, lam, omega), t)
-    except (DegenerateModelError, PhysicalityError):
-        # model undefined at this point (B = 0 drift alignment, CP violation)
-        return [lam, omega, math.nan, math.nan, math.nan, 0.0, math.nan, 1.0, on_branch]
-    report = stability(channel.X, StabilityMode.DISCRETE)
-    defective = 1.0 if jordan_structure(channel.X).defective else 0.0
-    cp_margin = cp_check(channel, method=CpMethod.DET_CONDITION).margin
-    if report.spectral_radius >= 1.0:
-        return [lam, omega, math.nan, math.nan, math.nan, defective, cp_margin, 1.0, on_branch]
-    s = solve_stein(channel.X, channel.Y).S
-    lo, hi = np.linalg.eigvalsh(s)
-    return [lam, omega, lo, hi, s[0, 1], defective, cp_margin, 0.0, on_branch]
+        y = tuple(np.broadcast_arrays(*nm_diffusion_entries(params, kt, lam, omega), lam)[:3])
+    except PhysicalityError:  # determinant target not positive: undefined everywhere
+        y = (np.full(lam.shape, math.nan),) * 3
+    margin, tol = cp_margin_entries(*x, *y)
+    defined = margin >= -tol
+    spectral_radius = np.abs(np.linalg.eigvals(_stack2x2(*x))).max(axis=1)
+    stable = defined & (spectral_radius < 1.0)
+    if np.any(stein2_denominator(*x)[stable] <= 0.0):
+        raise StabilityError("Stein denominator not positive; drift not Schur stable")
+    values = np.full((lam.size, 3), math.nan)
+    if stable.any():
+        s11, s12, s22 = stein2_entries(*(v[stable] for v in x + y))
+        values[stable, :2] = np.linalg.eigvalsh(_stack2x2(s11, s12, s12, s22))
+        values[stable, 2] = s12
+    defective = defined & jordan2_entries(*x)[3]
+    return (*values.T, defective.astype(float), np.where(defined, margin, math.nan),
+            (~stable).astype(float))
 
 
 def run_nm_surface(config):
     """Gauge-covariance eigenvalues over the drift plane with EP overlay rows."""
     lam_grid = config.grid("lam")
     omega_grid = config.grid("omega")
-    points = [(lam, omega, 0.0) for lam in lam_grid.points() for omega in omega_grid.points()]
-    # exact EP overlay rows lambda = +-omega
-    for omega in omega_grid.points():
-        points.append((omega, omega, 1.0))
-        points.append((-omega, omega, -1.0))
+    params, t = _nm_setup(config)
+    omega = omega_grid.points()
 
-    rows = [_nm_point_row(config, *p) for p in points]
+    def rows(lam, omega, on_branch):
+        columns = (lam, omega, *_nm_line(params, t, lam, omega), on_branch)
+        return zip(*(column.tolist() for column in columns))
+
+    table = []
+    for lam in lam_grid.points():
+        table.extend(rows(np.full(omega.shape, lam), omega, np.zeros(omega.shape)))
+    # exact EP overlay rows lambda = +-omega, in pairs per omega
+    table.extend(rows(np.column_stack([omega, -omega]).ravel(), np.repeat(omega, 2),
+                      np.tile([1.0, -1.0], omega.size)))
     return SweepTable(
         columns=("lam", "omega", "lambda_min", "lambda_max", "s_qp", "defective",
                  "cp_margin", "unstable", "on_branch"),
-        rows=tuple(tuple(r) for r in rows),
+        rows=tuple(table),
         meta=_base_meta(
             config,
             grid=lam_grid.as_meta(),
@@ -261,22 +310,19 @@ def run_nm_branch(config):
     grid = config.grid("omega", default_key="branch_omega")
     if grid.lo <= 0.0:
         raise DimensionError("branch sweeps need omega > 0 (B = 0 at omega = 0)")
-    t = config.param("t")
-
-    def row(point):
-        omega, sign = point
-        lam = sign * omega
-        params = _nm_params(config, lam, omega)
-        channel = nm_channel(params, t)
-        s = solve_stein(channel.X, channel.Y).S
-        lo, hi = np.linalg.eigvalsh(s)
-        return [omega, sign, lo, hi, s[0, 1]]
-
-    points = [(omega, sign) for omega in grid.points() for sign in (1.0, -1.0)]
-    rows = [row(p) for p in points]
+    params, t = _nm_setup(config)
+    omega = np.repeat(grid.points(), 2)
+    branch = np.tile([1.0, -1.0], grid.count)
+    lam = branch * omega
+    lo, hi, s_qp, _, _, unstable = _nm_line(params, t, lam, omega)
+    if unstable.any():
+        # the scalar path raises the first such row's error: not CP, or not Schur stable
+        i = int(np.argmax(unstable))
+        channel = nm_channel(params, t, lam[i], omega[i])
+        solve_stein(channel.X, channel.Y)
     return SweepTable(
         columns=("omega", "branch", "lambda1", "lambda2", "s_qp"),
-        rows=tuple(tuple(r) for r in rows),
+        rows=tuple(map(tuple, np.column_stack([omega, branch, lo, hi, s_qp]).tolist())),
         meta=_base_meta(config, grid=grid.as_meta(), diffusion=config.diffusion),
     )
 

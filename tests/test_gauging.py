@@ -123,6 +123,21 @@ class TestGaugeSemigroup:
         with pytest.raises(StabilityError):
             gauge_semigroup(gen)
 
+    def test_one_hurwitz_gate_per_channel(self, monkeypatch):
+        # the Lyapunov solve is the only Hurwitz gate: one eigenvalue
+        # computation for the covariance and one per channel time
+        calls = []
+        eigvals = np.linalg.eigvals
+
+        def counted(m):
+            calls.append(m.shape)
+            return eigvals(m)
+
+        monkeypatch.setattr(np.linalg, "eigvals", counted)
+        gen = squeezed_generator(SqueezedReservoirParams(kappa=2.0, delta=0.3, epsilon=1.0))
+        gauge_semigroup(gen, times=[0.5, 1.0])
+        assert len(calls) == 3
+
     def test_diffusion_is_time_derivative_of_y_at_zero(self, rng):
         # finite-difference dY_t/dt at t = 0 recovers D
         gen = GaussianGenerator(

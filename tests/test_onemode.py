@@ -1,0 +1,185 @@
+"""The one-mode kernels on grid lines against the scalar API and independent oracles."""
+
+import math
+
+import numpy as np
+import numpy.testing as npt
+import pytest
+import scipy.linalg
+
+from gaussgauge import (
+    AnisotropicDiffusion,
+    DriftAlignedDiffusion,
+    GaussianChannel,
+    IsotropicDiffusion,
+    NmFamilyParams,
+    PhysicalityError,
+    StabilityError,
+    cp_check,
+    expm2,
+    jordan_structure,
+    memory_factor,
+    nm_channel,
+    nm_diffusion,
+    nm_drift,
+    solve_stein,
+    stability,
+)
+from gaussgauge.errors import DegenerateModelError
+from gaussgauge.models import nm_diffusion_entries
+from gaussgauge.onemode import cp_margin_entries, expm2_entries, jordan2_entries, stein2_entries
+from gaussgauge.phase_space import CpMethod
+from gaussgauge.sweeps import GridSpec, SweepConfig, run_nm_branch, run_nm_surface
+
+DIFFUSIONS = {
+    "iso": IsotropicDiffusion(),
+    "aniso": AnisotropicDiffusion(s=0.5),
+    "drift-aligned": DriftAlignedDiffusion(alpha=1.0),
+}
+
+
+def lambda_lines(rng):
+    """(lam, omega) point arrays: random lines through lambda = +-omega and omega = 0,
+    plus the line lambda = 0 through the origin, where B = 0."""
+    lines = []
+    for lam in [0.0, *rng.uniform(-1.6, 1.6, size=4)]:
+        omega = np.concatenate([rng.uniform(-1.6, 1.6, size=12), [lam, -lam, 0.0]])
+        lines.append((np.full(omega.shape, lam), omega))
+    return lines
+
+
+def test_expm2_matches_scalar_bitwise(rng):
+    for lam, omega in lambda_lines(rng):
+        for t in (1.0, -0.7, 2.5):
+            got = np.stack(expm2_entries(lam, omega, -omega, -lam, t), axis=-1)
+            want = [expm2(np.array([[l, w], [-w, -l]]), t).ravel() for l, w in zip(lam, omega)]
+            npt.assert_array_equal(got, want)
+    # with a trace, and with the determinant of the traceless part near 0
+    b = rng.uniform(-2.0, 2.0, size=(4, 40))
+    b[3, :10] = -b[0, :10]
+    b[2, :10] = -b[0, :10] ** 2 / b[1, :10] * (1.0 + rng.uniform(-1e-9, 1e-9, size=10))
+    for t in (1.0, -0.7):
+        got = np.stack(expm2_entries(*b, t), axis=-1)
+        want = [expm2(col.reshape(2, 2), t).ravel() for col in b.T]
+        npt.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("diffusion", sorted(DIFFUSIONS))
+def test_channel_kernels_match_scalar_bitwise(rng, diffusion):
+    params = NmFamilyParams(lam=0.0, omega=0.0, diffusion=DIFFUSIONS[diffusion])
+    kt = memory_factor(params, 1.0)
+    for lam, omega in lambda_lines(rng):
+        defined = (lam != 0.0) | (omega != 0.0) | (diffusion != "drift-aligned")
+        x = tuple(kt * e for e in expm2_entries(lam, omega, -omega, -lam, 1.0))
+        y = np.broadcast_arrays(*nm_diffusion_entries(params, kt, lam, omega), lam)[:3]
+        assert np.all(np.isnan(y[0][~defined]))
+        margin, tol = cp_margin_entries(*x, *y)
+        defective = jordan2_entries(*x)[3]
+        s = stein2_entries(*x, *y)
+        for i in np.flatnonzero(defined):
+            X = nm_drift(params, 1.0, lam[i], omega[i])
+            Y = nm_diffusion(params, 1.0, lam[i], omega[i])
+            npt.assert_array_equal([v[i] for v in x], X.ravel())
+            npt.assert_array_equal([y[0][i], y[1][i], y[2][i]], Y.ravel()[[0, 1, 3]])
+            report = cp_check(GaussianChannel(X, Y, np.zeros(2)), method=CpMethod.DET_CONDITION)
+            assert (margin[i], tol[i]) == (report.margin, report.tolerance)
+            assert defective[i] == jordan_structure(X).defective
+            if abs(lam[i]) == abs(omega[i]) != 0.0:
+                assert defective[i]
+            if stability(X, "discrete").spectral_radius < 1.0:
+                S = solve_stein(X, Y).S
+                npt.assert_array_equal([v[i] for v in s], S.ravel()[[0, 1, 3]])
+        for i in np.flatnonzero(~defined):
+            with pytest.raises(DegenerateModelError):
+                nm_diffusion(params, 1.0, lam[i], omega[i])
+
+
+def _reference_row(params, lam, omega, on_branch):
+    """One surface row from the scalar API, the way a per-point loop builds it."""
+    try:
+        channel = nm_channel(params, 1.0, lam, omega)
+    except (DegenerateModelError, PhysicalityError):
+        return [lam, omega, math.nan, math.nan, math.nan, 0.0, math.nan, 1.0, on_branch]
+    defective = 1.0 if jordan_structure(channel.X).defective else 0.0
+    margin = cp_check(channel, method=CpMethod.DET_CONDITION).margin
+    if stability(channel.X, "discrete").spectral_radius >= 1.0:
+        return [lam, omega, math.nan, math.nan, math.nan, defective, margin, 1.0, on_branch]
+    s = solve_stein(channel.X, channel.Y).S
+    lo, hi = np.linalg.eigvalsh(s)
+    return [lam, omega, lo, hi, s[0, 1], defective, margin, 0.0, on_branch]
+
+
+def _surface(diffusion, count, model=None):
+    grids = {"lam": GridSpec(-1.5, 1.5, count), "omega": GridSpec(-1.5, 1.5, count)}
+    config = SweepConfig(command="nm-surface", diffusion=diffusion, model=model or {}, grids=grids)
+    return run_nm_surface(config)
+
+
+# negative gamma and nu pass validation with kappa(t) > 1: unstable rows for
+# iso, no positive determinant target (undefined rows) for the other models
+GROWING_MEMORY = {"gamma": -1.0, "nu": -1.0, "r_mem": 0.5}
+
+
+@pytest.mark.parametrize("model", [{}, GROWING_MEMORY])
+@pytest.mark.parametrize("diffusion", sorted(DIFFUSIONS))
+def test_surface_rows_match_scalar_api_bitwise(diffusion, model):
+    table = _surface(diffusion, 15, model)
+    params = NmFamilyParams(lam=0.0, omega=0.0, diffusion=DIFFUSIONS[diffusion], **model)
+    want = [_reference_row(params, row[0], row[1], row[8]) for row in table.rows]
+    npt.assert_array_equal(np.array(table.rows), np.array(want))
+
+
+def kron_stein(X, Y):
+    s = np.linalg.solve(np.eye(4) - np.kron(X, X), Y.reshape(-1)).reshape(2, 2)
+    return 0.5 * (s + s.T)
+
+
+@pytest.mark.parametrize("diffusion", sorted(DIFFUSIONS))
+def test_surface_rows_match_independent_oracles(diffusion):
+    # X from scipy's expm, S from a Kronecker solve, eigenvalues from eigvalsh
+    rtol = 1e-10
+    table = _surface(diffusion, 41)
+    kt = math.exp(-1.0 + 0.3 * math.sin(1.0))
+    g = 0.5 * (1.0 - kt * kt) + 1e-3
+    checked = 0
+    for lam, omega, lo, hi, s_qp, defective, margin, unstable, on_branch in table.rows:
+        B = np.array([[lam, omega], [-omega, -lam]])
+        X = kt * scipy.linalg.expm(B)
+        if diffusion == "iso":
+            Y = g * np.eye(2)
+        elif diffusion == "aniso":
+            Y = np.diag([g * math.exp(0.5), g * math.exp(-0.5)])
+        elif lam == omega == 0.0:
+            assert unstable == 1.0 and math.isnan(margin)
+            continue
+        else:
+            M = np.eye(2) + B @ B.T / np.trace(B @ B.T)
+            Y = g / math.sqrt(np.linalg.det(M)) * M
+        alpha = 0.5 * (1.0 - np.linalg.det(X))
+        want_margin = min(np.linalg.eigvalsh(Y)[0], np.linalg.det(Y) - alpha * alpha)
+        assert margin == pytest.approx(want_margin, rel=rtol, abs=rtol * np.abs(Y).max())
+        ep_distance = abs(lam * lam - omega * omega) / (lam * lam + omega * omega + 1e-300)
+        on_ep_line = omega != 0.0 and ep_distance <= 1e-10
+        assert defective == (1.0 if on_ep_line else 0.0)
+        assert unstable == (1.0 if np.abs(np.linalg.eigvals(X)).max() >= 1.0 else 0.0)
+        if unstable:
+            assert math.isnan(lo) and math.isnan(hi) and math.isnan(s_qp)
+            continue
+        S = kron_stein(X, Y)
+        scale = rtol * np.abs(S).max()
+        npt.assert_allclose([lo, hi, s_qp], [*np.linalg.eigvalsh(S), S[0, 1]], rtol=0, atol=scale)
+        checked += 1
+    assert checked > 1000
+
+
+@pytest.mark.parametrize(
+    "diffusion, error, message",
+    [
+        ("iso", StabilityError, "spectral radius < 1"),
+        ("aniso", PhysicalityError, "determinant target"),
+    ],
+)
+def test_branch_errors_match_scalar_path(diffusion, error, message):
+    config = SweepConfig(command="nm-branch", diffusion=diffusion, model=GROWING_MEMORY)
+    with pytest.raises(error, match=message):
+        run_nm_branch(config)

@@ -58,6 +58,17 @@ class TestDriftEigs:
         ep_rows = table.column("ep").astype(bool)
         npt.assert_array_equal(delta[ep_rows], [-1.0, 1.0])
 
+    def test_ep_rows_an_ulp_off_the_branch(self):
+        # on this grid linspace lands delta one ulp off +-1, where the
+        # eigenvalue gap is already ~3e-8 and the gap threshold alone misses
+        from gaussgauge.sweeps import EP_GAP_TOL, GridSpec
+
+        table = run_drift_eigs(cfg("drift-eigs", grids={"delta": GridSpec(-1.7, 1.3, 31)}))
+        delta = table.column("delta")
+        ep_rows = table.column("ep").astype(bool)
+        npt.assert_allclose(delta[ep_rows], [-1.0, 1.0], rtol=0, atol=1e-15)
+        assert np.all(table.column("gap")[ep_rows] > EP_GAP_TOL)
+
     def test_pure_rotation_gap_from_imaginary_parts(self):
         table = run_drift_eigs(cfg("drift-eigs", model={"kappa": 2.0, "epsilon": 0.0}))
         npt.assert_allclose(table.column("re_lambda_plus"), -1.0, atol=1e-14)
