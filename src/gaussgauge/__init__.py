@@ -14,6 +14,7 @@ from .errors import (
     GaussGaugeError,
     NonFiniteInputError,
     NotGaugeableError,
+    NumericalOverflowError,
     PhysicalityError,
     StabilityError,
 )

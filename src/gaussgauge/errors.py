@@ -39,6 +39,10 @@ class NonFiniteInputError(GaussGaugeError):
     """An input matrix or vector holds NaN or infinite entries."""
 
 
+class NumericalOverflowError(GaussGaugeError):
+    """A result leaves the floating-point range (e.g. exp(t B) of a fast-growing drift)."""
+
+
 def require_finite(**arrays):
     """Raise NonFiniteInputError naming the first keyword array with NaN/inf."""
     for name, arr in arrays.items():

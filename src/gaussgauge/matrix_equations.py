@@ -20,6 +20,7 @@ from .errors import (
     DegenerateSpectrumError,
     DimensionError,
     NonFiniteInputError,
+    NumericalOverflowError,
     StabilityError,
     require_finite,
 )
@@ -231,7 +232,10 @@ def stein_jordan_closed_form(drift, Y):
 
 
 def expm2(B, t=1.0):
-    """Closed-form exp(t B) for real 2x2 B (see `onemode.expm2_entries`)."""
+    """Closed-form exp(t B) for real 2x2 B (see `onemode.expm2_entries`).
+
+    Raises NumericalOverflowError where an entry leaves the float range.
+    """
     B = np.asarray(B, dtype=float)
     if B.shape != (2, 2):
         raise DimensionError(f"expm2 expects a 2x2 matrix, got {B.shape}")
@@ -240,6 +244,8 @@ def expm2(B, t=1.0):
     if not (all(map(math.isfinite, entries)) and math.isfinite(t)):
         raise NonFiniteInputError("expm2 needs a finite B and t")
     e11, e12, e21, e22 = expm2_entries(*entries, t)
+    if not all(map(math.isfinite, (e11, e12, e21, e22))):
+        raise NumericalOverflowError(f"exp(t B) leaves the float range at t = {t}")
     return np.array([[e11, e12], [e21, e22]])
 
 

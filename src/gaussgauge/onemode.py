@@ -4,11 +4,11 @@ Each kernel takes the entries of 2x2 matrices as floats or as numpy arrays of
 one shape and returns entries of the same kind. The scalar API (`expm2`, the
 2x2 branch of `solve_stein`, the determinant route of `cp_check`, the 2x2
 route of `jordan_structure`) calls them on floats; the non-Markovian sweeps
-call them on one grid line at a time. A float and the matching array element
-go through the same operations and round alike: + - * / round the same in
-Python and numpy, branches are selections, integer powers are written as
-products, and transcendentals come from the math library element by element
-(numpy's vectorized ones differ from it in the last bits).
+call them once on all points of a table. A float and the matching array
+element go through the same operations and round alike: + - * / round the
+same in Python and numpy, branches are selections, integer powers are written
+as products, and transcendentals come from the math library element by
+element (numpy's vectorized ones differ from it in the last bits).
 """
 
 import math
@@ -47,12 +47,30 @@ def _maximum(first, *rest):
     return first
 
 
+# Beyond the float range the math library raises OverflowError; these return
+# NaN instead, so that one point cannot abort a whole grid. `expm2` turns a
+# non-finite result into NumericalOverflowError; the sweeps flag the row.
+
+
 def _cosh_or_cos(x, hyperbolic):
-    return math.cosh(x) if hyperbolic else math.cos(x)
+    try:
+        return math.cosh(x) if hyperbolic else math.cos(x)
+    except OverflowError:
+        return math.nan
 
 
 def _sinh_or_sin(x, hyperbolic):
-    return math.sinh(x) if hyperbolic else math.sin(x)
+    try:
+        return math.sinh(x) if hyperbolic else math.sin(x)
+    except OverflowError:
+        return math.nan
+
+
+def _exp(x):
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.nan
 
 
 def expm2_entries(b11, b12, b21, b22, t):
@@ -62,7 +80,7 @@ def expm2_entries(b11, b12, b21, b22, t):
     hyperbolic for det B0 < 0 and trigonometric otherwise. Near x = 0 the
     ratios sinh(x)/x and sin(x)/x come from their Taylor series, which keeps
     them continuous through det B0 = 0, where a nilpotent B0 gives I + t B0
-    exactly.
+    exactly. Entries beyond the float range come out NaN or infinite.
     """
     half_tr = 0.5 * (b11 + b22)
     a11 = b11 - half_tr
@@ -77,7 +95,7 @@ def expm2_entries(b11, b12, b21, b22, t):
     series = 1.0 + _where(hyperbolic, 1.0, -1.0) * x2 / 6.0 + x2 * x2 / 120.0
     ratio = _where(small, series, odd / _where(small, 1.0, x))
     s = t * ratio
-    factor = _elementwise(math.exp, t * half_tr)
+    factor = _elementwise(_exp, t * half_tr)
     return factor * (c + s * a11), factor * s * b12, factor * s * b21, factor * (c + s * a22)
 
 

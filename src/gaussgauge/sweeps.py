@@ -1,13 +1,13 @@
 """Parameter sweeps over the model families, emitted as figure-ready tables.
 
-Each command produces a SweepTable: numeric rows in grid order, a fixed
-column list, and a metadata block with the fully resolved configuration so
-that a run is reproducible from its own output. The non-Markovian tables
-(`nm-surface`, `nm-branch`) are evaluated a grid line at a time through the
-array-valued one-mode kernels of `onemode`, which give the scalar API's
-values bit for bit; the other tables row by row. Stable numeric formatting
-(17 significant digits in CSV, shortest-roundtrip repr in JSON) makes
-identical configurations byte-identical.
+Each command produces a SweepTable: one float array of rows in grid order, a
+fixed column list, and a metadata block with the fully resolved configuration
+so that a run is reproducible from its own output. The non-Markovian tables
+(`nm-surface`, `nm-branch`) are evaluated in one pass over all their points
+through the array-valued one-mode kernels of `onemode`, which give the scalar
+API's values bit for bit; the other tables row by row. Stable numeric
+formatting (17 significant digits in CSV, shortest-roundtrip repr in JSON)
+makes identical configurations byte-identical.
 """
 
 import json
@@ -120,18 +120,34 @@ class SweepConfig:
 
 @dataclass(frozen=True)
 class SweepTable:
+    """A table of float rows; `data` is made a read-only (n_rows, n_columns) array."""
+
     columns: tuple
-    rows: tuple
+    data: np.ndarray
     meta: dict
 
+    def __post_init__(self):
+        data = np.asarray(self.data, dtype=float)
+        if data.ndim != 2 or data.shape[1] != len(self.columns):
+            raise DimensionError(
+                f"table data of shape {data.shape} for {len(self.columns)} columns")
+        data.flags.writeable = False
+        object.__setattr__(self, "data", data)
+
+    @property
+    def rows(self):
+        """The rows as tuples of Python floats."""
+        return tuple(map(tuple, self.data.tolist()))
+
     def column(self, name):
-        return np.array([row[self.columns.index(name)] for row in self.rows])
+        return self.data[:, self.columns.index(name)]
 
     def select(self, **flags):
-        """Rows whose flag columns take the given values."""
-        idx = [self.columns.index(k) for k in flags]
-        want = list(flags.values())
-        return [r for r in self.rows if all(r[i] == w for i, w in zip(idx, want))]
+        """Rows, as tuples, whose flag columns take the given values."""
+        mask = np.ones(len(self.data), dtype=bool)
+        for name, value in flags.items():
+            mask &= self.column(name) == value
+        return list(map(tuple, self.data[mask].tolist()))
 
 
 def _diffusion_model(config):
@@ -182,11 +198,10 @@ def run_drift_eigs(config):
             1.0 if ep or gap < config.ep_gap_tol else 0.0,
         ]
 
-    rows = [row(value) for value in grid.points()]
     return SweepTable(
         columns=("delta", "re_lambda_plus", "re_lambda_minus", "im_lambda_plus",
                  "im_lambda_minus", "gap", "ep"),
-        rows=tuple(tuple(r) for r in rows),
+        data=[row(value) for value in grid.points()],
         meta=_base_meta(config, grid=grid.as_meta(), axis="delta"),
     )
 
@@ -209,10 +224,9 @@ def run_squeezed_gauge(config, axis, branch):
         lo, hi = np.linalg.eigvalsh(cov.S)
         return [value, lo, hi, lo + hi, 1.0 if branch is EpBranch.PLUS else -1.0]
 
-    rows = [row(value) for value in grid.points()]
     return SweepTable(
         columns=(axis, "lambda1", "lambda2", "trace", "branch"),
-        rows=tuple(tuple(r) for r in rows),
+        data=[row(value) for value in grid.points()],
         meta=_base_meta(config, grid=grid.as_meta(), axis=axis, branch=branch.value),
     )
 
@@ -242,15 +256,15 @@ def _stack2x2(m11, m12, m21, m22):
     return np.stack([m11, m12, m21, m22], axis=-1).reshape(-1, 2, 2)
 
 
-def _nm_line(params, t, lam, omega):
+def _nm_points(params, t, lam, omega):
     """Gauge columns of the non-Markovian family at the points (lam[i], omega[i]).
 
-    lam and omega are 1-D arrays, one grid line: evaluating a line at a time
-    keeps the temporaries small next to the table. Returns the columns
-    lambda_min, lambda_max, s_qp, defective, cp_margin and unstable. Where the
-    model is undefined (B = 0 drift alignment, CP violation) the row carries
-    NaN values and margin, defective 0 and unstable 1; where the channel is
-    not Schur stable it carries NaN values and unstable 1.
+    lam and omega are 1-D arrays holding every point of a table. Returns the
+    columns lambda_min, lambda_max, s_qp, defective, cp_margin and unstable.
+    Where the model is undefined (B = 0 drift alignment, CP violation, or
+    exp(t B) beyond the float range) the row carries NaN values and margin,
+    defective 0 and unstable 1; where the channel is not Schur stable it
+    carries NaN values and unstable 1.
     """
     kt = memory_factor(params, t)
     # X_t = kappa(t) exp(t B) with B = [[lam, omega], [-omega, -lam]]
@@ -260,8 +274,10 @@ def _nm_line(params, t, lam, omega):
     except PhysicalityError:  # determinant target not positive: undefined everywhere
         y = (np.full(lam.shape, math.nan),) * 3
     margin, tol = cp_margin_entries(*x, *y)
-    defined = margin >= -tol
-    spectral_radius = np.abs(np.linalg.eigvals(_stack2x2(*x))).max(axis=1)
+    xs = _stack2x2(*x)
+    defined = (margin >= -tol) & np.isfinite(xs).all(axis=(1, 2))
+    spectral_radius = np.full(lam.shape, math.inf)
+    spectral_radius[defined] = np.abs(np.linalg.eigvals(xs[defined])).max(axis=1)
     stable = defined & (spectral_radius < 1.0)
     if np.any(stein2_denominator(*x)[stable] <= 0.0):
         raise StabilityError("Stein denominator not positive; drift not Schur stable")
@@ -280,22 +296,18 @@ def run_nm_surface(config):
     lam_grid = config.grid("lam")
     omega_grid = config.grid("omega")
     params, t = _nm_setup(config)
-    omega = omega_grid.points()
-
-    def rows(lam, omega, on_branch):
-        columns = (lam, omega, *_nm_line(params, t, lam, omega), on_branch)
-        return zip(*(column.tolist() for column in columns))
-
-    table = []
-    for lam in lam_grid.points():
-        table.extend(rows(np.full(omega.shape, lam), omega, np.zeros(omega.shape)))
-    # exact EP overlay rows lambda = +-omega, in pairs per omega
-    table.extend(rows(np.column_stack([omega, -omega]).ravel(), np.repeat(omega, 2),
-                      np.tile([1.0, -1.0], omega.size)))
+    lam_axis, omega_axis = lam_grid.points(), omega_grid.points()
+    # the grid rows lambda-major, then the exact EP overlay rows lambda = +-omega
+    # in pairs per omega
+    lam = np.concatenate([np.repeat(lam_axis, omega_axis.size),
+                          np.column_stack([omega_axis, -omega_axis]).ravel()])
+    omega = np.concatenate([np.tile(omega_axis, lam_axis.size), np.repeat(omega_axis, 2)])
+    on_branch = np.concatenate([np.zeros(lam_axis.size * omega_axis.size),
+                                np.tile([1.0, -1.0], omega_axis.size)])
     return SweepTable(
         columns=("lam", "omega", "lambda_min", "lambda_max", "s_qp", "defective",
                  "cp_margin", "unstable", "on_branch"),
-        rows=tuple(table),
+        data=np.column_stack([lam, omega, *_nm_points(params, t, lam, omega), on_branch]),
         meta=_base_meta(
             config,
             grid=lam_grid.as_meta(),
@@ -314,7 +326,7 @@ def run_nm_branch(config):
     omega = np.repeat(grid.points(), 2)
     branch = np.tile([1.0, -1.0], grid.count)
     lam = branch * omega
-    lo, hi, s_qp, _, _, unstable = _nm_line(params, t, lam, omega)
+    lo, hi, s_qp, _, _, unstable = _nm_points(params, t, lam, omega)
     if unstable.any():
         # the scalar path raises the first such row's error: not CP, or not Schur stable
         i = int(np.argmax(unstable))
@@ -322,7 +334,7 @@ def run_nm_branch(config):
         solve_stein(channel.X, channel.Y)
     return SweepTable(
         columns=("omega", "branch", "lambda1", "lambda2", "s_qp"),
-        rows=tuple(map(tuple, np.column_stack([omega, branch, lo, hi, s_qp]).tolist())),
+        data=np.column_stack([omega, branch, lo, hi, s_qp]),
         meta=_base_meta(config, grid=grid.as_meta(), diffusion=config.diffusion),
     )
 
@@ -332,23 +344,29 @@ def run_nm_branch(config):
 # ---------------------------------------------------------------------------
 
 
-def _fmt(value):
-    if isinstance(value, float) and math.isnan(value):
-        return "nan"
-    return f"{value:.17g}"
+def _column_text(column, end=""):
+    """'%.17g' strings, each followed by `end`, of a float column.
+
+    Each distinct bit pattern is formatted once. Bit patterns, not values,
+    are the keys: -0.0 and 0.0 print differently.
+    """
+    bits, index = np.unique(column.view(np.int64), return_inverse=True)
+    text = np.array(["%.17g" % v + end for v in bits.view(np.float64).tolist()], dtype=object)
+    return text[index].tolist()
 
 
 def write_csv(table, fh):
     for key in sorted(table.meta):
         fh.write(f"# {key} = {table.meta[key]}\n")
     fh.write(",".join(table.columns) + "\n")
-    for row in table.rows:
-        fh.write(",".join(_fmt(v) for v in row) + "\n")
+    *first, last = table.data.T
+    # the strings of the last column carry the line ends
+    columns = [_column_text(column) for column in first] + [_column_text(last, "\n")]
+    fh.writelines(map(",".join, zip(*columns)))
 
 
 def write_json(table, fh):
-    rows = [[None if (isinstance(v, float) and math.isnan(v)) else v for v in row]
-            for row in table.rows]
+    rows = [[None if math.isnan(v) else v for v in row] for row in table.data.tolist()]
     payload = {"meta": table.meta, "columns": list(table.columns), "rows": rows}
     json.dump(payload, fh, sort_keys=True, indent=1, allow_nan=False)
     fh.write("\n")

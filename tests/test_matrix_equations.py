@@ -8,11 +8,13 @@ from gaussgauge import (
     ConvergenceError,
     DimensionError,
     GaugeSource,
+    GaussGaugeError,
     GaussianChannel,
     GaussianGenerator,
     JordanDrift2x2,
     MomentState,
     NonFiniteInputError,
+    NumericalOverflowError,
     StabilityError,
     StabilityMode,
     expm2,
@@ -289,6 +291,26 @@ class TestExpm2:
             reference = scipy.linalg.expm(t * b)
             tol = 1e-12 * (1.0 + np.abs(reference).max())
             npt.assert_allclose(expm2(b, t), reference, atol=tol)
+
+    @pytest.mark.parametrize(
+        "b, t",
+        [
+            ([[800.0, 0.0], [0.0, -800.0]], 1.0),  # cosh and sinh beyond the float range
+            ([[0.0, 1.0], [1.0, 0.0]], -720.0),  # the same through t
+            ([[710.0, 0.0], [0.0, 710.0]], 1.0),  # exp(t tr/2) beyond it
+            ([[1410.0, 0.0], [0.0, 0.0]], 1.0),  # both finite, their product not
+        ],
+        ids=["hyperbolic", "negative-t", "trace", "product"],
+    )
+    def test_overflow_raises_toolkit_error(self, b, t):
+        assert issubclass(NumericalOverflowError, GaussGaugeError)
+        with pytest.raises(NumericalOverflowError, match="float range"):
+            expm2(b, t)
+
+    def test_finite_just_below_overflow(self):
+        b = np.array([[700.0, 0.0], [0.0, -700.0]])
+        reference = np.diag([np.exp(700.0), np.exp(-700.0)])
+        npt.assert_allclose(expm2(b), reference, rtol=0, atol=1e-12 * np.exp(700.0))
 
 
 class TestGuards:

@@ -129,6 +129,22 @@ def test_surface_rows_match_scalar_api_bitwise(diffusion, model):
     npt.assert_array_equal(np.array(table.rows), np.array(want))
 
 
+@pytest.mark.parametrize("diffusion", sorted(DIFFUSIONS))
+def test_nonsquare_surface_grid_order(diffusion):
+    # 7 lambda x 13 omega: a lambda/omega transpose of the grid layout changes
+    # the row count per block and the points, which a square grid would hide
+    lam_axis, omega_axis = np.linspace(-1.5, 1.5, 7), np.linspace(-1.2, 1.4, 13)
+    grids = {"lam": GridSpec(-1.5, 1.5, 7), "omega": GridSpec(-1.2, 1.4, 13)}
+    table = run_nm_surface(SweepConfig(command="nm-surface", diffusion=diffusion, grids=grids))
+    points = [(lam, omega, 0.0) for lam in lam_axis for omega in omega_axis]
+    points += [(sign * omega, omega, sign) for omega in omega_axis for sign in (1.0, -1.0)]
+    params = NmFamilyParams(lam=0.0, omega=0.0, diffusion=DIFFUSIONS[diffusion])
+    want = np.array([_reference_row(params, *point) for point in points])
+    assert table.data.shape == (7 * 13 + 2 * 13, 9)
+    npt.assert_array_equal(table.data, want)
+    npt.assert_array_equal(np.signbit(table.data[:, :2]), np.signbit(want[:, :2]))
+
+
 def kron_stein(X, Y):
     s = np.linalg.solve(np.eye(4) - np.kron(X, X), Y.reshape(-1)).reshape(2, 2)
     return 0.5 * (s + s.T)

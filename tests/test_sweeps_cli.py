@@ -288,6 +288,24 @@ class TestCli:
         flat = [v for row in payload["rows"] for v in row]
         assert any(v is None for v in flat)
 
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_exponential_rows_flagged(self, tmp_path):
+        # at |lam| = 800, sqrt(lam^2 - omega^2) t passes the float range of cosh
+        out = tmp_path / "far.csv"
+        argv = ["nm-surface", "--grid=-800:800:3", "--grid2=-1:1:3", "--out", str(out)]
+        assert self.run_cli(argv) == 0
+        lines = [l.split(",") for l in out.read_text().splitlines() if not l.startswith("#")]
+        header, rows = lines[0], lines[1:]
+        assert len(rows) == 9 + 6
+        far = [dict(zip(header, row)) for row in rows if abs(float(row[0])) == 800.0]
+        assert len(far) == 6
+        for row in far:
+            values = [row[c] for c in ("lambda_min", "lambda_max", "s_qp", "cp_margin")]
+            assert values == ["nan"] * 4
+            assert (row["defective"], row["unstable"]) == ("0", "1")
+        near = [dict(zip(header, row)) for row in rows if abs(float(row[0])) != 800.0]
+        assert all(row["unstable"] == "0" for row in near)
+
     def test_config_file_and_precedence(self, tmp_path):
         config = tmp_path / "sweep.cfg"
         config.write_text(
