@@ -186,11 +186,11 @@ def _run_verify(args):
     seed = settings.get("seed", 0)
     fault = settings.get("fault")
     report = run_verification(seed=seed, fault=fault)
-    for suite in report.suites:
+    for suite, seconds in zip(report.suites, report.seconds):
         status = "PASS" if suite.passed else "FAIL"
         line = (
             f"{status} {suite.name}: worst={suite.worst:.3e} tol={suite.tolerance:.1e}"
-            f" n={suite.samples}"
+            f" n={suite.samples} time={seconds:.3f}s"
         )
         if suite.note:
             line += f" ({suite.note})"

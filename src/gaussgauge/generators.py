@@ -267,28 +267,42 @@ def semigroup_channel(generator, t, tol=1e-10):
 
 
 def propagate_moments(generator, state, t, steps):
-    """Fixed-step 4th-order integration of the moment ODEs.
+    """Fixed-step 4th-order Runge-Kutta integration of the moment ODEs.
 
     Serves as the independent oracle for `semigroup_channel`; error scales as
-    (t/steps)^4.
+    (t/steps)^4. `generator` and `state` may also be equal-length sequences
+    of one mode count, with `t` one time or one time per pair: the pairs are
+    integrated together, `steps` steps each, through stacked matrix products
+    along a leading batch axis, and a list of states comes back.
     """
     if steps < 1:
         raise DimensionError("steps must be >= 1")
-    if generator.A.shape[0] != state.d.shape[0]:
+    batch = not isinstance(generator, GaussianGenerator)
+    generators, states = (list(generator), list(state)) if batch else ([generator], [state])
+    if len(generators) != len(states):
+        raise DimensionError(f"{len(generators)} generators for {len(states)} states")
+    if any(g.A.shape[0] != s.d.shape[0] for g, s in zip(generators, states)):
         raise DimensionError("generator and state mode counts differ")
-    a, dmat, u = generator.A, generator.D, generator.u
-    at = a.T.copy()
-
-    def rates(d, v):
-        return a @ d + u, a @ v + v @ at + dmat
-
-    d, v = state.d, state.V
-    h = t / steps
+    if len({g.A.shape for g in generators}) > 1:
+        raise DimensionError("a batch of generators needs one mode count")
+    n = generators[0].A.shape[0]
+    a = np.stack([g.A for g in generators])
+    # the moments as one n x (n + 1) block [V | d] per pair, the drive as [D | u];
+    # with at_pad = [A^T | 0], x -> a @ x + x[:, :, :n] @ at_pad is
+    # [V | d] -> [A V + V A^T | A d]
+    w = np.stack([np.column_stack([s.V, s.d]) for s in states])
+    c = np.stack([np.column_stack([g.D, g.u]) for g in generators])
+    at_pad = np.concatenate([a.transpose(0, 2, 1), np.zeros((len(states), n, 1))], axis=2)
+    h = np.broadcast_to(np.asarray(t, dtype=float) / steps, (len(states),))[:, None, None]
+    h2, h3, h4 = h / 2.0, h / 3.0, h / 4.0
+    # For the affine right-hand side F(x) = J x + c the classical stages
+    # k1..k4 combine to k1 + (h/2) J k1 + (h^2/6) J^2 k1 + (h^3/24) J^3 k1
+    # with k1 = F(x); nested as below, a step applies J four times, not eight.
     for _ in range(steps):
-        k1d, k1v = rates(d, v)
-        k2d, k2v = rates(d + 0.5 * h * k1d, v + 0.5 * h * k1v)
-        k3d, k3v = rates(d + 0.5 * h * k2d, v + 0.5 * h * k2v)
-        k4d, k4v = rates(d + h * k3d, v + h * k3v)
-        d = d + (h / 6.0) * (k1d + 2.0 * k2d + 2.0 * k3d + k4d)
-        v = v + (h / 6.0) * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
-    return MomentState(d=d, V=0.5 * (v + v.T))
+        k1 = a @ w + w[..., :n] @ at_pad + c
+        x = k1 + h4 * (a @ k1 + k1[..., :n] @ at_pad)
+        x = k1 + h3 * (a @ x + x[..., :n] @ at_pad)
+        x = k1 + h2 * (a @ x + x[..., :n] @ at_pad)
+        w = w + h * x
+    out = [MomentState(d=wi[:, n], V=0.5 * (wi[:, :n] + wi[:, :n].T)) for wi in w]
+    return out if batch else out[0]

@@ -3,10 +3,15 @@
 The squeezed-reservoir Lindbladian has drift A = [[-k/2, D-e], [-(D+e), -k/2]]
 with an exceptional point exactly on D^2 = e^2 (e != 0) and a phase-sensitive
 diffusion; its Lyapunov gauge covariance has closed forms, both off the EP
-manifold and on each EP branch. The non-Markovian family X_t = kappa(t) e^{tB}
-with memory factor kappa(t) = exp(-gamma t + r sin(nu t)) is defective on the
-lines lambda = +-omega, where the Stein covariance follows from the Jordan
-closed form for three diffusion structures. The catalog collects standard
+manifold and on each EP branch. The EP-branch covariance entries
+(`squeezed_ep_entries`) and the drift eigenvalues
+(`squeezed_eigenvalue_entries`) take floats or whole grids: the scalar API
+(`squeezed_ep_gauge`, `squeezed_drift_eigenvalues`) and the `squeezed-gauge`
+and `drift-eigs` sweeps share them bit for bit. The non-Markovian family
+X_t = kappa(t) e^{tB} with memory factor kappa(t) = exp(-gamma t + r sin(nu t))
+(gamma > 0 and 0 < r < gamma/nu, so kappa(t) < 1) is defective on the lines
+lambda = +-omega, where the Stein covariance follows from the Jordan closed
+form for three diffusion structures. The catalog collects standard
 channels that cannot have EPs (drift proportional to the identity) plus the
 critically damped oscillator that always does.
 """
@@ -27,6 +32,7 @@ from .matrix_equations import (
     lyapunov_residual,
     stein_jordan_closed_form,
 )
+from .onemode import _elementwise
 from .phase_space import CpMethod, GaussianChannel, cp_check
 
 
@@ -94,9 +100,20 @@ def squeezed_generator(params):
 
 def squeezed_drift_eigenvalues(params):
     """lambda_pm = -kappa/2 +- sqrt(eps^2 - delta^2) (complex for delta^2 > eps^2)."""
-    disc = complex(params.epsilon**2 - params.delta**2)
-    root = np.sqrt(disc)
-    return np.array([-0.5 * params.kappa - root, -0.5 * params.kappa + root])
+    return np.array(squeezed_eigenvalue_entries(params.kappa, params.delta, params.epsilon))
+
+
+def squeezed_eigenvalue_entries(kappa, delta, epsilon):
+    """Drift eigenvalues (lambda_minus, lambda_plus) as complex floats or arrays.
+
+    kappa, delta and epsilon are floats or arrays of one shape. The squares
+    come from the math library's pow, element by element, as Python's `**`
+    takes them: pow(x, 2) and x * x differ in the last bit for about one
+    float in a thousand.
+    """
+    disc = _elementwise(math.pow, epsilon, 2.0) - _elementwise(math.pow, delta, 2.0)
+    root = np.sqrt(np.asarray(disc, dtype=complex))
+    return -0.5 * kappa - root, -0.5 * kappa + root
 
 
 def _squeezed_is_hurwitz(params):
@@ -131,31 +148,44 @@ def squeezed_ep_gauge(params, branch):
     """Closed-form gauge covariance directly on an EP branch delta = +-eps.
 
     The detuning is pinned to the branch internally (params.delta is ignored).
-    Each branch substitutes delta = +-eps into the general off-manifold
-    solution; a bare eps -> -eps sign flip in the Plus-branch expressions does
-    not solve the Minus-branch Lyapunov equation.
     """
     branch = EpBranch(branch)
     k, eps = params.kappa, params.epsilon
-    c2, s2 = math.cosh(2 * params.r), math.sinh(2 * params.r)
-    big = c2 - s2 * math.cos(params.phi)  # cosh(2r) - sinh(2r) cos(phi)
-    small = c2 + s2 * math.cos(params.phi)
-    ss = s2 * math.sin(params.phi)
-    if branch is EpBranch.PLUS:
+    s_qq, s_qp, s_pp = squeezed_ep_entries(k, eps, params.r, params.phi, branch)
+    s = np.array([[s_qq, s_qp], [s_qp, s_pp]])
+    sign = 1.0 if branch is EpBranch.PLUS else -1.0
+    gen = squeezed_generator(SqueezedReservoirParams(k, sign * eps, eps, params.r, params.phi))
+    return GaugeCovariance(
+        S=s, source=GaugeSource.EP_BRANCH_FORMULA, residual=lyapunov_residual(gen.A, s, gen.D)
+    )
+
+
+def squeezed_ep_entries(kappa, epsilon, r, phi, branch):
+    """Entries (s_qq, s_qp, s_pp) of the gauge covariance on the EP branch delta = +-eps.
+
+    kappa, epsilon, r and phi are floats or arrays of one shape; an entry that
+    does not depend on the arrays is a float. `squeezed_ep_gauge` calls this
+    on floats and the `squeezed-gauge` sweep once on a whole grid, so both
+    round alike: cosh, sinh, cos and sin come from the math library element
+    by element. Each branch substitutes delta = +-eps into the general
+    off-manifold solution; a bare eps -> -eps sign flip in the Plus-branch
+    expressions does not solve the Minus-branch Lyapunov equation.
+    """
+    k, eps = kappa, epsilon
+    c2, s2 = _elementwise(math.cosh, 2 * r), _elementwise(math.sinh, 2 * r)
+    cos_phi = _elementwise(math.cos, phi)
+    big = c2 - s2 * cos_phi  # cosh(2r) - sinh(2r) cos(phi)
+    small = c2 + s2 * cos_phi
+    ss = s2 * _elementwise(math.sin, phi)
+    if EpBranch(branch) is EpBranch.PLUS:
         s_qq = 0.5 * big
         s_qp = -0.5 * ss - (eps / k) * big
         s_pp = 0.5 * small + (2.0 * eps / k) * ss + (4.0 * eps * eps / (k * k)) * big
-        on_branch = SqueezedReservoirParams(k, params.epsilon, eps, params.r, params.phi)
     else:
         s_pp = 0.5 * small
         s_qp = -0.5 * ss - (eps / k) * small
         s_qq = 0.5 * big + (2.0 * eps / k) * ss + (4.0 * eps * eps / (k * k)) * small
-        on_branch = SqueezedReservoirParams(k, -params.epsilon, eps, params.r, params.phi)
-    s = np.array([[s_qq, s_qp], [s_qp, s_pp]])
-    gen = squeezed_generator(on_branch)
-    return GaugeCovariance(
-        S=s, source=GaugeSource.EP_BRANCH_FORMULA, residual=lyapunov_residual(gen.A, s, gen.D)
-    )
+    return s_qq, s_qp, s_pp
 
 
 # ---------------------------------------------------------------------------
@@ -205,6 +235,12 @@ class NmFamilyParams:
     def __post_init__(self):
         if self.eps_buffer <= 0:
             raise DimensionError("CP buffer eps_buffer must be positive")
+        # gamma > 0 and 0 < r_mem < gamma/nu give r_mem sin(nu t) < gamma t,
+        # so the memory factor kappa(t) decays below 1 for every t > 0
+        if self.gamma <= 0:
+            raise DimensionError("memory decay rate gamma must be positive")
+        if self.nu == 0:
+            raise DimensionError("memory frequency nu must be nonzero")
         if not 0 < self.r_mem < self.gamma / self.nu:
             raise DimensionError("memory amplitude must satisfy 0 < r_mem < gamma/nu")
 

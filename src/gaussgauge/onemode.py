@@ -8,7 +8,12 @@ call them once on all points of a table. A float and the matching array
 element go through the same operations and round alike: + - * / round the
 same in Python and numpy, branches are selections, integer powers are written
 as products, and transcendentals come from the math library element by
-element (numpy's vectorized ones differ from it in the last bits).
+element (numpy's vectorized ones differ from it in the last bits). The
+squeezed-reservoir closed forms of `models` (`squeezed_ep_entries`, called
+by `squeezed_ep_gauge` and the `squeezed-gauge` sweep, and
+`squeezed_eigenvalue_entries`, called by `squeezed_drift_eigenvalues` and
+the `drift-eigs` sweep) take their math-library calls through the same
+`_elementwise`.
 """
 
 import math

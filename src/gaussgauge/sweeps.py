@@ -2,12 +2,13 @@
 
 Each command produces a SweepTable: one float array of rows in grid order, a
 fixed column list, and a metadata block with the fully resolved configuration
-so that a run is reproducible from its own output. The non-Markovian tables
-(`nm-surface`, `nm-branch`) are evaluated in one pass over all their points
-through the array-valued one-mode kernels of `onemode`, which give the scalar
-API's values bit for bit; the other tables row by row. Stable numeric
-formatting (17 significant digits in CSV, shortest-roundtrip repr in JSON)
-makes identical configurations byte-identical.
+so that a run is reproducible from its own output. Every table is evaluated
+in one pass over all its points through array-valued kernels that give the
+scalar API's values bit for bit: the squeezed-reservoir closed forms of
+`models` for `drift-eigs` and `squeezed-gauge`, the one-mode kernels of
+`onemode` for `nm-surface` and `nm-branch`. Stable numeric formatting (17
+significant digits in CSV, shortest-roundtrip repr in JSON) makes identical
+configurations byte-identical.
 """
 
 import json
@@ -29,8 +30,8 @@ from .models import (
     memory_factor,
     nm_channel,
     nm_diffusion_entries,
-    squeezed_drift_eigenvalues,
-    squeezed_ep_gauge,
+    squeezed_eigenvalue_entries,
+    squeezed_ep_entries,
 )
 from .onemode import (
     DISC_TOL,
@@ -104,7 +105,6 @@ class SweepConfig:
     fmt: str = "csv"
     out: str = None
     seed: int = 0
-    fault: str = None
     ep_gap_tol: float = EP_GAP_TOL
 
     def param(self, name):
@@ -179,29 +179,19 @@ def run_drift_eigs(config):
     grid = config.grid("delta")
     kappa, eps = config.param("kappa"), config.param("epsilon")
     r, phi = config.param("r"), config.param("phi")
-
-    def row(delta):
-        p = SqueezedReservoirParams(kappa, delta, eps, r, phi)
-        lam_minus, lam_plus = squeezed_drift_eigenvalues(p)
-        gap = abs(lam_plus - lam_minus)
-        # an EP where the discriminant eps^2 - delta^2 vanishes: near it the
-        # gap grows like its square root, so a point an ulp off delta = +-eps
-        # has a gap of ~1e-8 and a gap threshold alone misses it
-        ep = abs(eps * eps - delta * delta) <= DISC_TOL * (eps * eps + delta * delta)
-        return [
-            delta,
-            lam_plus.real,
-            lam_minus.real,
-            lam_plus.imag,
-            lam_minus.imag,
-            gap,
-            1.0 if ep or gap < config.ep_gap_tol else 0.0,
-        ]
-
+    SqueezedReservoirParams(kappa, grid.lo, eps, r, phi)  # delta is unchecked: one row checks all
+    delta = grid.points()
+    lam_minus, lam_plus = squeezed_eigenvalue_entries(kappa, delta, eps)
+    gap = np.abs(lam_plus - lam_minus)
+    # an EP where the discriminant eps^2 - delta^2 vanishes: near it the gap
+    # grows like its square root, so a point an ulp off delta = +-eps has a
+    # gap of ~1e-8 and a gap threshold alone misses it
+    ep = np.abs(eps * eps - delta * delta) <= DISC_TOL * (eps * eps + delta * delta)
     return SweepTable(
         columns=("delta", "re_lambda_plus", "re_lambda_minus", "im_lambda_plus",
                  "im_lambda_minus", "gap", "ep"),
-        data=[row(value) for value in grid.points()],
+        data=np.column_stack([delta, lam_plus.real, lam_minus.real, lam_plus.imag,
+                              lam_minus.imag, gap, ep | (gap < config.ep_gap_tol)]),
         meta=_base_meta(config, grid=grid.as_meta(), axis="delta"),
     )
 
@@ -212,21 +202,17 @@ def run_squeezed_gauge(config, axis, branch):
         raise DimensionError("axis must be one of kappa, r, phi")
     branch = EpBranch(branch)
     grid = config.grid(axis)
-    base = {name: config.param(name) for name in ("kappa", "epsilon", "r", "phi")}
-
-    def row(value):
-        vals = dict(base)
-        vals[axis] = value
-        p = SqueezedReservoirParams(
-            kappa=vals["kappa"], delta=0.0, epsilon=vals["epsilon"], r=vals["r"], phi=vals["phi"]
-        )
-        cov = squeezed_ep_gauge(p, branch)
-        lo, hi = np.linalg.eigvalsh(cov.S)
-        return [value, lo, hi, lo + hi, 1.0 if branch is EpBranch.PLUS else -1.0]
-
+    values = {name: config.param(name) for name in ("kappa", "epsilon", "r", "phi")}
+    points = values[axis] = grid.points()
+    # the grid ascends, so its first row holds every minimum and fails first
+    SqueezedReservoirParams(delta=0.0, **{name: np.min(v) for name, v in values.items()})
+    entries = squeezed_ep_entries(**values, branch=branch)
+    s_qq, s_qp, s_pp = np.broadcast_arrays(*entries, points)[:3]
+    lo, hi = np.linalg.eigvalsh(_stack2x2(s_qq, s_qp, s_qp, s_pp)).T
+    sign = 1.0 if branch is EpBranch.PLUS else -1.0
     return SweepTable(
         columns=(axis, "lambda1", "lambda2", "trace", "branch"),
-        data=[row(value) for value in grid.points()],
+        data=np.column_stack([points, lo, hi, lo + hi, np.full(points.shape, sign)]),
         meta=_base_meta(config, grid=grid.as_meta(), axis=axis, branch=branch.value),
     )
 

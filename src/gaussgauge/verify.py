@@ -7,6 +7,7 @@ so the corresponding suite must fail (a self-test of the checker itself).
 """
 
 import math
+import time
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -453,10 +454,14 @@ FAULT_CHOICES = ("stein", "lyapunov", "gauge")
 
 @dataclass(frozen=True)
 class VerificationReport:
+    """Suite results; `seconds` holds each suite's wall time, which `as_dict`
+    leaves out so that the report stays deterministic."""
+
     seed: int
     fault: str
     suites: tuple
     all_passed: bool
+    seconds: tuple
 
     def as_dict(self):
         return {
@@ -471,13 +476,16 @@ def run_verification(seed=0, fault=None):
     """Run every suite with a seeded generator; `fault` sabotages one of them."""
     if fault is not None and fault not in FAULT_CHOICES:
         raise ValueError(f"unknown fault {fault!r}; choose from {FAULT_CHOICES}")
-    results = []
+    results, seconds = [], []
     for suite in _SUITES:
+        start = time.perf_counter()
         rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(len(results),)))
         results.append(suite(rng, fault))
+        seconds.append(time.perf_counter() - start)
     return VerificationReport(
         seed=seed,
         fault=fault,
         suites=tuple(results),
         all_passed=all(r.passed for r in results),
+        seconds=tuple(seconds),
     )

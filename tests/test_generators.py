@@ -247,40 +247,86 @@ class TestPropagateMoments:
 
     def test_matches_semigroup_channel(self, rng):
         # 200 random physical generators, 10 random times each, one cumulative
-        # trajectory per generator at 1e3-step resolution. Physical generators
-        # need not be stable; unstable draws reach moment magnitudes ~1e13
-        # where only a scale-relative comparison is representable, so the
-        # absolute 1e-6 bound is asserted on the Hurwitz subset.
-        steps_budget = 1_000
-        worst_relative = 0.0
-        worst_stable = 0.0
-        stable_cases = 0
+        # trajectory per generator at a 1e4-step budget, 1e3 steps per span,
+        # integrated in one batch per mode count. Physical generators need
+        # not be stable; unstable draws reach moment magnitudes ~1e13 where
+        # only a scale-relative comparison is representable, so the absolute
+        # bound is asserted on the Hurwitz subset.
+        steps_budget = 10_000
+        draws = []
         for _ in range(200):
             modes = int(rng.integers(1, 4))
             gen = random_physical_generator(rng, modes)
-            hurwitz = np.max(np.linalg.eigvals(gen.A).real) < 0
             state = random_state(rng, modes)
             times = np.sort(rng.uniform(0.05, 2.0, size=10))
-            current = state
-            previous_t = 0.0
-            for t in times:
-                span = t - previous_t
-                steps = max(int(steps_budget * span / times[-1]), 10)
-                current = propagate_moments(gen, current, span, steps)
-                previous_t = t
-                via_channel = apply_channel(semigroup_channel(gen, t), state)
-                err = max(
-                    np.abs(current.d - via_channel.d).max(),
-                    np.abs(current.V - via_channel.V).max(),
-                )
-                scale = 1.0 + max(np.abs(via_channel.d).max(), np.abs(via_channel.V).max())
-                worst_relative = max(worst_relative, err / scale)
-                if hurwitz:
-                    worst_stable = max(worst_stable, err)
-            stable_cases += int(hurwitz)
+            draws.append((modes, gen, state, times))
+        worst_relative = 0.0
+        worst_stable = 0.0
+        stable_cases = 0
+        for modes in (1, 2, 3):
+            gens = [gen for m, gen, _, _ in draws if m == modes]
+            states = [state for m, _, state, _ in draws if m == modes]
+            times = np.array([times for m, _, _, times in draws if m == modes])
+            hurwitz = [np.max(np.linalg.eigvals(gen.A).real) < 0 for gen in gens]
+            spans = np.diff(times, axis=1, prepend=0.0)
+            current = states
+            for j in range(times.shape[1]):
+                current = propagate_moments(
+                    gens, current, spans[:, j], steps_budget // times.shape[1])
+                for gen, state, now, t, stable in zip(gens, states, current, times[:, j], hurwitz):
+                    via_channel = apply_channel(semigroup_channel(gen, t), state)
+                    err = max(
+                        np.abs(now.d - via_channel.d).max(),
+                        np.abs(now.V - via_channel.V).max(),
+                    )
+                    scale = 1.0 + max(np.abs(via_channel.d).max(), np.abs(via_channel.V).max())
+                    worst_relative = max(worst_relative, err / scale)
+                    if stable:
+                        worst_stable = max(worst_stable, err)
+            stable_cases += sum(hurwitz)
         assert stable_cases >= 50
-        assert worst_stable <= 1e-6
-        assert worst_relative <= 1e-6
+        assert worst_stable <= 1e-9
+        assert worst_relative <= 1e-8
+
+    def test_batch_matches_classical_stages(self, rng):
+        # the nested step against the four classical stages, one pair at a time
+        def classical(gen, state, t, steps):
+            a, dmat, u = gen.A, gen.D, gen.u
+
+            def rates(d, v):
+                return a @ d + u, a @ v + v @ a.T + dmat
+
+            d, v, h = state.d, state.V, t / steps
+            for _ in range(steps):
+                k1d, k1v = rates(d, v)
+                k2d, k2v = rates(d + 0.5 * h * k1d, v + 0.5 * h * k1v)
+                k3d, k3v = rates(d + 0.5 * h * k2d, v + 0.5 * h * k2v)
+                k4d, k4v = rates(d + h * k3d, v + h * k3v)
+                d = d + (h / 6.0) * (k1d + 2.0 * k2d + 2.0 * k3d + k4d)
+                v = v + (h / 6.0) * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
+            return d, v
+
+        gens = [random_physical_generator(rng, 2) for _ in range(3)]
+        states = [random_state(rng, 2) for _ in range(3)]
+        times = [0.3, 1.1, 0.7]
+        together = propagate_moments(gens, states, times, 50)
+        for gen, state, t, out in zip(gens, states, times, together):
+            d, v = classical(gen, state, t, 50)
+            scale = 1.0 + max(np.abs(d).max(), np.abs(v).max())
+            npt.assert_allclose(out.d, d, rtol=0, atol=1e-13 * scale)
+            npt.assert_allclose(out.V, v, rtol=0, atol=1e-13 * scale)
+            alone = propagate_moments(gen, state, t, 50)
+            npt.assert_allclose(out.V, alone.V, rtol=0, atol=1e-13 * scale)
+
+    def test_batch_shapes_checked(self, rng):
+        gens = [random_physical_generator(rng, 1), random_physical_generator(rng, 2)]
+        states = [random_state(rng, 1), random_state(rng, 2)]
+        with pytest.raises(DimensionError, match="one mode count"):
+            propagate_moments(gens, states, 1.0, 10)
+        with pytest.raises(DimensionError, match="mode counts differ"):
+            propagate_moments(gens, states[::-1], 1.0, 10)
+        with pytest.raises(DimensionError, match="2 generators for 1 states"):
+            propagate_moments(gens, states[:1], 1.0, 10)
 
     def test_invalid_steps(self, rng):
         gen = random_physical_generator(rng, 1)

@@ -9,12 +9,13 @@ import scipy.linalg
 
 from gaussgauge import (
     AnisotropicDiffusion,
+    DimensionError,
     DriftAlignedDiffusion,
     GaussianChannel,
     IsotropicDiffusion,
     NmFamilyParams,
+    NumericalOverflowError,
     PhysicalityError,
-    StabilityError,
     cp_check,
     expm2,
     jordan_structure,
@@ -115,12 +116,12 @@ def _surface(diffusion, count, model=None):
     return run_nm_surface(config)
 
 
-# negative gamma and nu pass validation with kappa(t) > 1: unstable rows for
-# iso, no positive determinant target (undefined rows) for the other models
-GROWING_MEMORY = {"gamma": -1.0, "nu": -1.0, "r_mem": 0.5}
+# slow memory: kappa(1) = 0.988, just below 1, so the channel barely contracts
+# and most rows off the elliptic region are unstable
+SLOW_MEMORY = {"gamma": 1.0, "nu": 0.1, "r_mem": 9.9}
 
 
-@pytest.mark.parametrize("model", [{}, GROWING_MEMORY])
+@pytest.mark.parametrize("model", [{}, SLOW_MEMORY])
 @pytest.mark.parametrize("diffusion", sorted(DIFFUSIONS))
 def test_surface_rows_match_scalar_api_bitwise(diffusion, model):
     table = _surface(diffusion, 15, model)
@@ -189,13 +190,38 @@ def test_surface_rows_match_independent_oracles(diffusion):
 
 
 @pytest.mark.parametrize(
-    "diffusion, error, message",
+    "diffusion, grid, error, message",
     [
-        ("iso", StabilityError, "spectral radius < 1"),
-        ("aniso", PhysicalityError, "determinant target"),
+        ("iso", GridSpec(1e200, 1e201, 3), NumericalOverflowError, "leaves the float range"),
+        ("aniso", GridSpec(1e150, 1e160, 3), PhysicalityError, "violates CP"),
+    ],
+    ids=["iso-NumericalOverflowError-leaves the float range", "aniso-PhysicalityError-violates CP"],
+)
+def test_branch_errors_match_scalar_path(diffusion, grid, error, message):
+    # the first row's X is not finite (1e200), or its det X rounds to 0
+    # instead of kappa(t)^2 and fails the CP check (1e150): the sweep raises
+    # what the scalar path raises there
+    params = NmFamilyParams(lam=grid.lo, omega=grid.lo, diffusion=DIFFUSIONS[diffusion])
+    with pytest.raises(error, match=message), np.errstate(over="ignore", invalid="ignore"):
+        nm_channel(params, 1.0)
+    config = SweepConfig(command="nm-branch", diffusion=diffusion, grids={"omega": grid})
+    with pytest.raises(error, match=message), np.errstate(over="ignore", invalid="ignore"):
+        run_nm_branch(config)
+
+
+@pytest.mark.parametrize(
+    "model, message",
+    [
+        ({"gamma": -1.0, "nu": -1.0, "r_mem": 0.5}, "gamma must be positive"),
+        ({"gamma": 0.0}, "gamma must be positive"),
+        ({"nu": 0.0}, "nu must be nonzero"),
     ],
 )
-def test_branch_errors_match_scalar_path(diffusion, error, message):
-    config = SweepConfig(command="nm-branch", diffusion=diffusion, model=GROWING_MEMORY)
-    with pytest.raises(error, match=message):
-        run_nm_branch(config)
+def test_growing_or_static_memory_rejected(model, message):
+    # gamma = nu = -1 passed 0 < r_mem < gamma/nu with kappa(1) = 1.78 > 1,
+    # and nu = 0 divided by zero
+    with pytest.raises(DimensionError, match=message):
+        NmFamilyParams(lam=0.0, omega=1.0, **model)
+    for run, command in ((run_nm_surface, "nm-surface"), (run_nm_branch, "nm-branch")):
+        with pytest.raises(DimensionError, match=message):
+            run(SweepConfig(command=command, model=model))

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import subprocess
 import sys
 
@@ -306,6 +307,20 @@ class TestCli:
         near = [dict(zip(header, row)) for row in rows if abs(float(row[0])) != 800.0]
         assert all(row["unstable"] == "0" for row in near)
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [(["--nu", "0"], "memory frequency nu must be nonzero"),
+         (["--gamma", "-1", "--nu", "-1", "--r-mem", "0.5"],
+          "memory decay rate gamma must be positive")],
+    )
+    @pytest.mark.parametrize("command", ["nm-branch", "nm-surface"])
+    def test_memory_parameters_rejected(self, command, flags, message, capsys):
+        # nu = 0 used to end in a ZeroDivisionError traceback, gamma = nu = -1
+        # in a StabilityError from kappa(t) > 1
+        capsys.readouterr()
+        assert self.run_cli([command, *flags]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_config_file_and_precedence(self, tmp_path):
         config = tmp_path / "sweep.cfg"
         config.write_text(
@@ -364,6 +379,19 @@ class TestVerifyCommand:
         payload = json.loads(out1.read_text())
         assert payload["all_passed"] is True
         assert all(s["passed"] for s in payload["suites"])
+
+    def test_suite_times_on_stderr_only(self, capsys):
+        assert main(["verify", "--seed", "3"]) == 0
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        payload = json.loads(captured.out)
+        assert len(lines) == len(payload["suites"])
+        for line, suite in zip(lines, payload["suites"]):
+            assert re.fullmatch(
+                rf"PASS {suite['name']}: worst=\S+ tol=\S+ n={suite['samples']}"
+                r" time=\d+\.\d{3}s( \(.*\))?", line)
+        fields = {"name", "passed", "worst", "tolerance", "samples", "note"}
+        assert all(set(suite) == fields for suite in payload["suites"])
 
     def test_fault_injection_fails_the_right_suite(self, tmp_path):
         out = tmp_path / "fault.json"
