@@ -51,7 +51,6 @@ def _add_common(parser):
     parser.add_argument("--out", help="output path (default: stdout)")
     parser.add_argument("--format", choices=("csv", "json"), default=None, dest="fmt")
     parser.add_argument("--config", help="config file with 'key = value' lines")
-    parser.add_argument("--seed", type=int, default=None)
     for name in _MODEL_FLAGS:
         parser.add_argument(f"--{name.replace('_', '-')}", type=float, default=None, dest=name)
 
@@ -110,7 +109,11 @@ def read_config_file(path):
 
 
 def _merge_config(args):
-    """Apply precedence: CLI flag > config file entry > defaults."""
+    """Apply precedence: CLI flag > config file entry > defaults.
+
+    `seed` and `fault` are verify settings; no sweep draws a random number.
+    """
+    verify = args.command == "verify"
     file_values = read_config_file(args.config) if getattr(args, "config", None) else {}
     model = {}
     grids = {}
@@ -122,9 +125,11 @@ def _merge_config(args):
             model[key] = float(value)
         elif key in {"format", "fmt"}:
             settings["fmt"] = value
-        elif key == "seed":
+        elif key == "seed" and verify:
             settings[key] = int(value)
-        elif key in {"axis", "branch", "diffusion", "out", "fault"}:
+        elif key == "fault" and verify:
+            settings[key] = value
+        elif key in {"axis", "branch", "diffusion", "out"}:
             settings[key] = value
         elif key == "ep_gap_tol":
             settings[key] = float(value)
@@ -166,7 +171,6 @@ def _build_sweep_config(args):
         diffusion=settings.get("diffusion", "iso"),
         fmt=settings.get("fmt", "csv"),
         out=settings.get("out"),
-        seed=settings.get("seed", 0),
         ep_gap_tol=settings.get("ep_gap_tol", EP_GAP_TOL),
     )
 

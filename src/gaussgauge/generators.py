@@ -4,16 +4,20 @@ Moment dynamics: dd/dt = A d + u, dV/dt = A V + V A^T + D. Builders accept
 either linear Lindblad data (A = Sigma(H + Im C^dag C), D = Sigma Re(C^dag C)
 Sigma^T, u = Sigma f) or a white-noise system-bath model
 (A = Sigma H_S + (1/2) Sigma C Sigma_in C^T, D = Sigma C sigma_in C^T Sigma^T).
-`semigroup_channel` extracts the finite-time map (X_t, Y_t, delta_t) and
-`propagate_moments` integrates the ODEs directly as an independent oracle.
+`semigroup_channel` extracts the finite-time map (X_t, Y_t, delta_t) for any
+drift from one scaled Van Loan block exponential and repeated doubling, so
+that Y_t never passes through a Lyapunov solution; `propagate_moments`
+integrates the ODEs directly as an independent oracle.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
-from .errors import DimensionError, PhysicalityError, StabilityError, require_finite
-from .matrix_equations import drift_exponential, solve_lyapunov
+from .errors import DimensionError, NumericalOverflowError, PhysicalityError, require_finite
+from .matrix_equations import drift_exponential
 from .phase_space import (
     CpMethod,
     CpReport,
@@ -179,91 +183,45 @@ def cp_check_generator(generator, rel_tol=1e-10):
     )
 
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(64)
-
-
-def _delta_integral(A, u, t, x_t):
-    """delta_t = int_0^t exp(A(t-s)) u ds.
-
-    Closed form A^{-1}(X_t - I) u when A is safely invertible, otherwise
-    64-node Gauss-Legendre quadrature.
-    """
-    if not np.any(u):
-        return np.zeros_like(u)
-    svals = np.linalg.svd(A, compute_uv=False)
-    if svals[-1] > 1e-10 * max(svals[0], 1.0):
-        return np.linalg.solve(A, (x_t - np.eye(A.shape[0])) @ u)
-    half = 0.5 * t
-    nodes = half * (_GL_NODES + 1.0)
-    acc = np.zeros_like(u)
-    for s, w in zip(nodes, _GL_WEIGHTS):
-        acc = acc + w * (drift_exponential(A, t - s) @ u)
-    return half * acc
-
-
-def _adaptive_simpson(f, a, b, fa, fm, fb, whole, tol, scale, depth):
-    m = 0.5 * (a + b)
-    flm = f(0.5 * (a + m))
-    frm = f(0.5 * (m + b))
-    left = ((m - a) / 6.0) * (fa + 4.0 * flm + fm)
-    right = ((b - m) / 6.0) * (fm + 4.0 * frm + fb)
-    err = np.max(np.abs(left + right - whole))
-    if depth <= 0 or err < 15.0 * tol * scale:
-        return left + right + (left + right - whole) / 15.0
-    return _adaptive_simpson(
-        f, a, m, fa, flm, fm, left, 0.5 * tol, scale, depth - 1
-    ) + _adaptive_simpson(f, m, b, fm, frm, fb, right, 0.5 * tol, scale, depth - 1)
-
-
-def _diffusion_integral(A, D, t, tol):
-    """Y_t = int_0^t exp(As) D exp(A^T s) ds by adaptive Simpson.
-
-    The target `tol` is relative to the integral's own scale (the integrand
-    grows exponentially for unstable drift, where an absolute target would
-    force unbounded refinement).
-    """
-
-    def f(s):
-        e = drift_exponential(A, s)
-        return e @ D @ e.T
-
-    fa, fb = f(0.0), f(t)
-    fm = f(0.5 * t)
-    whole = (t / 6.0) * (fa + 4.0 * fm + fb)
-    scale = 1.0 + float(np.max(np.abs(whole)))
-    return _adaptive_simpson(f, 0.0, t, fa, fm, fb, whole, tol, scale, depth=30)
-
-
-def semigroup_channel(generator, t, tol=1e-10):
+def semigroup_channel(generator, t):
     """Finite-time channel (X_t, Y_t, delta_t) of the Markov semigroup.
 
-    X_t = exp(At). For Hurwitz A the diffusion integral is evaluated through
-    the Lyapunov solution as Y_t = S - X_t S X_t^T (exact identity); otherwise
-    by adaptive quadrature to `tol`. delta_t uses the closed form
-    A^{-1}(X_t - I)u when A is invertible.
+    X_t = exp(At), Y_t = int_0^t exp(As) D exp(A^T s) ds and
+    delta_t = int_0^t exp(As) u ds, by one route for every drift: Hurwitz or
+    not, singular, defective or resonant. The block exponential
+    exp(w [[A, D, u], [0, -A^T, 0], [0, 0, 0]]) holds X_w, G_w = Y_w X_w^{-T}
+    and delta_w (Van Loan, IEEE TAC 23(3), 1978) at a step w = t / 2^k with
+    ||A||_inf w <= 1/2; k doublings Y <- Y + X Y X^T, delta <- delta + X delta,
+    X <- X X then reach t. X_t itself is `drift_exponential(A, t)`. A result
+    beyond the float range raises NumericalOverflowError.
     """
     if t < 0:
         raise DimensionError("semigroup time must be nonnegative")
     A, D, u = generator.A, generator.D, generator.u
-    n2 = A.shape[0]
+    n = A.shape[0]
     x_t = drift_exponential(A, t)
-    if t == 0:
-        return GaussianChannel(
-            X=np.eye(n2), Y=np.zeros((n2, n2)), delta=np.zeros(n2), ordering=generator.ordering
-        )
-    if not np.any(D):
-        y_t = np.zeros((n2, n2))
-    else:
-        try:
-            s = solve_lyapunov(A, D).S
-        except StabilityError:  # A not Hurwitz
-            y_t = _diffusion_integral(A, D, t, tol)
-        else:
-            y_t = s - x_t @ s @ x_t.T
-    delta_t = _delta_integral(A, u, t, x_t)
-    return GaussianChannel(
-        X=x_t, Y=0.5 * (y_t + y_t.T), delta=delta_t, ordering=generator.ordering
-    )
+    # At full t the e^{-A^T t} block of the exponential overflows, or cancels
+    # in the product Y_t = G_t X_t^T; at a step with ||A w|| <= 1/2 every
+    # block is of order one, and the doublings only add and multiply. The
+    # frexp exponent k is the least with 2 ||A||_inf t < 2^k.
+    k = max(0, math.frexp(2.0 * float(np.max(np.sum(np.abs(A), axis=1))) * t)[1])
+    block = np.zeros((2 * n + 1, 2 * n + 1))
+    block[:n, :n] = A
+    block[:n, n:-1] = D
+    block[:n, -1] = u
+    block[n:-1, n:-1] = -A.T
+    with np.errstate(over="ignore", invalid="ignore"):
+        e = scipy.linalg.expm((t / 2.0**k) * block)
+        x, y, delta = e[:n, :n], e[:n, n:-1] @ e[:n, :n].T, e[:n, -1]
+        for _ in range(k):
+            y = y + x @ y @ x.T
+            delta = delta + x @ delta
+            x = x @ x
+        y = 0.5 * (y + y.T)
+    for name, arr in (("Y_t", y), ("delta_t", delta)):
+        if np.count_nonzero(np.isfinite(arr)) != arr.size:
+            raise NumericalOverflowError(f"{name} leaves the float range at t = {t:g}")
+    return GaussianChannel(X=x_t, Y=y, delta=delta, ordering=generator.ordering)
 
 
 def propagate_moments(generator, state, t, steps):

@@ -250,8 +250,15 @@ def expm2(B, t=1.0):
 
 
 def drift_exponential(A, t=1.0):
-    """exp(t A): closed 2x2 branch formula, scaling-and-squaring elsewhere."""
+    """exp(t A): closed 2x2 branch formula, scaling-and-squaring elsewhere.
+
+    Raises NumericalOverflowError where an entry leaves the float range.
+    """
     A = np.asarray(A, dtype=float)
     if A.shape == (2, 2):
         return expm2(A, t)
-    return scipy.linalg.expm(t * A)
+    with np.errstate(over="ignore", invalid="ignore"):
+        e = scipy.linalg.expm(t * A)
+    if np.count_nonzero(np.isfinite(e)) != e.size:
+        raise NumericalOverflowError(f"exp(t A) leaves the float range at t = {t}")
+    return e

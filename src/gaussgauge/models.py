@@ -22,7 +22,13 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import DegenerateModelError, DimensionError, PhysicalityError, StabilityError
+from .errors import (
+    DegenerateModelError,
+    DimensionError,
+    NumericalOverflowError,
+    PhysicalityError,
+    StabilityError,
+)
 from .generators import GaussianGenerator, LindbladData, semigroup_channel
 from .matrix_equations import (
     GaugeCovariance,
@@ -63,6 +69,18 @@ class SqueezedReservoirParams:
             raise DimensionError("squeezing magnitude r must be nonnegative")
 
 
+def _cosh_sinh(x):
+    """(cosh x, sinh x) of a float or array, by the math library element by element.
+
+    Raises NumericalOverflowError where they leave the float range.
+    """
+    try:
+        return _elementwise(math.cosh, x), _elementwise(math.sinh, x)
+    except OverflowError:
+        raise NumericalOverflowError(
+            f"cosh({float(np.max(np.abs(x))):g}) leaves the float range") from None
+
+
 def squeezed_hamiltonian_matrix(params):
     """Degenerate parametric amplifier: H_S = diag(delta + eps, delta - eps)."""
     return np.diag([params.delta + params.epsilon, params.delta - params.epsilon])
@@ -70,7 +88,7 @@ def squeezed_hamiltonian_matrix(params):
 
 def squeezed_jump_row(params):
     """Coefficients of the Bogoliubov jump L = cosh(r) a + e^{i phi} sinh(r) a^dag."""
-    ch, sh = math.cosh(params.r), math.sinh(params.r)
+    ch, sh = _cosh_sinh(params.r)
     phase = complex(math.cos(params.phi), math.sin(params.phi))
     return np.array([ch + phase * sh, 1j * (ch - phase * sh)]) / math.sqrt(2.0)
 
@@ -88,13 +106,17 @@ def squeezed_generator(params):
 
     A = [[-k/2, delta-eps], [-(delta+eps), -k/2]],
     D = (k/2) [[c2r - s2r cos phi, -s2r sin phi], [-s2r sin phi, c2r + s2r cos phi]].
-    Identical to `from_lindblad(squeezed_lindblad_data(params))`.
+    Identical to `from_lindblad(squeezed_lindblad_data(params))`. Raises
+    NumericalOverflowError where D leaves the float range.
     """
     k, dlt, eps = params.kappa, params.delta, params.epsilon
-    c2, s2 = math.cosh(2 * params.r), math.sinh(2 * params.r)
+    c2, s2 = _cosh_sinh(2 * params.r)
     cp, sp = math.cos(params.phi), math.sin(params.phi)
     a = np.array([[-0.5 * k, dlt - eps], [-(dlt + eps), -0.5 * k]])
-    d = 0.5 * k * np.array([[c2 - s2 * cp, -s2 * sp], [-s2 * sp, c2 + s2 * cp]])
+    with np.errstate(over="ignore"):
+        d = 0.5 * k * np.array([[c2 - s2 * cp, -s2 * sp], [-s2 * sp, c2 + s2 * cp]])
+    if np.count_nonzero(np.isfinite(d)) != d.size:
+        raise NumericalOverflowError(f"squeezed diffusion leaves the float range at r = {params.r:g}")
     return GaussianGenerator(A=a, D=d, u=np.zeros(2))
 
 
@@ -169,22 +191,26 @@ def squeezed_ep_entries(kappa, epsilon, r, phi, branch):
     round alike: cosh, sinh, cos and sin come from the math library element
     by element. Each branch substitutes delta = +-eps into the general
     off-manifold solution; a bare eps -> -eps sign flip in the Plus-branch
-    expressions does not solve the Minus-branch Lyapunov equation.
+    expressions does not solve the Minus-branch Lyapunov equation. Raises
+    NumericalOverflowError where an entry leaves the float range.
     """
     k, eps = kappa, epsilon
-    c2, s2 = _elementwise(math.cosh, 2 * r), _elementwise(math.sinh, 2 * r)
+    c2, s2 = _cosh_sinh(2 * r)
     cos_phi = _elementwise(math.cos, phi)
-    big = c2 - s2 * cos_phi  # cosh(2r) - sinh(2r) cos(phi)
-    small = c2 + s2 * cos_phi
-    ss = s2 * _elementwise(math.sin, phi)
-    if EpBranch(branch) is EpBranch.PLUS:
-        s_qq = 0.5 * big
-        s_qp = -0.5 * ss - (eps / k) * big
-        s_pp = 0.5 * small + (2.0 * eps / k) * ss + (4.0 * eps * eps / (k * k)) * big
-    else:
-        s_pp = 0.5 * small
-        s_qp = -0.5 * ss - (eps / k) * small
-        s_qq = 0.5 * big + (2.0 * eps / k) * ss + (4.0 * eps * eps / (k * k)) * small
+    with np.errstate(over="ignore", invalid="ignore"):
+        big = c2 - s2 * cos_phi  # cosh(2r) - sinh(2r) cos(phi)
+        small = c2 + s2 * cos_phi
+        ss = s2 * _elementwise(math.sin, phi)
+        if EpBranch(branch) is EpBranch.PLUS:
+            s_qq = 0.5 * big
+            s_qp = -0.5 * ss - (eps / k) * big
+            s_pp = 0.5 * small + (2.0 * eps / k) * ss + (4.0 * eps * eps / (k * k)) * big
+        else:
+            s_pp = 0.5 * small
+            s_qp = -0.5 * ss - (eps / k) * small
+            s_qq = 0.5 * big + (2.0 * eps / k) * ss + (4.0 * eps * eps / (k * k)) * small
+    if not all(np.all(np.isfinite(entry)) for entry in (s_qq, s_qp, s_pp)):
+        raise NumericalOverflowError("EP-branch gauge covariance leaves the float range")
     return s_qq, s_qp, s_pp
 
 

@@ -104,7 +104,6 @@ class SweepConfig:
     diffusion: str = "iso"
     fmt: str = "csv"
     out: str = None
-    seed: int = 0
     ep_gap_tol: float = EP_GAP_TOL
 
     def param(self, name):
@@ -164,7 +163,6 @@ def _base_meta(config, **extra):
     meta = {
         "command": config.command,
         "version": __version__,
-        "seed": config.seed,
         "format": config.fmt,
         "ep_gap_tol": config.ep_gap_tol,
     }

@@ -1,7 +1,11 @@
+import dataclasses
+import sys
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
+from gaussgauge import gauging
 from gaussgauge import (
     GaussianChannel,
     GaussianGenerator,
@@ -124,8 +128,8 @@ class TestGaugeSemigroup:
             gauge_semigroup(gen)
 
     def test_one_hurwitz_gate_per_channel(self, monkeypatch):
-        # the Lyapunov solve is the only Hurwitz gate: one eigenvalue
-        # computation for the covariance and one per channel time
+        # the Lyapunov solve for the covariance is the only Hurwitz gate; the
+        # channels at each time take no eigenvalues
         calls = []
         eigvals = np.linalg.eigvals
 
@@ -136,7 +140,23 @@ class TestGaugeSemigroup:
         monkeypatch.setattr(np.linalg, "eigvals", counted)
         gen = squeezed_generator(SqueezedReservoirParams(kappa=2.0, delta=0.3, epsilon=1.0))
         gauge_semigroup(gen, times=[0.5, 1.0])
-        assert len(calls) == 3
+        assert len(calls) == 1
+
+    def test_wrong_covariance_is_detected(self, monkeypatch):
+        # the Lyapunov solver is off by 1e-6 wherever the package binds it;
+        # Y_t must not come from it, so the residual shows the error instead
+        # of cancelling it
+        solve = gauging.solve_lyapunov
+
+        def perturbed(a, d):
+            cov = solve(a, d)
+            return dataclasses.replace(cov, S=cov.S + 1e-6)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("gaussgauge") and hasattr(module, "solve_lyapunov"):
+                monkeypatch.setattr(module, "solve_lyapunov", perturbed)
+        gen = squeezed_generator(SqueezedReservoirParams(kappa=2.0, delta=0.3, epsilon=1.0))
+        assert gauge_semigroup(gen).max_residual > 1e-8
 
     def test_diffusion_is_time_derivative_of_y_at_zero(self, rng):
         # finite-difference dY_t/dt at t = 0 recovers D

@@ -1,3 +1,6 @@
+import subprocess
+import sys
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -9,6 +12,7 @@ from gaussgauge import (
     GaussianGenerator,
     LindbladData,
     MomentState,
+    NumericalOverflowError,
     Ordering,
     PhysicalityError,
     WhiteNoiseData,
@@ -26,6 +30,12 @@ from gaussgauge import (
 from gaussgauge.verify import random_hurwitz, random_physical_generator, random_psd, random_state
 
 SIGMA = symplectic_form(1).matrix
+ROTATION = np.array([[0.0, 1.0], [-1.0, 0.0]])
+NILPOTENT = np.array([[0.0, 1.0], [0.0, 0.0]])
+
+
+def relative_error(value, oracle):
+    return float(np.max(np.abs(value - oracle))) / float(np.max(np.abs(oracle)))
 
 
 def thermal_jump_rows(kappa, nbar):
@@ -225,6 +235,91 @@ class TestSemigroupChannel:
 
         oracle, _ = scipy.integrate.quad_vec(integrand, 0.0, t, epsabs=1e-12)
         npt.assert_allclose(ch.delta, oracle, atol=1e-10)
+
+    def test_zero_drift_closed_form(self, rng):
+        # A = 0 is singular and resonant: Y_t = t D, delta_t = t u
+        d, u = random_psd(rng, 2), rng.standard_normal(2)
+        gen = GaussianGenerator(A=np.zeros((2, 2)), D=d, u=u)
+        for t in (0.3, 2.0, 7.5):
+            ch = semigroup_channel(gen, t)
+            assert relative_error(ch.Y, t * d) <= 1e-14
+            assert relative_error(ch.delta, t * u) <= 1e-14
+
+    def test_lossless_rotation_closed_form(self, rng):
+        # A = w J, eigenvalues +-iw (resonant); e^{As} rotates by -w s, so with
+        # D = a I + b Z + c P (Z = diag(1, -1), P the swap) the Z and P parts
+        # turn at 2w and integrate to sines and cosines
+        w = 1.7
+        d, u = random_psd(rng, 2), rng.standard_normal(2)
+        a, b, c = 0.5 * (d[0, 0] + d[1, 1]), 0.5 * (d[0, 0] - d[1, 1]), d[0, 1]
+        z, p = np.diag([1.0, -1.0]), np.array([[0.0, 1.0], [1.0, 0.0]])
+        gen = GaussianGenerator(A=w * ROTATION, D=d, u=u)
+        for t in (0.3, 2.0, 7.5):
+            cos_int = np.sin(2 * w * t) / (2 * w)
+            sin_int = (1.0 - np.cos(2 * w * t)) / (2 * w)
+            y = a * t * np.eye(2) + b * (cos_int * z - sin_int * p) + c * (sin_int * z + cos_int * p)
+            delta = np.sin(w * t) / w * u + (1.0 - np.cos(w * t)) / w * (ROTATION @ u)
+            ch = semigroup_channel(gen, t)
+            assert relative_error(ch.Y, y) <= 1e-13
+            assert relative_error(ch.delta, delta) <= 1e-13
+
+    def test_growing_jordan_closed_form(self, rng):
+        # A = I/2 + N is defective and not Hurwitz: e^{As} = e^{s/2}(I + s N),
+        # so Y_t = I0 D + I1 (N D + D N^T) + I2 N D N^T with
+        # I_k = int_0^t e^s s^k ds, and delta_t = J0 u + J1 N u with
+        # J_k = int_0^t e^{s/2} s^k ds
+        d, u = random_psd(rng, 2), rng.standard_normal(2)
+        n = NILPOTENT
+        gen = GaussianGenerator(A=0.5 * np.eye(2) + n, D=d, u=u)
+        for t in (0.3, 2.0, 7.5):
+            e, h = np.exp(t), np.exp(0.5 * t)
+            i0, i1, i2 = e - 1.0, e * (t - 1.0) + 1.0, e * (t * t - 2.0 * t + 2.0) - 2.0
+            y = i0 * d + i1 * (n @ d + d @ n.T) + i2 * (n @ d @ n.T)
+            delta = 2.0 * (h - 1.0) * u + (h * (2.0 * t - 4.0) + 4.0) * (n @ u)
+            ch = semigroup_channel(gen, t)
+            assert relative_error(ch.Y, y) <= 1e-13
+            assert relative_error(ch.delta, delta) <= 1e-13
+
+    def test_stiff_non_hurwitz_against_kronecker(self, rng):
+        # planted real spectra spanning +-80 and +-200 under similarities of
+        # condition number <= 4; Y_t solves A Y + Y A^T = X D X^T - D, with
+        # X = V e^{t Lambda} V^{-1} from the planted eigenbasis, by one
+        # Kronecker solve
+        def orthogonal():
+            q, _ = np.linalg.qr(rng.standard_normal((4, 4)))
+            return q
+
+        for span in (80.0, 200.0):
+            for _ in range(4):
+                lam = np.array([1.0, -0.7, 0.35, -0.15]) * span * rng.uniform(0.8, 1.0)
+                v = orthogonal() @ np.diag(rng.uniform(1.0, 4.0, 4)) @ orthogonal()
+                v_inv = np.linalg.inv(v)
+                a = v @ np.diag(lam) @ v_inv
+                d, u = random_psd(rng, 4), rng.standard_normal(4)
+                x = v @ np.diag(np.exp(lam)) @ v_inv
+                kron = np.kron(np.eye(4), a) + np.kron(a, np.eye(4))
+                y = np.linalg.solve(kron, (x @ d @ x.T - d).ravel()).reshape(4, 4)
+                delta = np.linalg.solve(a, (x - np.eye(4)) @ u)
+                ch = semigroup_channel(GaussianGenerator(A=a, D=d, u=u), 1.0)
+                assert relative_error(ch.Y, 0.5 * (y + y.T)) <= 1e-11
+                assert relative_error(ch.delta, delta) <= 1e-11
+
+    def test_overflow_raises(self):
+        # X_t is finite (e^400), Y_t ~ e^800 / 800 is not
+        gen = GaussianGenerator(A=np.diag([400.0, -1.0]), D=np.eye(2), u=np.zeros(2))
+        with pytest.raises(NumericalOverflowError, match="Y_t"):
+            semigroup_channel(gen, 1.0)
+        gen = GaussianGenerator(A=np.diag([400.0, -1.0]), D=np.zeros((2, 2)), u=np.full(2, 1e300))
+        with pytest.raises(NumericalOverflowError, match="delta_t"):
+            semigroup_channel(gen, 1.0)
+        # above 2x2, X_t = e^800 itself from scipy's expm
+        gen = GaussianGenerator(A=np.diag([800.0, -1.0, -1.0, -1.0]), D=np.eye(4), u=np.zeros(4))
+        with pytest.raises(NumericalOverflowError, match=r"exp\(t A\)"):
+            semigroup_channel(gen, 1.0)
+
+    def test_import_leaves_scipy_integrate_unloaded(self):
+        code = "import sys, gaussgauge; sys.exit('scipy.integrate' in sys.modules)"
+        assert subprocess.run([sys.executable, "-c", code], check=False).returncode == 0
 
 
 class TestPropagateMoments:

@@ -15,9 +15,11 @@ import pytest
 from gaussgauge import (
     DimensionError,
     EpBranch,
+    NumericalOverflowError,
     SqueezedReservoirParams,
     squeezed_drift_eigenvalues,
     squeezed_ep_gauge,
+    squeezed_generator,
 )
 from gaussgauge.cli import main
 from gaussgauge.models import squeezed_eigenvalue_entries, squeezed_ep_entries
@@ -174,3 +176,26 @@ def test_kernels_match_scalar_api_on_random_points(rng):
                                                               eps.tolist())])
     npt.assert_array_equal(np.column_stack([lam_minus, lam_plus]), want)
     assert sum(d**2 != d * d or e**2 != e * e for d, e in zip(delta.tolist(), eps.tolist())) > 0
+
+
+@pytest.mark.parametrize("r", [354.0, 400.0])
+def test_squeezing_beyond_float_range(r, capsys):
+    # cosh(2r) overflows past r ~ 355.2; at r = 354 the entries scaled by
+    # 4 eps^2 / kappa^2 already do
+    params = SqueezedReservoirParams(kappa=0.04, delta=1.0, epsilon=1.0, r=r, phi=math.pi / 2)
+    for branch in EpBranch:
+        with pytest.raises(NumericalOverflowError):
+            squeezed_ep_gauge(params, branch)
+    capsys.readouterr()
+    assert main(["squeezed-gauge", "--axis", "r", f"--grid=0:{r}:5"]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    if r > 355.5:
+        with pytest.raises(NumericalOverflowError, match="cosh"):
+            squeezed_generator(params)
+
+
+def test_squeezed_diffusion_beyond_float_range():
+    # cosh(710) ~ 1.1e308 is finite, (kappa / 2) cosh(710) is not
+    params = SqueezedReservoirParams(kappa=10.0, delta=1.0, epsilon=1.0, r=355.0)
+    with pytest.raises(NumericalOverflowError, match="squeezed diffusion"):
+        squeezed_generator(params)

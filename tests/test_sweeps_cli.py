@@ -253,7 +253,7 @@ class TestCli:
     def test_csv_output_and_determinism(self, tmp_path):
         out1 = tmp_path / "a.csv"
         out2 = tmp_path / "b.csv"
-        argv = ["drift-eigs", "--grid=-1:1:21", "--kappa", "2.0", "--seed", "42"]
+        argv = ["drift-eigs", "--grid=-1:1:21", "--kappa", "2.0"]
         assert self.run_cli(argv + ["--out", str(out1)]) == 0
         assert self.run_cli(argv + ["--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
@@ -368,6 +368,26 @@ class TestCli:
         capsys.readouterr()
         assert self.run_cli(["nm-surface", "--config", str(config)]) == 2
         assert "unknown config key 'jobs'" in capsys.readouterr().err
+
+    def test_seed_and_fault_are_verify_only(self, tmp_path, capsys):
+        # no sweep draws a random number: no --seed flag, no seed or fault
+        # key, no seed line in the table
+        with pytest.raises(SystemExit) as err:
+            self.run_cli(["drift-eigs", "--seed", "42"])
+        assert err.value.code == 2
+        config = tmp_path / "sweep.cfg"
+        for key in ("seed", "fault"):
+            config.write_text(f"{key} = 1\n")
+            capsys.readouterr()
+            assert self.run_cli(["drift-eigs", "--config", str(config)]) == 2
+            assert f"unknown config key '{key}'" in capsys.readouterr().err
+        out = tmp_path / "t.csv"
+        assert self.run_cli(["drift-eigs", "--grid=-1:1:3", "--out", str(out)]) == 0
+        assert "seed" not in out.read_text()
+        config.write_text("seed = 3\nfault = stein\n")
+        assert self.run_cli(["verify", "--config", str(config), "--out", str(out)]) == 1
+        report = json.loads(out.read_text())
+        assert report["seed"] == 3 and report["fault"] == "stein"
 
 
 class TestVerifyCommand:
