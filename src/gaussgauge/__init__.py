@@ -46,6 +46,7 @@ from .generators import (
     from_lindblad,
     from_white_noise,
     propagate_moments,
+    semigroup_arrays,
     semigroup_channel,
 )
 from .matrix_equations import (

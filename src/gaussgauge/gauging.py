@@ -3,10 +3,12 @@
 The smoothing map V_S = (I, S, 0) conjugates a channel to
 (X, Y + X S X^T - S, delta). With S solving the Stein equation the diffusion
 of a single stable channel vanishes; with S solving the Lyapunov equation the
-whole semigroup loses its diffusion uniformly in time. Both transforms leave
-X and delta bitwise unchanged, hence eigenvalues and Jordan structure of the
-drift, so exceptional points are unaffected. The inverse map (I, -S, 0) is
-generically not a physical channel; gauged outputs carry physical=False.
+whole semigroup loses its diffusion uniformly in time, which `gauge_semigroup`
+checks on a time grid from one stacked pass over all its channels. Both
+transforms leave X and delta bitwise unchanged, hence eigenvalues and Jordan
+structure of the drift, so exceptional points are unaffected. The inverse
+map (I, -S, 0) is generically not a physical channel; gauged outputs carry
+physical=False.
 """
 
 from dataclasses import dataclass
@@ -14,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import StabilityError
-from .generators import semigroup_channel
+from .generators import semigroup_arrays
 from .matrix_equations import GaugeCovariance, solve_lyapunov, solve_stein
 from .phase_space import GaussianChannel, compose
 from .spectral import JordanReport, jordan_structure
@@ -94,18 +96,18 @@ class SemigroupGaugingResult:
 def gauge_semigroup(generator, times=None):
     """Gauge the whole semigroup with the one Lyapunov covariance.
 
-    For each verification time the finite-time channel is conjugated by the
-    same V_S and the worst leftover diffusion entry recorded; the theorem
-    makes every residual vanish identically. A drift that is not Hurwitz
+    The channels at all verification times come from one stacked
+    `semigroup_arrays` pass, and each residual max|X_t S X_t^T + Y_t - S|,
+    the worst leftover diffusion entry of V_S^{-1} o channel o V_S, from
+    stacked products; the theorem makes every residual vanish identically.
+    Times must be 1-D, finite and nonnegative. A drift that is not Hurwitz
     raises StabilityError from the Lyapunov solve.
     """
     cov = solve_lyapunov(generator.A, generator.D)
     times = default_gauge_times(generator.A) if times is None else np.asarray(times, dtype=float)
-    smoothing = SmoothingMap(cov.S)
-    residuals = np.empty(times.shape[0])
-    for i, t in enumerate(times):
-        conjugated = smoothing.conjugate(semigroup_channel(generator, t))
-        residuals[i] = np.max(np.abs(conjugated.Y))
+    x, y, _ = semigroup_arrays(generator, times)
+    s = cov.S
+    residuals = abs(x @ s @ x.transpose(0, 2, 1) + y - s).max(axis=(1, 2))
     return SemigroupGaugingResult(
         S=cov,
         times=times,

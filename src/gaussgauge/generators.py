@@ -4,10 +4,11 @@ Moment dynamics: dd/dt = A d + u, dV/dt = A V + V A^T + D. Builders accept
 either linear Lindblad data (A = Sigma(H + Im C^dag C), D = Sigma Re(C^dag C)
 Sigma^T, u = Sigma f) or a white-noise system-bath model
 (A = Sigma H_S + (1/2) Sigma C Sigma_in C^T, D = Sigma C sigma_in C^T Sigma^T).
-`semigroup_channel` extracts the finite-time map (X_t, Y_t, delta_t) for any
-drift from one scaled Van Loan block exponential and repeated doubling, so
-that Y_t never passes through a Lyapunov solution; `propagate_moments`
-integrates the ODEs directly as an independent oracle.
+`semigroup_arrays` extracts the finite-time maps (X_t, Y_t, delta_t) of any
+drift on a whole time grid in one stacked pass of scaled Van Loan block
+exponentials and repeated doubling, so that Y_t never passes through a
+Lyapunov solution; `semigroup_channel` is that pass at one time.
+`propagate_moments` integrates the ODEs directly as an independent oracle.
 """
 
 import math
@@ -17,7 +18,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import DimensionError, NumericalOverflowError, PhysicalityError, require_finite
-from .matrix_equations import drift_exponential
+from .matrix_equations import _exponentials
 from .phase_space import (
     CpMethod,
     CpReport,
@@ -184,7 +185,14 @@ def cp_check_generator(generator, rel_tol=1e-10):
 
 
 def semigroup_channel(generator, t):
-    """Finite-time channel (X_t, Y_t, delta_t) of the Markov semigroup.
+    """Finite-time channel (X_t, Y_t, delta_t) of the Markov semigroup at one
+    time t: `semigroup_arrays` at the single time."""
+    x, y, delta = semigroup_arrays(generator, [t])
+    return GaussianChannel(X=x[0], Y=y[0], delta=delta[0], ordering=generator.ordering)
+
+
+def semigroup_arrays(generator, times):
+    """X_t, Y_t and delta_t stacked along a leading axis, one slice per time.
 
     X_t = exp(At), Y_t = int_0^t exp(As) D exp(A^T s) ds and
     delta_t = int_0^t exp(As) u ds, by one route for every drift: Hurwitz or
@@ -192,36 +200,56 @@ def semigroup_channel(generator, t):
     exp(w [[A, D, u], [0, -A^T, 0], [0, 0, 0]]) holds X_w, G_w = Y_w X_w^{-T}
     and delta_w (Van Loan, IEEE TAC 23(3), 1978) at a step w = t / 2^k with
     ||A||_inf w <= 1/2; k doublings Y <- Y + X Y X^T, delta <- delta + X delta,
-    X <- X X then reach t. X_t itself is `drift_exponential(A, t)`. A result
-    beyond the float range raises NumericalOverflowError.
+    X <- X X then reach t. X_t itself is `drift_exponential(A, times)`. The
+    block exponentials of all times are one stacked scipy call and the
+    doublings stacked matrix products, each slice taking exactly its own k.
+    Times must form a 1-D array of finite nonnegative values; a result beyond
+    the float range raises NumericalOverflowError.
     """
-    if t < 0:
+    times = np.asarray(times, dtype=float)
+    if times.ndim != 1:
+        raise DimensionError(f"semigroup times must be 1-D, got shape {times.shape}")
+    require_finite(times=times)
+    tl = times.tolist()
+    if any(t < 0.0 for t in tl):
         raise DimensionError("semigroup time must be nonnegative")
     A, D, u = generator.A, generator.D, generator.u
     n = A.shape[0]
-    x_t = drift_exponential(A, t)
     # At full t the e^{-A^T t} block of the exponential overflows, or cancels
     # in the product Y_t = G_t X_t^T; at a step with ||A w|| <= 1/2 every
     # block is of order one, and the doublings only add and multiply. The
     # frexp exponent k is the least with 2 ||A||_inf t < 2^k.
-    k = max(0, math.frexp(2.0 * float(np.max(np.sum(np.abs(A), axis=1))) * t)[1])
+    norm = 2.0 * float(np.abs(A).sum(axis=1).max())
+    steps = [max(0, math.frexp(norm * t)[1]) for t in tl]
     block = np.zeros((2 * n + 1, 2 * n + 1))
     block[:n, :n] = A
     block[:n, n:-1] = D
     block[:n, -1] = u
     block[n:-1, n:-1] = -A.T
     with np.errstate(over="ignore", invalid="ignore"):
-        e = scipy.linalg.expm((t / 2.0**k) * block)
-        x, y, delta = e[:n, :n], e[:n, n:-1] @ e[:n, :n].T, e[:n, -1]
-        for _ in range(k):
-            y = y + x @ y @ x.T
-            delta = delta + x @ delta
-            x = x @ x
-        y = 0.5 * (y + y.T)
+        x_t = _exponentials(A, times)
+        e = scipy.linalg.expm(np.multiply.outer([t / 2.0**k for t, k in zip(tl, steps)], block))
+        x, delta = e[:, :n, :n], e[:, :n, -1:]  # delta as a column
+        y = e[:, :n, n:-1] @ x.transpose(0, 2, 1)
+        # slice i takes exactly k_i doublings; while every slice takes one,
+        # the whole stack doubles without a gather
+        for step in range(max(steps, default=0)):
+            if step < min(steps):
+                x, y, delta = _double(x, y, delta)
+            else:
+                i = [j for j, k in enumerate(steps) if k > step]
+                x[i], y[i], delta[i] = _double(x[i], y[i], delta[i])
+        y, delta = 0.5 * (y + y.transpose(0, 2, 1)), delta[..., 0]
     for name, arr in (("Y_t", y), ("delta_t", delta)):
         if np.count_nonzero(np.isfinite(arr)) != arr.size:
-            raise NumericalOverflowError(f"{name} leaves the float range at t = {t:g}")
-    return GaussianChannel(X=x_t, Y=y, delta=delta, ordering=generator.ordering)
+            bad = times[np.argmin(np.isfinite(arr.reshape(times.size, -1)).all(axis=1))]
+            raise NumericalOverflowError(f"{name} leaves the float range at t = {bad:g}")
+    return x_t, y, delta
+
+
+def _double(x, y, delta):
+    """One doubling t -> 2t of stacked (X_t, Y_t, delta_t)."""
+    return x @ x, y + x @ y @ x.transpose(0, 2, 1), delta + x @ delta
 
 
 def propagate_moments(generator, state, t, steps):

@@ -8,7 +8,6 @@ above), with no size cap. Defective one-mode drifts X = alpha (I + t N),
 N^2 = 0, have a geometric-series closed form in rho = alpha^2.
 """
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -19,7 +18,6 @@ from .errors import (
     ConvergenceError,
     DegenerateSpectrumError,
     DimensionError,
-    NonFiniteInputError,
     NumericalOverflowError,
     StabilityError,
     require_finite,
@@ -232,33 +230,44 @@ def stein_jordan_closed_form(drift, Y):
 
 
 def expm2(B, t=1.0):
-    """Closed-form exp(t B) for real 2x2 B (see `onemode.expm2_entries`).
-
-    Raises NumericalOverflowError where an entry leaves the float range.
-    """
+    """Closed-form exp(t B) for real 2x2 B: `drift_exponential` held to 2x2."""
     B = np.asarray(B, dtype=float)
     if B.shape != (2, 2):
         raise DimensionError(f"expm2 expects a 2x2 matrix, got {B.shape}")
-    entries = B.ravel().tolist()
-    t = float(t)
-    if not (all(map(math.isfinite, entries)) and math.isfinite(t)):
-        raise NonFiniteInputError("expm2 needs a finite B and t")
-    e11, e12, e21, e22 = expm2_entries(*entries, t)
-    if not all(map(math.isfinite, (e11, e12, e21, e22))):
-        raise NumericalOverflowError(f"exp(t B) leaves the float range at t = {t}")
-    return np.array([[e11, e12], [e21, e22]])
+    return drift_exponential(B, t)
 
 
 def drift_exponential(A, t=1.0):
-    """exp(t A): closed 2x2 branch formula, scaling-and-squaring elsewhere.
+    """exp(t A) for one time t, or stacked along a leading axis for a 1-D array of times.
 
-    Raises NumericalOverflowError where an entry leaves the float range.
+    A 2x2 drift takes the branch formula of `onemode.expm2_entries`, on the
+    whole time array at once; a larger one takes scipy's scaling and squaring,
+    one stacked call for all times. Every size raises NonFiniteInputError for
+    a non-finite A or time, DimensionError for times of more than one
+    dimension, and NumericalOverflowError where an entry leaves the float range.
     """
     A = np.asarray(A, dtype=float)
-    if A.shape == (2, 2):
-        return expm2(A, t)
+    times = np.asarray(t, dtype=float)
+    if A.ndim != 2 or A.shape[0] != A.shape[1]:
+        raise DimensionError(f"drift must be square, got shape {A.shape}")
+    if times.ndim > 1:
+        raise DimensionError(f"times must be a number or 1-D, got shape {times.shape}")
+    require_finite(A=A, t=times)
     with np.errstate(over="ignore", invalid="ignore"):
-        e = scipy.linalg.expm(t * A)
+        return _exponentials(A, times)
+
+
+def _exponentials(A, times):
+    """`drift_exponential` without its input checks, for callers that have
+    checked A and the times; they also silence numpy's overflow warnings."""
+    if A.shape == (2, 2):
+        # one time goes as a float: the kernel rounds floats and arrays
+        # alike, and is cheaper on floats
+        entries = expm2_entries(*A.ravel().tolist(), times.item() if times.size == 1 else times)
+        e = np.array(entries).T.reshape(times.shape + (2, 2))
+    else:
+        e = scipy.linalg.expm(np.multiply.outer(times, A))
     if np.count_nonzero(np.isfinite(e)) != e.size:
-        raise NumericalOverflowError(f"exp(t A) leaves the float range at t = {t}")
+        bad = times.ravel()[np.argmin(np.isfinite(e).all(axis=(-2, -1)))]
+        raise NumericalOverflowError(f"exp(t A) leaves the float range at t = {bad}")
     return e

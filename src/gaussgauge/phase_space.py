@@ -122,7 +122,7 @@ class MomentState:
         if v.shape != (2 * n2, 2 * n2):
             raise DimensionError(f"covariance shape {v.shape} does not match d of length {2 * n2}")
         require_finite(d=d, V=v)
-        if np.max(np.abs(v - v.T)) > 1e-12 * (1.0 + np.max(np.abs(v))):
+        if abs(v - v.T).max() > 1e-12 * (1.0 + abs(v).max()):
             raise DimensionError("covariance matrix must be symmetric")
         object.__setattr__(self, "d", _freeze(d))
         object.__setattr__(self, "V", _freeze(0.5 * (v + v.T)))
@@ -172,7 +172,7 @@ class GaussianChannel:
                 f"inconsistent channel shapes X{x.shape} Y{y.shape} delta{d.shape}"
             )
         require_finite(X=x, Y=y, delta=d)
-        if np.max(np.abs(y - y.T)) > 1e-12 * (1.0 + np.max(np.abs(y))):
+        if abs(y - y.T).max() > 1e-12 * (1.0 + abs(y).max()):
             raise DimensionError("channel diffusion matrix must be symmetric")
         object.__setattr__(self, "X", _freeze(x))
         object.__setattr__(self, "Y", _freeze(0.5 * (y + y.T)))

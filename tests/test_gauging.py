@@ -4,9 +4,11 @@ import sys
 import numpy as np
 import numpy.testing as npt
 import pytest
+import scipy.linalg
 
 from gaussgauge import gauging
 from gaussgauge import (
+    DimensionError,
     GaussianChannel,
     GaussianGenerator,
     SmoothingMap,
@@ -18,6 +20,7 @@ from gaussgauge import (
     gauge_semigroup,
     nm_channel,
     NmFamilyParams,
+    NonFiniteInputError,
     semigroup_channel,
     similarity_spectrum_check,
     squeezed_generator,
@@ -141,6 +144,68 @@ class TestGaugeSemigroup:
         gen = squeezed_generator(SqueezedReservoirParams(kappa=2.0, delta=0.3, epsilon=1.0))
         gauge_semigroup(gen, times=[0.5, 1.0])
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("modes", [1, 2, 5])
+    def test_residuals_match_single_time_channels(self, rng, modes):
+        # the stacked residuals against max|X S X^T + Y - S| of each
+        # single-time channel, on a grid through t = 0
+        for _ in range(5):
+            gen = GaussianGenerator(
+                A=random_hurwitz(rng, 2 * modes),
+                D=random_psd(rng, 2 * modes),
+                u=rng.standard_normal(2 * modes),
+            )
+            times = np.r_[0.0, default_gauge_times(gen.A, count=12)]
+            result = gauge_semigroup(gen, times)
+            s = result.S.S
+            want = []
+            for t in times:
+                ch = semigroup_channel(gen, t)
+                want.append(np.max(np.abs(ch.X @ s @ ch.X.T + ch.Y - s)))
+            tol = 1e-15 * (1.0 + np.abs(s).max())
+            npt.assert_allclose(result.residuals, want, rtol=0, atol=tol)
+            assert result.max_residual == result.residuals.max()
+
+    @pytest.mark.parametrize("modes", [1, 2])
+    def test_one_stacked_pass_over_the_times(self, rng, monkeypatch, modes):
+        # 20 times cost two scipy exponentials (X_t above 2x2, and the Van
+        # Loan blocks) and the covariance's Hurwitz gate, not one set per time
+        gen = GaussianGenerator(
+            A=random_hurwitz(rng, 2 * modes), D=random_psd(rng, 2 * modes), u=np.zeros(2 * modes)
+        )
+        calls = {"expm": 0, "eigvals": 0}
+        expm, eigvals = scipy.linalg.expm, np.linalg.eigvals
+
+        def counted_expm(a):
+            calls["expm"] += 1
+            return expm(a)
+
+        def counted_eigvals(m):
+            calls["eigvals"] += 1
+            return eigvals(m)
+
+        monkeypatch.setattr(scipy.linalg, "expm", counted_expm)
+        monkeypatch.setattr(np.linalg, "eigvals", counted_eigvals)
+        result = gauge_semigroup(gen, np.linspace(0.0, 5.0, 20))
+        assert result.residuals.shape == (20,)
+        assert calls["expm"] <= 2
+        assert calls["eigvals"] == 1
+
+    @pytest.mark.parametrize("modes", [1, 2])
+    def test_bad_times_rejected(self, rng, modes):
+        gen = GaussianGenerator(
+            A=random_hurwitz(rng, 2 * modes), D=random_psd(rng, 2 * modes), u=np.zeros(2 * modes)
+        )
+        with pytest.raises(DimensionError):
+            gauge_semigroup(gen, [[0.1, 0.2]])
+        with pytest.raises(DimensionError):
+            gauge_semigroup(gen, [0.1, -0.2])
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(NonFiniteInputError):
+                gauge_semigroup(gen, [0.1, bad])
+        result = gauge_semigroup(gen, [])
+        assert result.residuals.shape == (0,)
+        assert result.max_residual == 0.0
 
     def test_wrong_covariance_is_detected(self, monkeypatch):
         # the Lyapunov solver is off by 1e-6 wherever the package binds it;

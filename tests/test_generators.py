@@ -1,3 +1,4 @@
+import math
 import subprocess
 import sys
 
@@ -12,6 +13,7 @@ from gaussgauge import (
     GaussianGenerator,
     LindbladData,
     MomentState,
+    NonFiniteInputError,
     NumericalOverflowError,
     Ordering,
     PhysicalityError,
@@ -23,6 +25,7 @@ from gaussgauge import (
     from_white_noise,
     propagate_moments,
     reorder,
+    semigroup_arrays,
     semigroup_channel,
     solve_lyapunov,
     symplectic_form,
@@ -320,6 +323,41 @@ class TestSemigroupChannel:
     def test_import_leaves_scipy_integrate_unloaded(self):
         code = "import sys, gaussgauge; sys.exit('scipy.integrate' in sys.modules)"
         assert subprocess.run([sys.executable, "-c", code], check=False).returncode == 0
+
+
+class TestSemigroupArrays:
+    @pytest.mark.parametrize("modes", [1, 2, 5])
+    def test_slices_bitwise_equal_single_time_channels(self, rng, modes):
+        # a grid through t = 0, out of order and with a repeat, whose slices
+        # take different doubling counts k and so stop doubling at different steps
+        for _ in range(8):
+            gen = random_physical_generator(rng, modes)
+            times = rng.permutation(np.r_[0.0, np.geomspace(1e-3, 9.0, 8), 0.37, 0.37])
+            norm = 2.0 * np.abs(gen.A).sum(axis=1).max()
+            assert len({max(0, math.frexp(norm * t)[1]) for t in times}) >= 4
+            x, y, delta = semigroup_arrays(gen, times)
+            assert x.shape == y.shape == (times.size, 2 * modes, 2 * modes)
+            assert delta.shape == (times.size, 2 * modes)
+            for i, t in enumerate(times):
+                ch = semigroup_channel(gen, t)
+                npt.assert_array_equal(x[i], ch.X)
+                npt.assert_array_equal(y[i], ch.Y)
+                npt.assert_array_equal(delta[i], ch.delta)
+
+    @pytest.mark.parametrize("modes", [1, 2])
+    def test_bad_times_rejected(self, rng, modes):
+        # time grids at the gauge_semigroup boundary are tested there
+        gen = random_physical_generator(rng, modes)
+        with pytest.raises(DimensionError):
+            semigroup_arrays(gen, 0.1)
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(NonFiniteInputError):
+                semigroup_channel(gen, bad)
+
+    def test_overflow_names_the_first_time(self):
+        gen = GaussianGenerator(A=np.diag([400.0, -1.0]), D=np.eye(2), u=np.zeros(2))
+        with pytest.raises(NumericalOverflowError, match="Y_t .* at t = 1.5$"):
+            semigroup_arrays(gen, [0.5, 1.5, 1.0])
 
 
 class TestPropagateMoments:

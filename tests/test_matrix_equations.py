@@ -17,6 +17,7 @@ from gaussgauge import (
     NumericalOverflowError,
     StabilityError,
     StabilityMode,
+    drift_exponential,
     expm2,
     jordan_structure,
     solve_lyapunov,
@@ -313,6 +314,35 @@ class TestExpm2:
         npt.assert_allclose(expm2(b), reference, rtol=0, atol=1e-12 * np.exp(700.0))
 
 
+class TestDriftExponential:
+    @pytest.mark.parametrize("dim", [2, 4, 10])
+    def test_time_array_stacks_single_times_bitwise(self, rng, dim):
+        a = rng.standard_normal((dim, dim))
+        times = np.r_[0.0, rng.uniform(-3.0, 3.0, 6), 0.37]
+        stack = drift_exponential(a, times)
+        assert stack.shape == (times.size, dim, dim)
+        for t, e in zip(times, stack):
+            npt.assert_array_equal(e, drift_exponential(a, t))
+        assert drift_exponential(a, []).shape == (0, dim, dim)
+
+    @pytest.mark.parametrize("dim", [2, 4])
+    def test_bad_times_rejected(self, dim):
+        a = -np.eye(dim)
+        with pytest.raises(DimensionError):
+            drift_exponential(a, [[0.1, 0.2]])
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(NonFiniteInputError):
+                drift_exponential(a, bad)
+            with pytest.raises(NonFiniteInputError):
+                drift_exponential(a, [0.5, bad])
+
+    @pytest.mark.parametrize("dim", [2, 4])
+    def test_overflow_names_the_first_time(self, dim):
+        a = np.diag([800.0] + [-1.0] * (dim - 1))
+        with pytest.raises(NumericalOverflowError, match=r"exp\(t A\) .* at t = 2.0$"):
+            drift_exponential(a, [0.5, 2.0, 1.0])
+
+
 class TestGuards:
     def test_expm2_at_zero_time(self, rng):
         b = rng.standard_normal((2, 2))
@@ -358,13 +388,15 @@ class TestGuards:
         lambda bad: stability(bad),
         lambda bad: expm2(bad[:2, :2]),
         lambda bad: expm2(-np.eye(2), bad[0, 0]),
+        lambda bad: drift_exponential(bad, 1.0),
         lambda bad: jordan_structure(bad[:2, :2]),
         lambda bad: jordan_structure(bad),
         lambda bad: MomentState(d=np.zeros(4), V=bad),
         lambda bad: MomentState(d=bad[0], V=np.eye(4)),
     ], ids=["lyap-D", "lyap-A", "stein-X", "stein-Y", "series-Y", "channel-X", "channel-Y",
             "channel-delta", "generator-A", "generator-D", "generator-u", "stability",
-            "expm2-B", "expm2-t", "jordan-2x2", "jordan-4x4", "state-V", "state-d"])
+            "expm2-B", "expm2-t", "drift-exp-A", "jordan-2x2", "jordan-4x4", "state-V",
+            "state-d"])
     def test_non_finite_input_rejected(self, entry, value):
         bad = -0.5 * np.eye(4)
         bad[0, 0] = value

@@ -414,12 +414,18 @@ class TestVerifyCommand:
         assert all(set(suite) == fields for suite in payload["suites"])
 
     def test_fault_injection_fails_the_right_suite(self, tmp_path):
-        out = tmp_path / "fault.json"
-        assert main(["verify", "--seed", "7", "--fault", "stein", "--out", str(out)]) == 1
-        payload = json.loads(out.read_text())
-        by_name = {s["name"]: s for s in payload["suites"]}
-        assert not by_name["stein-residual"]["passed"]
-        assert by_name["lyapunov-residual"]["passed"]
+        # each fault fails exactly its own suites, and every other suite passes
+        own = {
+            "stein": {"stein-residual"},
+            "lyapunov": {"lyapunov-residual", "semigroup-gauging"},
+            "gauge": {"channel-gauging"},
+        }
+        for fault, suites in own.items():
+            out = tmp_path / f"{fault}.json"
+            assert main(["verify", "--seed", "7", "--fault", fault, "--out", str(out)]) == 1
+            payload = json.loads(out.read_text())
+            assert len(payload["suites"]) == 13
+            assert {s["name"] for s in payload["suites"] if not s["passed"]} == suites
 
 
 def test_ep_gap_tolerance_override(tmp_path):
