@@ -11,9 +11,13 @@ verify           run the invariant suites; exit 1 on any failure
 Configuration precedence: command-line flags > config file (`key = value`
 lines) > built-in defaults. Exit codes: 0 success, 1 verification failure,
 2 invalid configuration.
+
+The argument parser is built once per process and reused by every `main`
+call; argparse keeps no state between `parse_args` calls.
 """
 
 import argparse
+import functools
 import json
 import sys
 
@@ -55,6 +59,7 @@ def _add_common(parser):
         parser.add_argument(f"--{name.replace('_', '-')}", type=float, default=None, dest=name)
 
 
+@functools.cache
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="gaussgauge",

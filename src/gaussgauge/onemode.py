@@ -155,7 +155,8 @@ def cp_margin_entries(x11, x12, x21, x22, y11, y12, y22, rel_tol=1e-10):
     lam_min = 0.5 * (y11 + y22) - _elementwise(math.hypot, 0.5 * (y11 - y22), y12)
     alpha = 0.5 * (1.0 - (x11 * x22 - x12 * x21))
     slack = (y11 * y22 - y12 * y12) - alpha * alpha
-    margin = _where(slack < lam_min, slack, lam_min)
+    # a NaN term (det X = inf - inf once the products overflow) gives a NaN margin
+    margin = _where((slack < lam_min) | (slack != slack), slack, lam_min)
     peak = _maximum(abs(y11), abs(y22), _elementwise(math.hypot, y12, alpha))
     return margin, rel_tol * (1.0 + peak)
 

@@ -125,7 +125,7 @@ class MomentState:
         if abs(v - v.T).max() > 1e-12 * (1.0 + abs(v).max()):
             raise DimensionError("covariance matrix must be symmetric")
         object.__setattr__(self, "d", _freeze(d))
-        object.__setattr__(self, "V", _freeze(0.5 * (v + v.T)))
+        object.__setattr__(self, "V", _freeze(0.5 * v + 0.5 * v.T))
 
     @property
     def modes(self):
@@ -175,7 +175,7 @@ class GaussianChannel:
         if abs(y - y.T).max() > 1e-12 * (1.0 + abs(y).max()):
             raise DimensionError("channel diffusion matrix must be symmetric")
         object.__setattr__(self, "X", _freeze(x))
-        object.__setattr__(self, "Y", _freeze(0.5 * (y + y.T)))
+        object.__setattr__(self, "Y", _freeze(0.5 * y + 0.5 * y.T))
         object.__setattr__(self, "delta", _freeze(d))
         object.__setattr__(self, "ordering", Ordering(self.ordering))
 

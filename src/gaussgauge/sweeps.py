@@ -11,6 +11,7 @@ significant digits in CSV, shortest-roundtrip repr in JSON) makes identical
 configurations byte-identical.
 """
 
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -245,8 +246,9 @@ def _nm_points(params, t, lam, omega):
 
     lam and omega are 1-D arrays holding every point of a table. Returns the
     columns lambda_min, lambda_max, s_qp, defective, cp_margin and unstable.
-    Where the model is undefined (B = 0 drift alignment, CP violation, or
-    exp(t B) beyond the float range) the row carries NaN values and margin,
+    Where the model is undefined (B = 0 drift alignment, CP violation,
+    exp(t B) beyond the float range, or CP products of a finite exp(t B)
+    beyond it) the row carries NaN values and margin,
     defective 0 and unstable 1; where the channel is not Schur stable it
     carries NaN values and unstable 1.
     """
@@ -257,20 +259,25 @@ def _nm_points(params, t, lam, omega):
         y = tuple(np.broadcast_arrays(*nm_diffusion_entries(params, kt, lam, omega), lam)[:3])
     except PhysicalityError:  # determinant target not positive: undefined everywhere
         y = (np.full(lam.shape, math.nan),) * 3
-    margin, tol = cp_margin_entries(*x, *y)
+    # where exp(t B) is finite but large the CP products overflow to a NaN
+    # margin; the Stein and Jordan kernels see only the rows they classify
+    with np.errstate(over="ignore", invalid="ignore"):
+        margin, tol = cp_margin_entries(*x, *y)
     xs = _stack2x2(*x)
     defined = (margin >= -tol) & np.isfinite(xs).all(axis=(1, 2))
     spectral_radius = np.full(lam.shape, math.inf)
     spectral_radius[defined] = np.abs(np.linalg.eigvals(xs[defined])).max(axis=1)
     stable = defined & (spectral_radius < 1.0)
-    if np.any(stein2_denominator(*x)[stable] <= 0.0):
+    x_stable = tuple(v[stable] for v in x)
+    if np.any(stein2_denominator(*x_stable) <= 0.0):
         raise StabilityError("Stein denominator not positive; drift not Schur stable")
     values = np.full((lam.size, 3), math.nan)
     if stable.any():
-        s11, s12, s22 = stein2_entries(*(v[stable] for v in x + y))
+        s11, s12, s22 = stein2_entries(*x_stable, *(v[stable] for v in y))
         values[stable, :2] = np.linalg.eigvalsh(_stack2x2(s11, s12, s12, s22))
         values[stable, 2] = s12
-    defective = defined & jordan2_entries(*x)[3]
+    defective = np.zeros(lam.shape, dtype=bool)
+    defective[defined] = jordan2_entries(*(v[defined] for v in x))[3]
     return (*values.T, defective.astype(float), np.where(defined, margin, math.nan),
             (~stable).astype(float))
 
@@ -327,16 +334,21 @@ def run_nm_branch(config):
 # Writers
 # ---------------------------------------------------------------------------
 
+# CSV writes 17 significant digits; JSON writes float.__repr__, as `json` does
+_CSV = "%.17g".__mod__
 
-def _column_text(column, end=""):
-    """'%.17g' strings, each followed by `end`, of a float column.
+
+def _column_text(column, fmt, nan, end=""):
+    """Strings fmt(v) + end, or nan + end for a NaN, for the values v of a float column.
 
     Each distinct bit pattern is formatted once. Bit patterns, not values,
     are the keys: -0.0 and 0.0 print differently.
     """
     bits, index = np.unique(column.view(np.int64), return_inverse=True)
-    text = np.array(["%.17g" % v + end for v in bits.view(np.float64).tolist()], dtype=object)
-    return text[index].tolist()
+    values = bits.view(np.float64)
+    text = np.array(list(map(fmt, values.tolist())), dtype=object)
+    text[np.isnan(values)] = nan
+    return (text + end)[index].tolist()
 
 
 def write_csv(table, fh):
@@ -345,15 +357,34 @@ def write_csv(table, fh):
     fh.write(",".join(table.columns) + "\n")
     *first, last = table.data.T
     # the strings of the last column carry the line ends
-    columns = [_column_text(column) for column in first] + [_column_text(last, "\n")]
+    columns = [_column_text(c, _CSV, "nan") for c in first] + [_column_text(last, _CSV, "nan", "\n")]
     fh.writelines(map(",".join, zip(*columns)))
 
 
 def write_json(table, fh):
-    rows = [[None if math.isnan(v) else v for v in row] for row in table.data.tolist()]
-    payload = {"meta": table.meta, "columns": list(table.columns), "rows": rows}
-    json.dump(payload, fh, sort_keys=True, indent=1, allow_nan=False)
-    fh.write("\n")
+    """The text of `json.dump` with sort_keys=True, indent=1, allow_nan=False.
+
+    `json` lays out the small columns/meta head; the rows block is laid out
+    here from per-column strings. An infinite value raises json's ValueError
+    before anything is written.
+    """
+    head = json.dumps({"columns": list(table.columns), "meta": table.meta},
+                      sort_keys=True, indent=1, allow_nan=False)
+    inf = np.isinf(table.data)
+    if inf.any():  # the first in row order, as json.dump meets it
+        value = float(table.data.flat[np.argmax(inf)])
+        raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
+    # head ends in the object's closing "\n}"; rows go on one indent level deeper
+    fh.write(head[:-2] + ',\n "rows": [')
+    if not len(table.data):
+        fh.write("]\n}\n")
+        return
+    *first, last = table.data.T
+    columns = ([_column_text(c, float.__repr__, "null", ",\n   ") for c in first]
+               + [_column_text(last, float.__repr__, "null", "\n  ]")])
+    starts = itertools.chain(["\n  [\n   "], itertools.repeat(",\n  [\n   "))
+    fh.writelines(map("".join, zip(starts, *columns)))
+    fh.write("\n ]\n}\n")
 
 
 def write_table(table, path, fmt):

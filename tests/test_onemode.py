@@ -95,6 +95,16 @@ def test_channel_kernels_match_scalar_bitwise(rng, diffusion):
                 nm_diffusion(params, 1.0, lam[i], omega[i])
 
 
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+def test_cp_margin_nan_when_det_overflows():
+    # det X = inf - inf is NaN; the margin must not fall back to lambda_min(Y)
+    x = (1e200, 1e200, 1e200, 1e200)
+    y = (1.0, 0.0, 1.0)
+    assert math.isnan(cp_margin_entries(*x, *y)[0])
+    margin = cp_margin_entries(*(np.array([v, 0.5]) for v in x), *y)[0]
+    assert math.isnan(margin[0]) and margin[1] == 0.75  # det Y - ((1 - 0)/2)^2
+
+
 def _reference_row(params, lam, omega, on_branch):
     """One surface row from the scalar API, the way a per-point loop builds it."""
     try:

@@ -246,3 +246,25 @@ class TestEdgePaths:
         out = reorder(m, Ordering.GROUPED, Ordering.GROUPED)
         npt.assert_array_equal(out, m)
         assert out is not m
+
+
+class TestSymmetrization:
+    @pytest.mark.filterwarnings("error")
+    def test_huge_finite_entries_stay_finite(self):
+        # (y + y.T) / 2 overflows from entries of about 9e307 up
+        big = np.full((2, 2), 1e308)
+        channel = GaussianChannel(X=np.eye(2), Y=big, delta=np.zeros(2))
+        state = MomentState(d=np.zeros(2), V=big)
+        npt.assert_array_equal(channel.Y, big)
+        npt.assert_array_equal(state.V, big)
+
+    def test_bitwise_equal_to_halved_sum(self, rng):
+        # halving is exact outside the subnormal range, so both forms round alike
+        for _ in range(200):
+            n = 2 * int(rng.integers(1, 4))
+            m = rng.standard_normal((n, n)) * 10.0 ** rng.uniform(-150.0, 150.0)
+            y = m + m.T
+            y += 1e-14 * np.abs(y).max() * rng.standard_normal((n, n))
+            want = (0.5 * (y + y.T)).tobytes()
+            assert GaussianChannel(X=np.eye(n), Y=y, delta=np.zeros(n)).Y.tobytes() == want
+            assert MomentState(d=np.zeros(n), V=y).V.tobytes() == want

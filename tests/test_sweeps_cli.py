@@ -307,6 +307,21 @@ class TestCli:
         near = [dict(zip(header, row)) for row in rows if abs(float(row[0])) != 800.0]
         assert all(row["unstable"] == "0" for row in near)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_cp_products_rows_flagged(self, tmp_path):
+        # at |lam| = 705, omega = +-1, exp(t B) is finite near 1e306 but the
+        # CP products overflow: NaN margin, unstable row, no numpy warning
+        out = tmp_path / "edge.csv"
+        argv = ["nm-surface", "--grid=-705:705:3", "--grid2=-1:1:3", "--out", str(out)]
+        assert self.run_cli(argv) == 0
+        lines = [l.split(",") for l in out.read_text().splitlines() if not l.startswith("#")]
+        header, rows = lines[0], [dict(zip(lines[0], row)) for row in lines[1:]]
+        far = [row for row in rows if abs(float(row["lam"])) == 705.0]
+        assert len(far) == 6
+        for row in far:
+            assert (row["cp_margin"], row["defective"], row["unstable"]) == ("nan", "0", "1")
+        assert all(row["unstable"] == "0" for row in rows if abs(float(row["lam"])) != 705.0)
+
     @pytest.mark.parametrize(
         "flags, message",
         [(["--nu", "0"], "memory frequency nu must be nonzero"),
@@ -358,6 +373,12 @@ class TestCli:
         assert proc.returncode == 0
         assert "re_lambda_plus" in proc.stdout
 
+    def test_package_entry_point(self):
+        proc = subprocess.run([sys.executable, "-m", "gaussgauge", "--help"],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0
+        assert proc.stdout.startswith("usage: gaussgauge ")
+
     def test_jobs_option_rejected(self, tmp_path, capsys):
         # rows run serially; neither the --jobs flag nor a jobs key exists
         with pytest.raises(SystemExit) as err:
@@ -388,6 +409,58 @@ class TestCli:
         assert self.run_cli(["verify", "--config", str(config), "--out", str(out)]) == 1
         report = json.loads(out.read_text())
         assert report["seed"] == 3 and report["fault"] == "stein"
+
+
+class TestParserReuse:
+    """One parser serves every `main` call of a process; each call must read
+    as if from a fresh process."""
+
+    HELP = [[], ["drift-eigs"], ["squeezed-gauge"], ["nm-surface"], ["nm-branch"], ["verify"]]
+
+    @staticmethod
+    def fresh(argv):
+        proc = subprocess.run([sys.executable, "-m", "gaussgauge", *argv],
+                              capture_output=True, text=True)
+        return proc.returncode, proc.stdout, proc.stderr
+
+    @staticmethod
+    def in_process(argv, capsys):
+        capsys.readouterr()
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        out, err = capsys.readouterr()
+        return code, out, err
+
+    @pytest.fixture(autouse=True)
+    def fixed_width(self, monkeypatch):
+        # argparse wraps help and usage to the terminal width
+        monkeypatch.setenv("COLUMNS", "80")
+
+    def test_parser_built_once(self):
+        from gaussgauge.cli import build_parser
+
+        assert build_parser() is build_parser()
+
+    def test_calls_in_one_process_match_fresh_processes(self, capsys):
+        sequence = [
+            ["drift-eigs", "--grid=-1:1:5", "--format", "json", "--kappa", "0.5"],
+            ["drift-eigs", "--grid=-1:1:5"],
+            ["drift-eigs", "--grid=1:0:5"],
+            ["drift-eigs", "--grid=-1:1:5"],
+        ]
+        got = [self.in_process(argv, capsys) for argv in sequence]
+        assert [code for code, _, _ in got] == [0, 0, 2, 0]
+        assert '"param.kappa": 0.5' in got[0][1] and "param.kappa = 0.04" in got[1][1]
+        assert "grid needs lo < hi" in got[2][2]
+        assert got == [self.fresh(argv) for argv in sequence]
+
+    def test_help_texts_match_fresh_processes(self, capsys):
+        for command in self.HELP:
+            code, out, err = self.in_process(command + ["--help"], capsys)
+            assert (code, err) == (0, "") and out.startswith("usage: gaussgauge")
+            assert (code, out, err) == self.fresh(command + ["--help"])
 
 
 class TestVerifyCommand:

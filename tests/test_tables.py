@@ -1,4 +1,4 @@
-"""SweepTable storage and the CSV/JSON writers against per-value reference writers."""
+"""SweepTable storage and the CSV/JSON writers against per-value and json.dump reference writers."""
 
 import io
 import json
@@ -10,13 +10,17 @@ import pytest
 
 from gaussgauge import DimensionError
 from gaussgauge.sweeps import (
+    DIFFUSION_CHOICES,
     GridSpec,
     SweepConfig,
     SweepTable,
     run_drift_eigs,
+    run_nm_branch,
     run_nm_surface,
+    run_squeezed_gauge,
     write_csv,
     write_json,
+    write_table,
 )
 
 NEG_NAN = math.copysign(math.nan, -1.0)
@@ -53,6 +57,36 @@ def reference_csv(table):
     return "\n".join(lines) + "\n"
 
 
+def reference_json(table, fh):
+    """The json.dump writer: NaN to None row by row, the whole payload through json."""
+    rows = [[None if math.isnan(v) else v for v in row] for row in table.data.tolist()]
+    payload = {"meta": table.meta, "columns": list(table.columns), "rows": rows}
+    json.dump(payload, fh, sort_keys=True, indent=1, allow_nan=False)
+    fh.write("\n")
+
+
+def finite_edge_table():
+    # JSON has no infinity, so the infinite row is left out
+    return edge_table([row for row in EDGE_ROWS if not math.isinf(row[0])])
+
+
+def ulp_drift_eigs():
+    # linspace lands delta one ulp off +-1 on this grid
+    return run_drift_eigs(
+        SweepConfig(command="drift-eigs", grids={"delta": GridSpec(-1.7, 1.3, 31)}))
+
+
+def default_figure_tables():
+    """Every sweep table at its default grid and parameters."""
+    yield run_drift_eigs(SweepConfig(command="drift-eigs"))
+    for axis in ("kappa", "r", "phi"):
+        for branch in ("plus", "minus"):
+            yield run_squeezed_gauge(SweepConfig(command="squeezed-gauge"), axis, branch)
+    for diffusion in DIFFUSION_CHOICES:
+        yield run_nm_branch(SweepConfig(command="nm-branch", diffusion=diffusion))
+        yield run_nm_surface(SweepConfig(command="nm-surface", diffusion=diffusion))
+
+
 def test_edge_values_survive_construction():
     data = edge_table().data
     assert np.signbit(data[0, 0]) and not np.signbit(data[0, 1])
@@ -79,8 +113,7 @@ def test_csv_edge_spellings():
 
 
 def test_json_nan_becomes_null():
-    # JSON has no infinity, so the infinite row is left out
-    table = edge_table([row for row in EDGE_ROWS if not math.isinf(row[0])])
+    table = finite_edge_table()
     fh = io.StringIO()
     write_json(table, fh)
     payload = json.loads(fh.getvalue())
@@ -92,6 +125,46 @@ def test_json_nan_becomes_null():
                 assert g is None
             else:
                 assert g == w and math.copysign(1.0, g) == math.copysign(1.0, w)
+
+
+@pytest.mark.parametrize("make", [
+    finite_edge_table, ulp_drift_eigs, small_surface,
+    lambda: SweepTable(columns=("a", "b"), data=np.empty((0, 2)), meta={"command": "empty"}),
+    lambda: SweepTable(columns=("a",), data=[[NEG_NAN], [-0.0]], meta={}),
+], ids=["edge", "drift-eigs-ulp", "nm-surface", "no-rows", "one-column"])
+def test_json_matches_json_dump(make):
+    table = make()
+    got, want = io.StringIO(), io.StringIO()
+    write_json(table, got)
+    reference_json(table, want)
+    assert got.getvalue() == want.getvalue()
+
+
+def test_json_matches_json_dump_on_default_tables():
+    tables = list(default_figure_tables())
+    assert len(tables) == 13
+    for table in tables:
+        got, want = io.StringIO(), io.StringIO()
+        write_json(table, got)
+        reference_json(table, want)
+        assert got.getvalue() == want.getvalue(), table.meta["command"]
+
+
+def test_json_rejects_infinity_before_writing(tmp_path):
+    # json.dump names the first infinity in row order, here -inf
+    table = edge_table([[1.0, -math.inf, 1.0], [math.inf, 2.0, -1.0], [math.nan, 0.0, 1.0]])
+    with pytest.raises(ValueError) as want:
+        reference_json(table, io.StringIO())
+    fh = io.StringIO()
+    with pytest.raises(ValueError) as got:
+        write_json(table, fh)
+    assert str(got.value) == str(want.value) == (
+        "Out of range float values are not JSON compliant: -inf")
+    assert fh.getvalue() == ""
+    path = tmp_path / "inf.json"
+    with pytest.raises(ValueError):
+        write_table(table, str(path), "json")
+    assert path.read_bytes() == b""
 
 
 def test_data_is_read_only():
