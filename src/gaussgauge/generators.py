@@ -9,13 +9,13 @@ drift on a whole time grid in one stacked pass of scaled Van Loan block
 exponentials and repeated doubling, so that Y_t never passes through a
 Lyapunov solution; `semigroup_channel` is that pass at one time.
 `propagate_moments` integrates the ODEs directly as an independent oracle.
+scipy is imported at first use, by `semigroup_arrays`.
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import DimensionError, NumericalOverflowError, PhysicalityError, require_finite
 from .matrix_equations import _exponentials
@@ -213,6 +213,8 @@ def semigroup_arrays(generator, times):
     tl = times.tolist()
     if any(t < 0.0 for t in tl):
         raise DimensionError("semigroup time must be nonnegative")
+    import scipy.linalg
+
     A, D, u = generator.A, generator.D, generator.u
     n = A.shape[0]
     # At full t the e^{-A^T t} block of the exponential overflows, or cancels

@@ -5,14 +5,15 @@ The one-mode (2x2) Stein equation S = X S X^T + Y takes the adjugate closed
 form with denominator (1-det)(1-tr+det)(1+tr+det); larger ones go to scipy
 (direct solve below dimension 10, the bilinear map to a Lyapunov equation
 above), with no size cap. Defective one-mode drifts X = alpha (I + t N),
-N^2 = 0, have a geometric-series closed form in rho = alpha^2.
+N^2 = 0, have a geometric-series closed form in rho = alpha^2. scipy is
+imported at first use, by the routes above 2x2 and `solve_lyapunov`, so the
+one-mode closed forms never load it.
 """
 
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     ConvergenceError,
@@ -125,6 +126,8 @@ def solve_lyapunov(A, D):
     A, D = _square_pair(A, D, "A", "D")
     if not stability(A, StabilityMode.CONTINUOUS).hurwitz:
         raise StabilityError("Lyapunov gauging requires a Hurwitz drift")
+    import scipy.linalg
+
     S = scipy.linalg.solve_continuous_lyapunov(A, -D)
     S = 0.5 * (S + S.T)
     return GaugeCovariance(S=S, source=GaugeSource.LYAPUNOV, residual=lyapunov_residual(A, S, D))
@@ -149,6 +152,8 @@ def solve_stein(X, Y):
         s11, s12, s22 = stein2_entries(*x, y11, y12, y22)
         S = np.array([[s11, s12], [s12, s22]])
     else:
+        import scipy.linalg
+
         S = scipy.linalg.solve_discrete_lyapunov(X, Y)
         S = 0.5 * (S + S.T)
     return GaugeCovariance(S=S, source=GaugeSource.STEIN, residual=stein_residual(X, S, Y))
@@ -266,6 +271,8 @@ def _exponentials(A, times):
         entries = expm2_entries(*A.ravel().tolist(), times.item() if times.size == 1 else times)
         e = np.array(entries).T.reshape(times.shape + (2, 2))
     else:
+        import scipy.linalg
+
         e = scipy.linalg.expm(np.multiply.outer(times, A))
     if np.count_nonzero(np.isfinite(e)) != e.size:
         bad = times.ravel()[np.argmin(np.isfinite(e).all(axis=(-2, -1)))]

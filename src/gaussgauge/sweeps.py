@@ -351,22 +351,24 @@ def _column_text(column, fmt, nan, end=""):
     return (text + end)[index].tolist()
 
 
-def write_csv(table, fh):
-    for key in sorted(table.meta):
-        fh.write(f"# {key} = {table.meta[key]}\n")
-    fh.write(",".join(table.columns) + "\n")
+def _csv_text(table):
+    """The CSV text as an iterable of strings; every value is formatted
+    before it returns, only the joining into lines is left to the writer."""
+    head = [f"# {key} = {table.meta[key]}\n" for key in sorted(table.meta)]
+    head.append(",".join(table.columns) + "\n")
     *first, last = table.data.T
     # the strings of the last column carry the line ends
     columns = [_column_text(c, _CSV, "nan") for c in first] + [_column_text(last, _CSV, "nan", "\n")]
-    fh.writelines(map(",".join, zip(*columns)))
+    return itertools.chain(head, map(",".join, zip(*columns)))
 
 
-def write_json(table, fh):
-    """The text of `json.dump` with sort_keys=True, indent=1, allow_nan=False.
+def _json_text(table):
+    """The text of `json.dump` with sort_keys=True, indent=1, allow_nan=False,
+    as an iterable of strings.
 
     `json` lays out the small columns/meta head; the rows block is laid out
-    here from per-column strings. An infinite value raises json's ValueError
-    before anything is written.
+    here from per-column strings. An infinite value, in the meta or the rows,
+    raises json's ValueError before it returns.
     """
     head = json.dumps({"columns": list(table.columns), "meta": table.meta},
                       sort_keys=True, indent=1, allow_nan=False)
@@ -375,23 +377,35 @@ def write_json(table, fh):
         value = float(table.data.flat[np.argmax(inf)])
         raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
     # head ends in the object's closing "\n}"; rows go on one indent level deeper
-    fh.write(head[:-2] + ',\n "rows": [')
+    head = head[:-2] + ',\n "rows": ['
     if not len(table.data):
-        fh.write("]\n}\n")
-        return
+        return [head, "]\n}\n"]
     *first, last = table.data.T
     columns = ([_column_text(c, float.__repr__, "null", ",\n   ") for c in first]
                + [_column_text(last, float.__repr__, "null", "\n  ]")])
     starts = itertools.chain(["\n  [\n   "], itertools.repeat(",\n  [\n   "))
-    fh.writelines(map("".join, zip(starts, *columns)))
-    fh.write("\n ]\n}\n")
+    return itertools.chain([head], map("".join, zip(starts, *columns)), ["\n ]\n}\n"])
+
+
+_TEXT = {"csv": _csv_text, "json": _json_text}
+
+
+def write_csv(table, fh):
+    fh.writelines(_csv_text(table))
+
+
+def write_json(table, fh):
+    """Write the text of `json.dump(..., sort_keys=True, indent=1)`; a table
+    holding an infinity raises ValueError before anything is written."""
+    fh.writelines(_json_text(table))
 
 
 def write_table(table, path, fmt):
+    """Write the table to `path` as CSV or JSON. Every value is formatted,
+    and a table the format cannot hold rejected, before the file is opened,
+    so a rejected table leaves an existing file as it was and creates none."""
+    if fmt not in _TEXT:
+        raise DimensionError(f"unknown output format {fmt!r}")
+    text = _TEXT[fmt](table)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        if fmt == "csv":
-            write_csv(table, fh)
-        elif fmt == "json":
-            write_json(table, fh)
-        else:
-            raise DimensionError(f"unknown output format {fmt!r}")
+        fh.writelines(text)

@@ -6,13 +6,14 @@ the outcome to the exit code. `--fault` deliberately perturbs one computation
 so the corresponding suite must fail (a self-test of the checker itself).
 """
 
+import bisect
 import math
 import time
 from dataclasses import asdict, dataclass
 
 import numpy as np
-import scipy.linalg
 
+from .errors import DimensionError, require_finite
 from .gauging import SmoothingMap, default_gauge_times, gauge_channel, gauge_semigroup
 from .generators import GaussianGenerator, LindbladData, from_lindblad, semigroup_channel
 from .matrix_equations import (
@@ -106,12 +107,36 @@ def random_state(rng, modes):
 
 
 def eigenvalue_multiset_distance(a, b):
-    """Max matched distance between two eigenvalue multisets (optimal pairing)."""
-    from scipy.optimize import linear_sum_assignment
+    """Bottleneck distance between two eigenvalue multisets of one size.
 
-    cost = np.abs(np.asarray(a)[:, None] - np.asarray(b)[None, :])
-    r, c = linear_sum_assignment(cost)
-    return float(cost[r, c].max())
+    The least, over all pairings of a with b, of the largest matched
+    |a_i - b_j|; two empty multisets are at distance 0. A level admits a
+    pairing when the graph of costs <= level has a perfect matching; no
+    pairing beats the largest row or column minimum, so that level is tried
+    first and the sorted distinct costs above it are bisected only if it
+    fails. Raises DimensionError for multisets of different sizes and
+    NonFiniteInputError for a NaN or infinite value.
+    """
+    from scipy.sparse import csr_array
+    from scipy.sparse.csgraph import maximum_bipartite_matching
+
+    a, b = np.ravel(a), np.ravel(b)
+    if a.size != b.size:
+        raise DimensionError(f"multisets of sizes {a.size} and {b.size} cannot be paired")
+    require_finite(a=a, b=b)
+    if not a.size:
+        return 0.0
+    cost = np.abs(a[:, None] - b[None, :])
+
+    def pairs(level):
+        return bool(np.all(maximum_bipartite_matching(csr_array(cost <= level)) >= 0))
+
+    floor = max(cost.min(axis=1).max(), cost.min(axis=0).max())
+    if pairs(floor):
+        return float(floor)
+    # pairs() turns True at one level and stays True; the largest cost pairs anything
+    levels = np.unique(cost[cost > floor])
+    return float(levels[bisect.bisect_left(levels, True, key=pairs)])
 
 
 # ---------------------------------------------------------------------------
@@ -209,6 +234,8 @@ def _suite_jury(rng, fault):
 
 
 def _suite_expm2(rng, fault):
+    import scipy.linalg
+
     worst = 0.0
     n = 300
     for _ in range(n):

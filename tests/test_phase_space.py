@@ -14,6 +14,7 @@ from gaussgauge import (
     cp_check,
     displacement_gauge,
     identity_channel,
+    interleaving_permutation,
     reorder,
     symplectic_form,
     thermal_loss_channel,
@@ -75,6 +76,19 @@ class TestReorder:
     def test_odd_dimension_rejected(self):
         with pytest.raises(DimensionError):
             reorder(np.zeros(3), Ordering.GROUPED, Ordering.INTERLEAVED)
+
+    @pytest.mark.parametrize("modes", [1, 2, 3])
+    def test_interleaving_permutation(self, rng, modes):
+        p = interleaving_permutation(modes)
+        q, mom = 10.0 * np.arange(1, modes + 1), 10.0 * np.arange(1, modes + 1) + 1.0
+        interleaved = np.column_stack([q, mom]).ravel()  # (q1, p1, q2, p2, ...)
+        npt.assert_array_equal(p @ interleaved, np.concatenate([q, mom]))
+        npt.assert_array_equal(p @ p.T, np.eye(2 * modes))
+        npt.assert_array_equal(p.T @ p, np.eye(2 * modes))
+        v, m = rng.standard_normal(2 * modes), rng.standard_normal((2 * modes, 2 * modes))
+        for obj, grouped in ((v, p @ v), (m, p @ m @ p.T)):
+            npt.assert_array_equal(reorder(obj, Ordering.INTERLEAVED, Ordering.GROUPED), grouped)
+            npt.assert_array_equal(reorder(grouped, Ordering.GROUPED, Ordering.INTERLEAVED), obj)
 
 
 class TestMomentState:

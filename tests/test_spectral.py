@@ -1,9 +1,13 @@
+import itertools
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
 from gaussgauge import (
+    DimensionError,
     GaussianGenerator,
+    NonFiniteInputError,
     additive_spectrum,
     drift_restriction_matrix,
     jordan_structure,
@@ -134,6 +138,38 @@ class TestDriftRestriction:
         for j in range(ell):
             expected[j + 1, j] = ell - j
         npt.assert_array_equal(m, expected)
+
+
+def bottleneck_by_permutations(a, b):
+    cost = np.abs(np.asarray(a)[:, None] - np.asarray(b)[None, :])
+    return min((max(cost[range(len(a)), p], default=0.0)
+                for p in itertools.permutations(range(len(a)))))
+
+
+class TestEigenvalueMultisetDistance:
+    def test_matches_permutation_bottleneck(self, rng):
+        for _ in range(600):
+            n = int(rng.integers(0, 6))
+            a, b = ([1.0, 1j] @ rng.standard_normal((2, n)) for _ in range(2))
+            if rng.uniform() < 0.5:  # coarse points tie in their costs
+                a, b = np.round(a, 1), np.round(b, 1)
+            assert eigenvalue_multiset_distance(a, b) == bottleneck_by_permutations(a, b)
+
+    def test_bottleneck_not_min_sum(self):
+        # pairing -2 <-> -1, -1 <-> i has costs 1 and sqrt(2) (sum 2.414);
+        # -2 <-> i, -1 <-> -1 has sqrt(5) and 0 (sum 2.236), the min-sum
+        # pairing, whose max sqrt(5) is not the bottleneck distance sqrt(2)
+        assert eigenvalue_multiset_distance([-2.0, -1.0], [-1.0, 1j]) == abs(-1.0 - 1j)
+
+    def test_sizes_and_values_checked(self):
+        assert eigenvalue_multiset_distance([], []) == 0.0
+        assert eigenvalue_multiset_distance([0.5j], [-0.5j]) == 1.0
+        with pytest.raises(DimensionError):
+            eigenvalue_multiset_distance([1.0, 2.0], [1.0])
+        with pytest.raises(DimensionError):
+            eigenvalue_multiset_distance([], [1.0])
+        with pytest.raises(NonFiniteInputError):
+            eigenvalue_multiset_distance([1.0, np.nan], [1.0, 2.0])
 
 
 class TestTruncatedOu:

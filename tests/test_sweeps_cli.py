@@ -463,6 +463,48 @@ class TestParserReuse:
             assert (code, out, err) == self.fresh(command + ["--help"])
 
 
+class TestColdStart:
+    """The package, its CLI and the four sweep commands load no scipy; only
+    solvers above 2x2 and `verify` import it, at first use."""
+
+    SWEEPS = [
+        ["drift-eigs", "--grid=-1:1:5"],
+        ["squeezed-gauge", "--axis", "r", "--grid=0:1:5", "--format", "json"],
+        ["nm-branch", "--grid=0.1:2:5"],
+        ["nm-surface", "--grid=-1:1:3", "--grid2=0.1:1:3", "--format", "json"],
+    ]
+
+    @staticmethod
+    def loaded(prefix, code, *args):
+        """The modules named `prefix`... that a fresh interpreter holds after `code`."""
+        script = (f"import json, sys\n{code}\n"
+                  f"print(json.dumps([m for m in sys.modules if m.startswith({prefix!r})]))")
+        proc = subprocess.run([sys.executable, "-c", script, *args],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        return json.loads(proc.stdout.splitlines()[-1])
+
+    def test_import_loads_no_scipy(self):
+        assert self.loaded("scipy", "import gaussgauge, gaussgauge.cli") == []
+
+    def test_sweep_commands_load_no_scipy(self, tmp_path):
+        code = (
+            "from gaussgauge.cli import main\n"
+            "out, sweeps = sys.argv[1], json.loads(sys.argv[2])\n"
+            "codes = [main([*argv, '--out', f'{out}/{i}']) for i, argv in enumerate(sweeps)]\n"
+            "assert codes == [0] * len(sweeps), codes"
+        )
+        assert self.loaded("scipy", code, str(tmp_path), json.dumps(self.SWEEPS)) == []
+        assert all((tmp_path / str(i)).stat().st_size > 0 for i in range(len(self.SWEEPS)))
+
+    def test_verify_loads_no_scipy_optimize(self, tmp_path):
+        code = (
+            "from gaussgauge.cli import main\n"
+            "assert main(['verify', '--seed', '0', '--out', sys.argv[1]]) == 0"
+        )
+        assert self.loaded("scipy.optimize", code, str(tmp_path / "report.json")) == []
+
+
 class TestVerifyCommand:
     def test_verify_passes_and_is_deterministic(self, tmp_path):
         out1, out2 = tmp_path / "r1.json", tmp_path / "r2.json"

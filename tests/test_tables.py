@@ -161,10 +161,24 @@ def test_json_rejects_infinity_before_writing(tmp_path):
     assert str(got.value) == str(want.value) == (
         "Out of range float values are not JSON compliant: -inf")
     assert fh.getvalue() == ""
+    # a rejected table leaves an existing file's bytes as they were
     path = tmp_path / "inf.json"
+    path.write_bytes(b"old table\n")
     with pytest.raises(ValueError):
         write_table(table, str(path), "json")
-    assert path.read_bytes() == b""
+    assert path.read_bytes() == b"old table\n"
+
+
+@pytest.mark.parametrize("fmt, table, error", [
+    ("json", edge_table(), ValueError),
+    ("json", SweepTable(columns=("a",), data=[[1.0]], meta={"t": math.inf}), ValueError),
+    ("xml", edge_table(), DimensionError),
+])
+def test_rejected_table_creates_no_file(tmp_path, fmt, table, error):
+    path = tmp_path / "new.out"
+    with pytest.raises(error):
+        write_table(table, str(path), fmt)
+    assert not path.exists()
 
 
 def test_data_is_read_only():
