@@ -1,9 +1,10 @@
 """Drift-diffusion separation toolkit for bosonic Gaussian channels.
 
-Builds Gaussian generators and channels from Lindblad or white-noise data,
-solves the Lyapunov/Stein equations that gauge diffusion out of the spectral
-problem, detects exceptional points through drift defectiveness, and sweeps
-the model families into figure-ready datasets (see the ``gaussgauge`` CLI).
+Builds Gaussian generators from linear Lindblad data and their finite-time
+channels, solves the Lyapunov/Stein equations that gauge diffusion out of
+the spectral problem, detects exceptional points through drift
+defectiveness, and sweeps the model families into figure-ready datasets
+(see the ``gaussgauge`` CLI).
 """
 
 from .errors import (
@@ -13,7 +14,6 @@ from .errors import (
     DimensionError,
     GaussGaugeError,
     NonFiniteInputError,
-    NotGaugeableError,
     NumericalOverflowError,
     PhysicalityError,
     StabilityError,
@@ -21,30 +21,24 @@ from .errors import (
 from .phase_space import (
     CpMethod,
     CpReport,
-    DisplacementGauge,
     GaussianChannel,
     MomentState,
     Ordering,
-    SymplecticForm,
     apply_channel,
     compose,
     cp_check,
     cp_matrix,
-    displacement_gauge,
     identity_channel,
     interleaving_permutation,
     reorder,
     symplectic_form,
-    uncertainty_margin,
     vacuum_state,
 )
 from .generators import (
     GaussianGenerator,
     LindbladData,
-    WhiteNoiseData,
     cp_check_generator,
     from_lindblad,
-    from_white_noise,
     propagate_moments,
     semigroup_arrays,
     semigroup_channel,
@@ -69,11 +63,9 @@ from .gauging import (
     GaugingResult,
     SemigroupGaugingResult,
     SmoothingMap,
-    SpectrumCheck,
     default_gauge_times,
     gauge_channel,
     gauge_semigroup,
-    similarity_spectrum_check,
 )
 from .spectral import (
     AdditiveSpectrum,
@@ -92,18 +84,14 @@ from .models import (
     IsotropicDiffusion,
     NmFamilyParams,
     SqueezedReservoirParams,
-    critical_oscillator,
     drift_tensor,
-    ep_free_catalog,
     memory_factor,
     nm_channel,
     nm_diffusion,
     nm_drift,
     nm_ep_gauge,
-    quadrature_diffusion_channel,
     squeezed_drift_eigenvalues,
     squeezed_ep_gauge,
-    squeezed_general_gauge,
     squeezed_generator,
     squeezed_jump_row,
     squeezed_lindblad_data,

@@ -21,7 +21,7 @@ import functools
 import json
 import sys
 
-from .errors import GaussGaugeError
+from .errors import DimensionError, GaussGaugeError
 from .sweeps import (
     DIFFUSION_CHOICES,
     EP_GAP_TOL,
@@ -41,12 +41,17 @@ from .verify import FAULT_CHOICES, run_verification
 _MODEL_FLAGS = sorted(MODEL_DEFAULTS)
 
 
-def _parse_grid(text):
+def _grid(text):
+    """GridSpec of a 'lo:hi:count' spec; a bad spec raises GaussGaugeError or ValueError."""
     parts = text.split(":")
     if len(parts) != 3:
-        raise argparse.ArgumentTypeError("grid spec must be lo:hi:count")
+        raise DimensionError("grid spec must be lo:hi:count")
+    return GridSpec(float(parts[0]), float(parts[1]), int(parts[2]))
+
+
+def _parse_grid(text):
     try:
-        return GridSpec(float(parts[0]), float(parts[1]), int(parts[2]))
+        return _grid(text)
     except (ValueError, GaussGaugeError) as exc:
         raise argparse.ArgumentTypeError(str(exc))
 
@@ -125,7 +130,7 @@ def _merge_config(args):
     settings = {}
     for key, value in file_values.items():
         if key.startswith("grid."):
-            grids[key.split(".", 1)[1]] = _parse_grid(value)
+            grids[key.split(".", 1)[1]] = _grid(value)
         elif key in MODEL_DEFAULTS:
             model[key] = float(value)
         elif key in {"format", "fmt"}:

@@ -19,12 +19,8 @@ class DegenerateSpectrumError(GaussGaugeError):
     """A matrix lacks the spectral structure the operation needs (e.g. a zero nilpotent part)."""
 
 
-class NotGaugeableError(GaussGaugeError):
-    """Displacement cannot be removed: I - X is singular."""
-
-
 class PhysicalityError(GaussGaugeError):
-    """Input state or bath covariance violates the uncertainty constraint."""
+    """A model channel violates complete positivity, or its diffusion target is not positive."""
 
 
 class DegenerateModelError(GaussGaugeError):

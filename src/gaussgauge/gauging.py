@@ -19,7 +19,6 @@ from .errors import StabilityError
 from .generators import semigroup_arrays
 from .matrix_equations import GaugeCovariance, solve_lyapunov, solve_stein
 from .phase_space import GaussianChannel, compose
-from .spectral import JordanReport, jordan_structure
 
 
 @dataclass(frozen=True)
@@ -113,36 +112,4 @@ def gauge_semigroup(generator, times=None):
         times=times,
         residuals=residuals,
         max_residual=float(residuals.max()) if residuals.size else 0.0,
-    )
-
-
-@dataclass(frozen=True)
-class SpectrumCheck:
-    """Isospectrality evidence for a gauging transform."""
-
-    x_bitwise_unchanged: bool
-    delta_bitwise_unchanged: bool
-    eigenvalue_deviation: float
-    jordan_before: JordanReport
-    jordan_after: JordanReport
-
-    @property
-    def jordan_match(self):
-        return (
-            self.jordan_before.defective == self.jordan_after.defective
-            and self.jordan_before.block_sizes == self.jordan_after.block_sizes
-        )
-
-
-def similarity_spectrum_check(channel):
-    """Verify that gauging leaves the drift (hence spectrum and Jordan data) alone."""
-    result = gauge_channel(channel)
-    before = np.sort_complex(np.linalg.eigvals(channel.X))
-    after = np.sort_complex(np.linalg.eigvals(result.gauged.X))
-    return SpectrumCheck(
-        x_bitwise_unchanged=bool(np.array_equal(channel.X, result.gauged.X)),
-        delta_bitwise_unchanged=bool(np.array_equal(channel.delta, result.gauged.delta)),
-        eigenvalue_deviation=float(np.max(np.abs(before - after))),
-        jordan_before=jordan_structure(channel.X),
-        jordan_after=jordan_structure(result.gauged.X),
     )

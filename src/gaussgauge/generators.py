@@ -1,13 +1,12 @@
 """Continuous-time Gaussian generators (A, D, u) and their finite-time channels.
 
-Moment dynamics: dd/dt = A d + u, dV/dt = A V + V A^T + D. Builders accept
-either linear Lindblad data (A = Sigma(H + Im C^dag C), D = Sigma Re(C^dag C)
-Sigma^T, u = Sigma f) or a white-noise system-bath model
-(A = Sigma H_S + (1/2) Sigma C Sigma_in C^T, D = Sigma C sigma_in C^T Sigma^T).
-`semigroup_arrays` extracts the finite-time maps (X_t, Y_t, delta_t) of any
-drift on a whole time grid in one stacked pass of scaled Van Loan block
-exponentials and repeated doubling, so that Y_t never passes through a
-Lyapunov solution; `semigroup_channel` is that pass at one time.
+Moment dynamics: dd/dt = A d + u, dV/dt = A V + V A^T + D. `from_lindblad`
+builds the generator of linear Lindblad data (A = Sigma(H + Im C^dag C),
+D = Sigma Re(C^dag C) Sigma^T, u = Sigma f). `semigroup_arrays` extracts
+the finite-time maps (X_t, Y_t, delta_t) of any drift on a whole time grid
+in one stacked pass of scaled Van Loan block exponentials and repeated
+doubling, so that Y_t never passes through a Lyapunov solution;
+`semigroup_channel` is that pass at one time.
 `propagate_moments` integrates the ODEs directly as an independent oracle.
 scipy is imported at first use, by `semigroup_arrays`.
 """
@@ -17,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, NumericalOverflowError, PhysicalityError, require_finite
+from .errors import DimensionError, NumericalOverflowError, require_finite
 from .matrix_equations import _exponentials
 from .phase_space import (
     CpMethod,
@@ -102,7 +101,7 @@ def from_lindblad(data, ordering=Ordering.GROUPED):
     u = Sigma f, with C the stacked jump rows.
     """
     n = data.H.shape[0] // 2
-    sigma = symplectic_form(n, ordering).matrix
+    sigma = symplectic_form(n, ordering)
     if data.jump_rows:
         c = np.array(data.jump_rows)
         cdc = data.rate * (c.conj().T @ c)
@@ -113,69 +112,10 @@ def from_lindblad(data, ordering=Ordering.GROUPED):
     return GaussianGenerator(A=a, D=0.5 * (d + d.T), u=sigma @ data.f, ordering=ordering)
 
 
-@dataclass(frozen=True)
-class WhiteNoiseData:
-    """System-bath white-noise model: H_S, drive u, coupling C, bath state.
-
-    sigma_in is the stationary bath covariance (2M x 2M) and bath_form its
-    symplectic form; it must satisfy sigma_in + (i/2) Sigma_in >= 0.
-    """
-
-    H_S: np.ndarray
-    u: np.ndarray
-    C: np.ndarray
-    sigma_in: np.ndarray
-    bath_form: np.ndarray = None
-
-    def __post_init__(self):
-        hs = np.asarray(self.H_S, dtype=float)
-        u = np.asarray(self.u, dtype=float)
-        c = np.asarray(self.C, dtype=float)
-        s_in = np.asarray(self.sigma_in, dtype=float)
-        if hs.ndim != 2 or hs.shape[0] != hs.shape[1] or hs.shape[0] % 2 != 0:
-            raise DimensionError(f"H_S must be square/even, got {hs.shape}")
-        if c.ndim != 2 or c.shape[0] != hs.shape[0] or c.shape[1] % 2 != 0:
-            raise DimensionError(f"coupling shape {c.shape} does not match H_S {hs.shape}")
-        if s_in.shape != (c.shape[1], c.shape[1]):
-            raise DimensionError(f"bath covariance shape {s_in.shape} does not match C")
-        form = self.bath_form
-        if form is None:
-            form = symplectic_form(c.shape[1] // 2, Ordering.GROUPED).matrix
-        form = np.asarray(form, dtype=float)
-        if form.shape != s_in.shape:
-            raise DimensionError("bath symplectic form shape mismatch")
-        object.__setattr__(self, "H_S", hs)
-        object.__setattr__(self, "u", u)
-        object.__setattr__(self, "C", c)
-        object.__setattr__(self, "sigma_in", s_in)
-        object.__setattr__(self, "bath_form", form)
-
-
-def from_white_noise(data, unchecked=False, ordering=Ordering.GROUPED):
-    """Markov-limit generator of a bilinear system-bath model.
-
-    A = Sigma H_S + (1/2) Sigma C Sigma_in C^T and
-    D = Sigma C sigma_in C^T Sigma^T; the drive u passes through. Unphysical
-    bath covariances are rejected unless `unchecked`.
-    """
-    if not unchecked:
-        z = data.sigma_in + 0.5j * data.bath_form
-        margin = float(np.linalg.eigvalsh(z).min())
-        if margin < -1e-10 * (1.0 + float(np.max(np.abs(data.sigma_in)))):
-            raise PhysicalityError(
-                f"bath covariance violates the uncertainty principle (margin {margin:.3e})"
-            )
-    n = data.H_S.shape[0] // 2
-    sigma = symplectic_form(n, ordering).matrix
-    a = sigma @ data.H_S + 0.5 * sigma @ data.C @ data.bath_form @ data.C.T
-    d = sigma @ data.C @ data.sigma_in @ data.C.T @ sigma.T
-    return GaussianGenerator(A=a, D=0.5 * (d + d.T), u=data.u, ordering=ordering)
-
-
 def cp_check_generator(generator, rel_tol=1e-10):
     """Least eigenvalue of D + (i/2)(A Sigma + Sigma A^T), the generator-level
     complete-positivity matrix."""
-    sigma = symplectic_form(generator.modes, generator.ordering).matrix
+    sigma = symplectic_form(generator.modes, generator.ordering)
     z = generator.D + 0.5j * (generator.A @ sigma + sigma @ generator.A.T)
     tol = rel_tol * (1.0 + float(np.max(np.abs(z))))
     margin = float(np.linalg.eigvalsh(z).min())

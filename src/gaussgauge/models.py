@@ -1,19 +1,18 @@
-"""Concrete single-mode families: squeezed reservoir, non-Markovian maps, EP-free catalog.
+"""Concrete single-mode families: squeezed reservoir, non-Markovian maps, thermal loss.
 
 The squeezed-reservoir Lindbladian has drift A = [[-k/2, D-e], [-(D+e), -k/2]]
 with an exceptional point exactly on D^2 = e^2 (e != 0) and a phase-sensitive
-diffusion; its Lyapunov gauge covariance has closed forms, both off the EP
-manifold and on each EP branch. The EP-branch covariance entries
-(`squeezed_ep_entries`) and the drift eigenvalues
-(`squeezed_eigenvalue_entries`) take floats or whole grids: the scalar API
-(`squeezed_ep_gauge`, `squeezed_drift_eigenvalues`) and the `squeezed-gauge`
-and `drift-eigs` sweeps share them bit for bit. The non-Markovian family
-X_t = kappa(t) e^{tB} with memory factor kappa(t) = exp(-gamma t + r sin(nu t))
-(gamma > 0 and 0 < r < gamma/nu, so kappa(t) < 1) is defective on the lines
-lambda = +-omega, where the Stein covariance follows from the Jordan closed
-form for three diffusion structures. The catalog collects standard
-channels that cannot have EPs (drift proportional to the identity) plus the
-critically damped oscillator that always does.
+diffusion; its Lyapunov gauge covariance has a closed form on each EP
+branch. The EP-branch covariance entries (`squeezed_ep_entries`) and the
+drift eigenvalues (`squeezed_eigenvalue_entries`) take floats or whole
+grids: the scalar API (`squeezed_ep_gauge`, `squeezed_drift_eigenvalues`)
+and the `squeezed-gauge` and `drift-eigs` sweeps share them bit for bit. The
+non-Markovian family X_t = kappa(t) e^{tB} with memory factor
+kappa(t) = exp(-gamma t + r sin(nu t)) (gamma > 0 and 0 < r < gamma/nu, so
+kappa(t) < 1) is defective on the lines lambda = +-omega, where the Stein
+covariance follows from the Jordan closed form for three diffusion
+structures. The thermal attenuator, whose drift is proportional to the
+identity, is the standard channel that cannot have an EP.
 """
 
 import math
@@ -29,7 +28,7 @@ from .errors import (
     PhysicalityError,
     StabilityError,
 )
-from .generators import GaussianGenerator, LindbladData, semigroup_channel
+from .generators import GaussianGenerator, LindbladData
 from .matrix_equations import (
     GaugeCovariance,
     GaugeSource,
@@ -136,34 +135,6 @@ def squeezed_eigenvalue_entries(kappa, delta, epsilon):
     disc = _elementwise(math.pow, epsilon, 2.0) - _elementwise(math.pow, delta, 2.0)
     root = np.sqrt(np.asarray(disc, dtype=complex))
     return -0.5 * kappa - root, -0.5 * kappa + root
-
-
-def _squeezed_is_hurwitz(params):
-    gap = params.epsilon**2 - params.delta**2
-    return gap <= 0 or params.kappa > 2.0 * math.sqrt(gap)
-
-
-def squeezed_general_gauge(params):
-    """Off-manifold closed form of the Lyapunov gauge covariance.
-
-    s_qp = (k D_qp + (delta-eps) D_pp - (delta+eps) D_qq) / (k^2 + 4(delta^2-eps^2)),
-    then s_qq = D_qq/k + 2(delta-eps) s_qp / k and
-    s_pp = D_pp/k - 2(delta+eps) s_qp / k.
-    """
-    if not _squeezed_is_hurwitz(params):
-        raise StabilityError("drift not Hurwitz: kappa <= 2 sqrt(eps^2 - delta^2)")
-    k, dlt, eps = params.kappa, params.delta, params.epsilon
-    gen = squeezed_generator(params)
-    dqq, dqp, dpp = gen.D[0, 0], gen.D[0, 1], gen.D[1, 1]
-    s_qp = (k * dqp + (dlt - eps) * dpp - (dlt + eps) * dqq) / (
-        k * k + 4.0 * (dlt * dlt - eps * eps)
-    )
-    s_qq = dqq / k + 2.0 * (dlt - eps) * s_qp / k
-    s_pp = dpp / k - 2.0 * (dlt + eps) * s_qp / k
-    s = np.array([[s_qq, s_qp], [s_qp, s_pp]])
-    return GaugeCovariance(
-        S=s, source=GaugeSource.LYAPUNOV, residual=lyapunov_residual(gen.A, s, gen.D)
-    )
 
 
 def squeezed_ep_gauge(params, branch):
@@ -366,7 +337,7 @@ def nm_ep_gauge(params, t, branch):
 
 
 # ---------------------------------------------------------------------------
-# EP-free catalog (and the critically damped counterexample)
+# Thermal attenuator
 # ---------------------------------------------------------------------------
 
 
@@ -381,46 +352,3 @@ def thermal_loss_channel(eta, nbar=0.0):
         Y=0.5 * (1.0 - eta) * (2.0 * nbar + 1.0) * np.eye(2),
         delta=np.zeros(2),
     )
-
-
-def quadrature_diffusion_channel(sigma2):
-    """Pure quadrature diffusion (I, diag(0, sigma^2), 0); X = I, never defective."""
-    if sigma2 < 0:
-        raise DimensionError("diffusion strength sigma^2 must be nonnegative")
-    return GaussianChannel(X=np.eye(2), Y=np.diag([0.0, sigma2]), delta=np.zeros(2))
-
-
-def critical_oscillator(omega0, t=None):
-    """Critically damped oscillator: defective drift for every t > 0.
-
-    Generator A = -omega0 I + N with N the upper nilpotent, so
-    X_t = e^{-omega0 t}(I + t N). The diffusion D = omega0 I is the minimal
-    isotropic choice satisfying the generator CP constraint with margin 0.
-    """
-    if omega0 <= 0:
-        raise DimensionError("oscillator frequency omega0 must be positive")
-    nilp = np.array([[0.0, 1.0], [0.0, 0.0]])
-    gen = GaussianGenerator(
-        A=-omega0 * np.eye(2) + nilp, D=omega0 * np.eye(2), u=np.zeros(2)
-    )
-    if t is None:
-        return gen
-    return semigroup_channel(gen, t)
-
-
-_CATALOG = {
-    "thermal-loss": thermal_loss_channel,
-    "quadrature-diffusion": quadrature_diffusion_channel,
-    "critical-oscillator": critical_oscillator,
-}
-
-
-def ep_free_catalog(name, t=None, **params):
-    """Dispatch into the catalog by name; `t` only applies to the oscillator."""
-    try:
-        builder = _CATALOG[name]
-    except KeyError:
-        raise DimensionError(f"unknown catalog entry {name!r}; choose from {sorted(_CATALOG)}")
-    if name == "critical-oscillator":
-        return builder(t=t, **params)
-    return builder(**params)

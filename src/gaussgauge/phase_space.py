@@ -7,12 +7,12 @@ are supported: grouped (q1..qN, p1..pN), the internal canonical one, and
 interleaved (q1, p1, ..., qN, pN); `reorder` converts between them.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .errors import DimensionError, NotGaugeableError, require_finite
+from .errors import DimensionError, require_finite
 from .onemode import cp_margin_entries
 
 
@@ -38,23 +38,11 @@ def _check_even(dim, what):
     return dim // 2
 
 
-@dataclass(frozen=True)
-class SymplecticForm:
-    """Antisymmetric form encoding the canonical commutation relations."""
-
-    modes: int
-    ordering: Ordering
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "matrix", _freeze(self.matrix))
-
-
 def symplectic_form(modes, ordering=Ordering.GROUPED):
     """Symplectic form for `modes` bosonic modes in the requested ordering.
 
     Grouped gives the block form [[0, I], [-I, 0]]; interleaved the direct sum
-    of N copies of [[0, 1], [-1, 0]].
+    of N copies of [[0, 1], [-1, 0]]. The returned array is read-only.
     """
     if modes < 1:
         raise DimensionError(f"mode count must be >= 1, got {modes}")
@@ -68,7 +56,8 @@ def symplectic_form(modes, ordering=Ordering.GROUPED):
         for i in range(n):
             m[2 * i, 2 * i + 1] = 1.0
             m[2 * i + 1, 2 * i] = -1.0
-    return SymplecticForm(modes=n, ordering=ordering, matrix=m)
+    m.setflags(write=False)
+    return m
 
 
 def interleaving_permutation(modes):
@@ -135,16 +124,6 @@ class MomentState:
 def vacuum_state(modes):
     """Vacuum: d = 0, V = I/2 (dimensionless quadrature units)."""
     return MomentState(d=np.zeros(2 * modes), V=0.5 * np.eye(2 * modes))
-
-
-def uncertainty_margin(state, ordering=Ordering.GROUPED):
-    """Least eigenvalue of V + (i/2) Sigma (Robertson-Schrodinger margin).
-
-    Nonnegative within tolerance for physical states.
-    """
-    sigma = symplectic_form(state.modes, ordering).matrix
-    z = state.V + 0.5j * sigma
-    return float(np.linalg.eigvalsh(z).min())
 
 
 @dataclass(frozen=True)
@@ -237,7 +216,7 @@ class CpReport:
 
 def cp_matrix(channel):
     """Hermitian CP matrix Y + (i/2)(Sigma - X Sigma X^T)."""
-    sigma = symplectic_form(channel.modes, channel.ordering).matrix
+    sigma = symplectic_form(channel.modes, channel.ordering)
     return channel.Y + 0.5j * (sigma - channel.X @ sigma @ channel.X.T)
 
 
@@ -261,34 +240,3 @@ def cp_check(channel, method=None, rel_tol=1e-10):
         y11, y12, _, y22 = channel.Y.ravel().tolist()
         margin, tol = cp_margin_entries(*channel.X.ravel().tolist(), y11, y12, y22, rel_tol)
     return CpReport(passes=margin >= -tol, margin=margin, method=method, tolerance=tol)
-
-
-@dataclass(frozen=True)
-class DisplacementGauge:
-    """Result of removing the displacement by Weyl conjugation."""
-
-    channel: GaussianChannel
-    chi: np.ndarray = field(repr=False)
-    condition_number: float = float("nan")
-
-
-def displacement_gauge(channel, rel_tol=1e-12):
-    """Conjugate by the displacement chi = -(I - X)^{-1} delta so delta -> 0.
-
-    X and Y are untouched; raises NotGaugeableError when I - X is singular
-    (X has eigenvalue 1).
-    """
-    n2 = channel.X.shape[0]
-    m = np.eye(n2) - channel.X
-    svals = np.linalg.svd(m, compute_uv=False)
-    if svals[-1] <= rel_tol * max(svals[0], 1.0):
-        raise NotGaugeableError("I - X is singular within tolerance; displacement not gaugeable")
-    chi = -np.linalg.solve(m, channel.delta)
-    gauged = GaussianChannel(
-        X=channel.X,
-        Y=channel.Y,
-        delta=np.zeros(n2),
-        ordering=channel.ordering,
-        physical=channel.physical,
-    )
-    return DisplacementGauge(channel=gauged, chi=chi, condition_number=float(svals[0] / svals[-1]))

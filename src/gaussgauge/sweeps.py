@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__
-from .errors import DimensionError, PhysicalityError, StabilityError
+from .errors import DimensionError, NonFiniteInputError, PhysicalityError, StabilityError
 from .matrix_equations import solve_stein
 from .models import (
     AnisotropicDiffusion,
@@ -85,6 +85,8 @@ class GridSpec:
     def __post_init__(self):
         if self.count < 2:
             raise DimensionError("grid count must be >= 2")
+        if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
+            raise NonFiniteInputError(f"grid bounds must be finite, got {self.as_meta()}")
         if not self.lo < self.hi:
             raise DimensionError("grid needs lo < hi")
 
@@ -106,6 +108,12 @@ class SweepConfig:
     fmt: str = "csv"
     out: str = None
     ep_gap_tol: float = EP_GAP_TOL
+
+    def __post_init__(self):
+        # one check for flags and config-file lines alike, before any table is built
+        for name, value in (*self.model.items(), ("ep_gap_tol", self.ep_gap_tol)):
+            if not math.isfinite(float(value)):
+                raise NonFiniteInputError(f"{name} must be finite, got {value}")
 
     def param(self, name):
         return float(self.model.get(name, MODEL_DEFAULTS[name]))

@@ -127,9 +127,15 @@ def eigenvalue_multiset_distance(a, b):
     if not a.size:
         return 0.0
     cost = np.abs(a[:, None] - b[None, :])
+    row_ends = np.arange(a.size + 1)
 
     def pairs(level):
-        return bool(np.all(maximum_bipartite_matching(csr_array(cost <= level)) >= 0))
+        # CSR straight from the row-major nonzero indices: scipy's conversion
+        # of the dense boolean mask costs more than the matching itself
+        rows, cols = np.nonzero(cost <= level)
+        indptr = np.searchsorted(rows, row_ends)
+        graph = csr_array((np.ones(cols.size, dtype=bool), cols, indptr), shape=cost.shape)
+        return bool(np.all(maximum_bipartite_matching(graph) >= 0))
 
     floor = max(cost.min(axis=1).max(), cost.min(axis=0).max())
     if pairs(floor):
@@ -316,7 +322,7 @@ def _suite_composition(rng, fault):
 
 
 def _suite_one_mode_identities(rng, fault):
-    sigma = symplectic_form(1).matrix
+    sigma = symplectic_form(1)
     worst_id = 0.0
     disagreements = 0
     n = 1000

@@ -18,11 +18,8 @@ from gaussgauge import (
     default_gauge_times,
     gauge_channel,
     gauge_semigroup,
-    nm_channel,
-    NmFamilyParams,
     NonFiniteInputError,
     semigroup_channel,
-    similarity_spectrum_check,
     squeezed_generator,
     SqueezedReservoirParams,
     thermal_loss_channel,
@@ -233,27 +230,3 @@ class TestGaugeSemigroup:
         y_2h = semigroup_channel(gen, 2 * h).Y
         derivative = (4.0 * y_h - y_2h) / (2.0 * h)
         npt.assert_allclose(derivative, gen.D, atol=1e-6)
-
-
-class TestSimilaritySpectrumCheck:
-    def test_drift_bitwise_for_random_channels(self, rng):
-        for _ in range(100):
-            modes = int(rng.integers(1, 4))
-            report = similarity_spectrum_check(random_stable_channel(rng, modes))
-            assert report.x_bitwise_unchanged
-            assert report.delta_bitwise_unchanged
-            assert report.eigenvalue_deviation <= 1e-13
-            assert report.jordan_match
-
-    def test_defective_verdict_preserved_on_ep_channel(self):
-        params = NmFamilyParams(lam=0.7, omega=0.7)
-        ch = nm_channel(params, 1.0)
-        report = similarity_spectrum_check(ch)
-        assert report.jordan_before.defective
-        assert report.jordan_after.defective
-        assert report.jordan_match
-
-    def test_identity_like_channel_not_defective(self):
-        report = similarity_spectrum_check(thermal_loss_channel(0.7, 0.1))
-        assert not report.jordan_before.defective
-        assert report.jordan_match

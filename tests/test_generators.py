@@ -13,16 +13,11 @@ from gaussgauge import (
     MomentState,
     NonFiniteInputError,
     NumericalOverflowError,
-    Ordering,
-    PhysicalityError,
-    WhiteNoiseData,
     apply_channel,
     compose,
     cp_check_generator,
     from_lindblad,
-    from_white_noise,
     propagate_moments,
-    reorder,
     semigroup_arrays,
     semigroup_channel,
     solve_lyapunov,
@@ -30,7 +25,7 @@ from gaussgauge import (
 )
 from gaussgauge.verify import random_hurwitz, random_physical_generator, random_psd, random_state
 
-SIGMA = symplectic_form(1).matrix
+SIGMA = symplectic_form(1)
 ROTATION = np.array([[0.0, 1.0], [-1.0, 0.0]])
 NILPOTENT = np.array([[0.0, 1.0], [0.0, 0.0]])
 
@@ -72,80 +67,14 @@ class TestFromLindblad:
             gen = random_physical_generator(rng, modes)
             assert cp_check_generator(gen).passes
 
-
-class TestFromWhiteNoise:
-    def test_thermal_damping(self):
+    def test_thermal_pair_closed_form(self):
+        # damping at rate kappa into a bath at occupation nbar
         kappa, nbar = 0.8, 0.4
-        data = WhiteNoiseData(
-            H_S=np.zeros((2, 2)),
-            u=np.zeros(2),
-            C=np.sqrt(kappa) * np.eye(2),
-            sigma_in=0.5 * (2 * nbar + 1) * np.eye(2),
-        )
-        gen = from_white_noise(data)
-        npt.assert_allclose(gen.A, -0.5 * kappa * np.eye(2), atol=1e-15)
-        npt.assert_allclose(gen.D, 0.5 * kappa * (2 * nbar + 1) * np.eye(2), atol=1e-15)
-
-    def test_matches_lindblad_thermal_pair(self):
-        kappa, nbar = 0.8, 0.4
-        data = WhiteNoiseData(
-            H_S=np.zeros((2, 2)),
-            u=np.zeros(2),
-            C=np.sqrt(kappa) * np.eye(2),
-            sigma_in=0.5 * (2 * nbar + 1) * np.eye(2),
-        )
-        via_bath = from_white_noise(data)
-        via_jumps = from_lindblad(
+        gen = from_lindblad(
             LindbladData(H=np.zeros((2, 2)), jump_rows=thermal_jump_rows(kappa, nbar))
         )
-        npt.assert_allclose(via_bath.A, via_jumps.A, atol=1e-13)
-        npt.assert_allclose(via_bath.D, via_jumps.D, atol=1e-13)
-
-    def test_decoupled_bath(self, rng):
-        h = random_psd(rng, 2)
-        data = WhiteNoiseData(H_S=h, u=np.zeros(2), C=np.zeros((2, 2)), sigma_in=0.5 * np.eye(2))
-        gen = from_white_noise(data)
-        npt.assert_allclose(gen.A, SIGMA @ h, atol=1e-15)
-        npt.assert_array_equal(gen.D, np.zeros((2, 2)))
-
-    def test_ordering_covariance(self, rng):
-        # same physical data expressed in interleaved ordering, then reordered
-        modes, bath_modes = 2, 1
-        h = random_psd(rng, 2 * modes)
-        c = rng.standard_normal((2 * modes, 2 * bath_modes))
-        sigma_in = random_psd(rng, 2 * bath_modes) + np.eye(2 * bath_modes)
-        grouped = from_white_noise(
-            WhiteNoiseData(H_S=h, u=np.zeros(2 * modes), C=c, sigma_in=sigma_in)
-        )
-        h_r = reorder(h, Ordering.GROUPED, Ordering.INTERLEAVED)
-        # rows of C transform with the system permutation; bath is one mode
-        p = np.zeros((2 * modes, 2 * modes))
-        for i in range(modes):
-            p[i, 2 * i] = 1.0
-            p[modes + i, 2 * i + 1] = 1.0
-        c_r = p.T @ c
-        inter = from_white_noise(
-            WhiteNoiseData(H_S=h_r, u=np.zeros(2 * modes), C=c_r, sigma_in=sigma_in),
-            ordering=Ordering.INTERLEAVED,
-        )
-        npt.assert_array_equal(
-            reorder(inter.A, Ordering.INTERLEAVED, Ordering.GROUPED), grouped.A
-        )
-        npt.assert_array_equal(
-            reorder(inter.D, Ordering.INTERLEAVED, Ordering.GROUPED), grouped.D
-        )
-
-    def test_unphysical_bath_rejected(self):
-        data = WhiteNoiseData(
-            H_S=np.zeros((2, 2)),
-            u=np.zeros(2),
-            C=np.eye(2),
-            sigma_in=0.1 * np.eye(2),  # below the vacuum floor
-        )
-        with pytest.raises(PhysicalityError):
-            from_white_noise(data)
-        gen = from_white_noise(data, unchecked=True)
-        assert not cp_check_generator(gen).passes
+        npt.assert_allclose(gen.A, -0.5 * kappa * np.eye(2), atol=1e-15)
+        npt.assert_allclose(gen.D, 0.5 * kappa * (2 * nbar + 1) * np.eye(2), atol=1e-15)
 
 
 class TestGeneratorCp:
@@ -167,6 +96,16 @@ class TestGeneratorCp:
         report = cp_check_generator(gen)
         assert not report.passes
         assert report.margin == pytest.approx(-0.5 * kappa, abs=1e-14)
+
+    def test_critically_damped_drift_margin_zero(self):
+        # critically damped oscillator: the defective drift -omega0 I + N with
+        # the minimal isotropic diffusion omega0 I sits exactly on the CP boundary
+        omega0 = 0.7
+        gen = GaussianGenerator(A=-omega0 * np.eye(2) + NILPOTENT, D=omega0 * np.eye(2),
+                                u=np.zeros(2))
+        report = cp_check_generator(gen)
+        assert report.passes
+        assert report.margin == pytest.approx(0.0, abs=1e-12)
 
 
 class TestSemigroupChannel:

@@ -7,29 +7,25 @@ import pytest
 from gaussgauge import (
     AnisotropicDiffusion,
     DegenerateModelError,
+    DimensionError,
     DriftAlignedDiffusion,
     EpBranch,
     GaugeSource,
     IsotropicDiffusion,
     NmFamilyParams,
     SqueezedReservoirParams,
-    StabilityError,
     compose,
     cp_check,
     cp_check_generator,
-    critical_oscillator,
-    ep_free_catalog,
     from_lindblad,
     jordan_structure,
     memory_factor,
     nm_channel,
     nm_ep_gauge,
-    quadrature_diffusion_channel,
     solve_lyapunov,
     solve_stein,
     squeezed_drift_eigenvalues,
     squeezed_ep_gauge,
-    squeezed_general_gauge,
     squeezed_generator,
     squeezed_lindblad_data,
     stein_series,
@@ -103,44 +99,6 @@ class TestSqueezedEpGauge:
                 SqueezedReservoirParams(p.kappa, sign * p.epsilon, p.epsilon, p.r, p.phi)
             )
             npt.assert_allclose(closed.S, solve_lyapunov(gen.A, gen.D).S, atol=1e-10)
-
-
-class TestSqueezedGeneralGauge:
-    def test_qp_entry_without_squeezing(self, rng):
-        for _ in range(50):
-            kappa = rng.uniform(0.5, 4.0)
-            delta = rng.uniform(-2.0, 2.0)
-            eps = rng.uniform(-0.9, 0.9) * min(1.0, abs(delta) + 0.3)
-            p = SqueezedReservoirParams(kappa=kappa, delta=delta, epsilon=eps, r=0.0)
-            cov = squeezed_general_gauge(p)
-            expected = -eps * kappa / (kappa**2 + 4.0 * (delta**2 - eps**2))
-            assert cov.S[0, 1] == pytest.approx(expected, abs=1e-12)
-
-    def test_reduces_to_ep_branch_on_manifold(self, rng):
-        for _ in range(20):
-            p = random_squeezed_params(rng)
-            on_branch = SqueezedReservoirParams(p.kappa, p.epsilon, p.epsilon, p.r, p.phi)
-            npt.assert_allclose(
-                squeezed_general_gauge(on_branch).S,
-                squeezed_ep_gauge(p, EpBranch.PLUS).S,
-                atol=1e-12,
-            )
-
-    def test_residual_bound(self, rng):
-        for _ in range(200):
-            p = random_squeezed_params(rng)
-            if p.epsilon**2 > p.delta**2 and p.kappa <= 2.0 * math.sqrt(
-                p.epsilon**2 - p.delta**2
-            ):
-                with pytest.raises(StabilityError):
-                    squeezed_general_gauge(p)
-                continue
-            assert squeezed_general_gauge(p).residual <= 1e-10
-
-    def test_non_hurwitz_rejected(self):
-        p = SqueezedReservoirParams(kappa=0.5, delta=0.0, epsilon=2.0)
-        with pytest.raises(StabilityError):
-            squeezed_general_gauge(p)
 
 
 class TestNmChannel:
@@ -252,44 +210,17 @@ class TestNmEpGauge:
             assert all(memory_factor(params, t) < 1.0 for t in times)
 
 
-class TestEpFreeCatalog:
-    def test_thermal_loss_never_defective(self):
+class TestThermalLossChannel:
+    def test_never_defective_and_cp(self):
         ch = thermal_loss_channel(0.5, 0.0)
         assert not jordan_structure(ch.X).defective
         assert cp_check(ch).passes
 
-    def test_quadrature_diffusion(self):
-        ch = quadrature_diffusion_channel(1.0)
-        assert not jordan_structure(ch.X).defective
-        report = cp_check(ch)
-        assert report.passes
-        assert report.margin == pytest.approx(0.0, abs=1e-15)  # det X = 1, det Y = 0
-
-    def test_critical_oscillator_channel(self):
-        ch = critical_oscillator(1.0, t=1.0)
-        expected = math.exp(-1.0) * (np.eye(2) + np.array([[0.0, 1.0], [0.0, 0.0]]))
-        npt.assert_allclose(ch.X, expected, atol=1e-12)
-        assert jordan_structure(ch.X).defective
-
-    def test_critical_oscillator_generator_cp_minimal(self):
-        gen = critical_oscillator(0.7)
-        report = cp_check_generator(gen)
-        assert report.passes
-        assert report.margin == pytest.approx(0.0, abs=1e-12)
-
-    def test_dispatch(self):
-        ch = ep_free_catalog("thermal-loss", eta=0.3, nbar=0.2)
-        npt.assert_allclose(ch.X, math.sqrt(0.3) * np.eye(2), atol=1e-15)
-        with pytest.raises(Exception):
-            ep_free_catalog("unknown-entry")
-
     def test_parameter_ranges(self):
-        with pytest.raises(Exception):
+        with pytest.raises(DimensionError):
             thermal_loss_channel(1.5)
-        with pytest.raises(Exception):
-            quadrature_diffusion_channel(-1.0)
-        with pytest.raises(Exception):
-            critical_oscillator(0.0)
+        with pytest.raises(DimensionError):
+            thermal_loss_channel(0.5, -0.1)
 
 
 class TestEpGeometry:

@@ -32,13 +32,16 @@ def cfg(command, **kwargs):
 
 
 def test_grid_spec_validation():
-    from gaussgauge import DimensionError
+    from gaussgauge import DimensionError, NonFiniteInputError
     from gaussgauge.sweeps import GridSpec
 
     with pytest.raises(DimensionError):
         GridSpec(0.0, 1.0, 1)  # count < 2
     with pytest.raises(DimensionError):
         GridSpec(2.0, 1.0, 5)  # lo >= hi
+    for lo, hi in ((0.0, math.inf), (-math.inf, 1.0), (math.nan, 1.0)):
+        with pytest.raises(NonFiniteInputError):
+            GridSpec(lo, hi, 3)
 
 
 class TestDriftEigs:
@@ -336,6 +339,48 @@ class TestCli:
         assert self.run_cli([command, *flags]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
 
+    def assert_rejected_before_writing(self, argv, tmp_path, capsys, message):
+        """Exit 2 with `message` on stderr, nothing on stdout, no --out file."""
+        out = tmp_path / "o.csv"
+        for extra in ([], ["--out", str(out)]):
+            capsys.readouterr()
+            assert self.run_cli([*argv, *extra]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith(f"error: {message}")
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv, key",
+        [("nm-branch --t inf", "t"),
+         ("nm-branch --gamma inf", "gamma"),
+         ("nm-branch --alpha nan", "alpha"),
+         ("drift-eigs --kappa inf", "kappa"),
+         ("drift-eigs --ep-gap-tol inf", "ep_gap_tol")],
+    )
+    def test_non_finite_flags_rejected(self, argv, key, tmp_path, capsys):
+        self.assert_rejected_before_writing(
+            argv.split(), tmp_path, capsys, f"{key} must be finite")
+
+    @pytest.mark.parametrize(
+        "command, line, message",
+        [("nm-branch", "gamma = inf", "gamma must be finite"),
+         ("drift-eigs", "grid.delta = 0:inf:3", "grid bounds must be finite")],
+    )
+    def test_non_finite_config_lines_rejected(self, command, line, message, tmp_path, capsys):
+        config = tmp_path / "sweep.cfg"
+        config.write_text(line + "\n")
+        self.assert_rejected_before_writing(
+            [command, "--config", str(config)], tmp_path, capsys, message)
+
+    def test_non_finite_grid_flag_rejected(self, capsys):
+        with pytest.raises(SystemExit) as err:
+            self.run_cli(["drift-eigs", "--grid=0:inf:3"])
+        assert err.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "grid bounds must be finite" in captured.err
+
     def test_config_file_and_precedence(self, tmp_path):
         config = tmp_path / "sweep.cfg"
         config.write_text(
@@ -357,6 +402,9 @@ class TestCli:
         config.write_text("unknown_key = 1\n")
         assert self.run_cli(["drift-eigs", "--config", str(config)]) == 2
         config.write_text("kappa == oops\n")
+        assert self.run_cli(["drift-eigs", "--config", str(config)]) == 2
+        # a bad grid line is invalid configuration, like a bad --grid flag
+        config.write_text("grid.delta = 1:0:3\n")
         assert self.run_cli(["drift-eigs", "--config", str(config)]) == 2
 
     def test_bad_flag_usage_exits_two(self):
