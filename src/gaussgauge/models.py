@@ -37,7 +37,6 @@ from .matrix_equations import (
     lyapunov_residual,
     stein_jordan_closed_form,
 )
-from .onemode import _elementwise
 from .phase_space import CpMethod, GaussianChannel, cp_check
 
 
@@ -66,6 +65,20 @@ class SqueezedReservoirParams:
             raise DimensionError("kappa must be positive")
         if self.r < 0:
             raise DimensionError("squeezing magnitude r must be nonnegative")
+
+
+def _elementwise(fn, *args):
+    """A math-library function on floats, applied element by element to arrays.
+
+    The squeezed closed forms take their transcendentals this way, not as
+    numpy ufuncs (which differ from the math library in the last bits), so
+    that a table equals the math-library values bit for bit.
+    """
+    if np.ndarray not in map(type, args):
+        return fn(*args)
+    arrays = np.broadcast_arrays(*args) if len(args) > 1 else args
+    values = map(fn, *(a.ravel().tolist() for a in arrays))
+    return np.fromiter(values, float, arrays[0].size).reshape(arrays[0].shape)
 
 
 def _cosh_sinh(x):

@@ -7,16 +7,12 @@ route of `jordan_structure`) calls them on floats; the non-Markovian sweeps
 call them once on all points of a table. A float and the matching array
 element go through the same operations and round alike: + - * / round the
 same in Python and numpy, branches are selections, integer powers are written
-as products, and transcendentals come from the math library element by
-element (numpy's vectorized ones differ from it in the last bits). The
-squeezed-reservoir closed forms of `models` (`squeezed_ep_entries`, called
-by `squeezed_ep_gauge` and the `squeezed-gauge` sweep, and
-`squeezed_eigenvalue_entries`, called by `squeezed_drift_eigenvalues` and
-the `drift-eigs` sweep) take their math-library calls through the same
-`_elementwise`.
+as products, and transcendentals are numpy ufuncs, whose loops give a float
+the value they give it inside an array. Beyond the float range they give inf
+(NaN where an inf meets a zero), with numpy's warnings silenced; `expm2`
+turns a non-finite result into NumericalOverflowError, the sweeps flag the
+row.
 """
-
-import math
 
 import numpy as np
 
@@ -36,15 +32,6 @@ def _where(cond, a, b):
     return a if cond else b
 
 
-def _elementwise(fn, *args):
-    """A math-library function on floats, applied element by element to arrays."""
-    if np.ndarray not in map(type, args):
-        return fn(*args)
-    arrays = np.broadcast_arrays(*args) if len(args) > 1 else args
-    values = map(fn, *(a.ravel().tolist() for a in arrays))
-    return np.fromiter(values, float, arrays[0].size).reshape(arrays[0].shape)
-
-
 def _maximum(first, *rest):
     """Elementwise largest argument, taken as the builtin max takes it."""
     for value in rest:
@@ -52,30 +39,16 @@ def _maximum(first, *rest):
     return first
 
 
-# Beyond the float range the math library raises OverflowError; these return
-# NaN instead, so that one point cannot abort a whole grid. `expm2` turns a
-# non-finite result into NumericalOverflowError; the sweeps flag the row.
+def _projected(a, off, r, grow, decay):
+    """A diagonal entry ((1 + a/r) e^x + (1 - a/r) e^-x) / 2 of exp(x B0 / r).
 
-
-def _cosh_or_cos(x, hyperbolic):
-    try:
-        return math.cosh(x) if hyperbolic else math.cos(x)
-    except OverflowError:
-        return math.nan
-
-
-def _sinh_or_sin(x, hyperbolic):
-    try:
-        return math.sinh(x) if hyperbolic else math.sin(x)
-    except OverflowError:
-        return math.nan
-
-
-def _exp(x):
-    try:
-        return math.exp(x)
-    except OverflowError:
-        return math.nan
+    B0 = [[a, b12], [b21, -a]] has eigenvalues +-r, r^2 = a^2 + off with
+    off = b12 b21; grow = e^x, decay = e^-x. The coefficient 1 - |a|/r, which
+    vanishes with off, is taken as off / (r (r + |a|)), without cancellation.
+    """
+    big = 1.0 + abs(a) / r
+    small = off / (r * (r + abs(a)))
+    return 0.5 * _where(a >= 0.0, big * grow + small * decay, small * grow + big * decay)
 
 
 def expm2_entries(b11, b12, b21, b22, t):
@@ -85,23 +58,37 @@ def expm2_entries(b11, b12, b21, b22, t):
     hyperbolic for det B0 < 0 and trigonometric otherwise. Near x = 0 the
     ratios sinh(x)/x and sin(x)/x come from their Taylor series, which keeps
     them continuous through det B0 = 0, where a nilpotent B0 gives I + t B0
-    exactly. Entries beyond the float range come out NaN or infinite.
+    exactly. On the hyperbolic branch, where the diagonal c +- s a can cancel
+    (|a| <= 2r, r = sqrt(-det B0), and x past the series window), the
+    diagonal takes the spectral projector form e^x P+ + e^-x P- instead,
+    which keeps e^-x where cosh x - sinh x would lose it. For |a| > 2r, near
+    the EP, the projector's two terms would cancel instead, while c +- s a
+    loses at most a factor 3. Entries beyond the float range come out NaN or
+    infinite.
     """
-    half_tr = 0.5 * (b11 + b22)
-    a11 = b11 - half_tr
-    a22 = b22 - half_tr
-    det0 = a11 * a22 - b12 * b21
-    hyperbolic = det0 < 0.0
-    x = _elementwise(math.sqrt, abs(det0)) * t
-    c = _elementwise(_cosh_or_cos, x, hyperbolic)
-    odd = _elementwise(_sinh_or_sin, x, hyperbolic)
-    small = abs(x) < _SMALL_X
-    x2 = x * x
-    series = 1.0 + _where(hyperbolic, 1.0, -1.0) * x2 / 6.0 + x2 * x2 / 120.0
-    ratio = _where(small, series, odd / _where(small, 1.0, x))
-    s = t * ratio
-    factor = _elementwise(_exp, t * half_tr)
-    return factor * (c + s * a11), factor * s * b12, factor * s * b21, factor * (c + s * a22)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        half_tr = 0.5 * (b11 + b22)
+        a11 = b11 - half_tr
+        a22 = b22 - half_tr
+        off = b12 * b21
+        det0 = a11 * a22 - off
+        hyperbolic = det0 < 0.0
+        r = np.sqrt(abs(det0))
+        x = r * t
+        small = abs(x) < _SMALL_X
+        c = _where(hyperbolic, np.cosh(x), np.cos(x))
+        odd = _where(hyperbolic, np.sinh(x), np.sin(x))
+        x2 = x * x
+        series = 1.0 + _where(hyperbolic, 1.0, -1.0) * x2 / 6.0 + x2 * x2 / 120.0
+        ratio = _where(small, series, odd / _where(small, 1.0, x))
+        s = t * ratio
+        e11, e22 = c + s * a11, c + s * a22
+        projector = hyperbolic & ~small & (a11 * a11 <= 4.0 * abs(det0))
+        grow, decay = np.exp(x), np.exp(-x)
+        e11 = _where(projector, _projected(a11, off, r, grow, decay), e11)
+        e22 = _where(projector, _projected(a22, off, r, grow, decay), e22)
+        factor = np.exp(t * half_tr)
+        return factor * e11, factor * s * b12, factor * s * b21, factor * e22
 
 
 def jury_triple(a, b, c, d):
@@ -152,12 +139,12 @@ def cp_margin_entries(x11, x12, x21, x22, y11, y12, y22, rel_tol=1e-10):
     matrix Z = Y + (i/2)(Sigma - X Sigma X^T) = [[y11, y12 + i al], [y12 - i al, y22]]
     with al = (1 - det X)/2, since X Sigma X^T = det(X) Sigma for one mode.
     """
-    lam_min = 0.5 * (y11 + y22) - _elementwise(math.hypot, 0.5 * (y11 - y22), y12)
+    lam_min = 0.5 * (y11 + y22) - np.hypot(0.5 * (y11 - y22), y12)
     alpha = 0.5 * (1.0 - (x11 * x22 - x12 * x21))
     slack = (y11 * y22 - y12 * y12) - alpha * alpha
     # a NaN term (det X = inf - inf once the products overflow) gives a NaN margin
     margin = _where((slack < lam_min) | (slack != slack), slack, lam_min)
-    peak = _maximum(abs(y11), abs(y22), _elementwise(math.hypot, y12, alpha))
+    peak = _maximum(abs(y11), abs(y22), np.hypot(y12, alpha))
     return margin, rel_tol * (1.0 + peak)
 
 
@@ -166,13 +153,21 @@ def jordan2_entries(m11, m12, m21, m22, tol=DISC_TOL):
 
     The eigenvalues are center +- sqrt(disc)/2. `double` when the discriminant
     vanishes within tol (scale-aware); `defective` when it does while the
-    matrix is not a multiple of the identity.
+    matrix is not a multiple of the identity. The rule runs on the entries
+    divided by the power of two p in (s/2, s], s = 1 + max|m|: they round as
+    the entries themselves do, and keep tau^2 and det in the float range,
+    where an overflow to inf would pass the test.
     """
+    scale = 1.0 + _maximum(abs(m11), abs(m12), abs(m21), abs(m22))
+    p = np.ldexp(1.0, np.frexp(scale)[1] - 1)
+    m11, m12, m21, m22 = m11 / p, m12 / p, m21 / p, m22 / p
     tau = m11 + m22
     det = m11 * m22 - m12 * m21
     disc = tau * tau - 4.0 * det
-    scale = 1.0 + _maximum(abs(m11), abs(m12), abs(m21), abs(m22))
     center = 0.5 * tau
+    unit = scale / p
     off_identity = _maximum(abs(m11 - center), abs(m12), abs(m21), abs(m22 - center))
-    double = abs(disc) <= tol * scale * scale
-    return center, disc, double, double & (off_identity > tol * scale)
+    double = abs(disc) <= tol * unit * unit
+    with np.errstate(over="ignore"):  # the discriminant itself may leave the float range
+        disc = disc * p * p
+    return center * p, disc, double, double & (off_identity > tol * unit)

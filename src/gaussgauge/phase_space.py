@@ -239,4 +239,4 @@ def cp_check(channel, method=None, rel_tol=1e-10):
             raise DimensionError("determinant CP condition applies to one mode only")
         y11, y12, _, y22 = channel.Y.ravel().tolist()
         margin, tol = cp_margin_entries(*channel.X.ravel().tolist(), y11, y12, y22, rel_tol)
-    return CpReport(passes=margin >= -tol, margin=margin, method=method, tolerance=tol)
+    return CpReport(passes=bool(margin >= -tol), margin=margin, method=method, tolerance=tol)

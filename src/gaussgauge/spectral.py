@@ -68,7 +68,7 @@ def _jordan_2x2(m, tol):
             eigenvalues=(center + 0j,),
             multiplicities=(2,),
             block_sizes=((2,),) if defective else ((1, 1),),
-            defective=defective,
+            defective=bool(defective),
             coalescence_gap=gap,
         )
     return JordanReport(

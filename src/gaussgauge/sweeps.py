@@ -6,9 +6,12 @@ so that a run is reproducible from its own output. Every table is evaluated
 in one pass over all its points through array-valued kernels that give the
 scalar API's values bit for bit: the squeezed-reservoir closed forms of
 `models` for `drift-eigs` and `squeezed-gauge`, the one-mode kernels of
-`onemode` for `nm-surface` and `nm-branch`. Stable numeric formatting (17
-significant digits in CSV, shortest-roundtrip repr in JSON) makes identical
-configurations byte-identical.
+`onemode` for `nm-surface` and `nm-branch`. The one-mode kernels are
+whole-array numpy code, transcendentals included, and the non-Markovian
+tables decide Schur stability by the Jury triple, so their only LAPACK call
+is the stacked `eigvalsh` of the Stein solutions. Stable numeric formatting
+(17 significant digits in CSV, shortest-roundtrip repr in JSON) makes
+identical configurations byte-identical.
 """
 
 import itertools
@@ -19,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__
-from .errors import DimensionError, NonFiniteInputError, PhysicalityError, StabilityError
+from .errors import DimensionError, NonFiniteInputError, PhysicalityError
 from .matrix_equations import solve_stein
 from .models import (
     AnisotropicDiffusion,
@@ -39,7 +42,7 @@ from .onemode import (
     cp_margin_entries,
     expm2_entries,
     jordan2_entries,
-    stein2_denominator,
+    jury_triple,
     stein2_entries,
 )
 
@@ -48,7 +51,6 @@ from .onemode import (
 # kappa and r, half-period phase offset between the EP branches).
 MODEL_DEFAULTS = {
     "kappa": 0.04,
-    "delta": 0.0,
     "epsilon": 1.0,
     "r": 0.5,
     "phi": math.pi / 2.0,
@@ -258,7 +260,10 @@ def _nm_points(params, t, lam, omega):
     exp(t B) beyond the float range, or CP products of a finite exp(t B)
     beyond it) the row carries NaN values and margin,
     defective 0 and unstable 1; where the channel is not Schur stable it
-    carries NaN values and unstable 1.
+    carries NaN values and unstable 1. The kernels are whole-array numpy
+    code: X, Y, the CP margin and the Jury triple that decides Schur
+    stability (spr X < 1 iff all three terms are positive) are closed forms,
+    and one stacked `eigvalsh` reduces the Stein solutions.
     """
     kt = memory_factor(params, t)
     # X_t = kappa(t) exp(t B) with B = [[lam, omega], [-omega, -lam]]
@@ -268,24 +273,21 @@ def _nm_points(params, t, lam, omega):
     except PhysicalityError:  # determinant target not positive: undefined everywhere
         y = (np.full(lam.shape, math.nan),) * 3
     # where exp(t B) is finite but large the CP products overflow to a NaN
-    # margin; the Stein and Jordan kernels see only the rows they classify
+    # margin; the Jury, Stein and Jordan kernels see only the defined rows
     with np.errstate(over="ignore", invalid="ignore"):
         margin, tol = cp_margin_entries(*x, *y)
-    xs = _stack2x2(*x)
-    defined = (margin >= -tol) & np.isfinite(xs).all(axis=(1, 2))
-    spectral_radius = np.full(lam.shape, math.inf)
-    spectral_radius[defined] = np.abs(np.linalg.eigvals(xs[defined])).max(axis=1)
-    stable = defined & (spectral_radius < 1.0)
-    x_stable = tuple(v[stable] for v in x)
-    if np.any(stein2_denominator(*x_stable) <= 0.0):
-        raise StabilityError("Stein denominator not positive; drift not Schur stable")
+    defined = (margin >= -tol) & np.isfinite(x).all(axis=0)
+    x_defined = tuple(v[defined] for v in x)
+    stable = defined.copy()
+    # all three terms positive also makes the Stein denominator, their product, positive
+    stable[defined] = np.logical_and.reduce([term > 0.0 for term in jury_triple(*x_defined)])
     values = np.full((lam.size, 3), math.nan)
     if stable.any():
-        s11, s12, s22 = stein2_entries(*x_stable, *(v[stable] for v in y))
+        s11, s12, s22 = stein2_entries(*(v[stable] for v in x), *(v[stable] for v in y))
         values[stable, :2] = np.linalg.eigvalsh(_stack2x2(s11, s12, s12, s22))
         values[stable, 2] = s12
     defective = np.zeros(lam.shape, dtype=bool)
-    defective[defined] = jordan2_entries(*(v[defined] for v in x))[3]
+    defective[defined] = jordan2_entries(*x_defined)[3]
     return (*values.T, defective.astype(float), np.where(defined, margin, math.nan),
             (~stable).astype(float))
 

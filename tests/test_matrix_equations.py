@@ -308,6 +308,29 @@ class TestExpm2:
         with pytest.raises(NumericalOverflowError, match="float range"):
             expm2(b, t)
 
+    @pytest.mark.parametrize("x", [1.0, 17.0, 19.0, 20.0, 50.0, 300.0])
+    def test_hyperbolic_diagonal_entrywise(self, x):
+        # cosh x - sinh x cancels: e^-19 = 5.6e-9 once came out -1.5e-8, and 0 at x = 20
+        b = np.diag([x, -x])
+        reference = scipy.linalg.expm(b)
+        npt.assert_array_equal(expm2(b) == 0.0, reference == 0.0)
+        npt.assert_allclose(expm2(b), reference, rtol=1e-14, atol=0)
+        npt.assert_allclose(expm2(-b), reference[::-1, ::-1], rtol=1e-14, atol=0)
+
+    def test_hyperbolic_small_entries_entrywise(self, rng):
+        # a dominant traceless diagonal with small off-diagonal entries: the
+        # decaying diagonal entry is tiny next to cosh x and sinh x; scipy's
+        # own entrywise error here stays near 6e-12
+        worst = 0.0
+        for _ in range(200):
+            a = rng.uniform(5.0, 40.0) * rng.choice([-1.0, 1.0])
+            off = rng.uniform(-1.0, 1.0, size=2) * 10.0 ** rng.uniform(-8.0, 0.0, size=2)
+            b = np.array([[a, off[0]], [off[1], -a]]) + rng.uniform(-1.0, 1.0) * np.eye(2)
+            t = rng.choice([1.0, -1.0]) * rng.uniform(0.5, 1.0)
+            reference = scipy.linalg.expm(t * b)
+            worst = max(worst, np.max(np.abs(expm2(b, t) - reference) / np.abs(reference)))
+        assert worst <= 1e-10
+
     def test_finite_just_below_overflow(self):
         b = np.array([[700.0, 0.0], [0.0, -700.0]])
         reference = np.diag([np.exp(700.0), np.exp(-700.0)])

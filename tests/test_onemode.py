@@ -26,9 +26,16 @@ from gaussgauge import (
     solve_stein,
     stability,
 )
-from gaussgauge.errors import DegenerateModelError
+from gaussgauge.cli import main
+from gaussgauge.errors import DegenerateModelError, StabilityError
 from gaussgauge.models import nm_diffusion_entries
-from gaussgauge.onemode import cp_margin_entries, expm2_entries, jordan2_entries, stein2_entries
+from gaussgauge.onemode import (
+    cp_margin_entries,
+    expm2_entries,
+    jordan2_entries,
+    stein2_denominator,
+    stein2_entries,
+)
 from gaussgauge.phase_space import CpMethod
 from gaussgauge.sweeps import GridSpec, SweepConfig, run_nm_branch, run_nm_surface
 
@@ -138,6 +145,71 @@ def test_surface_rows_match_scalar_api_bitwise(diffusion, model):
     params = NmFamilyParams(lam=0.0, omega=0.0, diffusion=DIFFUSIONS[diffusion], **model)
     want = [_reference_row(params, row[0], row[1], row[8]) for row in table.rows]
     npt.assert_array_equal(np.array(table.rows), np.array(want))
+
+
+@pytest.mark.parametrize("diffusion", sorted(DIFFUSIONS))
+def test_unstable_flag_at_the_schur_boundary(diffusion):
+    # with slow memory spr X = kappa(1) e^r reaches 1 at r = sqrt(lam^2 - omega^2)
+    # = 0.012, a strip beside the EP line lam = omega that two fine,
+    # incommensurate grids cross at many distances; the table decides
+    # stability by the Jury triple, the scalar API by the eigenvalues
+    grids = {"lam": GridSpec(0.5, 0.502, 41), "omega": GridSpec(0.4998, 0.5018, 43)}
+    table = run_nm_surface(SweepConfig(command="nm-surface", diffusion=diffusion,
+                                       model=SLOW_MEMORY, grids=grids))
+    params = NmFamilyParams(lam=0.0, omega=0.0, diffusion=DIFFUSIONS[diffusion], **SLOW_MEMORY)
+    assert not np.isnan(table.column("cp_margin")).any()
+    near = []
+    for lam, omega, _, _, _, _, _, unstable, _ in table.rows:
+        X = nm_drift(params, 1.0, lam, omega)
+        spr = stability(X, "discrete").spectral_radius
+        if abs(spr - 1.0) > 1e-12:
+            assert unstable == float(spr >= 1.0), (lam, omega, spr)
+        if unstable == 0.0:
+            assert stein2_denominator(*X.ravel().tolist()) > 0.0
+        if abs(spr - 1.0) < 1e-3:
+            near.append(spr >= 1.0)
+    assert near.count(True) >= 10 and near.count(False) >= 10
+
+
+def test_flagged_branch_row_raises_scalar_error(capsys):
+    # on the EP lines X = kappa(t)(I + t B) has spr = kappa(t) < 1, but at
+    # omega t ~ 1e6 the rounded det X and tr X fail the Jury test; a large
+    # CP buffer keeps the rows CP. The sweep exits 2 with the message the
+    # scalar path raises at its first flagged row.
+    model = {**SLOW_MEMORY, "eps_buffer": 1e3}
+    grid = GridSpec(1e6, 1e8, 9)
+    params = NmFamilyParams(lam=0.0, omega=0.0, **model)
+
+    def scalar_error(lam, omega):
+        channel = nm_channel(params, 1.0, lam, omega)
+        try:
+            solve_stein(channel.X, channel.Y)
+        except StabilityError as exc:
+            return str(exc)
+
+    # rows in table order: lam = +omega, then -omega
+    errors = [scalar_error(sign * omega, omega) for omega in grid.points() for sign in (1.0, -1.0)]
+    message = next(error for error in errors if error is not None)
+    flags = [f"--{name.replace('_', '-')}={value}" for name, value in model.items()]
+    capsys.readouterr()
+    assert main(["nm-branch", *flags, f"--grid={grid.as_meta()}"]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("diffusion", sorted(DIFFUSIONS))
+def test_nm_tables_without_eigvals_or_per_element_calls(monkeypatch, diffusion):
+    # the non-Markovian tables are whole-array code: no LAPACK eigvals for
+    # stability, no math-library call per element (np.fromiter is where
+    # the squeezed closed forms take those)
+    def refuse(*args, **kwargs):
+        raise AssertionError("per-element or eigvals path taken")
+
+    monkeypatch.setattr(np.linalg, "eigvals", refuse)
+    monkeypatch.setattr(np, "fromiter", refuse)
+    table = _surface(diffusion, 31)
+    assert table.data.shape == (31 * 31 + 2 * 31, 9)
+    assert 0.0 < table.column("unstable").mean() < 1.0
+    run_nm_branch(SweepConfig(command="nm-branch", diffusion=diffusion))
 
 
 @pytest.mark.parametrize("diffusion", sorted(DIFFUSIONS))

@@ -50,6 +50,19 @@ class TestJordanStructure:
         assert report.multiplicities == (2,)
         assert report.block_sizes == ((1, 1),)
 
+    @pytest.mark.parametrize("big", [1e160, 1e200, 7e305])
+    def test_rule_survives_discriminant_overflow(self, big):
+        # tau^2 overflows to inf, and inf <= tol * scale^2 = inf once passed
+        # the discriminant test: a diagonal X came out defective
+        report = jordan_structure(np.diag([big, 1.0]))
+        assert not report.defective
+        assert report.multiplicities == (1, 1)
+        report = jordan_structure(big * np.eye(2))
+        assert not report.defective
+        assert report.multiplicities == (2,)
+        report = jordan_structure(np.array([[big, big], [0.0, big]]))
+        assert report.defective
+
     def test_general_path_mixed_structure(self):
         # blocks: eigenvalue 1 -> sizes (2, 1); eigenvalue -2 -> size 1
         j = np.zeros((4, 4))

@@ -313,16 +313,21 @@ class TestCli:
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflowing_cp_products_rows_flagged(self, tmp_path):
         # at |lam| = 705, omega = +-1, exp(t B) is finite near 1e306 but the
-        # CP products overflow: NaN margin, unstable row, no numpy warning
+        # CP products overflow: NaN margin, unstable row, no numpy warning.
+        # At omega = 0, exp(t B) = diag(e^705, e^-705) keeps its small entry,
+        # so det X = kappa(t)^2 and the margin is the B = 0 row's; its
+        # discriminant overflows, and the diagonal X is still not defective
         out = tmp_path / "edge.csv"
         argv = ["nm-surface", "--grid=-705:705:3", "--grid2=-1:1:3", "--out", str(out)]
         assert self.run_cli(argv) == 0
         lines = [l.split(",") for l in out.read_text().splitlines() if not l.startswith("#")]
         header, rows = lines[0], [dict(zip(lines[0], row)) for row in lines[1:]]
         far = [row for row in rows if abs(float(row["lam"])) == 705.0]
+        origin = next(row for row in rows if row["lam"] == row["omega"] == "0")
         assert len(far) == 6
         for row in far:
-            assert (row["cp_margin"], row["defective"], row["unstable"]) == ("nan", "0", "1")
+            margin = origin["cp_margin"] if row["omega"] == "0" else "nan"
+            assert (row["cp_margin"], row["defective"], row["unstable"]) == (margin, "0", "1")
         assert all(row["unstable"] == "0" for row in rows if abs(float(row["lam"])) != 705.0)
 
     @pytest.mark.parametrize(
@@ -437,6 +442,24 @@ class TestCli:
         capsys.readouterr()
         assert self.run_cli(["nm-surface", "--config", str(config)]) == 2
         assert "unknown config key 'jobs'" in capsys.readouterr().err
+
+    def test_delta_is_a_grid_only(self, tmp_path, capsys):
+        # drift-eigs sweeps delta through its grid; no command reads a delta
+        # model parameter, so neither the flag nor the key exists, and no
+        # table carries a param.delta line
+        with pytest.raises(SystemExit) as err:
+            self.run_cli(["drift-eigs", "--delta", "5", "--grid=-1:1:3"])
+        assert err.value.code == 2
+        config = tmp_path / "delta.cfg"
+        config.write_text("delta = 5\n")
+        capsys.readouterr()
+        assert self.run_cli(["drift-eigs", "--config", str(config)]) == 2
+        assert "unknown config key 'delta'" in capsys.readouterr().err
+        config.write_text("grid.delta = -1:1:3\n")
+        out = tmp_path / "t.csv"
+        assert self.run_cli(["drift-eigs", "--config", str(config), "--out", str(out)]) == 0
+        text = out.read_text()
+        assert "# grid = -1.0:1.0:3" in text and "param.delta" not in text
 
     def test_seed_and_fault_are_verify_only(self, tmp_path, capsys):
         # no sweep draws a random number: no --seed flag, no seed or fault
