@@ -72,9 +72,7 @@ from .spectral import (
     JordanReport,
     additive_spectrum,
     bounded_multi_indices,
-    drift_restriction_matrix,
     jordan_structure,
-    ou_monomial_basis,
     truncated_ou_matrix,
 )
 from .models import (

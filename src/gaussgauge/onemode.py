@@ -149,14 +149,14 @@ def cp_margin_entries(x11, x12, x21, x22, y11, y12, y22, rel_tol=1e-10):
 
 
 def jordan2_entries(m11, m12, m21, m22, tol=DISC_TOL):
-    """Discriminant rule for a real 2x2 matrix: (center, disc, double, defective).
+    """Discriminant rule for a real 2x2 matrix: (center, disc, double, defective, p).
 
-    The eigenvalues are center +- sqrt(disc)/2. `double` when the discriminant
-    vanishes within tol (scale-aware); `defective` when it does while the
-    matrix is not a multiple of the identity. The rule runs on the entries
-    divided by the power of two p in (s/2, s], s = 1 + max|m|: they round as
-    the entries themselves do, and keep tau^2 and det in the float range,
-    where an overflow to inf would pass the test.
+    The eigenvalues are center +- p sqrt(disc)/2. `double` when the
+    discriminant vanishes within tol (scale-aware); `defective` when it does
+    while the matrix is not a multiple of the identity. The rule runs on the
+    entries divided by the power of two p in (s/2, s], s = 1 + max|m|: they
+    round as the entries themselves do, and keep tau^2, det and disc in the
+    float range, where an overflow to inf would pass the test.
     """
     scale = 1.0 + _maximum(abs(m11), abs(m12), abs(m21), abs(m22))
     p = np.ldexp(1.0, np.frexp(scale)[1] - 1)
@@ -168,6 +168,4 @@ def jordan2_entries(m11, m12, m21, m22, tol=DISC_TOL):
     unit = scale / p
     off_identity = _maximum(abs(m11 - center), abs(m12), abs(m21), abs(m22 - center))
     double = abs(disc) <= tol * unit * unit
-    with np.errstate(over="ignore"):  # the discriminant itself may leave the float range
-        disc = disc * p * p
-    return center * p, disc, double, double & (off_identity > tol * unit)
+    return center * p, disc, double, double & (off_identity > tol * unit), p

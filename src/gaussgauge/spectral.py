@@ -3,14 +3,16 @@
 Exceptional points are parameter values where the drift matrix becomes
 non-diagonalizable. `jordan_structure` decides defectiveness (exactly for
 real 2x2 input, by eigenvalue clustering and rank sequences in general);
-`additive_spectrum` enumerates sum_j n_j lambda_j(A); the restriction
-matrices realize the phase-space generator on polynomial spaces, where the
-graded monomial ordering makes the assembled matrix block lower triangular:
-its spectrum is the additive drift spectrum no matter the diffusion D or
-drive u. The truncation (and the block-triangularity argument behind it) is
-the numerical stand-in for the operator statement, not a quoted result.
+`additive_spectrum` enumerates sum_j n_j lambda_j(A). `truncated_ou_matrix`
+is the phase-space generator of any mode count on the polynomials of bounded
+degree, in the graded monomial order: block lower triangular, with the drift
+alone on the diagonal blocks. Multiplication by exp(-xi^T S xi / 2), with S
+the Lyapunov gauge, turns the generator with diffusion D into the one
+without, exactly at every truncation (verify's `noise-independence`).
 """
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -54,13 +56,9 @@ def _jordan_2x2(m, tol):
     entries = m.ravel().tolist()
     if not all(map(math.isfinite, entries)):
         raise NonFiniteInputError("matrix has non-finite entries")
-    center, disc, double, defective = jordan2_entries(*entries, tol)
-    if disc >= 0:
-        rt = np.sqrt(disc)
-        eigs = (center - 0.5 * rt + 0j, center + 0.5 * rt + 0j)
-    else:
-        rt = np.sqrt(-disc)
-        eigs = (center - 0.5j * rt, center + 0.5j * rt)
+    center, disc, double, defective, p = jordan2_entries(*entries, tol)
+    half = 0.5 * np.sqrt(complex(disc)) * p  # finite where disc * p * p is not
+    eigs = (center - half, center + half)
     gap = abs(eigs[1] - eigs[0])
     if double:
         # a single eigenvalue: one Jordan block, or a multiple of the identity
@@ -191,17 +189,11 @@ class AdditiveSpectrum:
 
 def bounded_multi_indices(length, max_total):
     """All multi-indices n in N_0^length with sum(n) <= max_total, graded-lex."""
-    out = []
-    for total in range(max_total + 1):
-        def rec(prefix, remaining, slots):
-            if slots == 1:
-                out.append(tuple(prefix) + (remaining,))
-                return
-            for v in range(remaining, -1, -1):
-                rec(prefix + [v], remaining - v, slots - 1)
-
-        rec([], total, length)
-    return out
+    return [
+        tuple(combo.count(i) for i in range(length))
+        for total in range(max_total + 1)
+        for combo in itertools.combinations_with_replacement(range(length), total)
+    ]
 
 
 def additive_spectrum(eigenvalues, max_degree):
@@ -217,65 +209,49 @@ def additive_spectrum(eigenvalues, max_degree):
     )
 
 
-def drift_restriction_matrix(A, degree):
-    """Matrix of (A^T xi) . grad on homogeneous degree-`degree` polynomials.
+@functools.lru_cache(maxsize=None)
+def _ou_terms(dim, max_degree):
+    """(size, pos, coef, weight): the truncated OU matrix, flattened, gets
+    weight * c[coef] added at pos, with c = (A.ravel(), D.ravel(), u)."""
+    basis = bounded_multi_indices(dim, max_degree)
+    index = {alpha: k for k, alpha in enumerate(basis)}
+    size = len(basis)
+    unit = np.eye(dim, dtype=int)
+    pos, coef, weight = [], [], []
 
-    Basis p_j = xi_1^(degree-j) xi_2^j, j = 0..degree. For A^T = lambda I + N
-    with N the upper 2x2 nilpotent this is a single Jordan chain of length
-    degree + 1 at eigenvalue degree*lambda.
-    """
-    if degree < 0:
-        raise DimensionError("degree must be >= 0")
-    a = np.asarray(A, dtype=float)
-    if a.shape != (2, 2):
-        raise DimensionError("drift restriction implemented for one mode (2x2 drift)")
-    size = degree + 1
-    m = np.zeros((size, size))
-    for j in range(size):
-        m[j, j] = a[0, 0] * (degree - j) + a[1, 1] * j
-        if j + 1 < size:
-            m[j + 1, j] = a[1, 0] * (degree - j)
-        if j - 1 >= 0:
-            m[j - 1, j] = a[0, 1] * j
-    return m
+    def add(target, col, k, w):
+        row = index.get(tuple(target))
+        if row is not None:  # None above max_degree, where only D and u reach
+            pos.append(row * size + col)
+            coef.append(k)
+            weight.append(w)
 
-
-def ou_monomial_basis(max_degree):
-    """Monomial exponents (m, k) for xi_1^m xi_2^k, graded, lowest degree first."""
-    return [(total - j, j) for total in range(max_degree + 1) for j in range(total + 1)]
+    for col, alpha in enumerate(np.array(basis, dtype=int).reshape(size, dim)):
+        for i in range(dim):
+            add(alpha + unit[i], col, 2 * dim * dim + i, 1j)  # i u_i xi_i
+            for j in range(dim):
+                if alpha[i]:  # A[j, i] xi_j d/dxi_i
+                    add(alpha - unit[i] + unit[j], col, j * dim + i, alpha[i])
+                # -(1/2) D[i, j] xi_i xi_j
+                add(alpha + unit[i] + unit[j], col, dim * (dim + i) + j, -0.5)
+    pos, coef = np.array(pos, dtype=np.intp), np.array(coef, dtype=np.intp)
+    return size, pos, coef, np.array(weight, dtype=complex)
 
 
 def truncated_ou_matrix(generator, max_degree):
-    """Generator -(1/2) xi^T D xi + (A^T xi).grad + i u^T xi on monomials.
+    """Generator (A^T xi).grad - (1/2) xi^T D xi + i u^T xi on monomials.
 
-    One mode only, degree capped at 12. The diffusion term raises polynomial
-    degree by 2 and the drive term by 1, so in the graded basis both land
-    strictly below the diagonal drift blocks: the eigenvalue multiset is the
-    additive drift spectrum independently of D and u.
+    Any mode count: the basis is the monomials of degree <= max_degree in the
+    2N phase-space variables, in the graded order of `bounded_multi_indices`,
+    and terms above max_degree are dropped. The drift keeps the degree, the
+    diffusion raises it by 2 and the drive by 1, so both land strictly below
+    the diagonal drift blocks: the eigenvalue multiset is the additive drift
+    spectrum whatever D and u.
     """
-    if generator.modes != 1:
-        raise DimensionError("truncated OU matrix implemented for one mode")
-    if not 0 <= max_degree <= 12:
-        raise DimensionError("max_degree must be within 0..12")
-    a, d, u = generator.A, generator.D, generator.u
-    basis = ou_monomial_basis(max_degree)
-    index = {mk: i for i, mk in enumerate(basis)}
-    size = len(basis)
-    mat = np.zeros((size, size), dtype=complex)
-    for col, (m, k) in enumerate(basis):
-        mat[index[(m, k)], col] += a[0, 0] * m + a[1, 1] * k
-        if m >= 1:
-            mat[index[(m - 1, k + 1)], col] += a[1, 0] * m
-        if k >= 1:
-            mat[index[(m + 1, k - 1)], col] += a[0, 1] * k
-        if (m + 2, k) in index:
-            mat[index[(m + 2, k)], col] += -0.5 * d[0, 0]
-        if (m, k + 2) in index:
-            mat[index[(m, k + 2)], col] += -0.5 * d[1, 1]
-        if (m + 1, k + 1) in index:
-            mat[index[(m + 1, k + 1)], col] += -d[0, 1]
-        if (m + 1, k) in index:
-            mat[index[(m + 1, k)], col] += 1j * u[0]
-        if (m, k + 1) in index:
-            mat[index[(m, k + 1)], col] += 1j * u[1]
-    return mat
+    if max_degree < 0:
+        raise DimensionError("max_degree must be >= 0")
+    size, pos, coef, weight = _ou_terms(generator.A.shape[0], max_degree)
+    c = np.concatenate((generator.A.ravel(), generator.D.ravel(), generator.u))
+    mat = np.zeros(size * size, dtype=complex)
+    np.add.at(mat, pos, c[coef] * weight)
+    return mat.reshape(size, size)

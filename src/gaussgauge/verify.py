@@ -44,7 +44,7 @@ from .phase_space import (
     cp_check,
     symplectic_form,
 )
-from .spectral import drift_restriction_matrix, jordan_structure, truncated_ou_matrix
+from .spectral import jordan_structure, truncated_ou_matrix
 from .sweeps import SweepConfig, run_nm_branch, run_squeezed_gauge
 
 
@@ -101,6 +101,18 @@ def random_physical_generator(rng, modes, jumps=2):
     return from_lindblad(data)
 
 
+def random_ep2_drift(rng, dim):
+    """Random Hurwitz drift with an EP2: a 2x2 Jordan block and a random
+    Hurwitz rest, under a similarity of condition number at most 4."""
+    j = np.zeros((dim, dim))
+    lam = -rng.uniform(0.2, 1.0)
+    j[:2, :2] = [[lam, 1.0], [0.0, lam]]
+    if dim > 2:
+        j[2:, 2:] = random_hurwitz(rng, dim - 2)
+    v = np.linalg.qr(rng.standard_normal((dim, dim)))[0] * rng.uniform(0.5, 2.0, size=dim)
+    return v @ j @ np.linalg.inv(v)
+
+
 def random_state(rng, modes):
     dim = 2 * modes
     return MomentState(d=rng.standard_normal(dim), V=random_psd(rng, dim) + 0.5 * np.eye(dim))
@@ -143,6 +155,28 @@ def eigenvalue_multiset_distance(a, b):
     # pairs() turns True at one level and stays True; the largest cost pairs anything
     levels = np.unique(cost[cost > floor])
     return float(levels[bisect.bisect_left(levels, True, key=pairs)])
+
+
+def gauge_similarity_residual(generator, s, max_degree):
+    """max|G^-1 L_D G - L_0| / max(|G^-1| |L_D| |G|) on degree <= max_degree.
+
+    L_D is `truncated_ou_matrix(generator)`, L_0 the same with D = 0, and G
+    the multiplication by exp(-xi^T S xi / 2): sum_k M^k / k! with M the
+    nilpotent multiplication by -xi^T S xi / 2, and G^-1 the sum in -M. For
+    A S + S A^T + D = 0 the identity is exact at every truncation, so the
+    residual is rounding, bounded by the entrywise-absolute product.
+    """
+    dim = generator.A.shape[0]
+    zero = np.zeros((dim, dim))
+    l_d = truncated_ou_matrix(generator, max_degree)
+    l_0 = truncated_ou_matrix(GaussianGenerator(A=generator.A, D=zero, u=generator.u), max_degree)
+    m = truncated_ou_matrix(GaussianGenerator(A=zero, D=s, u=np.zeros(dim)), max_degree).real
+    g = g_inv = term = np.eye(len(m))
+    for k in range(1, max_degree // 2 + 1):
+        term = term @ m / k
+        g, g_inv = g + term, g_inv + (-1) ** k * term
+    residual = np.max(np.abs(g_inv @ l_d @ g - l_0))
+    return float(residual / np.max(np.abs(g_inv) @ np.abs(l_d) @ np.abs(g)))
 
 
 # ---------------------------------------------------------------------------
@@ -348,30 +382,22 @@ def _suite_one_mode_identities(rng, fault):
 def _suite_noise_independence(rng, fault):
     worst = 0.0
     n = 30
-    kept = 0
-    while kept < n:
-        a = random_hurwitz(rng, 2)
-        a = a / float(np.max(np.abs(np.linalg.eigvals(a))))
-        _, vecs = np.linalg.eig(a)
-        if np.linalg.cond(vecs) > 3.0:
-            continue
-        gen = GaussianGenerator(
-            A=a, D=0.5 * random_psd(rng, 2), u=0.3 * rng.standard_normal(2)
-        )
-        silent = GaussianGenerator(A=a, D=np.zeros((2, 2)), u=np.zeros(2))
-        e_noisy = np.linalg.eigvals(truncated_ou_matrix(gen, 6))
-        e_silent = np.linalg.eigvals(truncated_ou_matrix(silent, 6))
-        worst = max(worst, eigenvalue_multiset_distance(e_noisy, e_silent))
-        kept += 1
-    return SuiteResult("noise-independence", worst <= 1e-9, worst, 1e-9, n)
+    for k in range(n):
+        dim, degree = ((2, 6), (4, 4))[k % 2]
+        a = random_ep2_drift(rng, dim) if k % 3 == 0 else random_hurwitz(rng, dim)
+        gen = GaussianGenerator(A=a, D=random_psd(rng, dim), u=rng.standard_normal(dim))
+        s = solve_lyapunov(a, gen.D).S
+        worst = max(worst, gauge_similarity_residual(gen, s, degree))
+    return SuiteResult("noise-independence", worst <= 1e-12, worst, 1e-12, n)
 
 
 def _suite_jordan_chain(rng, fault):
     bad = 0
+    lam = -0.8
+    a = lam * np.eye(2) + np.array([[0.0, 0.0], [1.0, 0.0]])  # A^T = lam I + N
+    drift = GaussianGenerator(A=a, D=np.zeros((2, 2)), u=np.zeros(2))
     for ell in range(1, 7):
-        lam = -0.8
-        a = lam * np.eye(2) + np.array([[0.0, 0.0], [1.0, 0.0]])  # A^T = lam I + N
-        m = drift_restriction_matrix(a, ell)
+        m = truncated_ou_matrix(drift, ell)[-(ell + 1):, -(ell + 1):].real  # degree ell
         rep = jordan_structure(m, tol=0.2)
         ok = (
             rep.defective

@@ -25,7 +25,6 @@ from gaussgauge import (
     SqueezedReservoirParams,
     cp_check,
     default_gauge_times,
-    drift_restriction_matrix,
     gauge_channel,
     gauge_semigroup,
     jordan_structure,
@@ -245,9 +244,12 @@ def test_criterion_6_noise_independent_spectrum():
 def test_criterion_7_jordan_chain_law():
     lam = -0.8
     a = lam * np.eye(2) + np.array([[0.0, 0.0], [1.0, 0.0]])
+    drift = GaussianGenerator(A=a, D=np.zeros((2, 2)), u=np.zeros(2))
     failures = []
     for ell in range(1, 7):
-        rep = jordan_structure(drift_restriction_matrix(a, ell), tol=0.2)
+        # the drift on the homogeneous polynomials of degree ell
+        block = truncated_ou_matrix(drift, ell)[-(ell + 1):, -(ell + 1):].real
+        rep = jordan_structure(block, tol=0.2)
         ok = (
             rep.defective
             and len(rep.eigenvalues) == 1

@@ -9,18 +9,26 @@ from gaussgauge import (
     GaussianGenerator,
     NonFiniteInputError,
     additive_spectrum,
-    drift_restriction_matrix,
+    bounded_multi_indices,
     jordan_structure,
-    ou_monomial_basis,
+    solve_lyapunov,
     squeezed_drift_eigenvalues,
     SqueezedReservoirParams,
     truncated_ou_matrix,
 )
 from gaussgauge.verify import (
     eigenvalue_multiset_distance,
+    gauge_similarity_residual,
+    random_ep2_drift,
     random_hurwitz,
     random_psd,
 )
+
+
+def degree_block(a, degree):
+    """The one-mode drift restricted to homogeneous polynomials of one degree."""
+    drift = GaussianGenerator(A=a, D=np.zeros((2, 2)), u=np.zeros(2))
+    return truncated_ou_matrix(drift, degree)[-(degree + 1):, -(degree + 1):].real
 
 
 class TestJordanStructure:
@@ -57,6 +65,10 @@ class TestJordanStructure:
         report = jordan_structure(np.diag([big, 1.0]))
         assert not report.defective
         assert report.multiplicities == (1, 1)
+        # finite, and exact to rounding on the scale of the matrix
+        assert np.all(np.isfinite(report.eigenvalues))
+        npt.assert_allclose(report.eigenvalues, [1.0, big], rtol=1e-15, atol=1e-15 * big)
+        assert report.coalescence_gap == pytest.approx(big)
         report = jordan_structure(big * np.eye(2))
         assert not report.defective
         assert report.multiplicities == (2,)
@@ -122,20 +134,29 @@ class TestAdditiveSpectrum:
         npt.assert_allclose(degree_one, sorted(eigs, key=lambda z: z.real), atol=1e-14)
 
 
+def test_bounded_multi_indices_graded_then_descending():
+    for length in range(1, 5):
+        for total in range(5):
+            everything = itertools.product(range(total + 1), repeat=length)
+            bounded = [n for n in everything if sum(n) <= total]
+            expected = sorted(bounded, key=lambda n: (sum(n), [-v for v in n]))
+            assert bounded_multi_indices(length, total) == expected
+
+
 class TestDriftRestriction:
     def test_diagonal_drift(self):
-        m = drift_restriction_matrix(np.diag([-1.0, -2.0]), 2)
+        m = degree_block(np.diag([-1.0, -2.0]), 2)
         npt.assert_allclose(np.sort(np.diag(m)), [-4.0, -3.0, -2.0])
         assert np.abs(m - np.diag(np.diag(m))).max() == 0.0
 
     def test_degree_zero(self):
-        npt.assert_array_equal(drift_restriction_matrix(np.diag([-1.0, -2.0]), 0), [[0.0]])
+        npt.assert_array_equal(degree_block(np.diag([-1.0, -2.0]), 0), [[0.0]])
 
     @pytest.mark.parametrize("ell", range(1, 7))
     def test_jordan_chain_law(self, ell):
         lam = -0.8
         a = lam * np.eye(2) + np.array([[0.0, 0.0], [1.0, 0.0]])  # A^T = lam I + N
-        m = drift_restriction_matrix(a, ell)
+        m = degree_block(a, ell)
         report = jordan_structure(m, tol=0.2)
         assert report.defective
         assert len(report.eigenvalues) == 1
@@ -146,7 +167,7 @@ class TestDriftRestriction:
         # (L - ell*lam) p_j = (ell - j) p_{j+1} in the monomial basis
         lam, ell = -0.5, 3
         a = lam * np.eye(2) + np.array([[0.0, 0.0], [1.0, 0.0]])
-        m = drift_restriction_matrix(a, ell) - ell * lam * np.eye(ell + 1)
+        m = degree_block(a, ell) - ell * lam * np.eye(ell + 1)
         expected = np.zeros((ell + 1, ell + 1))
         for j in range(ell):
             expected[j + 1, j] = ell - j
@@ -225,7 +246,7 @@ class TestTruncatedOu:
             np.linalg.eigvals(m_driven), np.linalg.eigvals(m_silent)
         ) <= 1e-10
         # the drive sits strictly below the diagonal drift blocks
-        degrees = [m + k for m, k in ou_monomial_basis(5)]
+        degrees = [sum(n) for n in bounded_multi_indices(2, 5)]
         for i, deg_row in enumerate(degrees):
             for j, deg_col in enumerate(degrees):
                 if (m_driven - m_silent)[i, j] != 0:
@@ -235,7 +256,7 @@ class TestTruncatedOu:
         lam = -0.6
         a = lam * np.eye(2) + np.array([[0.0, 0.0], [1.0, 0.0]])
         gen = GaussianGenerator(A=a, D=0.4 * np.eye(2), u=np.zeros(2))
-        block = drift_restriction_matrix(a, 2)
+        block = degree_block(a, 2)
         report = jordan_structure(block, tol=0.1)
         assert report.defective
         assert report.block_sizes[0] == (3,)
@@ -244,14 +265,62 @@ class TestTruncatedOu:
         expected = additive_spectrum(np.linalg.eigvals(a), 2).eigenvalues
         assert eigenvalue_multiset_distance(eigs, expected) <= 1e-5
 
-    def test_mode_count_guard(self, rng):
+    def test_negative_degree_rejected(self, rng):
         gen = GaussianGenerator(A=random_hurwitz(rng, 4), D=np.zeros((4, 4)), u=np.zeros(4))
-        with pytest.raises(Exception):
-            truncated_ou_matrix(gen, 3)
+        with pytest.raises(DimensionError):
+            truncated_ou_matrix(gen, -1)
+
+    def test_diffusion_and_drive_raise_the_degree_at_two_modes(self, rng):
+        # the N-mode form of the block structure above: the drift keeps the
+        # degree, D raises it by exactly 2 and u by exactly 1
+        a = random_hurwitz(rng, 4)
+        zero = np.zeros((4, 4))
+        silent = truncated_ou_matrix(GaussianGenerator(A=a, D=zero, u=np.zeros(4)), 4)
+        diffused = truncated_ou_matrix(
+            GaussianGenerator(A=a, D=random_psd(rng, 4), u=np.zeros(4)), 4
+        )
+        driven = truncated_ou_matrix(
+            GaussianGenerator(A=a, D=zero, u=rng.standard_normal(4)), 4
+        )
+        degrees = np.array([sum(n) for n in bounded_multi_indices(4, 4)])
+        rise = degrees[:, None] - degrees[None, :]
+        assert np.all(rise[silent != 0] == 0)
+        for m, step in ((diffused - silent, 2), (driven - silent, 1)):
+            assert np.count_nonzero(m) > 0
+            assert np.all(rise[m != 0] == step)
 
 
-def test_truncation_degree_cap(rng):
-    a = random_hurwitz(rng, 2)
-    gen = GaussianGenerator(A=a, D=np.zeros((2, 2)), u=np.zeros(2))
-    with pytest.raises(Exception):
-        truncated_ou_matrix(gen, 13)
+@pytest.mark.parametrize("modes, degree", [(1, 6), (2, 5), (3, 4)])
+def test_truncated_ou_matrix_against_the_formula(rng, modes, degree):
+    # L p for a random p of degree <= degree - 2, where nothing is truncated,
+    # evaluated at random points from the gradient of p and the products
+    # with xi^T D xi and u^T xi, against the coefficients of the matrix product
+    dim = 2 * modes
+    a, d, u = rng.standard_normal((dim, dim)), random_psd(rng, dim), rng.standard_normal(dim)
+    mat = truncated_ou_matrix(GaussianGenerator(A=a, D=d, u=u), degree)
+    basis = np.array(bounded_multi_indices(dim, degree))
+    coeffs = np.where(basis.sum(axis=1) <= degree - 2, rng.standard_normal(len(basis)), 0.0)
+    for xi in rng.uniform(-1.0, 1.0, size=(5, dim)):
+        monomials = np.prod(xi ** basis, axis=1)
+        grad = [
+            coeffs @ (basis[:, i] * np.prod(xi ** np.maximum(basis - np.eye(dim)[i], 0), axis=1))
+            for i in range(dim)
+        ]
+        p = coeffs @ monomials
+        direct = (a.T @ xi) @ grad - 0.5 * (xi @ d @ xi) * p + 1j * (u @ xi) * p
+        assert (mat @ coeffs) @ monomials == pytest.approx(direct, rel=1e-12, abs=1e-12)
+
+
+class TestGaugeSimilarity:
+    @pytest.mark.parametrize("modes, degree", [(1, 6), (2, 4)])
+    @pytest.mark.parametrize("planted_ep", [False, True])
+    def test_exact_gauge_passes_and_shifted_gauge_fails(self, rng, modes, degree, planted_ep):
+        dim = 2 * modes
+        for _ in range(10):
+            a = random_ep2_drift(rng, dim) if planted_ep else random_hurwitz(rng, dim)
+            if planted_ep:
+                assert max(max(blocks) for blocks in jordan_structure(a).block_sizes) == 2
+            gen = GaussianGenerator(A=a, D=random_psd(rng, dim), u=rng.standard_normal(dim))
+            s = solve_lyapunov(a, gen.D).S
+            assert gauge_similarity_residual(gen, s, degree) <= 1e-12
+            assert gauge_similarity_residual(gen, s * (1 + 1e-6), degree) > 1e-12
