@@ -47,7 +47,6 @@ from .matrix_equations import (
     GaugeCovariance,
     GaugeSource,
     JordanDrift2x2,
-    StabilityMode,
     StabilityReport,
     drift_exponential,
     expm2,

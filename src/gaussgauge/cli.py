@@ -23,8 +23,8 @@ import sys
 
 from .errors import DimensionError, GaussGaugeError
 from .sweeps import (
+    _TEXT,
     DIFFUSION_CHOICES,
-    EP_GAP_TOL,
     MODEL_DEFAULTS,
     GridSpec,
     SweepConfig,
@@ -32,8 +32,6 @@ from .sweeps import (
     run_nm_branch,
     run_nm_surface,
     run_squeezed_gauge,
-    write_csv,
-    write_json,
     write_table,
 )
 from .verify import FAULT_CHOICES, run_verification
@@ -75,25 +73,22 @@ def build_parser():
     p = sub.add_parser("drift-eigs", help="drift eigenvalues vs detuning")
     _add_common(p)
     p.add_argument("--grid", type=_parse_grid, default=None, help="delta grid lo:hi:count")
-    p.add_argument("--ep-gap-tol", type=float, default=None, dest="ep_gap_tol",
-                   help="also mark rows whose eigenvalue gap is below this as EPs "
-                        "(a vanishing discriminant always marks one)")
 
     p = sub.add_parser("squeezed-gauge", help="EP-branch gauge eigenvalues along an axis")
     _add_common(p)
-    p.add_argument("--axis", choices=("kappa", "r", "phi"), default="kappa")
-    p.add_argument("--branch", choices=("plus", "minus"), default="plus")
+    p.add_argument("--axis", choices=("kappa", "r", "phi"), default=None)
+    p.add_argument("--branch", choices=("plus", "minus"), default=None)
     p.add_argument("--grid", type=_parse_grid, default=None, help="axis grid lo:hi:count")
 
     p = sub.add_parser("nm-surface", help="gauge eigenvalues over the drift plane")
     _add_common(p)
-    p.add_argument("--diffusion", choices=DIFFUSION_CHOICES, default="iso")
+    p.add_argument("--diffusion", choices=DIFFUSION_CHOICES, default=None)
     p.add_argument("--grid", type=_parse_grid, default=None, help="lambda grid lo:hi:count")
     p.add_argument("--grid2", type=_parse_grid, default=None, help="omega grid lo:hi:count")
 
     p = sub.add_parser("nm-branch", help="gauge eigenvalues along the EP lines")
     _add_common(p)
-    p.add_argument("--diffusion", choices=DIFFUSION_CHOICES, default="iso")
+    p.add_argument("--diffusion", choices=DIFFUSION_CHOICES, default=None)
     p.add_argument("--grid", type=_parse_grid, default=None, help="omega grid lo:hi:count")
 
     p = sub.add_parser("verify", help="run the invariant suites")
@@ -141,15 +136,13 @@ def _merge_config(args):
             settings[key] = value
         elif key in {"axis", "branch", "diffusion", "out"}:
             settings[key] = value
-        elif key == "ep_gap_tol":
-            settings[key] = float(value)
         else:
             raise GaussGaugeError(f"unknown config key {key!r}")
     for name in _MODEL_FLAGS:
         flag = getattr(args, name, None)
         if flag is not None:
             model[name] = flag
-    for attr in ("fmt", "seed", "axis", "branch", "diffusion", "out", "fault", "ep_gap_tol"):
+    for attr in ("fmt", "seed", "axis", "branch", "diffusion", "out", "fault"):
         flag = getattr(args, attr, None)
         if flag is not None:
             settings[attr] = flag
@@ -165,34 +158,22 @@ _PRIMARY_AXIS = {
 
 
 def _build_sweep_config(args):
+    """The SweepConfig of a sweep; a setting that neither a flag nor the
+    config file gives keeps the SweepConfig default."""
     model, grids, settings = _merge_config(args)
-    axis = settings.get("axis", "kappa")
-    primary = _PRIMARY_AXIS[args.command] or axis
+    config = SweepConfig(command=args.command, model=model, grids=grids, **settings)
     if getattr(args, "grid", None) is not None:
-        grids[primary] = args.grid
+        config.grids[_PRIMARY_AXIS[args.command] or config.axis] = args.grid
     if getattr(args, "grid2", None) is not None:
-        grids["omega"] = args.grid2
-    return SweepConfig(
-        command=args.command,
-        model=model,
-        grids=grids,
-        axis=axis,
-        branch=settings.get("branch", "plus"),
-        diffusion=settings.get("diffusion", "iso"),
-        fmt=settings.get("fmt", "csv"),
-        out=settings.get("out"),
-        ep_gap_tol=settings.get("ep_gap_tol", EP_GAP_TOL),
-    )
+        config.grids["omega"] = args.grid2
+    return config
 
 
 def _emit(table, config):
     if config.out:
         write_table(table, config.out, config.fmt)
-        return
-    if config.fmt == "json":
-        write_json(table, sys.stdout)
     else:
-        write_csv(table, sys.stdout)
+        sys.stdout.writelines(_TEXT[config.fmt](table))
 
 
 def _run_verify(args):

@@ -7,8 +7,7 @@ whole semigroup loses its diffusion uniformly in time, which `gauge_semigroup`
 checks on a time grid from one stacked pass over all its channels. Both
 transforms leave X and delta bitwise unchanged, hence eigenvalues and Jordan
 structure of the drift, so exceptional points are unaffected. The inverse
-map (I, -S, 0) is generically not a physical channel; gauged outputs carry
-physical=False.
+map (I, -S, 0) and the gauged channels are generically not CP.
 """
 
 from dataclasses import dataclass
@@ -32,19 +31,17 @@ class SmoothingMap:
         s.setflags(write=False)
         object.__setattr__(self, "S", s)
 
-    def forward(self, ordering="grouped"):
+    def forward(self):
         n2 = self.S.shape[0]
-        return GaussianChannel(np.eye(n2), self.S, np.zeros(n2), ordering=ordering)
+        return GaussianChannel(np.eye(n2), self.S, np.zeros(n2))
 
-    def inverse(self, ordering="grouped"):
+    def inverse(self):
         n2 = self.S.shape[0]
-        return GaussianChannel(
-            np.eye(n2), -self.S, np.zeros(n2), ordering=ordering, physical=False
-        )
+        return GaussianChannel(np.eye(n2), -self.S, np.zeros(n2))
 
     def conjugate(self, channel):
         """V_S^{-1} o channel o V_S at the parameter level."""
-        return compose(self.inverse(channel.ordering), compose(channel, self.forward(channel.ordering)))
+        return compose(self.inverse(), compose(channel, self.forward()))
 
 
 @dataclass(frozen=True)
@@ -64,13 +61,7 @@ def gauge_channel(channel):
     """
     cov = solve_stein(channel.X, channel.Y)
     conjugated = SmoothingMap(cov.S).conjugate(channel)
-    gauged = GaussianChannel(
-        X=conjugated.X,
-        Y=np.zeros_like(channel.Y),
-        delta=conjugated.delta,
-        ordering=channel.ordering,
-        physical=False,
-    )
+    gauged = GaussianChannel(X=conjugated.X, Y=np.zeros_like(channel.Y), delta=conjugated.delta)
     return GaugingResult(gauged=gauged, S=cov, residual_Y=float(np.max(np.abs(conjugated.Y))))
 
 

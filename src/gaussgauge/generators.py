@@ -23,7 +23,6 @@ from .phase_space import (
     CpReport,
     GaussianChannel,
     MomentState,
-    Ordering,
     symplectic_form,
 )
 
@@ -35,7 +34,6 @@ class GaussianGenerator:
     A: np.ndarray
     D: np.ndarray
     u: np.ndarray
-    ordering: Ordering = Ordering.GROUPED
 
     def __post_init__(self):
         a = np.asarray(self.A, dtype=float)
@@ -54,7 +52,6 @@ class GaussianGenerator:
             arr = arr.copy()
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
-        object.__setattr__(self, "ordering", Ordering(self.ordering))
 
     @property
     def modes(self):
@@ -94,14 +91,14 @@ class LindbladData:
         object.__setattr__(self, "jump_rows", rows)
 
 
-def from_lindblad(data, ordering=Ordering.GROUPED):
+def from_lindblad(data):
     """Generator of the linear Lindblad equation.
 
     A = Sigma (H + kappa Im(C^dag C)), D = kappa Sigma Re(C^dag C) Sigma^T,
     u = Sigma f, with C the stacked jump rows.
     """
     n = data.H.shape[0] // 2
-    sigma = symplectic_form(n, ordering)
+    sigma = symplectic_form(n)
     if data.jump_rows:
         c = np.array(data.jump_rows)
         cdc = data.rate * (c.conj().T @ c)
@@ -109,13 +106,13 @@ def from_lindblad(data, ordering=Ordering.GROUPED):
         cdc = np.zeros((2 * n, 2 * n), dtype=complex)
     a = sigma @ (data.H + cdc.imag)
     d = sigma @ cdc.real @ sigma.T
-    return GaussianGenerator(A=a, D=0.5 * (d + d.T), u=sigma @ data.f, ordering=ordering)
+    return GaussianGenerator(A=a, D=0.5 * (d + d.T), u=sigma @ data.f)
 
 
 def cp_check_generator(generator, rel_tol=1e-10):
     """Least eigenvalue of D + (i/2)(A Sigma + Sigma A^T), the generator-level
     complete-positivity matrix."""
-    sigma = symplectic_form(generator.modes, generator.ordering)
+    sigma = symplectic_form(generator.modes)
     z = generator.D + 0.5j * (generator.A @ sigma + sigma @ generator.A.T)
     tol = rel_tol * (1.0 + float(np.max(np.abs(z))))
     margin = float(np.linalg.eigvalsh(z).min())
@@ -128,7 +125,7 @@ def semigroup_channel(generator, t):
     """Finite-time channel (X_t, Y_t, delta_t) of the Markov semigroup at one
     time t: `semigroup_arrays` at the single time."""
     x, y, delta = semigroup_arrays(generator, [t])
-    return GaussianChannel(X=x[0], Y=y[0], delta=delta[0], ordering=generator.ordering)
+    return GaussianChannel(X=x[0], Y=y[0], delta=delta[0])
 
 
 def semigroup_arrays(generator, times):

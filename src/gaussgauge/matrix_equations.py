@@ -2,12 +2,13 @@
 
 A S + S A^T + D = 0 goes to scipy's Bartels-Stewart solver at every size.
 The one-mode (2x2) Stein equation S = X S X^T + Y takes the adjugate closed
-form with denominator (1-det)(1-tr+det)(1+tr+det); larger ones go to scipy
-(direct solve below dimension 10, the bilinear map to a Lyapunov equation
-above), with no size cap. Defective one-mode drifts X = alpha (I + t N),
-N^2 = 0, have a geometric-series closed form in rho = alpha^2. scipy is
-imported at first use, by the routes above 2x2 and `solve_lyapunov`, so the
-one-mode closed forms never load it.
+form with denominator (1-det)(1-tr+det)(1+tr+det), the product of the Jury
+triple, whose three terms are all positive iff spr(X) < 1; larger ones go
+to scipy (direct solve below dimension 10, the bilinear map to a Lyapunov
+equation above), with no size cap. Defective one-mode drifts
+X = alpha (I + t N), N^2 = 0, have a geometric-series closed form in
+rho = alpha^2. scipy is imported at first use, by the routes above 2x2 and
+`solve_lyapunov`, so the one-mode closed forms never load it.
 """
 
 from dataclasses import dataclass
@@ -23,12 +24,7 @@ from .errors import (
     StabilityError,
     require_finite,
 )
-from .onemode import expm2_entries, jury_triple, stein2_denominator, stein2_entries
-
-
-class StabilityMode(str, Enum):
-    CONTINUOUS = "continuous"
-    DISCRETE = "discrete"
+from .onemode import expm2_entries, jury_triple, stein2_entries
 
 
 class GaugeSource(str, Enum):
@@ -44,9 +40,8 @@ class StabilityReport:
     """Spectral stability data of a drift matrix.
 
     `hurwitz` refers to the continuous-time criterion max Re(lambda) < 0;
-    `spectral_radius` to the discrete one. For 2x2 matrices in discrete mode
-    `jury_triple` carries (1-det, 1-tr+det, 1+tr+det), all positive iff
-    spr < 1.
+    `spectral_radius` to the discrete one. For 2x2 matrices `jury_triple`
+    carries (1-det, 1-tr+det, 1+tr+det), all positive iff spr < 1.
     """
 
     hurwitz: bool
@@ -59,9 +54,8 @@ class StabilityReport:
         return self.spectral_radius < 1.0
 
 
-def stability(matrix, mode=StabilityMode.CONTINUOUS):
-    """Classify drift stability in continuous or discrete time."""
-    mode = StabilityMode(mode)
+def stability(matrix):
+    """Classify drift stability in continuous and discrete time."""
     m = np.asarray(matrix, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DimensionError(f"stability needs a square matrix, got shape {m.shape}")
@@ -70,14 +64,11 @@ def stability(matrix, mode=StabilityMode.CONTINUOUS):
     except np.linalg.LinAlgError:
         require_finite(matrix=m)
         raise
-    triple = None
-    if mode is StabilityMode.DISCRETE and m.shape == (2, 2):
-        triple = jury_triple(*m.ravel().tolist())
     return StabilityReport(
         hurwitz=bool(np.max(eigs.real) < 0.0),
         spectral_radius=float(np.max(np.abs(eigs))),
         eigenvalues=eigs,
-        jury_triple=triple,
+        jury_triple=jury_triple(*m.ravel().tolist()) if m.shape == (2, 2) else None,
     )
 
 
@@ -124,7 +115,7 @@ def solve_lyapunov(A, D):
     The equation defect in max-norm is recorded on the result.
     """
     A, D = _square_pair(A, D, "A", "D")
-    if not stability(A, StabilityMode.CONTINUOUS).hurwitz:
+    if not stability(A).hurwitz:
         raise StabilityError("Lyapunov gauging requires a Hurwitz drift")
     import scipy.linalg
 
@@ -136,22 +127,23 @@ def solve_lyapunov(A, D):
 def solve_stein(X, Y):
     """Unique symmetric solution of S = X S X^T + Y for spr(X) < 1.
 
-    2x2 inputs evaluate the adjugate closed forms; larger ones go to
-    scipy.linalg.solve_discrete_lyapunov. S inherits positive semidefiniteness
-    from Y.
+    2x2 inputs decide spr(X) < 1 by the Jury triple, the test the
+    non-Markovian tables apply to their rows, and evaluate the adjugate
+    closed forms, whose denominator is the triple's product; larger ones go
+    to scipy.linalg.solve_discrete_lyapunov. S inherits positive
+    semidefiniteness from Y.
     """
     X, Y = _square_pair(X, Y, "X", "Y")
-    report = stability(X, StabilityMode.DISCRETE)
-    if report.spectral_radius >= 1.0:
-        raise StabilityError("Stein gauging requires spectral radius < 1")
     if X.shape == (2, 2):
         x = X.ravel().tolist()
-        if stein2_denominator(*x) <= 0.0:
-            raise StabilityError("Stein denominator not positive; drift not Schur stable")
+        if not all(term > 0.0 for term in jury_triple(*x)):
+            raise StabilityError("Stein gauging requires spectral radius < 1")
         y11, y12, _, y22 = Y.ravel().tolist()
         s11, s12, s22 = stein2_entries(*x, y11, y12, y22)
         S = np.array([[s11, s12], [s12, s22]])
     else:
+        if stability(X).spectral_radius >= 1.0:
+            raise StabilityError("Stein gauging requires spectral radius < 1")
         import scipy.linalg
 
         S = scipy.linalg.solve_discrete_lyapunov(X, Y)

@@ -16,8 +16,9 @@ row.
 
 import numpy as np
 
-# Relative tolerance under which a 2x2 characteristic discriminant counts as
-# vanishing (an EP, or a multiple of the identity).
+# Relative tolerance under which a 2x2 matrix counts as having a double
+# eigenvalue (an EP, or a multiple of the identity): its distance to the
+# nearest such matrix, on the scale 1 + max|m|.
 DISC_TOL = 1e-12
 
 # Taylor window for sin(x)/x and sinh(x)/x; below it the direct quotient loses
@@ -149,23 +150,27 @@ def cp_margin_entries(x11, x12, x21, x22, y11, y12, y22, rel_tol=1e-10):
 
 
 def jordan2_entries(m11, m12, m21, m22, tol=DISC_TOL):
-    """Discriminant rule for a real 2x2 matrix: (center, disc, double, defective, p).
+    """Double-eigenvalue rule for a real 2x2 matrix: (center, disc, double, defective, p).
 
-    The eigenvalues are center +- p sqrt(disc)/2. `double` when the
-    discriminant vanishes within tol (scale-aware); `defective` when it does
-    while the matrix is not a multiple of the identity. The rule runs on the
-    entries divided by the power of two p in (s/2, s], s = 1 + max|m|: they
-    round as the entries themselves do, and keep tau^2, det and disc in the
-    float range, where an overflow to inf would pass the test.
+    The eigenvalues are center +- p sqrt(disc)/2. Write the traceless part as
+    a Z + sigma Q + w J, with Z = diag(1, -1), Q = [[0, 1], [1, 0]] and
+    J = [[0, 1], [-1, 0]], and s = hypot(a, sigma): the eigenvalues are double
+    where s = |w|, and |s - |w|| is the Frobenius distance to the nearest
+    matrix with a double eigenvalue. `double` when that distance is within
+    tol (scale-aware), so a gap that is small but certain is no EP;
+    `defective` when it is while the matrix is not a multiple of the
+    identity. The rule runs on the entries divided by the power of two p in
+    (scale/2, scale], scale = 1 + max|m|: they round as the entries
+    themselves do, and disc = 4 (s - |w|)(s + |w|), taken without
+    cancellation, stays in the float range.
     """
     scale = 1.0 + _maximum(abs(m11), abs(m12), abs(m21), abs(m22))
     p = np.ldexp(1.0, np.frexp(scale)[1] - 1)
     m11, m12, m21, m22 = m11 / p, m12 / p, m21 / p, m22 / p
-    tau = m11 + m22
-    det = m11 * m22 - m12 * m21
-    disc = tau * tau - 4.0 * det
-    center = 0.5 * tau
+    center = 0.5 * (m11 + m22)
+    s = np.hypot(0.5 * (m11 - m22), 0.5 * (m12 + m21))
+    w = abs(0.5 * (m12 - m21))
     unit = scale / p
     off_identity = _maximum(abs(m11 - center), abs(m12), abs(m21), abs(m22 - center))
-    double = abs(disc) <= tol * unit * unit
-    return center * p, disc, double, double & (off_identity > tol * unit), p
+    double = abs(s - w) <= tol * unit
+    return center * p, 4.0 * (s - w) * (s + w), double, double & (off_identity > tol * unit), p

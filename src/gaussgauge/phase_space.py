@@ -2,9 +2,10 @@
 
 A Gaussian channel is the triple (X, Y, delta) acting on moments as
 d -> X d + delta and V -> X V X^T + Y. States are moment pairs (d, V) in
-dimensionless quadrature units with vacuum V = I/2. Two quadrature orderings
-are supported: grouped (q1..qN, p1..pN), the internal canonical one, and
-interleaved (q1, p1, ..., qN, pN); `reorder` converts between them.
+dimensionless quadrature units with vacuum V = I/2. Every record is in the
+grouped quadrature ordering (q1..qN, p1..pN). The interleaved ordering
+(q1, p1, ..., qN, pN) exists only at the boundary: `reorder` converts
+vectors and matrices between the two, and `symplectic_form` takes either.
 """
 
 from dataclasses import dataclass
@@ -128,18 +129,16 @@ def vacuum_state(modes):
 
 @dataclass(frozen=True)
 class GaussianChannel:
-    """Gaussian channel (X, Y, delta); `physical` is a bookkeeping flag.
+    """Gaussian channel (X, Y, delta) in the grouped ordering.
 
-    Gauged representatives (X, 0, delta) produced by the similarity transform
-    are deliberately non-CP and carry physical=False; the flag is not enforced
-    at construction.
+    Complete positivity is not enforced at construction: gauged
+    representatives (X, 0, delta) are generically not CP, and `cp_check`
+    decides it.
     """
 
     X: np.ndarray
     Y: np.ndarray
     delta: np.ndarray
-    ordering: Ordering = Ordering.GROUPED
-    physical: bool = True
 
     def __post_init__(self):
         x = np.asarray(self.X, dtype=float)
@@ -156,24 +155,15 @@ class GaussianChannel:
         object.__setattr__(self, "X", _freeze(x))
         object.__setattr__(self, "Y", _freeze(0.5 * y + 0.5 * y.T))
         object.__setattr__(self, "delta", _freeze(d))
-        object.__setattr__(self, "ordering", Ordering(self.ordering))
 
     @property
     def modes(self):
         return self.X.shape[0] // 2
 
 
-def identity_channel(modes, ordering=Ordering.GROUPED):
+def identity_channel(modes):
     n2 = 2 * modes
-    return GaussianChannel(np.eye(n2), np.zeros((n2, n2)), np.zeros(n2), ordering=ordering)
-
-
-def _require_same_frame(a, b):
-    if a.modes != b.modes or a.ordering != b.ordering:
-        raise DimensionError(
-            f"mode/ordering mismatch: {a.modes} modes ({a.ordering.value}) vs "
-            f"{b.modes} modes ({b.ordering.value})"
-        )
+    return GaussianChannel(np.eye(n2), np.zeros((n2, n2)), np.zeros(n2))
 
 
 def apply_channel(channel, state):
@@ -189,13 +179,12 @@ def apply_channel(channel, state):
 
 def compose(second, first):
     """Composition second o first: (X2 X1, X2 Y1 X2^T + Y2, X2 delta1 + delta2)."""
-    _require_same_frame(second, first)
+    if second.modes != first.modes:
+        raise DimensionError(f"mode mismatch: {second.modes} modes vs {first.modes} modes")
     return GaussianChannel(
         X=second.X @ first.X,
         Y=second.X @ first.Y @ second.X.T + second.Y,
         delta=second.X @ first.delta + second.delta,
-        ordering=first.ordering,
-        physical=first.physical and second.physical,
     )
 
 
@@ -216,7 +205,7 @@ class CpReport:
 
 def cp_matrix(channel):
     """Hermitian CP matrix Y + (i/2)(Sigma - X Sigma X^T)."""
-    sigma = symplectic_form(channel.modes, channel.ordering)
+    sigma = symplectic_form(channel.modes)
     return channel.Y + 0.5j * (sigma - channel.X @ sigma @ channel.X.T)
 
 

@@ -1,8 +1,9 @@
 """Defectiveness detection and the drift-controlled spectrum machinery.
 
 Exceptional points are parameter values where the drift matrix becomes
-non-diagonalizable. `jordan_structure` decides defectiveness (exactly for
-real 2x2 input, by eigenvalue clustering and rank sequences in general);
+non-diagonalizable. `jordan_structure` decides defectiveness (for real 2x2
+input by the distance to a double eigenvalue, by eigenvalue clustering and
+rank sequences in general);
 `additive_spectrum` enumerates sum_j n_j lambda_j(A). `truncated_ou_matrix`
 is the phase-space generator of any mode count on the polynomials of bounded
 degree, in the graded monomial order: block lower triangular, with the drift
@@ -58,7 +59,15 @@ def _jordan_2x2(m, tol):
         raise NonFiniteInputError("matrix has non-finite entries")
     center, disc, double, defective, p = jordan2_entries(*entries, tol)
     half = 0.5 * np.sqrt(complex(disc)) * p  # finite where disc * p * p is not
-    eigs = (center - half, center + half)
+    if disc > 0.0:
+        # center - half would cancel for the root of smaller magnitude;
+        # det / lambda_large does not
+        m11, m12, m21, m22 = entries
+        big = center + math.copysign(half.real, center)
+        small = ((m11 / p) * m22 - (m12 / p) * m21) / (big / p)
+        eigs = tuple(complex(v) for v in sorted((small, big)))
+    else:
+        eigs = (center - half, center + half)
     gap = abs(eigs[1] - eigs[0])
     if double:
         # a single eigenvalue: one Jordan block, or a multiple of the identity
@@ -121,8 +130,11 @@ def _block_sizes(m, mu, multiplicity):
         nulls.append(min(n - rank, multiplicity))
         if nulls[-1] >= multiplicity:
             break
-    # nu_k = number of blocks of size >= k
-    nu = [nulls[k] - nulls[k - 1] for k in range(1, len(nulls))]
+    # nu_k = number of blocks of size >= k, which cannot grow with k; rank
+    # decisions on a cluster of distinct eigenvalues can make the raw
+    # differences grow, so take their running minimum
+    nu = list(itertools.accumulate(
+        (nulls[k] - nulls[k - 1] for k in range(1, len(nulls))), min))
     sizes = []
     for k, count_ge in enumerate(nu, start=1):
         count_next = nu[k] if k < len(nu) else 0
@@ -138,9 +150,10 @@ def _block_sizes(m, mu, multiplicity):
 def jordan_structure(matrix, tol=None):
     """Eigenvalue multiplicities, Jordan block sizes, and the EP verdict.
 
-    Real 2x2 matrices take the exact route: defective iff the characteristic
-    discriminant vanishes (within `tol`, default 1e-12, scale-aware) while the
-    matrix is not proportional to the identity. Otherwise eigenvalues are
+    Real 2x2 matrices take the closed-form route of `onemode.jordan2_entries`:
+    defective iff the matrix lies within `tol` (default 1e-12, scale-aware)
+    of one with a double eigenvalue, in Frobenius distance, while it is not
+    proportional to the identity. Otherwise eigenvalues are
     clustered within `tol` (default 1e-7 scale-aware) and block sizes read off
     the rank sequence of (M - mu I)^k.
     """

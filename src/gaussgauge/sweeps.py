@@ -6,12 +6,13 @@ so that a run is reproducible from its own output. Every table is evaluated
 in one pass over all its points through array-valued kernels that give the
 scalar API's values bit for bit: the squeezed-reservoir closed forms of
 `models` for `drift-eigs` and `squeezed-gauge`, the one-mode kernels of
-`onemode` for `nm-surface` and `nm-branch`. The one-mode kernels are
-whole-array numpy code, transcendentals included, and the non-Markovian
-tables decide Schur stability by the Jury triple, so their only LAPACK call
-is the stacked `eigvalsh` of the Stein solutions. Stable numeric formatting
-(17 significant digits in CSV, shortest-roundtrip repr in JSON) makes
-identical configurations byte-identical.
+`onemode` for `nm-surface`, `nm-branch` and the `ep` column of
+`drift-eigs` (the 2x2 Jordan rule on the squeezed drift). The one-mode
+kernels are whole-array numpy code, transcendentals included, and the
+non-Markovian tables decide Schur stability by the Jury triple, so their
+only LAPACK call is the stacked `eigvalsh` of the Stein solutions. Stable
+numeric formatting (17 significant digits in CSV, shortest-roundtrip repr
+in JSON) makes identical configurations byte-identical.
 """
 
 import itertools
@@ -38,7 +39,6 @@ from .models import (
     squeezed_ep_entries,
 )
 from .onemode import (
-    DISC_TOL,
     cp_margin_entries,
     expm2_entries,
     jordan2_entries,
@@ -73,8 +73,6 @@ GRID_DEFAULTS = {
     "branch_omega": (0.1, 2.0, 40),
 }
 
-EP_GAP_TOL = 1e-8
-
 DIFFUSION_CHOICES = ("iso", "aniso", "drift-aligned")
 
 
@@ -104,18 +102,19 @@ class SweepConfig:
     command: str
     model: dict = field(default_factory=dict)
     grids: dict = field(default_factory=dict)
-    axis: str = None
+    axis: str = "kappa"
     branch: str = "plus"
     diffusion: str = "iso"
     fmt: str = "csv"
     out: str = None
-    ep_gap_tol: float = EP_GAP_TOL
 
     def __post_init__(self):
         # one check for flags and config-file lines alike, before any table is built
-        for name, value in (*self.model.items(), ("ep_gap_tol", self.ep_gap_tol)):
+        for name, value in self.model.items():
             if not math.isfinite(float(value)):
                 raise NonFiniteInputError(f"{name} must be finite, got {value}")
+        if self.fmt not in _TEXT:
+            raise DimensionError(f"unknown output format {self.fmt!r}")
 
     def param(self, name):
         return float(self.model.get(name, MODEL_DEFAULTS[name]))
@@ -175,7 +174,6 @@ def _base_meta(config, **extra):
         "command": config.command,
         "version": __version__,
         "format": config.fmt,
-        "ep_gap_tol": config.ep_gap_tol,
     }
     for key in sorted(MODEL_DEFAULTS):
         meta[f"param.{key}"] = config.param(key)
@@ -184,23 +182,24 @@ def _base_meta(config, **extra):
 
 
 def run_drift_eigs(config):
-    """Real/imaginary drift eigenvalue branches against detuning, EP rows marked."""
+    """Real/imaginary drift eigenvalue branches against detuning, EP rows marked.
+
+    `ep` is the 2x2 Jordan rule of `jordan_structure` on the drift
+    [[-kappa/2, delta - eps], [-(delta + eps), -kappa/2]] of
+    `squeezed_generator`, entry for entry.
+    """
     grid = config.grid("delta")
     kappa, eps = config.param("kappa"), config.param("epsilon")
     r, phi = config.param("r"), config.param("phi")
     SqueezedReservoirParams(kappa, grid.lo, eps, r, phi)  # delta is unchecked: one row checks all
     delta = grid.points()
     lam_minus, lam_plus = squeezed_eigenvalue_entries(kappa, delta, eps)
-    gap = np.abs(lam_plus - lam_minus)
-    # an EP where the discriminant eps^2 - delta^2 vanishes: near it the gap
-    # grows like its square root, so a point an ulp off delta = +-eps has a
-    # gap of ~1e-8 and a gap threshold alone misses it
-    ep = np.abs(eps * eps - delta * delta) <= DISC_TOL * (eps * eps + delta * delta)
+    ep = jordan2_entries(-0.5 * kappa, delta - eps, -(delta + eps), -0.5 * kappa)[3]
     return SweepTable(
         columns=("delta", "re_lambda_plus", "re_lambda_minus", "im_lambda_plus",
                  "im_lambda_minus", "gap", "ep"),
         data=np.column_stack([delta, lam_plus.real, lam_minus.real, lam_plus.imag,
-                              lam_minus.imag, gap, ep | (gap < config.ep_gap_tol)]),
+                              lam_minus.imag, np.abs(lam_plus - lam_minus), ep]),
         meta=_base_meta(config, grid=grid.as_meta(), axis="delta"),
     )
 

@@ -6,18 +6,15 @@ the outcome to the exit code. `--fault` deliberately perturbs one computation
 so the corresponding suite must fail (a self-test of the checker itself).
 """
 
-import bisect
 import math
 import time
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import DimensionError, require_finite
 from .gauging import SmoothingMap, default_gauge_times, gauge_channel, gauge_semigroup
-from .generators import GaussianGenerator, LindbladData, from_lindblad, semigroup_channel
+from .generators import GaussianGenerator, semigroup_channel
 from .matrix_equations import (
-    StabilityMode,
     expm2,
     lyapunov_residual,
     solve_lyapunov,
@@ -82,25 +79,6 @@ def random_stable_channel(rng, modes):
     )
 
 
-def random_physical_generator(rng, modes, jumps=2):
-    """Generator from random linear Lindblad data (CP holds by construction).
-
-    Each mode carries a lowering-operator jump at a random rate on top of the
-    fully random rows, so a sizable fraction of draws is Hurwitz while strong
-    random Hamiltonians still produce unstable ones.
-    """
-    dim = 2 * modes
-    h = rng.standard_normal((dim, dim))
-    rows = [rng.standard_normal(dim) + 1j * rng.standard_normal(dim) for _ in range(jumps)]
-    for j in range(modes):
-        lowering = np.zeros(dim, dtype=complex)
-        lowering[j] = 1.0 / np.sqrt(2.0)
-        lowering[modes + j] = 1.0j / np.sqrt(2.0)
-        rows.append(np.sqrt(rng.uniform(1.0, 4.0)) * lowering)
-    data = LindbladData(H=0.5 * (h + h.T), f=rng.standard_normal(dim), jump_rows=tuple(rows))
-    return from_lindblad(data)
-
-
 def random_ep2_drift(rng, dim):
     """Random Hurwitz drift with an EP2: a 2x2 Jordan block and a random
     Hurwitz rest, under a similarity of condition number at most 4."""
@@ -116,45 +94,6 @@ def random_ep2_drift(rng, dim):
 def random_state(rng, modes):
     dim = 2 * modes
     return MomentState(d=rng.standard_normal(dim), V=random_psd(rng, dim) + 0.5 * np.eye(dim))
-
-
-def eigenvalue_multiset_distance(a, b):
-    """Bottleneck distance between two eigenvalue multisets of one size.
-
-    The least, over all pairings of a with b, of the largest matched
-    |a_i - b_j|; two empty multisets are at distance 0. A level admits a
-    pairing when the graph of costs <= level has a perfect matching; no
-    pairing beats the largest row or column minimum, so that level is tried
-    first and the sorted distinct costs above it are bisected only if it
-    fails. Raises DimensionError for multisets of different sizes and
-    NonFiniteInputError for a NaN or infinite value.
-    """
-    from scipy.sparse import csr_array
-    from scipy.sparse.csgraph import maximum_bipartite_matching
-
-    a, b = np.ravel(a), np.ravel(b)
-    if a.size != b.size:
-        raise DimensionError(f"multisets of sizes {a.size} and {b.size} cannot be paired")
-    require_finite(a=a, b=b)
-    if not a.size:
-        return 0.0
-    cost = np.abs(a[:, None] - b[None, :])
-    row_ends = np.arange(a.size + 1)
-
-    def pairs(level):
-        # CSR straight from the row-major nonzero indices: scipy's conversion
-        # of the dense boolean mask costs more than the matching itself
-        rows, cols = np.nonzero(cost <= level)
-        indptr = np.searchsorted(rows, row_ends)
-        graph = csr_array((np.ones(cols.size, dtype=bool), cols, indptr), shape=cost.shape)
-        return bool(np.all(maximum_bipartite_matching(graph) >= 0))
-
-    floor = max(cost.min(axis=1).max(), cost.min(axis=0).max())
-    if pairs(floor):
-        return float(floor)
-    # pairs() turns True at one level and stays True; the largest cost pairs anything
-    levels = np.unique(cost[cost > floor])
-    return float(levels[bisect.bisect_left(levels, True, key=pairs)])
 
 
 def gauge_similarity_residual(generator, s, max_degree):
@@ -260,7 +199,7 @@ def _suite_jury(rng, fault):
     denom_bad = 0
     for _ in range(n):
         x = rng.uniform(-1.6, 1.6, size=(2, 2))
-        rep = stability(x, StabilityMode.DISCRETE)
+        rep = stability(x)
         triple_stable = all(v > 0 for v in rep.jury_triple)
         spr_stable = rep.spectral_radius < 1.0
         if abs(rep.spectral_radius - 1.0) < 1e-10:

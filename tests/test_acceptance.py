@@ -45,12 +45,13 @@ from gaussgauge.sweeps import (
     run_squeezed_gauge,
 )
 from gaussgauge.verify import (
-    eigenvalue_multiset_distance,
     random_hurwitz,
     random_psd,
     random_schur_stable,
     random_stable_channel,
 )
+
+from multiset import eigenvalue_multiset_distance
 
 SEED = 987654321
 

@@ -51,7 +51,7 @@ class TestGaugeChannel:
         npt.assert_array_equal(result.gauged.X, ch.X)
         npt.assert_array_equal(result.gauged.Y, np.zeros((2, 2)))
         assert result.residual_Y <= 1e-15
-        assert not result.gauged.physical
+        assert not cp_check(result.gauged).passes
 
     def test_zero_diffusion_unchanged(self):
         ch = GaussianChannel(X=0.5 * np.eye(2), Y=np.zeros((2, 2)), delta=[0.1, 0.2])

@@ -23,11 +23,30 @@ from gaussgauge import (
     solve_lyapunov,
     symplectic_form,
 )
-from gaussgauge.verify import random_hurwitz, random_physical_generator, random_psd, random_state
+from gaussgauge.verify import random_hurwitz, random_psd, random_state
 
 SIGMA = symplectic_form(1)
 ROTATION = np.array([[0.0, 1.0], [-1.0, 0.0]])
 NILPOTENT = np.array([[0.0, 1.0], [0.0, 0.0]])
+
+
+def random_physical_generator(rng, modes, jumps=2):
+    """Generator from random linear Lindblad data (CP holds by construction).
+
+    Each mode carries a lowering-operator jump at a random rate on top of the
+    fully random rows, so a sizable fraction of draws is Hurwitz while strong
+    random Hamiltonians still produce unstable ones.
+    """
+    dim = 2 * modes
+    h = rng.standard_normal((dim, dim))
+    rows = [rng.standard_normal(dim) + 1j * rng.standard_normal(dim) for _ in range(jumps)]
+    for j in range(modes):
+        lowering = np.zeros(dim, dtype=complex)
+        lowering[j] = 1.0 / np.sqrt(2.0)
+        lowering[modes + j] = 1.0j / np.sqrt(2.0)
+        rows.append(np.sqrt(rng.uniform(1.0, 4.0)) * lowering)
+    data = LindbladData(H=0.5 * (h + h.T), f=rng.standard_normal(dim), jump_rows=tuple(rows))
+    return from_lindblad(data)
 
 
 def relative_error(value, oracle):

@@ -16,7 +16,6 @@ from gaussgauge import (
     NonFiniteInputError,
     NumericalOverflowError,
     StabilityError,
-    StabilityMode,
     drift_exponential,
     expm2,
     jordan_structure,
@@ -31,16 +30,18 @@ from gaussgauge.verify import random_hurwitz, random_psd, random_schur_stable
 
 class TestStability:
     def test_jury_triple_example(self):
-        report = stability(np.array([[0.5, 0.3], [0.0, 0.5]]), StabilityMode.DISCRETE)
+        report = stability(np.array([[0.5, 0.3], [0.0, 0.5]]))
         npt.assert_allclose(report.jury_triple, (0.75, 0.25, 2.25), atol=1e-15)
         assert report.spectral_radius == pytest.approx(0.5, abs=1e-12)
         assert report.stable_discrete
 
     def test_minus_identity_is_hurwitz(self):
-        assert stability(-np.eye(3)).hurwitz
+        report = stability(-np.eye(3))
+        assert report.hurwitz
+        assert report.jury_triple is None
 
     def test_identity_on_discrete_boundary(self):
-        report = stability(np.eye(2), StabilityMode.DISCRETE)
+        report = stability(np.eye(2))
         assert report.spectral_radius == pytest.approx(1.0)
         assert not report.stable_discrete
         assert min(report.jury_triple) == pytest.approx(0.0, abs=1e-15)
@@ -48,7 +49,7 @@ class TestStability:
     def test_jury_agrees_with_spectral_radius(self, rng):
         for _ in range(10_000):
             x = rng.uniform(-1.6, 1.6, size=(2, 2))
-            report = stability(x, StabilityMode.DISCRETE)
+            report = stability(x)
             if abs(report.spectral_radius - 1.0) < 1e-10:
                 continue
             stable = report.spectral_radius < 1.0
@@ -147,6 +148,20 @@ class TestSolveStein:
     def test_unstable_rejected(self):
         with pytest.raises(StabilityError):
             solve_stein(np.eye(2), np.eye(2))
+        with pytest.raises(StabilityError):
+            solve_stein(2.0 * np.eye(4), np.eye(4))
+
+    def test_one_mode_decided_by_jury_triple(self, monkeypatch):
+        # 2x2 Schur stability is the Jury triple alone, with no eigenvalues
+        def no_eigvals(_):
+            raise AssertionError("eigvals called")
+
+        monkeypatch.setattr(np.linalg, "eigvals", no_eigvals)
+        npt.assert_allclose(solve_stein(0.5 * np.eye(2), np.eye(2)).S, (4.0 / 3.0) * np.eye(2))
+        for x in ([[0.5, 0.3], [0.0, 1.0]], [[-1.0, 0.3], [0.0, 0.5]], [[0.9, 2.0], [-2.0, 0.9]]):
+            # 1 - tr + det, 1 + tr + det and 1 - det vanish or go negative in turn
+            with pytest.raises(StabilityError):
+                solve_stein(np.array(x), np.eye(2))
 
     def test_residual_and_positivity(self, rng):
         for _ in range(300):

@@ -176,11 +176,9 @@ class TestCompose:
             npt.assert_allclose(combined.d, sequential.d, atol=1e-12)
             npt.assert_allclose(combined.V, sequential.V, atol=1e-12)
 
-    def test_ordering_mismatch_rejected(self):
-        grouped = identity_channel(1)
-        interleaved = identity_channel(1, ordering=Ordering.INTERLEAVED)
-        with pytest.raises(DimensionError):
-            compose(grouped, interleaved)
+    def test_mode_mismatch_rejected(self):
+        with pytest.raises(DimensionError, match="mode mismatch: 1 modes vs 2 modes"):
+            compose(identity_channel(1), identity_channel(2))
 
 
 class TestCpCheck:

@@ -17,12 +17,13 @@ from gaussgauge import (
     truncated_ou_matrix,
 )
 from gaussgauge.verify import (
-    eigenvalue_multiset_distance,
     gauge_similarity_residual,
     random_ep2_drift,
     random_hurwitz,
     random_psd,
 )
+
+from multiset import eigenvalue_multiset_distance
 
 
 def degree_block(a, degree):
@@ -52,6 +53,28 @@ class TestJordanStructure:
         assert report.block_sizes == ((1,), (1,))
         assert report.coalescence_gap == pytest.approx(1.0)
 
+    def test_close_simple_eigenvalues_not_defective(self):
+        # one cluster at the default tolerance whose null counts of powers
+        # rise as (0, 0, 2): the block sizes still sum to the multiplicity
+        report = jordan_structure(np.diag([1.0, 1.0 + 1e-8, 5.0]))
+        assert not report.defective
+        assert report.multiplicities == (2, 1)
+        assert report.block_sizes == ((1, 1), (1,))
+
+    @pytest.mark.parametrize("eps", [1e-7, 1e-9])
+    def test_small_certain_gap_not_defective(self, eps):
+        # a symmetric matrix lies eps from the nearest matrix with a double
+        # eigenvalue, far outside the tolerance, however small its gap 2 eps
+        report = jordan_structure(np.array([[-0.02, -eps], [-eps, -0.02]]))
+        assert not report.defective
+        npt.assert_allclose(report.eigenvalues, [-0.02 - eps, -0.02 + eps], rtol=1e-15)
+
+    def test_within_tolerance_of_a_jordan_block(self):
+        # 1e-13 from [[0, 1], [0, 0]], with eigenvalues 6e-7 apart
+        report = jordan_structure(np.array([[0.0, 1.0], [1e-13, 0.0]]))
+        assert report.defective
+        assert report.block_sizes == ((2,),)
+
     def test_scalar_matrix_not_defective(self):
         report = jordan_structure(0.5 * np.eye(2))
         assert not report.defective
@@ -68,6 +91,8 @@ class TestJordanStructure:
         # finite, and exact to rounding on the scale of the matrix
         assert np.all(np.isfinite(report.eigenvalues))
         npt.assert_allclose(report.eigenvalues, [1.0, big], rtol=1e-15, atol=1e-15 * big)
+        # the smaller one to full relative accuracy, not to the scale of the matrix
+        assert report.eigenvalues[0] == pytest.approx(1.0, rel=1e-15)
         assert report.coalescence_gap == pytest.approx(big)
         report = jordan_structure(big * np.eye(2))
         assert not report.defective

@@ -17,14 +17,14 @@ from gaussgauge import (
     EpBranch,
     NumericalOverflowError,
     SqueezedReservoirParams,
+    jordan_structure,
     squeezed_drift_eigenvalues,
     squeezed_ep_gauge,
     squeezed_generator,
 )
 from gaussgauge.cli import main
 from gaussgauge.models import squeezed_eigenvalue_entries, squeezed_ep_entries
-from gaussgauge.onemode import DISC_TOL
-from gaussgauge.sweeps import EP_GAP_TOL, GridSpec, SweepConfig, run_drift_eigs, run_squeezed_gauge
+from gaussgauge.sweeps import GridSpec, SweepConfig, run_drift_eigs, run_squeezed_gauge
 
 TWO_PI = 2.0 * math.pi
 
@@ -94,7 +94,7 @@ DRIFT_CASES = [
     ({}, None),
     ({}, GridSpec(-1.7, 1.3, 31)),  # two rows an ulp off delta = +-eps
     ({"kappa": 0.5, "epsilon": 1.2}, GridSpec(-3.0, 3.0, 1001)),
-    ({"epsilon": 0.0}, GridSpec(-1e-3, 1e-3, 41)),
+    ({"epsilon": 0.0}, GridSpec(-1e-3, 1e-3, 41)),  # delta = 0: A = -kappa/2 I, no EP
 ]
 
 
@@ -110,10 +110,9 @@ def test_drift_eigs_rows_match_scalar_api_bitwise(model, grid):
                                          config.param("phi"))
         lam_minus, lam_plus = squeezed_drift_eigenvalues(params)
         npt.assert_array_equal([lam_minus, lam_plus], written_out_eigenvalues(kappa, delta, eps))
-        gap = abs(lam_plus - lam_minus)
-        ep = abs(eps * eps - delta * delta) <= DISC_TOL * (eps * eps + delta * delta)
-        want.append([delta, lam_plus.real, lam_minus.real, lam_plus.imag, lam_minus.imag, gap,
-                     1.0 if ep or gap < EP_GAP_TOL else 0.0])
+        ep = jordan_structure(squeezed_generator(params).A).defective
+        want.append([delta, lam_plus.real, lam_minus.real, lam_plus.imag, lam_minus.imag,
+                     abs(lam_plus - lam_minus), 1.0 if ep else 0.0])
     npt.assert_array_equal(table.data, np.array(want))
     npt.assert_array_equal(np.signbit(table.data), np.signbit(np.array(want)))
 

@@ -64,14 +64,23 @@ class TestDriftEigs:
 
     def test_ep_rows_an_ulp_off_the_branch(self):
         # on this grid linspace lands delta one ulp off +-1, where the
-        # eigenvalue gap is already ~3e-8 and the gap threshold alone misses
-        from gaussgauge.sweeps import EP_GAP_TOL, GridSpec
+        # eigenvalue gap is already ~3e-8: a gap threshold of 1e-8 would miss
+        # these rows, the distance to a double eigenvalue does not
+        from gaussgauge.sweeps import GridSpec
 
         table = run_drift_eigs(cfg("drift-eigs", grids={"delta": GridSpec(-1.7, 1.3, 31)}))
         delta = table.column("delta")
         ep_rows = table.column("ep").astype(bool)
         npt.assert_allclose(delta[ep_rows], [-1.0, 1.0], rtol=0, atol=1e-15)
-        assert np.all(table.column("gap")[ep_rows] > EP_GAP_TOL)
+        assert np.all(table.column("gap")[ep_rows] > 1e-8)
+
+    @pytest.mark.parametrize("epsilon", [0.0, 1e-9, 1e-7])
+    def test_no_ep_without_a_double_eigenvalue(self, epsilon):
+        # at delta = 0 the drift is -kappa/2 I (epsilon = 0) or has the
+        # distinct eigenvalues -kappa/2 +- epsilon: no row is an EP
+        table = run_drift_eigs(cfg("drift-eigs", model={"epsilon": epsilon}))
+        assert 0.0 in table.column("delta")
+        assert not table.column("ep").any()
 
     def test_pure_rotation_gap_from_imaginary_parts(self):
         table = run_drift_eigs(cfg("drift-eigs", model={"kappa": 2.0, "epsilon": 0.0}))
@@ -360,8 +369,7 @@ class TestCli:
         [("nm-branch --t inf", "t"),
          ("nm-branch --gamma inf", "gamma"),
          ("nm-branch --alpha nan", "alpha"),
-         ("drift-eigs --kappa inf", "kappa"),
-         ("drift-eigs --ep-gap-tol inf", "ep_gap_tol")],
+         ("drift-eigs --kappa inf", "kappa")],
     )
     def test_non_finite_flags_rejected(self, argv, key, tmp_path, capsys):
         self.assert_rejected_before_writing(
@@ -401,6 +409,37 @@ class TestCli:
         text = out.read_text()
         assert "# param.kappa = 2.0" in text  # CLI beats config file
         assert "# grid = -1.0:1.0:5" in text  # grid from config file
+
+    @pytest.mark.parametrize(
+        "command, key, default, config_value, flag_value",
+        [("squeezed-gauge", "axis", "kappa", "r", "phi"),
+         ("squeezed-gauge", "branch", "plus", "minus", "plus"),
+         ("nm-branch", "diffusion", "iso", "aniso", "drift-aligned")],
+    )
+    def test_setting_precedence(self, command, key, default, config_value, flag_value, tmp_path):
+        # the config file beats the default, a flag beats the config file;
+        # --grid follows the axis wherever it came from
+        config = tmp_path / "sweep.cfg"
+        config.write_text(f"{key} = {config_value}\n")
+        out = tmp_path / "t.csv"
+        for extra, want in (([], default),
+                            (["--config", str(config)], config_value),
+                            (["--config", str(config), f"--{key}", flag_value], flag_value)):
+            assert self.run_cli([command, "--grid=0.5:1:3", *extra, "--out", str(out)]) == 0
+            text = out.read_text()
+            assert f"# {key} = {want}\n" in text
+            assert "# grid = 0.5:1.0:3\n" in text
+
+    def test_unknown_format_rejected(self, tmp_path, capsys):
+        from gaussgauge import DimensionError
+
+        with pytest.raises(DimensionError, match="unknown output format 'xml'"):
+            cfg("drift-eigs", fmt="xml")
+        config = tmp_path / "sweep.cfg"
+        config.write_text("format = xml\n")
+        self.assert_rejected_before_writing(
+            ["drift-eigs", "--config", str(config)], tmp_path, capsys,
+            "unknown output format 'xml'")
 
     def test_invalid_config_exit_code(self, tmp_path):
         config = tmp_path / "bad.cfg"
@@ -568,12 +607,14 @@ class TestColdStart:
         assert self.loaded("scipy", code, str(tmp_path), json.dumps(self.SWEEPS)) == []
         assert all((tmp_path / str(i)).stat().st_size > 0 for i in range(len(self.SWEEPS)))
 
+    VERIFY = ("from gaussgauge.cli import main\n"
+              "assert main(['verify', '--seed', '0', '--out', sys.argv[1]]) == 0")
+
+    def test_verify_loads_no_scipy_sparse(self, tmp_path):
+        assert self.loaded("scipy.sparse", self.VERIFY, str(tmp_path / "report.json")) == []
+
     def test_verify_loads_no_scipy_optimize(self, tmp_path):
-        code = (
-            "from gaussgauge.cli import main\n"
-            "assert main(['verify', '--seed', '0', '--out', sys.argv[1]]) == 0"
-        )
-        assert self.loaded("scipy.optimize", code, str(tmp_path / "report.json")) == []
+        assert self.loaded("scipy.optimize", self.VERIFY, str(tmp_path / "report.json")) == []
 
 
 class TestVerifyCommand:
@@ -613,15 +654,3 @@ class TestVerifyCommand:
             assert len(payload["suites"]) == 13
             assert {s["name"] for s in payload["suites"] if not s["passed"]} == suites
 
-
-def test_ep_gap_tolerance_override(tmp_path):
-    # a loose threshold marks near-EP rows as well
-    out = tmp_path / "loose.csv"
-    argv = ["drift-eigs", "--grid=-1.2:1.2:25", "--kappa", "2.0",
-            "--ep-gap-tol", "1.0", "--out", str(out)]
-    assert main(argv) == 0
-    text = out.read_text()
-    assert "# ep_gap_tol = 1.0" in text
-    rows = [l.split(",") for l in text.splitlines() if not l.startswith(("#", "delta"))]
-    flagged = [float(r[0]) for r in rows if r[-1] == "1"]
-    assert len(flagged) > 2  # more than the two exact EP points
