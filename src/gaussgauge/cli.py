@@ -113,12 +113,23 @@ def read_config_file(path):
     return values
 
 
+# the settings that only some commands read
+_COMMAND_SETTINGS = {
+    "squeezed-gauge": ("axis", "branch"),
+    "nm-surface": ("diffusion",),
+    "nm-branch": ("diffusion",),
+    "verify": ("seed", "fault"),
+}
+
+
 def _merge_config(args):
     """Apply precedence: CLI flag > config file entry > defaults.
 
-    `seed` and `fault` are verify settings; no sweep draws a random number.
+    A config file that sets a setting of another command (`_COMMAND_SETTINGS`)
+    is rejected as one with an unknown key, as argparse rejects a flag the
+    command does not take; `seed` and `fault`, for one, are verify settings,
+    since no sweep draws a random number.
     """
-    verify = args.command == "verify"
     file_values = read_config_file(args.config) if getattr(args, "config", None) else {}
     model = {}
     grids = {}
@@ -130,12 +141,8 @@ def _merge_config(args):
             model[key] = float(value)
         elif key in {"format", "fmt"}:
             settings["fmt"] = value
-        elif key == "seed" and verify:
-            settings[key] = int(value)
-        elif key == "fault" and verify:
-            settings[key] = value
-        elif key in {"axis", "branch", "diffusion", "out"}:
-            settings[key] = value
+        elif key == "out" or key in _COMMAND_SETTINGS.get(args.command, ()):
+            settings[key] = int(value) if key == "seed" else value
         else:
             raise GaussGaugeError(f"unknown config key {key!r}")
     for name in _MODEL_FLAGS:

@@ -399,16 +399,6 @@ def _json_text(table):
 _TEXT = {"csv": _csv_text, "json": _json_text}
 
 
-def write_csv(table, fh):
-    fh.writelines(_csv_text(table))
-
-
-def write_json(table, fh):
-    """Write the text of `json.dump(..., sort_keys=True, indent=1)`; a table
-    holding an infinity raises ValueError before anything is written."""
-    fh.writelines(_json_text(table))
-
-
 def write_table(table, path, fmt):
     """Write the table to `path` as CSV or JSON. Every value is formatted,
     and a table the format cannot hold rejected, before the file is opened,

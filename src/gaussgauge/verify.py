@@ -4,6 +4,19 @@
 machine-readable report; the CLI `verify` command renders it as JSON and maps
 the outcome to the exit code. `--fault` deliberately perturbs one computation
 so the corresponding suite must fail (a self-test of the checker itself).
+
+Four suites draw all their inputs first, in the order a per-draw loop would
+draw them, and then check the stacked draws with whole-array code: the
+one-mode kernels of `onemode` that the scalar API runs on floats, against
+one stacked LAPACK or scipy call as the oracle.
+`jury-spectral-agreement` runs `jury_triple` against `np.linalg.eigvals`,
+`expm2-vs-general` `expm2_entries` against `scipy.linalg.expm`, and
+`one-mode-identities` `cp_margin_entries` against `np.linalg.eigvalsh` of
+the complex CP matrices (and X Sigma X^T = det X Sigma through `matmul` and
+`det`). The Stein half of `ep-closed-forms` evaluates `nm_ep_gauge` per
+draw, against `expm2_entries`, `nm_diffusion_entries`, `cp_margin_entries`,
+`jury_triple` and `stein2_entries`, the route of `nm_channel` and
+`solve_stein`; a draw that route would reject fails the suite.
 """
 
 import math
@@ -15,11 +28,9 @@ import numpy as np
 from .gauging import SmoothingMap, default_gauge_times, gauge_channel, gauge_semigroup
 from .generators import GaussianGenerator, semigroup_channel
 from .matrix_equations import (
-    expm2,
     lyapunov_residual,
     solve_lyapunov,
     solve_stein,
-    stability,
     stein_residual,
     stein_series,
 )
@@ -27,18 +38,18 @@ from .models import (
     EpBranch,
     NmFamilyParams,
     SqueezedReservoirParams,
-    nm_channel,
+    memory_factor,
+    nm_diffusion_entries,
     nm_ep_gauge,
     squeezed_ep_gauge,
     squeezed_generator,
 )
+from .onemode import cp_margin_entries, expm2_entries, jury_triple, stein2_entries
 from .phase_space import (
-    CpMethod,
     GaussianChannel,
     MomentState,
     apply_channel,
     compose,
-    cp_check,
     symplectic_form,
 )
 from .spectral import jordan_structure, truncated_ou_matrix
@@ -193,21 +204,23 @@ def _suite_positivity(rng, fault):
     return SuiteResult("positivity-transfer", worst <= 1e-10, worst, 1e-10, n)
 
 
+def _entries(m):
+    """The entry arrays (m11, m12, m21, m22) of an (n, 2, 2) stack."""
+    return m[:, 0, 0], m[:, 0, 1], m[:, 1, 0], m[:, 1, 1]
+
+
 def _suite_jury(rng, fault):
     n = 2000
-    mismatches = 0
-    denom_bad = 0
-    for _ in range(n):
-        x = rng.uniform(-1.6, 1.6, size=(2, 2))
-        rep = stability(x)
-        triple_stable = all(v > 0 for v in rep.jury_triple)
-        spr_stable = rep.spectral_radius < 1.0
-        if abs(rep.spectral_radius - 1.0) < 1e-10:
-            continue
-        if triple_stable != spr_stable:
-            mismatches += 1
-        if spr_stable and np.prod(rep.jury_triple) <= 0:
-            denom_bad += 1
+    x = rng.uniform(-1.6, 1.6, size=(n, 2, 2))  # the values of n draws of one matrix each
+    terms = np.array(jury_triple(*_entries(x)))
+    if fault == "jury":
+        terms[1] += 0.1
+    spr = np.abs(np.linalg.eigvals(x)).max(axis=1)
+    triple_stable = (terms > 0).all(axis=0)
+    spr_stable = spr < 1.0
+    counted = abs(spr - 1.0) >= 1e-10
+    mismatches = np.count_nonzero(counted & (triple_stable != spr_stable))
+    denom_bad = np.count_nonzero(counted & spr_stable & (np.prod(terms, axis=0) <= 0))
     worst = float(mismatches + denom_bad)
     return SuiteResult("jury-spectral-agreement", worst == 0, worst, 0.0, n)
 
@@ -215,14 +228,18 @@ def _suite_jury(rng, fault):
 def _suite_expm2(rng, fault):
     import scipy.linalg
 
-    worst = 0.0
     n = 300
-    for _ in range(n):
-        b = rng.uniform(-2, 2, size=(2, 2))
-        t = rng.uniform(0.0, 5.0)
-        reference = scipy.linalg.expm(t * b)
-        err = float(np.max(np.abs(expm2(b, t) - reference))) / (1.0 + np.abs(reference).max())
-        worst = max(worst, err)
+    b, t = np.empty((n, 2, 2)), np.empty(n)
+    for i in range(n):
+        b[i] = rng.uniform(-2, 2, size=(2, 2))
+        t[i] = rng.uniform(0.0, 5.0)
+    reference = scipy.linalg.expm(t[:, None, None] * b)
+    e11, e12, e21, e22 = expm2_entries(*_entries(b), t)
+    if fault == "expm2":
+        e12 = e12 + 1e-8
+    got = np.stack([e11, e12, e21, e22], axis=-1).reshape(n, 2, 2)
+    err = np.abs(got - reference).max(axis=(1, 2)) / (1.0 + np.abs(reference).max(axis=(1, 2)))
+    worst = float(err.max())
     return SuiteResult("expm2-vs-general", worst <= 4e-12, worst, 4e-12, n)
 
 
@@ -295,25 +312,28 @@ def _suite_composition(rng, fault):
 
 
 def _suite_one_mode_identities(rng, fault):
-    sigma = symplectic_form(1)
-    worst_id = 0.0
-    disagreements = 0
     n = 1000
-    for _ in range(n):
-        x = rng.uniform(-2, 2, size=(2, 2))
-        worst_id = max(
-            worst_id,
-            float(np.max(np.abs(x @ sigma @ x.T - np.linalg.det(x) * sigma))),
-        )
-        y = rng.standard_normal((2, 2))
-        y = 0.5 * (y + y.T) + rng.uniform(-0.3, 1.0) * np.eye(2)
-        ch = GaussianChannel(X=x, Y=y, delta=np.zeros(2))
-        det_rep = cp_check(ch, method=CpMethod.DET_CONDITION)
-        herm_rep = cp_check(ch, method=CpMethod.HERMITIAN_EIG)
-        if abs(det_rep.margin) < 1e-10 or abs(herm_rep.margin) < 1e-10:
-            continue
-        if det_rep.passes != herm_rep.passes:
-            disagreements += 1
+    x, g, shift = np.empty((n, 2, 2)), np.empty((n, 2, 2)), np.empty(n)
+    for i in range(n):
+        x[i] = rng.uniform(-2, 2, size=(2, 2))
+        g[i] = rng.standard_normal((2, 2))
+        shift[i] = rng.uniform(-0.3, 1.0)
+    y = 0.5 * (g + g.transpose(0, 2, 1)) + shift[:, None, None] * np.eye(2)
+    sigma = symplectic_form(1)
+    x_sigma_xt = x @ sigma @ x.transpose(0, 2, 1)
+    gap = np.abs(x_sigma_xt - np.linalg.det(x)[:, None, None] * sigma).max(axis=(1, 2))
+    worst_id = float(gap.max())
+    # the one-mode determinant route against the Hermitian CP matrix's least
+    # eigenvalue, each with its own tolerance as `cp_check` sets it
+    det_margin, det_tol = cp_margin_entries(*_entries(x), y[:, 0, 0], y[:, 0, 1], y[:, 1, 1])
+    if fault == "one-mode":
+        det_margin = det_margin + 0.1
+    z = y + 0.5j * (sigma - x_sigma_xt)
+    herm_tol = 1e-10 * (1.0 + np.abs(z).max(axis=(1, 2)))
+    herm_margin = np.linalg.eigvalsh(z).min(axis=1)
+    counted = (abs(det_margin) >= 1e-10) & (abs(herm_margin) >= 1e-10)
+    disagreements = np.count_nonzero(
+        counted & ((det_margin >= -det_tol) != (herm_margin >= -herm_tol)))
     passed = worst_id <= 1e-13 and disagreements == 0
     return SuiteResult("one-mode-identities", passed, max(worst_id, float(disagreements)), 1e-13, n)
 
@@ -368,16 +388,34 @@ def _suite_ep_closed_forms(rng, fault):
             )
             direct = solve_lyapunov(gen.A, gen.D).S
             worst = max(worst, float(np.max(np.abs(closed.S - direct))))
-    for _ in range(n):
+    # Stein half: nm_ep_gauge per draw, against the route of nm_channel and
+    # solve_stein on the arrays of all draws, the two branches of a draw in turn
+    closed = np.empty((n, 2, 3))
+    kt, omega, t = np.empty(n), np.empty(n), np.empty(n)
+    for i in range(n):
         params = NmFamilyParams(lam=0.0, omega=rng.uniform(0.1, 2.0))
-        t = rng.uniform(0.2, 3.0)
-        for branch in EpBranch:
-            closed = nm_ep_gauge(params, t, branch)
-            sign = 1.0 if branch is EpBranch.PLUS else -1.0
-            ch = nm_channel(params, t, lam=sign * params.omega, omega=params.omega)
-            direct = solve_stein(ch.X, ch.Y).S
-            worst = max(worst, float(np.max(np.abs(closed.S - direct))))
-    return SuiteResult("ep-closed-forms", worst <= 1e-10, worst, 1e-10, 2 * n)
+        t[i] = ti = rng.uniform(0.2, 3.0)
+        omega[i], kt[i] = params.omega, memory_factor(params, ti)
+        for j, branch in enumerate(EpBranch):
+            closed[i, j] = nm_ep_gauge(params, ti, branch).S[[0, 0, 1], [0, 1, 1]]
+    if fault == "ep-closed-form":
+        closed[..., 1] += 1e-6
+    kt, omega, t = np.repeat(kt, 2), np.repeat(omega, 2), np.repeat(t, 2)
+    lam = omega * np.tile([1.0, -1.0], n)
+    x = tuple(kt * e for e in expm2_entries(lam, omega, -omega, -lam, t))
+    y = np.broadcast_arrays(*nm_diffusion_entries(params, kt, lam, omega), lam)[:3]
+    # a draw that nm_channel (finite, CP) or solve_stein (Jury) rejects fails the suite
+    margin, tol = cp_margin_entries(*x, *y)
+    accepted = np.isfinite(x).all(axis=0) & np.isfinite(y).all(axis=0) & (margin >= -tol)
+    accepted &= np.logical_and.reduce([term > 0.0 for term in jury_triple(*x)])
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        direct = np.column_stack(stein2_entries(*x, *y))
+    gap = np.abs(closed.reshape(-1, 3) - direct).max(axis=1)
+    worst = float(np.max(gap[accepted], initial=worst))
+    rejected = np.count_nonzero(~accepted)
+    note = f"{rejected} draws not CP or not Schur stable" if rejected else ""
+    return SuiteResult("ep-closed-forms", worst <= 1e-10 and not rejected, worst, 1e-10, 2 * n,
+                       note=note)
 
 
 def _suite_figure_trends(rng, fault):
@@ -453,7 +491,7 @@ _SUITES = (
     _suite_figure_trends,
 )
 
-FAULT_CHOICES = ("stein", "lyapunov", "gauge")
+FAULT_CHOICES = ("stein", "lyapunov", "gauge", "jury", "expm2", "one-mode", "ep-closed-form")
 
 
 @dataclass(frozen=True)

@@ -25,6 +25,7 @@ from gaussgauge.sweeps import (
     run_nm_surface,
     run_squeezed_gauge,
 )
+from gaussgauge.verify import FAULT_CHOICES
 
 
 def cfg(command, **kwargs):
@@ -430,6 +431,25 @@ class TestCli:
             assert f"# {key} = {want}\n" in text
             assert "# grid = 0.5:1.0:3\n" in text
 
+    @pytest.mark.parametrize(
+        "command, key, value",
+        [("drift-eigs", "axis", "r"),
+         ("drift-eigs", "branch", "minus"),
+         ("drift-eigs", "diffusion", "aniso"),
+         ("nm-surface", "axis", "r"),
+         ("nm-branch", "branch", "minus"),
+         ("squeezed-gauge", "diffusion", "aniso"),
+         ("verify", "diffusion", "aniso")],
+    )
+    def test_setting_of_another_command_rejected(self, command, key, value, tmp_path, capsys):
+        # a config key that the command does not read is an unknown key, not
+        # a line that is dropped without a trace
+        config = tmp_path / "other.cfg"
+        config.write_text(f"{key} = {value}\n")
+        self.assert_rejected_before_writing(
+            [command, "--config", str(config)], tmp_path, capsys,
+            f"unknown config key '{key}'")
+
     def test_unknown_format_rejected(self, tmp_path, capsys):
         from gaussgauge import DimensionError
 
@@ -646,7 +666,12 @@ class TestVerifyCommand:
             "stein": {"stein-residual"},
             "lyapunov": {"lyapunov-residual", "semigroup-gauging"},
             "gauge": {"channel-gauging"},
+            "jury": {"jury-spectral-agreement"},
+            "expm2": {"expm2-vs-general"},
+            "one-mode": {"one-mode-identities"},
+            "ep-closed-form": {"ep-closed-forms"},
         }
+        assert set(own) == set(FAULT_CHOICES)
         for fault, suites in own.items():
             out = tmp_path / f"{fault}.json"
             assert main(["verify", "--seed", "7", "--fault", fault, "--out", str(out)]) == 1

@@ -10,6 +10,7 @@ import pytest
 
 from gaussgauge import DimensionError
 from gaussgauge.sweeps import (
+    _TEXT,
     DIFFUSION_CHOICES,
     GridSpec,
     SweepConfig,
@@ -18,8 +19,6 @@ from gaussgauge.sweeps import (
     run_nm_branch,
     run_nm_surface,
     run_squeezed_gauge,
-    write_csv,
-    write_json,
     write_table,
 )
 
@@ -99,24 +98,18 @@ def test_edge_values_survive_construction():
     ids=["edge", "nm-surface", "drift-eigs"])
 def test_csv_matches_per_value_writer(make):
     table = make()
-    fh = io.StringIO()
-    write_csv(table, fh)
-    assert fh.getvalue() == reference_csv(table)
+    assert "".join(_TEXT["csv"](table)) == reference_csv(table)
 
 
 def test_csv_edge_spellings():
-    fh = io.StringIO()
-    write_csv(edge_table(), fh)
-    body = fh.getvalue().splitlines()[3:]
+    body = "".join(_TEXT["csv"](edge_table())).splitlines()[3:]
     assert body[:5] == ["-0,0,1", "0,-0,-1", "nan,nan,1", "inf,-inf,-1",
                         "4.9406564584124654e-324,-4.9406564584124654e-324,1"]
 
 
 def test_json_nan_becomes_null():
     table = finite_edge_table()
-    fh = io.StringIO()
-    write_json(table, fh)
-    payload = json.loads(fh.getvalue())
+    payload = json.loads("".join(_TEXT["json"](table)))
     assert payload["columns"] == list(table.columns)
     assert len(payload["rows"]) == len(table.rows)
     for got, want in zip(payload["rows"], table.rows):
@@ -134,20 +127,18 @@ def test_json_nan_becomes_null():
 ], ids=["edge", "drift-eigs-ulp", "nm-surface", "no-rows", "one-column"])
 def test_json_matches_json_dump(make):
     table = make()
-    got, want = io.StringIO(), io.StringIO()
-    write_json(table, got)
+    want = io.StringIO()
     reference_json(table, want)
-    assert got.getvalue() == want.getvalue()
+    assert "".join(_TEXT["json"](table)) == want.getvalue()
 
 
 def test_json_matches_json_dump_on_default_tables():
     tables = list(default_figure_tables())
     assert len(tables) == 13
     for table in tables:
-        got, want = io.StringIO(), io.StringIO()
-        write_json(table, got)
+        want = io.StringIO()
         reference_json(table, want)
-        assert got.getvalue() == want.getvalue(), table.meta["command"]
+        assert "".join(_TEXT["json"](table)) == want.getvalue(), table.meta["command"]
 
 
 def test_json_rejects_infinity_before_writing(tmp_path):
@@ -157,7 +148,7 @@ def test_json_rejects_infinity_before_writing(tmp_path):
         reference_json(table, io.StringIO())
     fh = io.StringIO()
     with pytest.raises(ValueError) as got:
-        write_json(table, fh)
+        fh.writelines(_TEXT["json"](table))
     assert str(got.value) == str(want.value) == (
         "Out of range float values are not JSON compliant: -inf")
     assert fh.getvalue() == ""
