@@ -27,7 +27,7 @@ class SmoothingMap:
     S: np.ndarray
 
     def __post_init__(self):
-        s = np.asarray(self.S, dtype=float)
+        s = np.array(self.S, dtype=float)
         s.setflags(write=False)
         object.__setattr__(self, "S", s)
 
@@ -65,12 +65,12 @@ def gauge_channel(channel):
     return GaugingResult(gauged=gauged, S=cov, residual_Y=float(np.max(np.abs(conjugated.Y))))
 
 
-def default_gauge_times(A, count=20, t_min=1e-3):
-    """Log-spaced verification times in [t_min, 10/|max Re lambda(A)|]."""
+def default_gauge_times(A, count=20):
+    """Log-spaced verification times in [1e-3, 10/|max Re lambda(A)|]."""
     decay = -float(np.max(np.linalg.eigvals(np.asarray(A, dtype=float)).real))
     if decay <= 0:
         raise StabilityError("default gauge times need a Hurwitz drift")
-    return np.geomspace(t_min, 10.0 / decay, count)
+    return np.geomspace(1e-3, 10.0 / decay, count)
 
 
 @dataclass(frozen=True)

@@ -18,6 +18,7 @@ import numpy as np
 
 from .errors import DimensionError, NumericalOverflowError, require_finite
 from .matrix_equations import _exponentials
+from .onemode import CP_REL_TOL
 from .phase_space import (
     CpMethod,
     CpReport,
@@ -48,7 +49,7 @@ class GaussianGenerator:
         require_finite(A=a, D=d, u=u)
         if np.max(np.abs(d - d.T)) > 1e-12 * (1.0 + np.max(np.abs(d))):
             raise DimensionError("diffusion rate matrix must be symmetric")
-        for name, arr in (("A", a), ("D", 0.5 * (d + d.T)), ("u", u)):
+        for name, arr in (("A", a), ("D", 0.5 * d + 0.5 * d.T), ("u", u)):
             arr = arr.copy()
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
@@ -106,15 +107,15 @@ def from_lindblad(data):
         cdc = np.zeros((2 * n, 2 * n), dtype=complex)
     a = sigma @ (data.H + cdc.imag)
     d = sigma @ cdc.real @ sigma.T
-    return GaussianGenerator(A=a, D=0.5 * (d + d.T), u=sigma @ data.f)
+    return GaussianGenerator(A=a, D=d, u=sigma @ data.f)
 
 
-def cp_check_generator(generator, rel_tol=1e-10):
+def cp_check_generator(generator):
     """Least eigenvalue of D + (i/2)(A Sigma + Sigma A^T), the generator-level
     complete-positivity matrix."""
     sigma = symplectic_form(generator.modes)
     z = generator.D + 0.5j * (generator.A @ sigma + sigma @ generator.A.T)
-    tol = rel_tol * (1.0 + float(np.max(np.abs(z))))
+    tol = CP_REL_TOL * (1.0 + float(np.max(np.abs(z))))
     margin = float(np.linalg.eigvalsh(z).min())
     return CpReport(
         passes=margin >= -tol, margin=margin, method=CpMethod.HERMITIAN_EIG, tolerance=tol

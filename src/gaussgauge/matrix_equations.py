@@ -82,7 +82,7 @@ class GaugeCovariance:
 
     def __post_init__(self):
         s = np.asarray(self.S, dtype=float)
-        s = 0.5 * (s + s.T)
+        s = 0.5 * s + 0.5 * s.T
         s.setflags(write=False)
         object.__setattr__(self, "S", s)
         object.__setattr__(self, "source", GaugeSource(self.source))

@@ -21,6 +21,10 @@ import numpy as np
 # nearest such matrix, on the scale 1 + max|m|.
 DISC_TOL = 1e-12
 
+# Relative tolerance of every complete-positivity check: a CP matrix Z passes
+# iff its least eigenvalue (or the one-mode margin) is >= -CP_REL_TOL (1 + max|Z|).
+CP_REL_TOL = 1e-10
+
 # Taylor window for sin(x)/x and sinh(x)/x; below it the direct quotient loses
 # no accuracy either, but the series keeps the ratio exactly continuous at 0.
 _SMALL_X = 1e-4
@@ -132,11 +136,11 @@ def stein2_entries(a, b, c, d, y11, y12, y22):
     return s11, s12, s22
 
 
-def cp_margin_entries(x11, x12, x21, x22, y11, y12, y22, rel_tol=1e-10):
+def cp_margin_entries(x11, x12, x21, x22, y11, y12, y22):
     """One-mode complete-positivity margin and its tolerance.
 
     margin = min(lambda_min(Y), det Y - ((1 - det X)/2)^2); the channel is CP
-    iff margin >= -tol. The tolerance rel_tol (1 + max|Z|) is that of the CP
+    iff margin >= -tol. The tolerance CP_REL_TOL (1 + max|Z|) is that of the CP
     matrix Z = Y + (i/2)(Sigma - X Sigma X^T) = [[y11, y12 + i al], [y12 - i al, y22]]
     with al = (1 - det X)/2, since X Sigma X^T = det(X) Sigma for one mode.
     """
@@ -146,7 +150,7 @@ def cp_margin_entries(x11, x12, x21, x22, y11, y12, y22, rel_tol=1e-10):
     # a NaN term (det X = inf - inf once the products overflow) gives a NaN margin
     margin = _where((slack < lam_min) | (slack != slack), slack, lam_min)
     peak = _maximum(abs(y11), abs(y22), np.hypot(y12, alpha))
-    return margin, rel_tol * (1.0 + peak)
+    return margin, CP_REL_TOL * (1.0 + peak)
 
 
 def jordan2_entries(m11, m12, m21, m22, tol=DISC_TOL):

@@ -14,7 +14,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import DimensionError, require_finite
-from .onemode import cp_margin_entries
+from .onemode import CP_REL_TOL, cp_margin_entries
 
 
 class Ordering(str, Enum):
@@ -209,7 +209,7 @@ def cp_matrix(channel):
     return channel.Y + 0.5j * (sigma - channel.X @ sigma @ channel.X.T)
 
 
-def cp_check(channel, method=None, rel_tol=1e-10):
+def cp_check(channel, method=None):
     """Check complete positivity of a channel.
 
     The Hermitian route diagonalizes the CP matrix; the one-mode route uses
@@ -221,11 +221,11 @@ def cp_check(channel, method=None, rel_tol=1e-10):
     method = CpMethod(method)
     if method is CpMethod.HERMITIAN_EIG:
         z = cp_matrix(channel)
-        tol = rel_tol * (1.0 + float(np.max(np.abs(z))))
+        tol = CP_REL_TOL * (1.0 + float(np.max(np.abs(z))))
         margin = float(np.linalg.eigvalsh(z).min())
     else:
         if channel.modes != 1:
             raise DimensionError("determinant CP condition applies to one mode only")
         y11, y12, _, y22 = channel.Y.ravel().tolist()
-        margin, tol = cp_margin_entries(*channel.X.ravel().tolist(), y11, y12, y22, rel_tol)
+        margin, tol = cp_margin_entries(*channel.X.ravel().tolist(), y11, y12, y22)
     return CpReport(passes=bool(margin >= -tol), margin=margin, method=method, tolerance=tol)

@@ -5,6 +5,15 @@ machine-readable report; the CLI `verify` command renders it as JSON and maps
 the outcome to the exit code. `--fault` deliberately perturbs one computation
 so the corresponding suite must fail (a self-test of the checker itself).
 
+A suite only measures: it returns its sample count, a list of
+(values, bound) checks and an optional note, and `run_suite` judges every
+suite by one rule. The suite passes only if every value is <= its bound, so
+a NaN fails it; `worst` is the largest of 0 and all values, and a NaN carries
+through (the JSON report prints it as NaN, the stderr line as nan);
+`tolerance` is the first bound. A GaussGaugeError raised by the code under
+test (or a LinAlgError raised by an oracle on its output) fails that suite,
+with `ErrorClass: message` as its note, and the other suites still run.
+
 Four suites draw all their inputs first, in the order a per-draw loop would
 draw them, and then check the stacked draws with whole-array code: the
 one-mode kernels of `onemode` that the scalar API runs on floats, against
@@ -25,6 +34,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from .errors import GaussGaugeError
 from .gauging import SmoothingMap, default_gauge_times, gauge_channel, gauge_semigroup
 from .generators import GaussianGenerator, semigroup_channel
 from .matrix_equations import (
@@ -44,7 +54,7 @@ from .models import (
     squeezed_ep_gauge,
     squeezed_generator,
 )
-from .onemode import cp_margin_entries, expm2_entries, jury_triple, stein2_entries
+from .onemode import CP_REL_TOL, cp_margin_entries, expm2_entries, jury_triple, stein2_entries
 from .phase_space import (
     GaussianChannel,
     MomentState,
@@ -143,16 +153,22 @@ class SuiteResult:
     samples: int
     note: str = ""
 
-    def __post_init__(self):
-        object.__setattr__(self, "passed", bool(self.passed))
-        object.__setattr__(self, "worst", float(self.worst))
-        object.__setattr__(self, "tolerance", float(self.tolerance))
-        object.__setattr__(self, "samples", int(self.samples))
+
+def _verdict(name, samples, checks, note=""):
+    """The SuiteResult of a suite's measurements under the one verdict rule."""
+    values = [np.asarray(v, dtype=float) for v, _ in checks]
+    return SuiteResult(
+        name,
+        passed=all(bool((v <= bound).all()) for v, (_, bound) in zip(values, checks)),
+        worst=float(np.max(np.concatenate([v.ravel() for v in values]), initial=0.0)),
+        tolerance=float(checks[0][1]),
+        samples=int(samples),
+        note=note,
+    )
 
 
 def _suite_lyapunov(rng, fault):
-    worst = 0.0
-    agree = 0.0
+    residuals, gaps = [], []
     n = 300
     for _ in range(n):
         modes = int(rng.integers(1, 4))
@@ -161,20 +177,16 @@ def _suite_lyapunov(rng, fault):
         s = solve_lyapunov(a, d).S
         if fault == "lyapunov":
             s = s + 1e-6
-        res = lyapunov_residual(a, s, d) / (1.0 + np.max(np.abs(d)))
-        worst = max(worst, res)
+        residuals.append(lyapunov_residual(a, s, d) / (1.0 + np.max(np.abs(d))))
         if modes == 1:
-            n2 = a.shape[0]
-            lhs = np.kron(np.eye(n2), a) + np.kron(a, np.eye(n2))
-            s_vec = np.linalg.solve(lhs, -d.reshape(-1)).reshape(n2, n2)
-            agree = max(agree, float(np.max(np.abs(s - 0.5 * (s_vec + s_vec.T)))))
-    passed = worst <= 1e-10 and agree <= 1e-11
-    return SuiteResult("lyapunov-residual", passed, max(worst, agree), 1e-10, n)
+            lhs = np.kron(np.eye(2), a) + np.kron(a, np.eye(2))
+            s_vec = np.linalg.solve(lhs, -d.reshape(-1)).reshape(2, 2)
+            gaps.append(np.max(np.abs(s - 0.5 * (s_vec + s_vec.T))))
+    return n, [(residuals, 1e-10), (gaps, 1e-11)]
 
 
 def _suite_stein(rng, fault):
-    worst = 0.0
-    series_gap = 0.0
+    residuals, gaps = [], []
     n = 300
     for _ in range(n):
         modes = int(rng.integers(1, 4))
@@ -183,25 +195,21 @@ def _suite_stein(rng, fault):
         s = solve_stein(x, y).S
         if fault == "stein":
             s = s + 1e-6
-        res = stein_residual(x, s, y) / (1.0 + np.max(np.abs(y)))
-        worst = max(worst, res)
+        residuals.append(stein_residual(x, s, y) / (1.0 + np.max(np.abs(y))))
         if modes == 1:
-            series = stein_series(x, y, tol=1e-13).S
-            series_gap = max(series_gap, float(np.max(np.abs(series - s))))
-    passed = worst <= 1e-10 and series_gap <= 1e-10
-    return SuiteResult("stein-residual", passed, max(worst, series_gap), 1e-10, n)
+            gaps.append(np.max(np.abs(stein_series(x, y, tol=1e-13).S - s)))
+    return n, [(residuals, 1e-10), (gaps, 1e-10)]
 
 
 def _suite_positivity(rng, fault):
-    worst = 0.0
+    negativity = []
     n = 200
     for _ in range(n):
         modes = int(rng.integers(1, 4))
         x = random_schur_stable(rng, 2 * modes)
         y = random_psd(rng, 2 * modes)
-        s = solve_stein(x, y).S
-        worst = max(worst, -float(np.linalg.eigvalsh(s).min()))
-    return SuiteResult("positivity-transfer", worst <= 1e-10, worst, 1e-10, n)
+        negativity.append(-np.linalg.eigvalsh(solve_stein(x, y).S).min())
+    return n, [(negativity, 1e-10)]
 
 
 def _entries(m):
@@ -221,8 +229,7 @@ def _suite_jury(rng, fault):
     counted = abs(spr - 1.0) >= 1e-10
     mismatches = np.count_nonzero(counted & (triple_stable != spr_stable))
     denom_bad = np.count_nonzero(counted & spr_stable & (np.prod(terms, axis=0) <= 0))
-    worst = float(mismatches + denom_bad)
-    return SuiteResult("jury-spectral-agreement", worst == 0, worst, 0.0, n)
+    return n, [(mismatches, 0.0), (denom_bad, 0.0)]
 
 
 def _suite_expm2(rng, fault):
@@ -239,36 +246,29 @@ def _suite_expm2(rng, fault):
         e12 = e12 + 1e-8
     got = np.stack([e11, e12, e21, e22], axis=-1).reshape(n, 2, 2)
     err = np.abs(got - reference).max(axis=(1, 2)) / (1.0 + np.abs(reference).max(axis=(1, 2)))
-    worst = float(err.max())
-    return SuiteResult("expm2-vs-general", worst <= 4e-12, worst, 4e-12, n)
+    return n, [(err, 4e-12)]
 
 
 def _suite_channel_gauging(rng, fault):
-    worst = 0.0
+    residuals = []
     drift_changed = 0
     n = 300
     for _ in range(n):
         modes = int(rng.integers(1, 4))
         ch = random_stable_channel(rng, modes)
         if fault == "gauge":
-            bad = SmoothingMap(solve_stein(ch.X, ch.Y).S + 1e-6).conjugate(ch)
-            res = float(np.max(np.abs(bad.Y)))
-            ok_bits = True
+            res = np.max(np.abs(SmoothingMap(solve_stein(ch.X, ch.Y).S + 1e-6).conjugate(ch).Y))
         else:
             result = gauge_channel(ch)
             res = result.residual_Y
-            ok_bits = np.array_equal(ch.X, result.gauged.X) and np.array_equal(
-                ch.delta, result.gauged.delta
-            )
-        worst = max(worst, res / (1.0 + np.max(np.abs(ch.Y))))
-        if not ok_bits:
-            drift_changed += 1
-    passed = worst <= 1e-9 and drift_changed == 0
-    return SuiteResult("channel-gauging", passed, worst, 1e-9, n)
+            drift_changed += not (np.array_equal(ch.X, result.gauged.X)
+                                  and np.array_equal(ch.delta, result.gauged.delta))
+        residuals.append(res / (1.0 + np.max(np.abs(ch.Y))))
+    return n, [(residuals, 1e-9), (drift_changed, 0)]
 
 
 def _suite_semigroup_gauging(rng, fault):
-    worst = 0.0
+    residuals = []
     n = 50
     for _ in range(n):
         modes = int(rng.integers(1, 3))
@@ -278,37 +278,28 @@ def _suite_semigroup_gauging(rng, fault):
         times = default_gauge_times(gen.A, count=10)
         if fault == "lyapunov":
             smoothing = SmoothingMap(solve_lyapunov(gen.A, gen.D).S + 1e-6)
-            for t in times:
-                leftover = smoothing.conjugate(semigroup_channel(gen, t)).Y
-                worst = max(worst, float(np.max(np.abs(leftover))))
+            residuals += [np.max(np.abs(smoothing.conjugate(semigroup_channel(gen, t)).Y))
+                          for t in times]
         else:
-            worst = max(worst, gauge_semigroup(gen, times).max_residual)
-    return SuiteResult("semigroup-gauging", worst <= 1e-8, worst, 1e-8, n)
+            residuals.append(gauge_semigroup(gen, times).max_residual)
+    return n, [(residuals, 1e-8)]
 
 
 def _suite_composition(rng, fault):
-    worst = 0.0
+    gaps = []
     n = 100
     for _ in range(n):
         modes = int(rng.integers(1, 4))
         chs = [random_stable_channel(rng, modes) for _ in range(3)]
         left = compose(chs[2], compose(chs[1], chs[0]))
         right = compose(compose(chs[2], chs[1]), chs[0])
-        worst = max(
-            worst,
-            float(np.max(np.abs(left.X - right.X))),
-            float(np.max(np.abs(left.Y - right.Y))),
-            float(np.max(np.abs(left.delta - right.delta))),
-        )
         state = random_state(rng, modes)
         via_compose = apply_channel(compose(chs[1], chs[0]), state)
         via_sequence = apply_channel(chs[1], apply_channel(chs[0], state))
-        worst = max(
-            worst,
-            float(np.max(np.abs(via_compose.d - via_sequence.d))),
-            float(np.max(np.abs(via_compose.V - via_sequence.V))),
-        )
-    return SuiteResult("composition-consistency", worst <= 1e-12, worst, 1e-12, n)
+        gaps += [np.max(np.abs(p - q)) for p, q in (
+            (left.X, right.X), (left.Y, right.Y), (left.delta, right.delta),
+            (via_compose.d, via_sequence.d), (via_compose.V, via_sequence.V))]
+    return n, [(gaps, 1e-12)]
 
 
 def _suite_one_mode_identities(rng, fault):
@@ -322,32 +313,30 @@ def _suite_one_mode_identities(rng, fault):
     sigma = symplectic_form(1)
     x_sigma_xt = x @ sigma @ x.transpose(0, 2, 1)
     gap = np.abs(x_sigma_xt - np.linalg.det(x)[:, None, None] * sigma).max(axis=(1, 2))
-    worst_id = float(gap.max())
     # the one-mode determinant route against the Hermitian CP matrix's least
     # eigenvalue, each with its own tolerance as `cp_check` sets it
     det_margin, det_tol = cp_margin_entries(*_entries(x), y[:, 0, 0], y[:, 0, 1], y[:, 1, 1])
     if fault == "one-mode":
         det_margin = det_margin + 0.1
     z = y + 0.5j * (sigma - x_sigma_xt)
-    herm_tol = 1e-10 * (1.0 + np.abs(z).max(axis=(1, 2)))
+    herm_tol = CP_REL_TOL * (1.0 + np.abs(z).max(axis=(1, 2)))
     herm_margin = np.linalg.eigvalsh(z).min(axis=1)
     counted = (abs(det_margin) >= 1e-10) & (abs(herm_margin) >= 1e-10)
     disagreements = np.count_nonzero(
         counted & ((det_margin >= -det_tol) != (herm_margin >= -herm_tol)))
-    passed = worst_id <= 1e-13 and disagreements == 0
-    return SuiteResult("one-mode-identities", passed, max(worst_id, float(disagreements)), 1e-13, n)
+    return n, [(gap, 1e-13), (disagreements, 0)]
 
 
 def _suite_noise_independence(rng, fault):
-    worst = 0.0
+    residuals = []
     n = 30
     for k in range(n):
         dim, degree = ((2, 6), (4, 4))[k % 2]
         a = random_ep2_drift(rng, dim) if k % 3 == 0 else random_hurwitz(rng, dim)
         gen = GaussianGenerator(A=a, D=random_psd(rng, dim), u=rng.standard_normal(dim))
         s = solve_lyapunov(a, gen.D).S
-        worst = max(worst, gauge_similarity_residual(gen, s, degree))
-    return SuiteResult("noise-independence", worst <= 1e-12, worst, 1e-12, n)
+        residuals.append(gauge_similarity_residual(gen, s, degree))
+    return n, [(residuals, 1e-12)]
 
 
 def _suite_jordan_chain(rng, fault):
@@ -358,19 +347,17 @@ def _suite_jordan_chain(rng, fault):
     for ell in range(1, 7):
         m = truncated_ou_matrix(drift, ell)[-(ell + 1):, -(ell + 1):].real  # degree ell
         rep = jordan_structure(m, tol=0.2)
-        ok = (
+        bad += not (
             rep.defective
             and len(rep.eigenvalues) == 1
             and abs(rep.eigenvalues[0] - ell * lam) < 1e-8
             and rep.block_sizes[0] == (ell + 1,)
         )
-        if not ok:
-            bad += 1
-    return SuiteResult("jordan-chain", bad == 0, float(bad), 0.0, 6)
+    return 6, [(bad, 0.0)]
 
 
 def _suite_ep_closed_forms(rng, fault):
-    worst = 0.0
+    lyapunov_gaps = []
     n = 200
     for _ in range(n):
         p = SqueezedReservoirParams(
@@ -386,8 +373,7 @@ def _suite_ep_closed_forms(rng, fault):
             gen = squeezed_generator(
                 SqueezedReservoirParams(p.kappa, sign * p.epsilon, p.epsilon, p.r, p.phi)
             )
-            direct = solve_lyapunov(gen.A, gen.D).S
-            worst = max(worst, float(np.max(np.abs(closed.S - direct))))
+            lyapunov_gaps.append(np.max(np.abs(closed.S - solve_lyapunov(gen.A, gen.D).S)))
     # Stein half: nm_ep_gauge per draw, against the route of nm_channel and
     # solve_stein on the arrays of all draws, the two branches of a draw in turn
     closed = np.empty((n, 2, 3))
@@ -411,17 +397,13 @@ def _suite_ep_closed_forms(rng, fault):
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         direct = np.column_stack(stein2_entries(*x, *y))
     gap = np.abs(closed.reshape(-1, 3) - direct).max(axis=1)
-    worst = float(np.max(gap[accepted], initial=worst))
     rejected = np.count_nonzero(~accepted)
     note = f"{rejected} draws not CP or not Schur stable" if rejected else ""
-    return SuiteResult("ep-closed-forms", worst <= 1e-10 and not rejected, worst, 1e-10, 2 * n,
-                       note=note)
+    return 2 * n, [(lyapunov_gaps, 1e-10), (gap[accepted], 1e-10), (rejected, 0)], note
 
 
 def _suite_figure_trends(rng, fault):
-    notes = []
-    ok = True
-    worst = 0.0
+    broken = []  # the trends that fail, by name
 
     def monotone(values, direction):
         diffs = np.diff(np.asarray(values))
@@ -432,12 +414,10 @@ def _suite_figure_trends(rng, fault):
         cfg = SweepConfig(command="squeezed-gauge")
         table = run_squeezed_gauge(cfg, "kappa", branch)
         if not (monotone(table.column("lambda1"), -1) and monotone(table.column("lambda2"), -1)):
-            ok = False
-            notes.append(f"kappa trend broken ({branch})")
+            broken.append(f"kappa trend broken ({branch})")
         table = run_squeezed_gauge(cfg, "r", branch)
         if not (monotone(table.column("lambda1"), +1) and monotone(table.column("lambda2"), +1)):
-            ok = False
-            notes.append(f"r trend broken ({branch})")
+            broken.append(f"r trend broken ({branch})")
     phi_tables = {
         branch: run_squeezed_gauge(SweepConfig(command="squeezed-gauge"), "phi", branch)
         for branch in ("plus", "minus")
@@ -447,49 +427,51 @@ def _suite_figure_trends(rng, fault):
     offset = abs(args["plus"] - args["minus"])
     offset = min(offset, 2 * math.pi - offset)
     if abs(offset - math.pi) > 0.5 * step:
-        ok = False
-        notes.append(f"phi argmax offset {offset:.4f} != pi")
+        broken.append(f"phi argmax offset {offset:.4f} != pi")
 
-    iso = run_nm_branch(SweepConfig(command="nm-branch", diffusion="iso"))
-    plus = np.array(iso.select(branch=1.0))
-    minus = np.array(iso.select(branch=-1.0))
-    iso_gap = float(np.max(np.abs(plus[:, 2:4] - minus[:, 2:4])))
-    worst = max(worst, iso_gap)
-    if iso_gap > 1e-12:
-        ok = False
-        notes.append("isotropic branches differ")
-
-    aligned = run_nm_branch(SweepConfig(command="nm-branch", diffusion="drift-aligned"))
-    plus = np.array(aligned.select(branch=1.0))
-    minus = np.array(aligned.select(branch=-1.0))
-    spectrum_gap = float(np.max(np.abs(plus[:, 2:4] - minus[:, 2:4])))
-    worst = max(worst, spectrum_gap)
-    if spectrum_gap > 1e-12:
-        ok = False
-        notes.append("drift-aligned eigenvalue branch symmetry broken")
+    # the isotropic branches agree, and the drift-aligned branches are isospectral
+    branch_gaps = []
+    for diffusion in ("iso", "drift-aligned"):
+        table = run_nm_branch(SweepConfig(command="nm-branch", diffusion=diffusion))
+        plus = np.array(table.select(branch=1.0))
+        minus = np.array(table.select(branch=-1.0))
+        branch_gaps.append(np.max(np.abs(plus[:, 2:4] - minus[:, 2:4])))
+    # plus and minus are the drift-aligned branches now
     qp_flip = np.max(plus[:, 4] * minus[:, 4])
     qp_floor = np.min(np.abs(plus[:, 4]))
     if not (qp_flip < 0 and qp_floor > 1e-6):
-        ok = False
-        notes.append("drift-aligned orientation sign flip missing")
-    return SuiteResult("figure-trends", ok, worst, 1e-12, 6, note="; ".join(notes))
+        broken.append("drift-aligned orientation sign flip missing")
+    return 6, [(branch_gaps, 1e-12), (len(broken), 0)], "; ".join(broken)
 
 
-_SUITES = (
-    _suite_lyapunov,
-    _suite_stein,
-    _suite_positivity,
-    _suite_jury,
-    _suite_expm2,
-    _suite_channel_gauging,
-    _suite_semigroup_gauging,
-    _suite_composition,
-    _suite_one_mode_identities,
-    _suite_noise_independence,
-    _suite_jordan_chain,
-    _suite_ep_closed_forms,
-    _suite_figure_trends,
-)
+_SUITES = {
+    "lyapunov-residual": _suite_lyapunov,
+    "stein-residual": _suite_stein,
+    "positivity-transfer": _suite_positivity,
+    "jury-spectral-agreement": _suite_jury,
+    "expm2-vs-general": _suite_expm2,
+    "channel-gauging": _suite_channel_gauging,
+    "semigroup-gauging": _suite_semigroup_gauging,
+    "composition-consistency": _suite_composition,
+    "one-mode-identities": _suite_one_mode_identities,
+    "noise-independence": _suite_noise_independence,
+    "jordan-chain": _suite_jordan_chain,
+    "ep-closed-forms": _suite_ep_closed_forms,
+    "figure-trends": _suite_figure_trends,
+}
+
+
+def run_suite(name, rng, fault=None):
+    """Run one suite and judge its measurements by the verdict rule.
+
+    A GaussGaugeError from the code under test, or a LinAlgError from an
+    oracle given its output, fails the suite, with the error as its note.
+    """
+    try:
+        return _verdict(name, *_SUITES[name](rng, fault))
+    except (GaussGaugeError, np.linalg.LinAlgError) as exc:
+        return SuiteResult(name, False, math.nan, math.nan, 0, f"{type(exc).__name__}: {exc}")
+
 
 FAULT_CHOICES = ("stein", "lyapunov", "gauge", "jury", "expm2", "one-mode", "ep-closed-form")
 
@@ -519,10 +501,10 @@ def run_verification(seed=0, fault=None):
     if fault is not None and fault not in FAULT_CHOICES:
         raise ValueError(f"unknown fault {fault!r}; choose from {FAULT_CHOICES}")
     results, seconds = [], []
-    for suite in _SUITES:
+    for index, name in enumerate(_SUITES):
         start = time.perf_counter()
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(len(results),)))
-        results.append(suite(rng, fault))
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(index,)))
+        results.append(run_suite(name, rng, fault))
         seconds.append(time.perf_counter() - start)
     return VerificationReport(
         seed=seed,

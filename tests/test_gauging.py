@@ -42,6 +42,13 @@ class TestSmoothingMap:
             report = cp_check(SmoothingMap(s).inverse())
             assert not report.passes
 
+    def test_leaves_the_callers_array_writable(self):
+        s = np.eye(2)
+        smoothing = SmoothingMap(s)
+        s[0, 0] = 5.0
+        npt.assert_array_equal(smoothing.S, np.eye(2))
+        assert not smoothing.S.flags.writeable
+
 
 class TestGaugeChannel:
     def test_attenuator(self):

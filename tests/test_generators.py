@@ -95,6 +95,11 @@ class TestFromLindblad:
         npt.assert_allclose(gen.A, -0.5 * kappa * np.eye(2), atol=1e-15)
         npt.assert_allclose(gen.D, 0.5 * kappa * (2 * nbar + 1) * np.eye(2), atol=1e-15)
 
+    def test_huge_finite_rates_stay_finite(self):
+        # Re(C^dag C) = diag(1e308, 0) is finite; (d + d.T) / 2 would overflow
+        gen = from_lindblad(LindbladData(H=np.zeros((2, 2)), jump_rows=(np.array([1e154, 0.0]),)))
+        npt.assert_array_equal(gen.D, np.diag([0.0, 1e308]))
+
 
 class TestGeneratorCp:
     def test_thermal_damping_margin_zero(self):

@@ -5,7 +5,10 @@ import pytest
 from gaussgauge import (
     CpMethod,
     DimensionError,
+    GaugeCovariance,
+    GaugeSource,
     GaussianChannel,
+    GaussianGenerator,
     MomentState,
     Ordering,
     apply_channel,
@@ -249,6 +252,14 @@ class TestSymmetrization:
         npt.assert_array_equal(channel.Y, big)
         npt.assert_array_equal(state.V, big)
 
+    @pytest.mark.filterwarnings("error")
+    def test_huge_finite_diffusion_and_gauge_stay_finite(self):
+        big = np.full((2, 2), 1e308)
+        generator = GaussianGenerator(A=-np.eye(2), D=big, u=np.zeros(2))
+        cov = GaugeCovariance(S=big, source=GaugeSource.LYAPUNOV, residual=0.0)
+        npt.assert_array_equal(generator.D, big)
+        npt.assert_array_equal(cov.S, big)
+
     def test_bitwise_equal_to_halved_sum(self, rng):
         # halving is exact outside the subnormal range, so both forms round alike
         for _ in range(200):
@@ -259,3 +270,7 @@ class TestSymmetrization:
             want = (0.5 * (y + y.T)).tobytes()
             assert GaussianChannel(X=np.eye(n), Y=y, delta=np.zeros(n)).Y.tobytes() == want
             assert MomentState(d=np.zeros(n), V=y).V.tobytes() == want
+            generator = GaussianGenerator(A=-np.eye(n), D=y, u=np.zeros(n))
+            assert generator.D.tobytes() == want
+            cov = GaugeCovariance(S=y, source=GaugeSource.STEIN, residual=0.0)
+            assert cov.S.tobytes() == want

@@ -145,6 +145,6 @@ def test_array_suites_equal_per_draw_loops(seed):
 def test_draws_the_scalar_route_rejects_fail_ep_closed_forms(patch, value, monkeypatch):
     monkeypatch.setattr(verify, patch, value)
     rng = np.random.default_rng(0)
-    result = verify._suite_ep_closed_forms(rng, None)
+    result = verify.run_suite("ep-closed-forms", rng)
     assert not result.passed
     assert result.note == "400 draws not CP or not Schur stable"
