@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import StabilityError
+from .errors import StabilityError, _frozen
 from .generators import semigroup_arrays
 from .matrix_equations import GaugeCovariance, solve_lyapunov, solve_stein
 from .phase_space import GaussianChannel, compose
@@ -27,9 +27,7 @@ class SmoothingMap:
     S: np.ndarray
 
     def __post_init__(self):
-        s = np.array(self.S, dtype=float)
-        s.setflags(write=False)
-        object.__setattr__(self, "S", s)
+        object.__setattr__(self, "S", _frozen(self.S))
 
     def forward(self):
         n2 = self.S.shape[0]

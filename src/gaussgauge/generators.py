@@ -16,16 +16,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, NumericalOverflowError, require_finite
-from .matrix_equations import _exponentials
-from .onemode import CP_REL_TOL
-from .phase_space import (
-    CpMethod,
-    CpReport,
-    GaussianChannel,
-    MomentState,
-    symplectic_form,
+from .errors import (
+    DimensionError,
+    NumericalOverflowError,
+    _frozen,
+    _square,
+    _symmetric,
+    _symmetrized,
+    require_finite,
 )
+from .matrix_equations import _exponentials
+from .phase_space import GaussianChannel, MomentState, _hermitian_cp_report, symplectic_form
 
 
 @dataclass(frozen=True)
@@ -40,19 +41,15 @@ class GaussianGenerator:
         a = np.asarray(self.A, dtype=float)
         d = np.asarray(self.D, dtype=float)
         u = np.atleast_1d(np.asarray(self.u, dtype=float))
-        if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] % 2 != 0:
-            raise DimensionError(f"drift must be square of even dimension, got {a.shape}")
-        if d.shape != a.shape or u.shape != (a.shape[0],):
+        _square("drift", a, even=True)
+        if d.shape != a.shape or u.shape != a.shape[:1]:
             raise DimensionError(
                 f"inconsistent generator shapes A{a.shape} D{d.shape} u{u.shape}"
             )
         require_finite(A=a, D=d, u=u)
-        if np.max(np.abs(d - d.T)) > 1e-12 * (1.0 + np.max(np.abs(d))):
-            raise DimensionError("diffusion rate matrix must be symmetric")
-        for name, arr in (("A", a), ("D", 0.5 * d + 0.5 * d.T), ("u", u)):
-            arr = arr.copy()
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        object.__setattr__(self, "A", _frozen(a))
+        object.__setattr__(self, "D", _symmetric("diffusion rate matrix", d))
+        object.__setattr__(self, "u", _frozen(u))
 
     @property
     def modes(self):
@@ -74,21 +71,19 @@ class LindbladData:
 
     def __post_init__(self):
         h = np.asarray(self.H, dtype=float)
-        if h.ndim != 2 or h.shape[0] != h.shape[1] or h.shape[0] % 2 != 0:
-            raise DimensionError(f"Hamiltonian matrix must be square/even, got {h.shape}")
-        if np.max(np.abs(h - h.T)) > 1e-12 * (1.0 + np.max(np.abs(h))):
-            raise DimensionError("Hamiltonian matrix must be symmetric")
+        _square("Hamiltonian matrix", h, even=True)
         f = np.zeros(h.shape[0]) if self.f is None else np.asarray(self.f, dtype=float)
-        if f.shape != (h.shape[0],):
+        if f.shape != h.shape[:1]:
             raise DimensionError(f"drive vector shape {f.shape} does not match H {h.shape}")
-        rows = tuple(np.asarray(r, dtype=complex) for r in self.jump_rows)
+        rows = tuple(_frozen(r, complex) for r in self.jump_rows)
         for r in rows:
-            if r.shape != (h.shape[0],):
+            if r.shape != h.shape[:1]:
                 raise DimensionError(f"jump row shape {r.shape} does not match H {h.shape}")
         if self.rate <= 0:
             raise DimensionError("rate must be positive")
-        object.__setattr__(self, "H", h)
-        object.__setattr__(self, "f", f)
+        require_finite(H=h, f=f)
+        object.__setattr__(self, "H", _symmetric("Hamiltonian matrix", h))
+        object.__setattr__(self, "f", _frozen(f))
         object.__setattr__(self, "jump_rows", rows)
 
 
@@ -114,12 +109,8 @@ def cp_check_generator(generator):
     """Least eigenvalue of D + (i/2)(A Sigma + Sigma A^T), the generator-level
     complete-positivity matrix."""
     sigma = symplectic_form(generator.modes)
-    z = generator.D + 0.5j * (generator.A @ sigma + sigma @ generator.A.T)
-    tol = CP_REL_TOL * (1.0 + float(np.max(np.abs(z))))
-    margin = float(np.linalg.eigvalsh(z).min())
-    return CpReport(
-        passes=margin >= -tol, margin=margin, method=CpMethod.HERMITIAN_EIG, tolerance=tol
-    )
+    return _hermitian_cp_report(
+        generator.D + 0.5j * (generator.A @ sigma + sigma @ generator.A.T))
 
 
 def semigroup_channel(generator, t):
@@ -179,7 +170,7 @@ def semigroup_arrays(generator, times):
             else:
                 i = [j for j, k in enumerate(steps) if k > step]
                 x[i], y[i], delta[i] = _double(x[i], y[i], delta[i])
-        y, delta = 0.5 * (y + y.transpose(0, 2, 1)), delta[..., 0]
+        y, delta = _symmetrized(y), delta[..., 0]
     for name, arr in (("Y_t", y), ("delta_t", delta)):
         if np.count_nonzero(np.isfinite(arr)) != arr.size:
             bad = times[np.argmin(np.isfinite(arr.reshape(times.size, -1)).all(axis=1))]
@@ -230,5 +221,5 @@ def propagate_moments(generator, state, t, steps):
         x = k1 + h3 * (a @ x + x[..., :n] @ at_pad)
         x = k1 + h2 * (a @ x + x[..., :n] @ at_pad)
         w = w + h * x
-    out = [MomentState(d=wi[:, n], V=0.5 * (wi[:, :n] + wi[:, :n].T)) for wi in w]
+    out = [MomentState(d=wi[:, n], V=vi) for wi, vi in zip(w, _symmetrized(w[..., :n]))]
     return out if batch else out[0]

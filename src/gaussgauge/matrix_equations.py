@@ -22,6 +22,9 @@ from .errors import (
     DimensionError,
     NumericalOverflowError,
     StabilityError,
+    _frozen,
+    _square,
+    _symmetrized,
     require_finite,
 )
 from .onemode import expm2_entries, jury_triple, stein2_entries
@@ -57,8 +60,7 @@ class StabilityReport:
 def stability(matrix):
     """Classify drift stability in continuous and discrete time."""
     m = np.asarray(matrix, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise DimensionError(f"stability needs a square matrix, got shape {m.shape}")
+    _square("stability input", m)
     try:
         eigs = np.linalg.eigvals(m)
     except np.linalg.LinAlgError:
@@ -82,9 +84,8 @@ class GaugeCovariance:
 
     def __post_init__(self):
         s = np.asarray(self.S, dtype=float)
-        s = 0.5 * s + 0.5 * s.T
-        s.setflags(write=False)
-        object.__setattr__(self, "S", s)
+        _square("gauge covariance", s)
+        object.__setattr__(self, "S", _symmetrized(s))
         object.__setattr__(self, "source", GaugeSource(self.source))
 
 
@@ -96,11 +97,11 @@ def stein_residual(X, S, Y):
     return float(np.max(np.abs(S - X @ S @ X.T - Y)))
 
 
-def _square_pair(a, b, name_a, name_b):
+def _equation_pair(a, b, name_a, name_b):
+    """The coefficient and inhomogeneity of a matrix equation as checked float arrays."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DimensionError(f"{name_a} must be square, got {a.shape}")
+    _square(name_a, a)
     if b.shape != a.shape:
         raise DimensionError(f"{name_b} shape {b.shape} does not match {name_a} {a.shape}")
     require_finite(**{name_a: a, name_b: b})
@@ -114,13 +115,12 @@ def solve_lyapunov(A, D):
     the resonant pairs lambda_i + lambda_j = 0 that would make it singular.
     The equation defect in max-norm is recorded on the result.
     """
-    A, D = _square_pair(A, D, "A", "D")
+    A, D = _equation_pair(A, D, "A", "D")
     if not stability(A).hurwitz:
         raise StabilityError("Lyapunov gauging requires a Hurwitz drift")
     import scipy.linalg
 
-    S = scipy.linalg.solve_continuous_lyapunov(A, -D)
-    S = 0.5 * (S + S.T)
+    S = _symmetrized(scipy.linalg.solve_continuous_lyapunov(A, -D))
     return GaugeCovariance(S=S, source=GaugeSource.LYAPUNOV, residual=lyapunov_residual(A, S, D))
 
 
@@ -133,7 +133,7 @@ def solve_stein(X, Y):
     to scipy.linalg.solve_discrete_lyapunov. S inherits positive
     semidefiniteness from Y.
     """
-    X, Y = _square_pair(X, Y, "X", "Y")
+    X, Y = _equation_pair(X, Y, "X", "Y")
     if X.shape == (2, 2):
         x = X.ravel().tolist()
         if not all(term > 0.0 for term in jury_triple(*x)):
@@ -146,8 +146,7 @@ def solve_stein(X, Y):
             raise StabilityError("Stein gauging requires spectral radius < 1")
         import scipy.linalg
 
-        S = scipy.linalg.solve_discrete_lyapunov(X, Y)
-        S = 0.5 * (S + S.T)
+        S = _symmetrized(scipy.linalg.solve_discrete_lyapunov(X, Y))
     return GaugeCovariance(S=S, source=GaugeSource.STEIN, residual=stein_residual(X, S, Y))
 
 
@@ -157,7 +156,7 @@ def stein_series(X, Y, tol=1e-12, max_terms=100_000):
     Stops when the increment max-norm drops below `tol`; raises
     ConvergenceError at the term cap (spectral radius >= 1 suspected).
     """
-    X, Y = _square_pair(X, Y, "X", "Y")
+    X, Y = _equation_pair(X, Y, "X", "Y")
     S = term = Y
     xt = X.T.copy()
     for _ in range(max_terms):
@@ -167,7 +166,7 @@ def stein_series(X, Y, tol=1e-12, max_terms=100_000):
             break
     else:
         raise ConvergenceError(f"Stein series not converged after {max_terms} terms")
-    S = 0.5 * (S + S.T)
+    S = _symmetrized(S)
     return GaugeCovariance(
         S=S, source=GaugeSource.STEIN_SERIES, residual=stein_residual(X, S, Y)
     )
@@ -190,9 +189,7 @@ class JordanDrift2x2:
             raise DegenerateSpectrumError("nilpotent part must be nonzero")
         if np.max(np.abs(n @ n)) > 1e-12 * scale * scale:
             raise DimensionError("nilpotent part must square to zero")
-        n = n.copy()
-        n.setflags(write=False)
-        object.__setattr__(self, "nilpotent", n)
+        object.__setattr__(self, "nilpotent", _frozen(n))
 
     @property
     def X(self):
@@ -245,8 +242,7 @@ def drift_exponential(A, t=1.0):
     """
     A = np.asarray(A, dtype=float)
     times = np.asarray(t, dtype=float)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise DimensionError(f"drift must be square, got shape {A.shape}")
+    _square("drift", A)
     if times.ndim > 1:
         raise DimensionError(f"times must be a number or 1-D, got shape {times.shape}")
     require_finite(A=A, t=times)

@@ -6,13 +6,15 @@ diffusion; its Lyapunov gauge covariance has a closed form on each EP
 branch. The EP-branch covariance entries (`squeezed_ep_entries`) and the
 drift eigenvalues (`squeezed_eigenvalue_entries`) take floats or whole
 grids: the scalar API (`squeezed_ep_gauge`, `squeezed_drift_eigenvalues`)
-and the `squeezed-gauge` and `drift-eigs` sweeps share them bit for bit. The
-non-Markovian family X_t = kappa(t) e^{tB} with memory factor
-kappa(t) = exp(-gamma t + r sin(nu t)) (gamma > 0 and 0 < r < gamma/nu, so
-kappa(t) < 1) is defective on the lines lambda = +-omega, where the Stein
-covariance follows from the Jordan closed form for three diffusion
-structures. The thermal attenuator, whose drift is proportional to the
-identity, is the standard channel that cannot have an EP.
+and the `squeezed-gauge` and `drift-eigs` sweeps share them bit for bit.
+They follow the rule of the `onemode` kernels: cosh, sinh, cos and sin are
+numpy ufuncs and squares are products, so a float and the matching array
+element round alike. The non-Markovian family X_t = kappa(t) e^{tB} with
+memory factor kappa(t) = exp(-gamma t + r sin(nu t)) (gamma > 0 and
+0 < r < gamma/nu, so kappa(t) < 1) is defective on the lines
+lambda = +-omega, where the Stein covariance follows from the Jordan closed
+form for three diffusion structures. The thermal attenuator, whose drift is
+proportional to the identity, is the standard channel that cannot have an EP.
 """
 
 import math
@@ -67,28 +69,15 @@ class SqueezedReservoirParams:
             raise DimensionError("squeezing magnitude r must be nonnegative")
 
 
-def _elementwise(fn, *args):
-    """A math-library function on floats, applied element by element to arrays.
-
-    The squeezed closed forms take their transcendentals this way, not as
-    numpy ufuncs (which differ from the math library in the last bits), so
-    that a table equals the math-library values bit for bit.
-    """
-    if np.ndarray not in map(type, args):
-        return fn(*args)
-    arrays = np.broadcast_arrays(*args) if len(args) > 1 else args
-    values = map(fn, *(a.ravel().tolist() for a in arrays))
-    return np.fromiter(values, float, arrays[0].size).reshape(arrays[0].shape)
-
-
 def _cosh_sinh(x):
-    """(cosh x, sinh x) of a float or array, by the math library element by element.
+    """(cosh x, sinh x) of a float or array.
 
     Raises NumericalOverflowError where they leave the float range.
     """
     try:
-        return _elementwise(math.cosh, x), _elementwise(math.sinh, x)
-    except OverflowError:
+        with np.errstate(over="raise"):
+            return np.cosh(x), np.sinh(x)
+    except FloatingPointError:
         raise NumericalOverflowError(
             f"cosh({float(np.max(np.abs(x))):g}) leaves the float range") from None
 
@@ -101,7 +90,7 @@ def squeezed_hamiltonian_matrix(params):
 def squeezed_jump_row(params):
     """Coefficients of the Bogoliubov jump L = cosh(r) a + e^{i phi} sinh(r) a^dag."""
     ch, sh = _cosh_sinh(params.r)
-    phase = complex(math.cos(params.phi), math.sin(params.phi))
+    phase = complex(np.cos(params.phi), np.sin(params.phi))
     return np.array([ch + phase * sh, 1j * (ch - phase * sh)]) / math.sqrt(2.0)
 
 
@@ -123,7 +112,7 @@ def squeezed_generator(params):
     """
     k, dlt, eps = params.kappa, params.delta, params.epsilon
     c2, s2 = _cosh_sinh(2 * params.r)
-    cp, sp = math.cos(params.phi), math.sin(params.phi)
+    cp, sp = np.cos(params.phi), np.sin(params.phi)
     a = np.array([[-0.5 * k, dlt - eps], [-(dlt + eps), -0.5 * k]])
     with np.errstate(over="ignore"):
         d = 0.5 * k * np.array([[c2 - s2 * cp, -s2 * sp], [-s2 * sp, c2 + s2 * cp]])
@@ -140,12 +129,9 @@ def squeezed_drift_eigenvalues(params):
 def squeezed_eigenvalue_entries(kappa, delta, epsilon):
     """Drift eigenvalues (lambda_minus, lambda_plus) as complex floats or arrays.
 
-    kappa, delta and epsilon are floats or arrays of one shape. The squares
-    come from the math library's pow, element by element, as Python's `**`
-    takes them: pow(x, 2) and x * x differ in the last bit for about one
-    float in a thousand.
+    kappa, delta and epsilon are floats or arrays of one shape.
     """
-    disc = _elementwise(math.pow, epsilon, 2.0) - _elementwise(math.pow, delta, 2.0)
+    disc = epsilon * epsilon - delta * delta
     root = np.sqrt(np.asarray(disc, dtype=complex))
     return -0.5 * kappa - root, -0.5 * kappa + root
 
@@ -171,20 +157,19 @@ def squeezed_ep_entries(kappa, epsilon, r, phi, branch):
 
     kappa, epsilon, r and phi are floats or arrays of one shape; an entry that
     does not depend on the arrays is a float. `squeezed_ep_gauge` calls this
-    on floats and the `squeezed-gauge` sweep once on a whole grid, so both
-    round alike: cosh, sinh, cos and sin come from the math library element
-    by element. Each branch substitutes delta = +-eps into the general
+    on floats and the `squeezed-gauge` sweep once on a whole grid, and both
+    round alike. Each branch substitutes delta = +-eps into the general
     off-manifold solution; a bare eps -> -eps sign flip in the Plus-branch
     expressions does not solve the Minus-branch Lyapunov equation. Raises
     NumericalOverflowError where an entry leaves the float range.
     """
     k, eps = kappa, epsilon
     c2, s2 = _cosh_sinh(2 * r)
-    cos_phi = _elementwise(math.cos, phi)
+    cos_phi = np.cos(phi)
     with np.errstate(over="ignore", invalid="ignore"):
         big = c2 - s2 * cos_phi  # cosh(2r) - sinh(2r) cos(phi)
         small = c2 + s2 * cos_phi
-        ss = s2 * _elementwise(math.sin, phi)
+        ss = s2 * np.sin(phi)
         if EpBranch(branch) is EpBranch.PLUS:
             s_qq = 0.5 * big
             s_qp = -0.5 * ss - (eps / k) * big
@@ -207,15 +192,12 @@ def squeezed_ep_entries(kappa, epsilon, r, phi, branch):
 class IsotropicDiffusion:
     """Y_t = y(t) I with y(t) = |1 - kappa(t)^2|/2 + eps_buffer."""
 
-    kind: str = field(default="iso", init=False)
-
 
 @dataclass(frozen=True)
 class AnisotropicDiffusion:
     """Y_t = diag(g e^s, g e^-s) with det Y_t = g^2 at the near-minimal target."""
 
     s: float = 0.5
-    kind: str = field(default="aniso", init=False)
 
 
 @dataclass(frozen=True)
@@ -223,7 +205,6 @@ class DriftAlignedDiffusion:
     """Y_t = nu (I + alpha B B^T / tr(B B^T)), nu fixed by the determinant target."""
 
     alpha: float = 1.0
-    kind: str = field(default="drift-aligned", init=False)
 
     def __post_init__(self):
         if self.alpha <= 0:

@@ -11,7 +11,10 @@ as products, and transcendentals are numpy ufuncs, whose loops give a float
 the value they give it inside an array. Beyond the float range they give inf
 (NaN where an inf meets a zero), with numpy's warnings silenced; `expm2`
 turns a non-finite result into NumericalOverflowError, the sweeps flag the
-row.
+row. The squeezed-reservoir closed forms of `models` keep the same rule, so
+it holds for every kernel of the package that takes floats or arrays; only
+functions of floats alone, such as `models.memory_factor`, call the math
+library.
 """
 
 import numpy as np

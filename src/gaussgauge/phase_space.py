@@ -13,7 +13,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import DimensionError, require_finite
+from .errors import DimensionError, _frozen, _square, _symmetric, _symmetrized, require_finite
 from .onemode import CP_REL_TOL, cp_margin_entries
 
 
@@ -25,18 +25,6 @@ class Ordering(str, Enum):
 class CpMethod(str, Enum):
     HERMITIAN_EIG = "hermitian-eig"
     DET_CONDITION = "det-condition"
-
-
-def _freeze(a):
-    a = np.array(a, dtype=float)
-    a.setflags(write=False)
-    return a
-
-
-def _check_even(dim, what):
-    if dim < 2 or dim % 2 != 0:
-        raise DimensionError(f"{what} must have even dimension >= 2, got {dim}")
-    return dim // 2
 
 
 def symplectic_form(modes, ordering=Ordering.GROUPED):
@@ -83,19 +71,18 @@ def reorder(obj, src, dst):
     """
     src, dst = Ordering(src), Ordering(dst)
     obj = np.asarray(obj, dtype=float)
-    n = _check_even(obj.shape[0], "reorder input")
+    # a vector of length 2N reorders as the diagonal of a 2N x 2N matrix
+    _square("reorder input", np.diag(obj) if obj.ndim == 1 else obj, even=True)
     if src == dst:
         return obj.copy()
-    p = interleaving_permutation(n)
+    p = interleaving_permutation(obj.shape[0] // 2)
     if src is Ordering.INTERLEAVED:  # to grouped
         mat = p
     else:  # grouped to interleaved
         mat = p.T
     if obj.ndim == 1:
         return mat @ obj
-    if obj.ndim == 2 and obj.shape[0] == obj.shape[1]:
-        return mat @ obj @ mat.T
-    raise DimensionError(f"cannot reorder object of shape {obj.shape}")
+    return mat @ obj @ mat.T
 
 
 @dataclass(frozen=True)
@@ -108,14 +95,12 @@ class MomentState:
     def __post_init__(self):
         d = np.atleast_1d(np.asarray(self.d, dtype=float))
         v = np.asarray(self.V, dtype=float)
-        n2 = _check_even(d.shape[0], "moment vector")
-        if v.shape != (2 * n2, 2 * n2):
-            raise DimensionError(f"covariance shape {v.shape} does not match d of length {2 * n2}")
+        _square("covariance matrix", v, even=True)
+        if d.shape != v.shape[:1]:
+            raise DimensionError(f"moment vector shape {d.shape} does not match V {v.shape}")
         require_finite(d=d, V=v)
-        if abs(v - v.T).max() > 1e-12 * (1.0 + abs(v).max()):
-            raise DimensionError("covariance matrix must be symmetric")
-        object.__setattr__(self, "d", _freeze(d))
-        object.__setattr__(self, "V", _freeze(0.5 * v + 0.5 * v.T))
+        object.__setattr__(self, "d", _frozen(d))
+        object.__setattr__(self, "V", _symmetric("covariance matrix", v))
 
     @property
     def modes(self):
@@ -144,17 +129,15 @@ class GaussianChannel:
         x = np.asarray(self.X, dtype=float)
         y = np.asarray(self.Y, dtype=float)
         d = np.atleast_1d(np.asarray(self.delta, dtype=float))
-        n2 = _check_even(x.shape[0], "channel drift")
-        if x.shape != (2 * n2, 2 * n2) or y.shape != x.shape or d.shape != (2 * n2,):
+        _square("channel drift", x, even=True)
+        if y.shape != x.shape or d.shape != x.shape[:1]:
             raise DimensionError(
                 f"inconsistent channel shapes X{x.shape} Y{y.shape} delta{d.shape}"
             )
         require_finite(X=x, Y=y, delta=d)
-        if abs(y - y.T).max() > 1e-12 * (1.0 + abs(y).max()):
-            raise DimensionError("channel diffusion matrix must be symmetric")
-        object.__setattr__(self, "X", _freeze(x))
-        object.__setattr__(self, "Y", _freeze(0.5 * y + 0.5 * y.T))
-        object.__setattr__(self, "delta", _freeze(d))
+        object.__setattr__(self, "X", _frozen(x))
+        object.__setattr__(self, "Y", _symmetric("channel diffusion matrix", y))
+        object.__setattr__(self, "delta", _frozen(d))
 
     @property
     def modes(self):
@@ -174,7 +157,7 @@ def apply_channel(channel, state):
         )
     d = channel.X @ state.d + channel.delta
     v = channel.X @ state.V @ channel.X.T + channel.Y
-    return MomentState(d=d, V=0.5 * (v + v.T))
+    return MomentState(d=d, V=_symmetrized(v))
 
 
 def compose(second, first):
@@ -220,12 +203,18 @@ def cp_check(channel, method=None):
         method = CpMethod.DET_CONDITION if channel.modes == 1 else CpMethod.HERMITIAN_EIG
     method = CpMethod(method)
     if method is CpMethod.HERMITIAN_EIG:
-        z = cp_matrix(channel)
-        tol = CP_REL_TOL * (1.0 + float(np.max(np.abs(z))))
-        margin = float(np.linalg.eigvalsh(z).min())
-    else:
-        if channel.modes != 1:
-            raise DimensionError("determinant CP condition applies to one mode only")
-        y11, y12, _, y22 = channel.Y.ravel().tolist()
-        margin, tol = cp_margin_entries(*channel.X.ravel().tolist(), y11, y12, y22)
+        return _hermitian_cp_report(cp_matrix(channel))
+    if channel.modes != 1:
+        raise DimensionError("determinant CP condition applies to one mode only")
+    y11, y12, _, y22 = channel.Y.ravel().tolist()
+    margin, tol = cp_margin_entries(*channel.X.ravel().tolist(), y11, y12, y22)
     return CpReport(passes=bool(margin >= -tol), margin=margin, method=method, tolerance=tol)
+
+
+def _hermitian_cp_report(z):
+    """The verdict on a Hermitian CP matrix z, of a channel or a generator:
+    CP iff its least eigenvalue is >= -CP_REL_TOL (1 + max|z|)."""
+    tol = CP_REL_TOL * (1.0 + float(abs(z).max()))
+    margin = float(np.linalg.eigvalsh(z).min())
+    return CpReport(passes=margin >= -tol, margin=margin, method=CpMethod.HERMITIAN_EIG,
+                    tolerance=tol)

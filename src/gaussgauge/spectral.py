@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, NonFiniteInputError, require_finite
+from .errors import DimensionError, NonFiniteInputError, _square, require_finite
 from .onemode import DISC_TOL, jordan2_entries
 
 
@@ -158,8 +158,7 @@ def jordan_structure(matrix, tol=None):
     the rank sequence of (M - mu I)^k.
     """
     m = np.asarray(matrix)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise DimensionError(f"jordan_structure needs a square matrix, got {m.shape}")
+    _square("jordan_structure input", m)
     if m.shape == (2, 2) and not np.iscomplexobj(m):
         return _jordan_2x2(m.astype(float), DISC_TOL if tol is None else tol)
     try:

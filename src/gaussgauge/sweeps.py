@@ -7,7 +7,7 @@ in one pass over all its points through array-valued kernels that give the
 scalar API's values bit for bit: the squeezed-reservoir closed forms of
 `models` for `drift-eigs` and `squeezed-gauge`, the one-mode kernels of
 `onemode` for `nm-surface`, `nm-branch` and the `ep` column of
-`drift-eigs` (the 2x2 Jordan rule on the squeezed drift). The one-mode
+`drift-eigs` (the 2x2 Jordan rule on the squeezed drift). All these
 kernels are whole-array numpy code, transcendentals included, and the
 non-Markovian tables decide Schur stability by the Jury triple, so their
 only LAPACK call is the stacked `eigvalsh` of the Stein solutions. Stable

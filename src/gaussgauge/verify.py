@@ -30,11 +30,11 @@ draw, against `expm2_entries`, `nm_diffusion_entries`, `cp_margin_entries`,
 
 import math
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .errors import GaussGaugeError
+from .errors import GaussGaugeError, _symmetrized
 from .gauging import SmoothingMap, default_gauge_times, gauge_channel, gauge_semigroup
 from .generators import GaussianGenerator, semigroup_channel
 from .matrix_equations import (
@@ -181,7 +181,7 @@ def _suite_lyapunov(rng, fault):
         if modes == 1:
             lhs = np.kron(np.eye(2), a) + np.kron(a, np.eye(2))
             s_vec = np.linalg.solve(lhs, -d.reshape(-1)).reshape(2, 2)
-            gaps.append(np.max(np.abs(s - 0.5 * (s_vec + s_vec.T))))
+            gaps.append(np.max(np.abs(s - _symmetrized(s_vec))))
     return n, [(residuals, 1e-10), (gaps, 1e-11)]
 
 
@@ -309,7 +309,7 @@ def _suite_one_mode_identities(rng, fault):
         x[i] = rng.uniform(-2, 2, size=(2, 2))
         g[i] = rng.standard_normal((2, 2))
         shift[i] = rng.uniform(-0.3, 1.0)
-    y = 0.5 * (g + g.transpose(0, 2, 1)) + shift[:, None, None] * np.eye(2)
+    y = _symmetrized(g) + shift[:, None, None] * np.eye(2)
     sigma = symplectic_form(1)
     x_sigma_xt = x @ sigma @ x.transpose(0, 2, 1)
     gap = np.abs(x_sigma_xt - np.linalg.det(x)[:, None, None] * sigma).max(axis=(1, 2))
@@ -378,8 +378,9 @@ def _suite_ep_closed_forms(rng, fault):
     # solve_stein on the arrays of all draws, the two branches of a draw in turn
     closed = np.empty((n, 2, 3))
     kt, omega, t = np.empty(n), np.empty(n), np.empty(n)
+    family = NmFamilyParams(lam=0.0, omega=0.0)  # the default memory and diffusion settings
     for i in range(n):
-        params = NmFamilyParams(lam=0.0, omega=rng.uniform(0.1, 2.0))
+        params = replace(family, omega=rng.uniform(0.1, 2.0))
         t[i] = ti = rng.uniform(0.2, 3.0)
         omega[i], kt[i] = params.omega, memory_factor(params, ti)
         for j, branch in enumerate(EpBranch):
@@ -389,7 +390,7 @@ def _suite_ep_closed_forms(rng, fault):
     kt, omega, t = np.repeat(kt, 2), np.repeat(omega, 2), np.repeat(t, 2)
     lam = omega * np.tile([1.0, -1.0], n)
     x = tuple(kt * e for e in expm2_entries(lam, omega, -omega, -lam, t))
-    y = np.broadcast_arrays(*nm_diffusion_entries(params, kt, lam, omega), lam)[:3]
+    y = np.broadcast_arrays(*nm_diffusion_entries(family, kt, lam, omega), lam)[:3]
     # a draw that nm_channel (finite, CP) or solve_stein (Jury) rejects fails the suite
     margin, tol = cp_margin_entries(*x, *y)
     accepted = np.isfinite(x).all(axis=0) & np.isfinite(y).all(axis=0) & (margin >= -tol)

@@ -433,6 +433,21 @@ class TestValidation:
         with pytest.raises(DimensionError):
             LindbladData(H=np.zeros((2, 2)), jump_rows=(np.ones(3),))
 
+    @pytest.mark.parametrize("field", ["H", "f", "jump row"])
+    def test_lindblad_data_keeps_read_only_copies(self, field):
+        h, f, row = np.diag([1.0, 2.0]), np.array([0.5, -0.5]), np.array([1.0, 0.3j])
+        data = LindbladData(H=h, f=f, jump_rows=(row,))
+        before = from_lindblad(data)
+        {"H": h, "f": f, "jump row": row}[field][0] += 3.0
+        after = from_lindblad(data)
+        for old, new in ((before.A, after.A), (before.D, after.D), (before.u, after.u)):
+            npt.assert_array_equal(new, old)
+        assert not any(a.flags.writeable for a in (data.H, data.f, *data.jump_rows))
+
+    def test_non_finite_hamiltonian_rejected(self):
+        with pytest.raises(NonFiniteInputError, match="^H has non-finite entries$"):
+            LindbladData(H=np.diag([math.nan, 1.0]))
+
     def test_negative_time_rejected(self, rng):
         gen = random_physical_generator(rng, 1)
         with pytest.raises(DimensionError):

@@ -37,7 +37,14 @@ from gaussgauge.onemode import (
     stein2_entries,
 )
 from gaussgauge.phase_space import CpMethod
-from gaussgauge.sweeps import GridSpec, SweepConfig, run_nm_branch, run_nm_surface
+from gaussgauge.sweeps import (
+    GridSpec,
+    SweepConfig,
+    run_drift_eigs,
+    run_nm_branch,
+    run_nm_surface,
+    run_squeezed_gauge,
+)
 
 DIFFUSIONS = {
     "iso": IsotropicDiffusion(),
@@ -197,20 +204,39 @@ def test_flagged_branch_row_raises_scalar_error(capsys):
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
-@pytest.mark.parametrize("diffusion", sorted(DIFFUSIONS))
-def test_nm_tables_without_eigvals_or_per_element_calls(monkeypatch, diffusion):
-    # the non-Markovian tables are whole-array code: no LAPACK eigvals for
-    # stability, no math-library call per element (np.fromiter is where
-    # the squeezed closed forms take those)
-    def refuse(*args, **kwargs):
-        raise AssertionError("per-element or eigvals path taken")
+def _refuse(*args, **kwargs):
+    raise AssertionError("per-element, math-library or eigvals path taken")
 
-    monkeypatch.setattr(np.linalg, "eigvals", refuse)
-    monkeypatch.setattr(np, "fromiter", refuse)
+
+@pytest.fixture
+def whole_array_only(monkeypatch):
+    # the tables are whole-array code: no LAPACK eigvals for stability, no
+    # element-by-element map (np.fromiter)
+    monkeypatch.setattr(np.linalg, "eigvals", _refuse)
+    monkeypatch.setattr(np, "fromiter", _refuse)
+
+
+@pytest.mark.parametrize("diffusion", sorted(DIFFUSIONS))
+def test_nm_tables_without_eigvals_or_per_element_calls(whole_array_only, diffusion):
     table = _surface(diffusion, 31)
     assert table.data.shape == (31 * 31 + 2 * 31, 9)
     assert 0.0 < table.column("unstable").mean() < 1.0
     run_nm_branch(SweepConfig(command="nm-branch", diffusion=diffusion))
+
+
+@pytest.mark.parametrize("axis, branch", [(axis, branch) for axis in ("kappa", "r", "phi")
+                                          for branch in ("plus", "minus")]
+                         + [pytest.param(None, None, id="drift-eigs")])
+def test_squeezed_tables_without_eigvals_or_per_element_calls(
+        whole_array_only, monkeypatch, axis, branch):
+    # the squeezed closed forms take numpy ufuncs, on floats and arrays alike
+    for name in ("cosh", "sinh", "cos", "sin", "pow"):
+        monkeypatch.setattr(math, name, _refuse)
+    if axis is None:
+        table = run_drift_eigs(SweepConfig(command="drift-eigs"))
+    else:
+        table = run_squeezed_gauge(SweepConfig(command="squeezed-gauge"), axis, branch)
+    assert np.isfinite(table.data).all()
 
 
 @pytest.mark.parametrize("diffusion", sorted(DIFFUSIONS))

@@ -9,14 +9,21 @@ from gaussgauge import (
     GaugeSource,
     GaussianChannel,
     GaussianGenerator,
+    LindbladData,
     MomentState,
     Ordering,
     apply_channel,
     compose,
     cp_check,
+    drift_exponential,
     identity_channel,
     interleaving_permutation,
+    jordan_structure,
     reorder,
+    solve_lyapunov,
+    solve_stein,
+    stability,
+    stein_series,
     symplectic_form,
     thermal_loss_channel,
     vacuum_state,
@@ -242,6 +249,44 @@ class TestEdgePaths:
         assert out is not m
 
 
+BIG = 1e308
+
+# finite solutions with entries near the float max, which a symmetrization
+# as 0.5 (S + S^T) turns into inf
+NEAR_MAX_CASES = {
+    "lyapunov-2x2": lambda: solve_lyapunov(-0.5 * np.eye(2), BIG * np.eye(2)).S,
+    "lyapunov-4x4": lambda: solve_lyapunov(-0.5 * np.eye(4), BIG * np.eye(4)).S,
+    "stein-4x4": lambda: solve_stein(0.1 * np.eye(4), BIG * np.eye(4)).S,
+    "stein-series": lambda: stein_series(0.1 * np.eye(2), BIG * np.eye(2)).S,
+    "apply-channel": lambda: apply_channel(
+        GaussianChannel(X=np.eye(2), Y=BIG * np.eye(2), delta=np.zeros(2)), vacuum_state(1)).V,
+}
+
+EMPTY = np.zeros((0, 0))
+
+# empty and 0-d input to every record and solver entry point
+BAD_SHAPE_CASES = {
+    "channel-0d": lambda: GaussianChannel(X=1.0, Y=1.0, delta=0.0),
+    "generator-0x0": lambda: GaussianGenerator(A=EMPTY, D=EMPTY, u=np.zeros(0)),
+    "lindblad-0x0": lambda: LindbladData(H=EMPTY),
+    "gauge-covariance-1d": lambda: GaugeCovariance(
+        S=np.ones(2), source=GaugeSource.LYAPUNOV, residual=0.0),
+    "reorder-0d": lambda: reorder(1.0, Ordering.GROUPED, Ordering.INTERLEAVED),
+    "stability-0x0": lambda: stability(EMPTY),
+    "jordan-0x0": lambda: jordan_structure(EMPTY),
+    "stein-0x0": lambda: solve_stein(EMPTY, EMPTY),
+    "stein-series-0x0": lambda: stein_series(EMPTY, EMPTY),
+    "lyapunov-0x0": lambda: solve_lyapunov(EMPTY, EMPTY),
+    "drift-exponential-0x0": lambda: drift_exponential(EMPTY),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_SHAPE_CASES))
+def test_empty_or_0d_input_raises_dimension_error(case):
+    with pytest.raises(DimensionError):
+        BAD_SHAPE_CASES[case]()
+
+
 class TestSymmetrization:
     @pytest.mark.filterwarnings("error")
     def test_huge_finite_entries_stay_finite(self):
@@ -259,6 +304,17 @@ class TestSymmetrization:
         cov = GaugeCovariance(S=big, source=GaugeSource.LYAPUNOV, residual=0.0)
         npt.assert_array_equal(generator.D, big)
         npt.assert_array_equal(cov.S, big)
+
+    def test_lyapunov_at_the_float_max_is_exact(self):
+        # scipy returns 1e308 I; the defect A S + S A^T + D is exactly 0
+        cov = solve_lyapunov(-0.5 * np.eye(2), BIG * np.eye(2))
+        npt.assert_array_equal(cov.S, BIG * np.eye(2))
+        assert cov.residual == 0.0
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("case", sorted(NEAR_MAX_CASES))
+    def test_finite_solutions_near_the_float_max_stay_finite(self, case):
+        assert np.isfinite(NEAR_MAX_CASES[case]()).all()
 
     def test_bitwise_equal_to_halved_sum(self, rng):
         # halving is exact outside the subnormal range, so both forms round alike

@@ -31,10 +31,10 @@ TWO_PI = 2.0 * math.pi
 
 def written_out_ep_entries(k, eps, r, phi, branch):
     """The EP-branch closed form, one float at a time, in its reference order."""
-    c2, s2 = math.cosh(2 * r), math.sinh(2 * r)
-    big = c2 - s2 * math.cos(phi)
-    small = c2 + s2 * math.cos(phi)
-    ss = s2 * math.sin(phi)
+    c2, s2 = np.cosh(2 * r), np.sinh(2 * r)
+    big = c2 - s2 * np.cos(phi)
+    small = c2 + s2 * np.cos(phi)
+    ss = s2 * np.sin(phi)
     if branch is EpBranch.PLUS:
         s_qq = 0.5 * big
         s_qp = -0.5 * ss - (eps / k) * big
@@ -47,7 +47,7 @@ def written_out_ep_entries(k, eps, r, phi, branch):
 
 
 def written_out_eigenvalues(kappa, delta, eps):
-    root = np.sqrt(complex(eps**2 - delta**2))
+    root = np.sqrt(complex(eps * eps - delta * delta))
     return np.array([-0.5 * kappa - root, -0.5 * kappa + root])
 
 
@@ -160,7 +160,8 @@ def test_drift_eigs_errors(flag, value, message, capsys):
 
 def test_kernels_match_scalar_api_on_random_points(rng):
     # all parameters varying at once, which no sweep does; 5,000 detunings
-    # include a few where pow(x, 2) and x * x round apart
+    # include a few where pow(x, 2) and x * x round apart, so the kernel's
+    # squares must be products
     n = 5000
     kappa, eps = rng.uniform(1e-3, 5.0, n), rng.uniform(-2.0, 2.0, n)
     r, phi = rng.uniform(0.0, 2.0, n), rng.uniform(-TWO_PI, 2 * TWO_PI, n)
