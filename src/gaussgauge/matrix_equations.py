@@ -174,7 +174,10 @@ def stein_series(X, Y, tol=1e-12, max_terms=100_000):
 
 @dataclass(frozen=True)
 class JordanDrift2x2:
-    """Defective one-mode drift X = alpha (I + t N) with N != 0, N^2 = 0."""
+    """Defective one-mode drift X = alpha (I + t N) with N != 0, N^2 = 0.
+
+    A non-finite alpha, t or N raises NonFiniteInputError.
+    """
 
     alpha: float
     nilpotent: np.ndarray
@@ -184,6 +187,8 @@ class JordanDrift2x2:
         n = np.asarray(self.nilpotent, dtype=float)
         if n.shape != (2, 2):
             raise DimensionError("nilpotent part must be 2x2")
+        require_finite(alpha=np.asarray(self.alpha, dtype=float),
+                       t=np.asarray(self.t, dtype=float), nilpotent=n)
         scale = float(np.max(np.abs(n)))
         if scale == 0.0:
             raise DegenerateSpectrumError("nilpotent part must be nonzero")
@@ -207,6 +212,7 @@ def stein_jordan_closed_form(drift, Y):
     Y = np.asarray(Y, dtype=float)
     if Y.shape != (2, 2):
         raise DimensionError("Jordan closed form is a one-mode path; Y must be 2x2")
+    require_finite(Y=Y)
     n, t = drift.nilpotent, drift.t
     rho = drift.alpha * drift.alpha
     one = 1.0 - rho

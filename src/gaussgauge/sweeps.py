@@ -129,14 +129,15 @@ class SweepConfig:
 
 @dataclass(frozen=True)
 class SweepTable:
-    """A table of float rows; `data` is made a read-only (n_rows, n_columns) array."""
+    """A table of float rows; `data` is a read-only (n_rows, n_columns) float
+    view of the given rows, which leaves the caller's own array writable."""
 
     columns: tuple
     data: np.ndarray
     meta: dict
 
     def __post_init__(self):
-        data = np.asarray(self.data, dtype=float)
+        data = np.asarray(self.data, dtype=float).view()
         if data.ndim != 2 or data.shape[1] != len(self.columns):
             raise DimensionError(
                 f"table data of shape {data.shape} for {len(self.columns)} columns")

@@ -14,18 +14,24 @@ through (the JSON report prints it as NaN, the stderr line as nan);
 test (or a LinAlgError raised by an oracle on its output) fails that suite,
 with `ErrorClass: message` as its note, and the other suites still run.
 
-Four suites draw all their inputs first, in the order a per-draw loop would
-draw them, and then check the stacked draws with whole-array code: the
-one-mode kernels of `onemode` that the scalar API runs on floats, against
-one stacked LAPACK or scipy call as the oracle.
-`jury-spectral-agreement` runs `jury_triple` against `np.linalg.eigvals`,
-`expm2-vs-general` `expm2_entries` against `scipy.linalg.expm`, and
-`one-mode-identities` `cp_margin_entries` against `np.linalg.eigvalsh` of
-the complex CP matrices (and X Sigma X^T = det X Sigma through `matmul` and
-`det`). The Stein half of `ep-closed-forms` evaluates `nm_ep_gauge` per
-draw, against `expm2_entries`, `nm_diffusion_entries`, `cp_margin_entries`,
-`jury_triple` and `stein2_entries`, the route of `nm_channel` and
-`solve_stein`; a draw that route would reject fails the suite.
+Every suite that draws random samples, but `semigroup-gauging` and
+`noise-independence`, takes all its draws first, in the order a per-draw
+loop would take them, groups them by mode count, and checks each group with
+stacked arrays.
+The code under test runs on the whole group where the scalar API already
+runs a whole-array kernel: the one-mode `solve_stein` route (`jury_triple`
+and `stein2_entries`), `squeezed_ep_entries`, `expm2_entries` and
+`cp_margin_entries`. Elsewhere it is one public call per draw, the only
+route: `solve_lyapunov`, `solve_stein` above 2x2, `gauge_channel`,
+`compose`, `apply_channel` and `nm_ep_gauge`. The oracles are stacked
+LAPACK or scipy calls that share no code with what they check: a Kronecker
+`np.linalg.solve` for the one-mode Lyapunov equations, a stacked Stein
+series, `np.linalg.eigvals`, `np.linalg.eigvalsh`, `scipy.linalg.expm`; the
+residuals and max-norms are stacked too. The Stein half of
+`ep-closed-forms` checks `nm_ep_gauge` against the route of `nm_channel`
+and `solve_stein` (`expm2_entries`, `nm_diffusion_entries`,
+`cp_margin_entries`, `jury_triple`, `stein2_entries`); a draw that route
+would reject fails the suite.
 """
 
 import math
@@ -34,25 +40,17 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .errors import GaussGaugeError, _symmetrized
+from .errors import ConvergenceError, GaussGaugeError, StabilityError, _symmetrized
 from .gauging import SmoothingMap, default_gauge_times, gauge_channel, gauge_semigroup
-from .generators import GaussianGenerator, semigroup_channel
-from .matrix_equations import (
-    lyapunov_residual,
-    solve_lyapunov,
-    solve_stein,
-    stein_residual,
-    stein_series,
-)
+from .generators import GaussianGenerator, semigroup_arrays, semigroup_channel
+from .matrix_equations import solve_lyapunov, solve_stein
 from .models import (
     EpBranch,
     NmFamilyParams,
-    SqueezedReservoirParams,
     memory_factor,
     nm_diffusion_entries,
     nm_ep_gauge,
-    squeezed_ep_gauge,
-    squeezed_generator,
+    squeezed_ep_entries,
 )
 from .onemode import CP_REL_TOL, cp_margin_entries, expm2_entries, jury_triple, stein2_entries
 from .phase_space import (
@@ -69,26 +67,58 @@ from .sweeps import SweepConfig, run_nm_branch, run_squeezed_gauge
 # ---------------------------------------------------------------------------
 # Random ensembles (shared with the test suite)
 # ---------------------------------------------------------------------------
+#
+# An ensemble is its draws from the generator (`_*_draws`) and a finish that
+# draws nothing (`_hurwitz`, `_rescaled`, `_psd`), on one sample or on a stack
+# of samples of one size: the stacked suites take every draw first and finish
+# each mode-count group with one call.
 
 
-def random_hurwitz(rng, dim, margin=(0.2, 1.0)):
-    """Random matrix shifted left of the imaginary axis."""
-    g = rng.standard_normal((dim, dim))
-    shift = float(np.max(np.linalg.eigvals(g).real)) + rng.uniform(*margin)
-    return g - shift * np.eye(dim)
+def _matrix_draw(rng, dim):
+    return (rng.standard_normal((dim, dim)),)
 
 
-def random_psd(rng, dim, scale=1.0):
-    g = rng.standard_normal((dim, dim))
-    return scale * (g @ g.T) / dim
+def _vector_draw(rng, dim):
+    return (rng.standard_normal(dim),)
 
 
-def random_schur_stable(rng, dim, spr_range=(0.1, 0.95)):
-    """Random matrix rescaled to a spectral radius drawn from spr_range."""
-    g = rng.standard_normal((dim, dim))
-    spr = float(np.max(np.abs(np.linalg.eigvals(g))))
-    target = rng.uniform(*spr_range)
-    return g * (target / spr) if spr > 0 else g
+def _hurwitz_draws(rng, dim):
+    return rng.standard_normal((dim, dim)), rng.uniform(0.2, 1.0)
+
+
+def _schur_draws(rng, dim):
+    return rng.standard_normal((dim, dim)), rng.uniform(0.1, 0.95)
+
+
+def _hurwitz(g, margin):
+    """g shifted left of the imaginary axis, its spectral abscissa to -margin."""
+    shift = np.linalg.eigvals(g).real.max(axis=-1) + margin
+    return g - shift[..., None, None] * np.eye(g.shape[-1])
+
+
+def _rescaled(g, spr):
+    """g rescaled to spectral radius spr (g itself where its spectral radius is 0)."""
+    now = abs(np.linalg.eigvals(g)).max(axis=-1)
+    return g * np.divide(spr, now, out=np.ones_like(now), where=now > 0)[..., None, None]
+
+
+def _psd(g):
+    """g g^T / dim."""
+    return (g @ g.swapaxes(-1, -2)) / g.shape[-1]
+
+
+def random_hurwitz(rng, dim):
+    """Random matrix shifted left of the imaginary axis by a margin in [0.2, 1)."""
+    return _hurwitz(*_hurwitz_draws(rng, dim))
+
+
+def random_psd(rng, dim):
+    return _psd(*_matrix_draw(rng, dim))
+
+
+def random_schur_stable(rng, dim):
+    """Random matrix rescaled to a spectral radius in [0.1, 0.95)."""
+    return _rescaled(*_schur_draws(rng, dim))
 
 
 def random_stable_channel(rng, modes):
@@ -167,54 +197,112 @@ def _verdict(name, samples, checks, note=""):
     )
 
 
-def _suite_lyapunov(rng, fault):
-    residuals, gaps = [], []
-    n = 300
+def _draw_by_modes(rng, n, *draws):
+    """n samples drawn as a per-draw loop draws them: a mode count in
+    {1, 2, 3}, then each `draw(rng, 2 * modes)` in turn. Returns, for each
+    mode count drawn, in increasing order, the list of the draws' outputs,
+    each stacked over the samples of that count."""
+    rows = {}
     for _ in range(n):
         modes = int(rng.integers(1, 4))
-        a = random_hurwitz(rng, 2 * modes)
-        d = random_psd(rng, 2 * modes)
-        s = solve_lyapunov(a, d).S
-        if fault == "lyapunov":
-            s = s + 1e-6
-        residuals.append(lyapunov_residual(a, s, d) / (1.0 + np.max(np.abs(d))))
-        if modes == 1:
-            lhs = np.kron(np.eye(2), a) + np.kron(a, np.eye(2))
-            s_vec = np.linalg.solve(lhs, -d.reshape(-1)).reshape(2, 2)
-            gaps.append(np.max(np.abs(s - _symmetrized(s_vec))))
-    return n, [(residuals, 1e-10), (gaps, 1e-11)]
-
-
-def _suite_stein(rng, fault):
-    residuals, gaps = [], []
-    n = 300
-    for _ in range(n):
-        modes = int(rng.integers(1, 4))
-        x = random_schur_stable(rng, 2 * modes)
-        y = random_psd(rng, 2 * modes)
-        s = solve_stein(x, y).S
-        if fault == "stein":
-            s = s + 1e-6
-        residuals.append(stein_residual(x, s, y) / (1.0 + np.max(np.abs(y))))
-        if modes == 1:
-            gaps.append(np.max(np.abs(stein_series(x, y, tol=1e-13).S - s)))
-    return n, [(residuals, 1e-10), (gaps, 1e-10)]
-
-
-def _suite_positivity(rng, fault):
-    negativity = []
-    n = 200
-    for _ in range(n):
-        modes = int(rng.integers(1, 4))
-        x = random_schur_stable(rng, 2 * modes)
-        y = random_psd(rng, 2 * modes)
-        negativity.append(-np.linalg.eigvalsh(solve_stein(x, y).S).min())
-    return n, [(negativity, 1e-10)]
+        rows.setdefault(modes, []).append([v for draw in draws for v in draw(rng, 2 * modes)])
+    return {modes: [np.array(column) for column in zip(*rows[modes])] for modes in sorted(rows)}
 
 
 def _entries(m):
     """The entry arrays (m11, m12, m21, m22) of an (n, 2, 2) stack."""
     return m[:, 0, 0], m[:, 0, 1], m[:, 1, 0], m[:, 1, 1]
+
+
+def _stack2(m11, m12, m21, m22):
+    """The (n, 2, 2) stack of the entry arrays; `_entries` undone."""
+    return np.stack([m11, m12, m21, m22], axis=-1).reshape(-1, 2, 2)
+
+
+def _max_abs(m):
+    """max|m| of each matrix of a stack."""
+    return abs(m).max(axis=(-2, -1))
+
+
+def _solutions(solve, a, b):
+    """The S of one `solve(a_i, b_i)` call per draw, stacked."""
+    return np.array([solve(ai, bi).S for ai, bi in zip(a, b)])
+
+
+def _stein_solutions(x, y):
+    """S = X S X^T + Y for a stack of draws of one size, by `solve_stein`'s
+    route: at 2x2 its one-mode kernels on the whole stack (the Jury triple
+    decides spr(X) < 1, `stein2_entries` gives S), above one call per draw."""
+    if x.shape[-1] != 2:
+        return _solutions(solve_stein, x, y)
+    x_entries = _entries(x)
+    if not (np.array(jury_triple(*x_entries)) > 0.0).all():
+        raise StabilityError("Stein gauging requires spectral radius < 1")
+    s11, s12, s22 = stein2_entries(*x_entries, y[:, 0, 0], y[:, 0, 1], y[:, 1, 1])
+    return _symmetrized(_stack2(s11, s12, s12, s22))
+
+
+def _lyapunov_kronecker(a, d):
+    """S of A S + S A^T + D = 0 for a stack of 2x2 A and D, from one stacked
+    solve of the 4x4 Kronecker system (I (x) A + A (x) I) vec S = -vec D."""
+    eye = np.eye(2)[None]
+    lhs = np.kron(eye, a) + np.kron(a, eye)
+    return _symmetrized(np.linalg.solve(lhs, -d.reshape(-1, 4, 1)).reshape(-1, 2, 2))
+
+
+def _stein_series(x, y, tol=1e-13, max_terms=100_000):
+    """The partial sums of S = sum_n X^n Y (X^T)^n on a stack, each draw
+    stopped at its first term of max-norm below tol, as `stein_series` stops
+    it; ConvergenceError if a draw reaches the term cap."""
+    s = term = y
+    xt = x.transpose(0, 2, 1).copy()
+    active = np.ones(len(x), dtype=bool)
+    for _ in range(max_terms):
+        term = x @ term @ xt
+        s = np.where(active[:, None, None], s + term, s)
+        active &= ~(_max_abs(term) < tol)
+        if not active.any():
+            return _symmetrized(s)
+    raise ConvergenceError(f"Stein series not converged after {max_terms} terms")
+
+
+def _suite_lyapunov(rng, fault):
+    residuals, gaps = [], []
+    n = 300
+    for modes, (g, margin, h) in _draw_by_modes(rng, n, _hurwitz_draws, _matrix_draw).items():
+        a, d = _hurwitz(g, margin), _psd(h)
+        s = _solutions(solve_lyapunov, a, d)
+        if fault == "lyapunov":
+            s = s + 1e-6
+        residuals.append(_max_abs(a @ s + s @ a.transpose(0, 2, 1) + d) / (1.0 + _max_abs(d)))
+        if modes == 1:
+            gaps.append(_max_abs(s - _lyapunov_kronecker(a, d)))
+    return n, [(np.concatenate(residuals), 1e-10), (np.concatenate([[], *gaps]), 1e-11)]
+
+
+def _suite_stein(rng, fault):
+    residuals, gaps = [], []
+    n = 300
+    for modes, (g, spr, h) in _draw_by_modes(rng, n, _schur_draws, _matrix_draw).items():
+        x, y = _rescaled(g, spr), _psd(h)
+        s = _stein_solutions(x, y)
+        if fault == "stein":
+            s = s + 1e-6
+        residuals.append(_max_abs(s - x @ s @ x.transpose(0, 2, 1) - y) / (1.0 + _max_abs(y)))
+        if modes == 1:
+            gaps.append(_max_abs(_stein_series(x, y) - s))
+    return n, [(np.concatenate(residuals), 1e-10), (np.concatenate([[], *gaps]), 1e-10)]
+
+
+def _suite_positivity(rng, fault):
+    negativity = []
+    n = 200
+    for g, spr, h in _draw_by_modes(rng, n, _schur_draws, _matrix_draw).values():
+        s = _stein_solutions(_rescaled(g, spr), _psd(h))
+        if fault == "positivity":
+            s = -s  # the solution of S = X S X^T - Y
+        negativity.append(-np.linalg.eigvalsh(s).min(axis=1))
+    return n, [(np.concatenate(negativity), 1e-10)]
 
 
 def _suite_jury(rng, fault):
@@ -244,27 +332,33 @@ def _suite_expm2(rng, fault):
     e11, e12, e21, e22 = expm2_entries(*_entries(b), t)
     if fault == "expm2":
         e12 = e12 + 1e-8
-    got = np.stack([e11, e12, e21, e22], axis=-1).reshape(n, 2, 2)
-    err = np.abs(got - reference).max(axis=(1, 2)) / (1.0 + np.abs(reference).max(axis=(1, 2)))
+    err = _max_abs(_stack2(e11, e12, e21, e22) - reference) / (1.0 + _max_abs(reference))
     return n, [(err, 4e-12)]
+
+
+# the draws of one `random_stable_channel`: X, Y and delta
+_CHANNEL_DRAWS = (_schur_draws, _matrix_draw, _vector_draw)
 
 
 def _suite_channel_gauging(rng, fault):
     residuals = []
     drift_changed = 0
     n = 300
-    for _ in range(n):
-        modes = int(rng.integers(1, 4))
-        ch = random_stable_channel(rng, modes)
+    for g, spr, h, delta in _draw_by_modes(rng, n, *_CHANNEL_DRAWS).values():
+        x, y = _rescaled(g, spr), _psd(h)
+        channels = [GaussianChannel(X=xi, Y=yi, delta=di) for xi, yi, di in zip(x, y, delta)]
         if fault == "gauge":
-            res = np.max(np.abs(SmoothingMap(solve_stein(ch.X, ch.Y).S + 1e-6).conjugate(ch).Y))
+            gauged_y = np.array([SmoothingMap(solve_stein(ch.X, ch.Y).S + 1e-6).conjugate(ch).Y
+                                 for ch in channels])
+            res = _max_abs(gauged_y)
         else:
-            result = gauge_channel(ch)
-            res = result.residual_Y
-            drift_changed += not (np.array_equal(ch.X, result.gauged.X)
-                                  and np.array_equal(ch.delta, result.gauged.delta))
-        residuals.append(res / (1.0 + np.max(np.abs(ch.Y))))
-    return n, [(residuals, 1e-9), (drift_changed, 0)]
+            results = [gauge_channel(ch) for ch in channels]
+            res = np.array([result.residual_Y for result in results])
+            same_x = (np.array([r.gauged.X for r in results]) == x).all(axis=(1, 2))
+            same_delta = (np.array([r.gauged.delta for r in results]) == delta).all(axis=1)
+            drift_changed += np.count_nonzero(~(same_x & same_delta))
+        residuals.append(res / (1.0 + _max_abs(y)))
+    return n, [(np.concatenate(residuals), 1e-9), (drift_changed, 0)]
 
 
 def _suite_semigroup_gauging(rng, fault):
@@ -280,26 +374,42 @@ def _suite_semigroup_gauging(rng, fault):
             smoothing = SmoothingMap(solve_lyapunov(gen.A, gen.D).S + 1e-6)
             residuals += [np.max(np.abs(smoothing.conjugate(semigroup_channel(gen, t)).Y))
                           for t in times]
+        elif fault == "semigroup":
+            # X_t and Y_t of times a relative 1e-6 apart
+            s = gauge_semigroup(gen, times).S.S
+            x = semigroup_arrays(gen, times)[0]
+            y = semigroup_arrays(gen, times * (1.0 + 1e-6))[1]
+            residuals.append(_max_abs(x @ s @ x.transpose(0, 2, 1) + y - s))
         else:
             residuals.append(gauge_semigroup(gen, times).max_residual)
-    return n, [(residuals, 1e-8)]
+    return n, [(np.hstack(residuals), 1e-8)]
 
 
 def _suite_composition(rng, fault):
     gaps = []
     n = 100
-    for _ in range(n):
-        modes = int(rng.integers(1, 4))
-        chs = [random_stable_channel(rng, modes) for _ in range(3)]
-        left = compose(chs[2], compose(chs[1], chs[0]))
-        right = compose(compose(chs[2], chs[1]), chs[0])
-        state = random_state(rng, modes)
-        via_compose = apply_channel(compose(chs[1], chs[0]), state)
-        via_sequence = apply_channel(chs[1], apply_channel(chs[0], state))
-        gaps += [np.max(np.abs(p - q)) for p, q in (
-            (left.X, right.X), (left.Y, right.Y), (left.delta, right.delta),
-            (via_compose.d, via_sequence.d), (via_compose.V, via_sequence.V))]
-    return n, [(gaps, 1e-12)]
+    draws = (*_CHANNEL_DRAWS * 3, _vector_draw, _matrix_draw)  # three channels, then a state
+    for columns in _draw_by_modes(rng, n, *draws).values():
+        chs = [[GaussianChannel(X=x, Y=y, delta=d)
+                for x, y, d in zip(_rescaled(g, spr), _psd(h), delta)]
+               for g, spr, h, delta in (columns[0:4], columns[4:8], columns[8:12])]
+        d, h = columns[12:]
+        v = _psd(h) + 0.5 * np.eye(h.shape[-1])
+        states = [MomentState(d=di, V=vi) for di, vi in zip(d, v)]
+        outputs = []
+        for ch0, ch1, ch2, state in zip(*chs, states):
+            inner = compose(ch1, ch0)
+            if fault == "composition":  # a composite diffusion 1e-9 off
+                inner = GaussianChannel(X=inner.X, Y=inner.Y + 1e-9, delta=inner.delta)
+            left, right = compose(ch2, inner), compose(compose(ch2, ch1), ch0)
+            via_compose = apply_channel(inner, state)
+            via_sequence = apply_channel(ch1, apply_channel(ch0, state))
+            outputs.append((left.X, right.X, left.Y, right.Y, left.delta, right.delta,
+                            via_compose.d, via_sequence.d, via_compose.V, via_sequence.V))
+        stacks = [np.array(column) for column in zip(*outputs)]
+        gaps += [abs(p - q).reshape(len(p), -1).max(axis=1)
+                 for p, q in zip(stacks[::2], stacks[1::2])]
+    return n, [(np.concatenate(gaps), 1e-12)]
 
 
 def _suite_one_mode_identities(rng, fault):
@@ -357,23 +467,20 @@ def _suite_jordan_chain(rng, fault):
 
 
 def _suite_ep_closed_forms(rng, fault):
-    lyapunov_gaps = []
     n = 200
-    for _ in range(n):
-        p = SqueezedReservoirParams(
-            kappa=rng.uniform(0.3, 5.0),
-            delta=0.0,
-            epsilon=rng.uniform(-2.0, 2.0),
-            r=rng.uniform(0.0, 1.5),
-            phi=rng.uniform(0.0, 2 * math.pi),
-        )
-        for branch in EpBranch:
-            closed = squeezed_ep_gauge(p, branch)
-            sign = 1.0 if branch is EpBranch.PLUS else -1.0
-            gen = squeezed_generator(
-                SqueezedReservoirParams(p.kappa, sign * p.epsilon, p.epsilon, p.r, p.phi)
-            )
-            lyapunov_gaps.append(np.max(np.abs(closed.S - solve_lyapunov(gen.A, gen.D).S)))
+    # Lyapunov half: squeezed_ep_entries on all draws against one stacked
+    # Kronecker solve with the model's drift and diffusion
+    kappa, eps, r, phi = rng.uniform(
+        [0.3, -2.0, 0.0, 0.0], [5.0, 2.0, 1.5, 2 * math.pi], size=(n, 4)).T
+    c2, s2, cos_phi, sin_phi = np.cosh(2 * r), np.sinh(2 * r), np.cos(phi), np.sin(phi)
+    d = (0.5 * kappa)[:, None, None] * _stack2(
+        c2 - s2 * cos_phi, -s2 * sin_phi, -s2 * sin_phi, c2 + s2 * cos_phi)
+    lyapunov_gaps = []
+    for branch, sign in ((EpBranch.PLUS, 1.0), (EpBranch.MINUS, -1.0)):
+        detuning = sign * eps  # the EP branch delta = +-eps
+        a = _stack2(-0.5 * kappa, detuning - eps, -(detuning + eps), -0.5 * kappa)
+        s_qq, s_qp, s_pp = squeezed_ep_entries(kappa, eps, r, phi, branch)
+        lyapunov_gaps.append(_max_abs(_stack2(s_qq, s_qp, s_qp, s_pp) - _lyapunov_kronecker(a, d)))
     # Stein half: nm_ep_gauge per draw, against the route of nm_channel and
     # solve_stein on the arrays of all draws, the two branches of a draw in turn
     closed = np.empty((n, 2, 3))
@@ -400,7 +507,8 @@ def _suite_ep_closed_forms(rng, fault):
     gap = np.abs(closed.reshape(-1, 3) - direct).max(axis=1)
     rejected = np.count_nonzero(~accepted)
     note = f"{rejected} draws not CP or not Schur stable" if rejected else ""
-    return 2 * n, [(lyapunov_gaps, 1e-10), (gap[accepted], 1e-10), (rejected, 0)], note
+    checks = [(np.concatenate(lyapunov_gaps), 1e-10), (gap[accepted], 1e-10), (rejected, 0)]
+    return 2 * n, checks, note
 
 
 def _suite_figure_trends(rng, fault):
@@ -474,7 +582,10 @@ def run_suite(name, rng, fault=None):
         return SuiteResult(name, False, math.nan, math.nan, 0, f"{type(exc).__name__}: {exc}")
 
 
-FAULT_CHOICES = ("stein", "lyapunov", "gauge", "jury", "expm2", "one-mode", "ep-closed-form")
+FAULT_CHOICES = (
+    "stein", "lyapunov", "gauge", "jury", "expm2", "one-mode", "ep-closed-form",
+    "positivity", "semigroup", "composition",
+)
 
 
 @dataclass(frozen=True)

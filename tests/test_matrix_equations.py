@@ -236,6 +236,17 @@ class TestJordanClosedForm:
         with pytest.raises(StabilityError):
             stein_jordan_closed_form(drift, np.eye(2))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_input_rejected(self, bad):
+        nilp = np.array([[0.0, 1.0], [0.0, 0.0]])
+        bad_nilp = np.array([[0.0, bad], [0.0, 0.0]])
+        for kwargs in ({"alpha": bad}, {"t": bad}, {"nilpotent": bad_nilp}):
+            with pytest.raises(NonFiniteInputError):
+                JordanDrift2x2(**{"alpha": 0.5, "nilpotent": nilp, "t": 1.0, **kwargs})
+        drift = JordanDrift2x2(alpha=0.5, nilpotent=nilp, t=1.0)
+        with pytest.raises(NonFiniteInputError):
+            stein_jordan_closed_form(drift, [[bad, 0.0], [0.0, 1.0]])
+
 
 class TestExpm2:
     def test_hyperbolic_branch(self):

@@ -670,6 +670,9 @@ class TestVerifyCommand:
             "expm2": {"expm2-vs-general"},
             "one-mode": {"one-mode-identities"},
             "ep-closed-form": {"ep-closed-forms"},
+            "positivity": {"positivity-transfer"},
+            "semigroup": {"semigroup-gauging"},
+            "composition": {"composition-consistency"},
         }
         assert set(own) == set(FAULT_CHOICES)
         for fault, suites in own.items():

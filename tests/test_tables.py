@@ -182,6 +182,15 @@ def test_data_is_read_only():
             table.column(table.columns[0])[0] = 1.0
 
 
+def test_callers_array_stays_writable():
+    a = np.zeros((1, 1))
+    table = SweepTable(("x",), a, {})
+    assert a.flags.writeable and not table.data.flags.writeable
+    assert np.shares_memory(table.data, a)  # a view: no copy of the rows
+    a[0, 0] = 1.0
+    assert table.data[0, 0] == 1.0
+
+
 def test_data_shape_checked():
     with pytest.raises(DimensionError):
         SweepTable(columns=("a", "b"), data=[[1.0, 2.0, 3.0]], meta={})

@@ -1,0 +1,58 @@
+"""The benchmark's tracer (`perfbench/tracing.py`) on the package.
+
+The tracer wraps every public function of the package and reads the
+`residual` of each `solve_stein` and `solve_lyapunov` result; `layer_metrics`
+reduces the spans of a run to one number per metric. A traced `verify` run
+and solver calls at 2x2 and 4x4 must reduce to finite scalars, which holds
+only while every solver's residual is a Python float.
+"""
+
+import importlib.util
+import math
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import gaussgauge.cli  # noqa: F401  (every module the tracer wraps)
+from gaussgauge import matrix_equations, verify
+from gaussgauge.matrix_equations import solve_lyapunov, solve_stein, stein_series
+from gaussgauge.verify import random_hurwitz, random_psd, random_schur_stable
+
+TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+
+
+def load_tracing():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_traced_verify_and_solvers_reduce_to_finite_scalars():
+    tracing = load_tracing()
+    rng = np.random.default_rng(0)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        report = verify.run_verification(0)
+        for dim in (2, 4):
+            matrix_equations.solve_stein(random_schur_stable(rng, dim), random_psd(rng, dim))
+            matrix_equations.solve_lyapunov(random_hurwitz(rng, dim), random_psd(rng, dim))
+    finally:
+        tracer.restore()
+    assert report.all_passed
+    metrics = tracing.layer_metrics(tracer, tracer.spans(0, len(tracer)), 0)
+    assert metrics["matrix_equations.solve_stein_calls"] > 0
+    assert metrics["matrix_equations.solve_lyapunov_calls"] > 0
+    for name, value in metrics.items():
+        assert isinstance(value, (int, float, np.integer, np.floating)), name
+        assert math.isfinite(value), name
+
+
+@pytest.mark.parametrize("dim", [2, 4])
+def test_solver_residuals_are_python_floats(dim):
+    rng = np.random.default_rng(dim)
+    x, y, a = random_schur_stable(rng, dim), random_psd(rng, dim), random_hurwitz(rng, dim)
+    for cov in (solve_stein(x, y), solve_lyapunov(a, y), stein_series(x, y)):
+        assert type(cov.residual) is float

@@ -2,9 +2,10 @@
 
 Every suite returns its measurements, and `run_suite` judges them: passed
 only if every value is within its bound, worst the largest value with a NaN
-carried through. The tests below inject a NaN solution into the per-draw
-suites through the solver each one calls, and raise a GaussGaugeError inside
-a suite, through the library and through the CLI.
+carried through. The tests below inject a NaN solution into the suites,
+through the solver each one calls per draw or through the whole-array kernel
+it runs on all draws, and raise a GaussGaugeError inside a suite, through the
+library and through the CLI.
 """
 
 import dataclasses
@@ -62,13 +63,13 @@ class TestVerdict:
 
 @pytest.mark.parametrize("name, module, solver, dims", [
     ("lyapunov-residual", verify, "solve_lyapunov", (2, 4)),
-    ("stein-residual", verify, "solve_stein", (2, 4)),
-    # eigvalsh gives NaN on a 2x2 NaN matrix and raises LinAlgError above
-    ("positivity-transfer", verify, "solve_stein", (2, 4)),
+    # 2x2 draws take the whole-array kernels (test_nan_kernel_fails_the_suite)
+    ("stein-residual", verify, "solve_stein", (4,)),
+    # eigvalsh raises LinAlgError on a 4x4 NaN matrix
+    ("positivity-transfer", verify, "solve_stein", (4,)),
     ("channel-gauging", gauging, "solve_stein", (2, 4)),
     ("semigroup-gauging", gauging, "solve_lyapunov", (2, 4)),
     ("noise-independence", verify, "solve_lyapunov", (2, 4)),
-    ("ep-closed-forms", verify, "solve_lyapunov", (2,)),
 ])
 def test_nan_solution_fails_the_suite(name, module, solver, dims, monkeypatch):
     assert run_suite(name, np.random.default_rng(0)).passed
@@ -78,6 +79,37 @@ def test_nan_solution_fails_the_suite(name, module, solver, dims, monkeypatch):
             result = run_suite(name, np.random.default_rng(0))
         assert hits == [dim]
         assert not result.passed, (name, dim)
+
+
+def nan_entry(monkeypatch, name):
+    """Patch verify.name, a whole-array kernel, to return NaN as the first
+    element of its first output array."""
+    kernel = getattr(verify, name)
+    hits = []
+
+    def patched(*args):
+        first, *rest = kernel(*args)
+        first = np.array(first, dtype=float)
+        first.flat[0] = np.nan
+        hits.append(first.size)
+        return (first, *rest)
+
+    monkeypatch.setattr(verify, name, patched)
+    return hits
+
+
+@pytest.mark.parametrize("name, kernel", [
+    ("stein-residual", "stein2_entries"),
+    # eigvalsh gives NaN on a 2x2 NaN matrix
+    ("positivity-transfer", "stein2_entries"),
+    ("ep-closed-forms", "squeezed_ep_entries"),
+])
+def test_nan_kernel_fails_the_suite(name, kernel, monkeypatch):
+    assert run_suite(name, np.random.default_rng(0)).passed
+    hits = nan_entry(monkeypatch, kernel)
+    result = run_suite(name, np.random.default_rng(0))
+    assert hits and min(hits) > 1  # one NaN among the draws of a stack
+    assert not result.passed
 
 
 def test_raised_error_fails_only_its_suite(monkeypatch):
