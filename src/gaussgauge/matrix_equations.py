@@ -135,12 +135,7 @@ def solve_stein(X, Y):
     """
     X, Y = _equation_pair(X, Y, "X", "Y")
     if X.shape == (2, 2):
-        x = X.ravel().tolist()
-        if not all(term > 0.0 for term in jury_triple(*x)):
-            raise StabilityError("Stein gauging requires spectral radius < 1")
-        y11, y12, _, y22 = Y.ravel().tolist()
-        s11, s12, s22 = stein2_entries(*x, y11, y12, y22)
-        S = np.array([[s11, s12], [s12, s22]])
+        S = _stein2(X, Y)
     else:
         if stability(X).spectral_radius >= 1.0:
             raise StabilityError("Stein gauging requires spectral radius < 1")
@@ -148,6 +143,27 @@ def solve_stein(X, Y):
 
         S = _symmetrized(scipy.linalg.solve_discrete_lyapunov(X, Y))
     return GaugeCovariance(S=S, source=GaugeSource.STEIN, residual=stein_residual(X, S, Y))
+
+
+def _stein2(X, Y):
+    """S of S = X S X^T + Y for 2x2 X and Y, or for (n, 2, 2) stacks of them:
+    the Jury triple decides spr(X) < 1 (StabilityError otherwise), and
+    `stein2_entries` gives S, symmetric by construction.
+
+    One pair goes as Python floats: the kernel rounds floats and arrays
+    alike, and is cheaper on floats.
+    """
+    x, (y11, y12, _, y22) = _entries2(X), _entries2(Y)
+    t1, t2, t3 = jury_triple(*x)
+    if np.count_nonzero((t1 > 0.0) & (t2 > 0.0) & (t3 > 0.0)) < X.size // 4:
+        raise StabilityError("Stein gauging requires spectral radius < 1")
+    s11, s12, s22 = stein2_entries(*x, y11, y12, y22)
+    return np.array([s11, s12, s12, s22]).T.reshape(X.shape)
+
+
+def _entries2(m):
+    """(m11, m12, m21, m22) of a 2x2 matrix as floats, or of a stack as arrays."""
+    return m.ravel().tolist() if m.ndim == 2 else tuple(m.reshape(-1, 4).T)
 
 
 def stein_series(X, Y, tol=1e-12, max_terms=100_000):

@@ -19,8 +19,8 @@ Every suite that draws random samples, but `semigroup-gauging` and
 loop would take them, groups them by mode count, and checks each group with
 stacked arrays.
 The code under test runs on the whole group where the scalar API already
-runs a whole-array kernel: the one-mode `solve_stein` route (`jury_triple`
-and `stein2_entries`), `squeezed_ep_entries`, `expm2_entries` and
+runs a whole-array kernel: the one-mode `solve_stein` route (`_stein2`, the
+Jury triple and `stein2_entries`), `squeezed_ep_entries`, `expm2_entries` and
 `cp_margin_entries`. Elsewhere it is one public call per draw, the only
 route: `solve_lyapunov`, `solve_stein` above 2x2, `gauge_channel`,
 `compose`, `apply_channel` and `nm_ep_gauge`. The oracles are stacked
@@ -40,10 +40,10 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .errors import ConvergenceError, GaussGaugeError, StabilityError, _symmetrized
+from .errors import ConvergenceError, GaussGaugeError, _symmetrized
 from .gauging import SmoothingMap, default_gauge_times, gauge_channel, gauge_semigroup
 from .generators import GaussianGenerator, semigroup_arrays, semigroup_channel
-from .matrix_equations import solve_lyapunov, solve_stein
+from .matrix_equations import _entries2, _stein2, solve_lyapunov, solve_stein
 from .models import (
     EpBranch,
     NmFamilyParams,
@@ -69,9 +69,9 @@ from .sweeps import SweepConfig, run_nm_branch, run_squeezed_gauge
 # ---------------------------------------------------------------------------
 #
 # An ensemble is its draws from the generator (`_*_draws`) and a finish that
-# draws nothing (`_hurwitz`, `_rescaled`, `_psd`), on one sample or on a stack
-# of samples of one size: the stacked suites take every draw first and finish
-# each mode-count group with one call.
+# draws nothing (`_hurwitz`, `_rescaled`, `_psd` on one sample or on a stack
+# of samples of one size; `_channels`, `_states` on a stack): the stacked
+# suites take every draw first and finish each mode-count group with one call.
 
 
 def _matrix_draw(rng, dim):
@@ -107,6 +107,30 @@ def _psd(g):
     return (g @ g.swapaxes(-1, -2)) / g.shape[-1]
 
 
+def _channels(g, spr, h, delta):
+    """The stable channels of stacked `_CHANNEL_DRAWS`: X of spectral radius
+    spr, Y = h h^T / dim."""
+    return [GaussianChannel(X=x, Y=y, delta=d)
+            for x, y, d in zip(_rescaled(g, spr), _psd(h), delta)]
+
+
+def _states(d, h):
+    """The states of stacked `_STATE_DRAWS`: mean d, covariance h h^T / dim + I/2."""
+    v = _psd(h) + 0.5 * np.eye(h.shape[-1])
+    return [MomentState(d=di, V=vi) for di, vi in zip(d, v)]
+
+
+# the draws of one `random_stable_channel` (X, Y and delta) and of one
+# `random_state` (d and V)
+_CHANNEL_DRAWS = (_schur_draws, _matrix_draw, _vector_draw)
+_STATE_DRAWS = (_vector_draw, _matrix_draw)
+
+
+def _one(finish, draws, rng, dim):
+    """The finish of one sample of the draws, as a stack of one."""
+    return finish(*(np.asarray(v)[None] for draw in draws for v in draw(rng, dim)))[0]
+
+
 def random_hurwitz(rng, dim):
     """Random matrix shifted left of the imaginary axis by a margin in [0.2, 1)."""
     return _hurwitz(*_hurwitz_draws(rng, dim))
@@ -122,12 +146,7 @@ def random_schur_stable(rng, dim):
 
 
 def random_stable_channel(rng, modes):
-    dim = 2 * modes
-    return GaussianChannel(
-        X=random_schur_stable(rng, dim),
-        Y=random_psd(rng, dim),
-        delta=rng.standard_normal(dim),
-    )
+    return _one(_channels, _CHANNEL_DRAWS, rng, 2 * modes)
 
 
 def random_ep2_drift(rng, dim):
@@ -143,8 +162,7 @@ def random_ep2_drift(rng, dim):
 
 
 def random_state(rng, modes):
-    dim = 2 * modes
-    return MomentState(d=rng.standard_normal(dim), V=random_psd(rng, dim) + 0.5 * np.eye(dim))
+    return _one(_states, _STATE_DRAWS, rng, 2 * modes)
 
 
 def gauge_similarity_residual(generator, s, max_degree):
@@ -209,13 +227,8 @@ def _draw_by_modes(rng, n, *draws):
     return {modes: [np.array(column) for column in zip(*rows[modes])] for modes in sorted(rows)}
 
 
-def _entries(m):
-    """The entry arrays (m11, m12, m21, m22) of an (n, 2, 2) stack."""
-    return m[:, 0, 0], m[:, 0, 1], m[:, 1, 0], m[:, 1, 1]
-
-
 def _stack2(m11, m12, m21, m22):
-    """The (n, 2, 2) stack of the entry arrays; `_entries` undone."""
+    """The (n, 2, 2) stack of the entry arrays; `_entries2` undone."""
     return np.stack([m11, m12, m21, m22], axis=-1).reshape(-1, 2, 2)
 
 
@@ -231,15 +244,9 @@ def _solutions(solve, a, b):
 
 def _stein_solutions(x, y):
     """S = X S X^T + Y for a stack of draws of one size, by `solve_stein`'s
-    route: at 2x2 its one-mode kernels on the whole stack (the Jury triple
-    decides spr(X) < 1, `stein2_entries` gives S), above one call per draw."""
-    if x.shape[-1] != 2:
-        return _solutions(solve_stein, x, y)
-    x_entries = _entries(x)
-    if not (np.array(jury_triple(*x_entries)) > 0.0).all():
-        raise StabilityError("Stein gauging requires spectral radius < 1")
-    s11, s12, s22 = stein2_entries(*x_entries, y[:, 0, 0], y[:, 0, 1], y[:, 1, 1])
-    return _symmetrized(_stack2(s11, s12, s12, s22))
+    route: its one-mode route `_stein2` on the whole stack at 2x2, one call
+    per draw above."""
+    return _stein2(x, y) if x.shape[-1] == 2 else _solutions(solve_stein, x, y)
 
 
 def _lyapunov_kronecker(a, d):
@@ -250,20 +257,20 @@ def _lyapunov_kronecker(a, d):
     return _symmetrized(np.linalg.solve(lhs, -d.reshape(-1, 4, 1)).reshape(-1, 2, 2))
 
 
-def _stein_series(x, y, tol=1e-13, max_terms=100_000):
+def _stein_series(x, y):
     """The partial sums of S = sum_n X^n Y (X^T)^n on a stack, each draw
-    stopped at its first term of max-norm below tol, as `stein_series` stops
-    it; ConvergenceError if a draw reaches the term cap."""
+    stopped at its first term of max-norm below 1e-13, as `stein_series`
+    stops it; ConvergenceError if a draw reaches 100000 terms."""
     s = term = y
     xt = x.transpose(0, 2, 1).copy()
     active = np.ones(len(x), dtype=bool)
-    for _ in range(max_terms):
+    for _ in range(100_000):
         term = x @ term @ xt
         s = np.where(active[:, None, None], s + term, s)
-        active &= ~(_max_abs(term) < tol)
+        active &= ~(_max_abs(term) < 1e-13)
         if not active.any():
             return _symmetrized(s)
-    raise ConvergenceError(f"Stein series not converged after {max_terms} terms")
+    raise ConvergenceError("Stein series not converged after 100000 terms")
 
 
 def _suite_lyapunov(rng, fault):
@@ -308,7 +315,7 @@ def _suite_positivity(rng, fault):
 def _suite_jury(rng, fault):
     n = 2000
     x = rng.uniform(-1.6, 1.6, size=(n, 2, 2))  # the values of n draws of one matrix each
-    terms = np.array(jury_triple(*_entries(x)))
+    terms = np.array(jury_triple(*_entries2(x)))
     if fault == "jury":
         terms[1] += 0.1
     spr = np.abs(np.linalg.eigvals(x)).max(axis=1)
@@ -329,24 +336,20 @@ def _suite_expm2(rng, fault):
         b[i] = rng.uniform(-2, 2, size=(2, 2))
         t[i] = rng.uniform(0.0, 5.0)
     reference = scipy.linalg.expm(t[:, None, None] * b)
-    e11, e12, e21, e22 = expm2_entries(*_entries(b), t)
+    e11, e12, e21, e22 = expm2_entries(*_entries2(b), t)
     if fault == "expm2":
         e12 = e12 + 1e-8
     err = _max_abs(_stack2(e11, e12, e21, e22) - reference) / (1.0 + _max_abs(reference))
     return n, [(err, 4e-12)]
 
 
-# the draws of one `random_stable_channel`: X, Y and delta
-_CHANNEL_DRAWS = (_schur_draws, _matrix_draw, _vector_draw)
-
-
 def _suite_channel_gauging(rng, fault):
     residuals = []
     drift_changed = 0
     n = 300
-    for g, spr, h, delta in _draw_by_modes(rng, n, *_CHANNEL_DRAWS).values():
-        x, y = _rescaled(g, spr), _psd(h)
-        channels = [GaussianChannel(X=xi, Y=yi, delta=di) for xi, yi, di in zip(x, y, delta)]
+    for draws in _draw_by_modes(rng, n, *_CHANNEL_DRAWS).values():
+        channels = _channels(*draws)
+        x, y, delta = (np.array([getattr(ch, f) for ch in channels]) for f in ("X", "Y", "delta"))
         if fault == "gauge":
             gauged_y = np.array([SmoothingMap(solve_stein(ch.X, ch.Y).S + 1e-6).conjugate(ch).Y
                                  for ch in channels])
@@ -388,16 +391,11 @@ def _suite_semigroup_gauging(rng, fault):
 def _suite_composition(rng, fault):
     gaps = []
     n = 100
-    draws = (*_CHANNEL_DRAWS * 3, _vector_draw, _matrix_draw)  # three channels, then a state
+    draws = (*_CHANNEL_DRAWS * 3, *_STATE_DRAWS)  # three channels, then a state
     for columns in _draw_by_modes(rng, n, *draws).values():
-        chs = [[GaussianChannel(X=x, Y=y, delta=d)
-                for x, y, d in zip(_rescaled(g, spr), _psd(h), delta)]
-               for g, spr, h, delta in (columns[0:4], columns[4:8], columns[8:12])]
-        d, h = columns[12:]
-        v = _psd(h) + 0.5 * np.eye(h.shape[-1])
-        states = [MomentState(d=di, V=vi) for di, vi in zip(d, v)]
+        chs = [_channels(*columns[k:k + 4]) for k in (0, 4, 8)]
         outputs = []
-        for ch0, ch1, ch2, state in zip(*chs, states):
+        for ch0, ch1, ch2, state in zip(*chs, _states(*columns[12:])):
             inner = compose(ch1, ch0)
             if fault == "composition":  # a composite diffusion 1e-9 off
                 inner = GaussianChannel(X=inner.X, Y=inner.Y + 1e-9, delta=inner.delta)
@@ -425,7 +423,7 @@ def _suite_one_mode_identities(rng, fault):
     gap = np.abs(x_sigma_xt - np.linalg.det(x)[:, None, None] * sigma).max(axis=(1, 2))
     # the one-mode determinant route against the Hermitian CP matrix's least
     # eigenvalue, each with its own tolerance as `cp_check` sets it
-    det_margin, det_tol = cp_margin_entries(*_entries(x), y[:, 0, 0], y[:, 0, 1], y[:, 1, 1])
+    det_margin, det_tol = cp_margin_entries(*_entries2(x), y[:, 0, 0], y[:, 0, 1], y[:, 1, 1])
     if fault == "one-mode":
         det_margin = det_margin + 0.1
     z = y + 0.5j * (sigma - x_sigma_xt)

@@ -25,6 +25,7 @@ from gaussgauge import (
     stein_jordan_closed_form,
     stein_series,
 )
+from gaussgauge.matrix_equations import _stein2
 from gaussgauge.verify import random_hurwitz, random_psd, random_schur_stable
 
 
@@ -179,6 +180,17 @@ class TestSolveStein:
             closed = solve_stein(x, y).S
             direct = np.linalg.solve(np.eye(4) - np.kron(x, x), y.reshape(-1)).reshape(2, 2)
             npt.assert_allclose(closed, 0.5 * (direct + direct.T), atol=1e-11)
+
+    def test_one_mode_route_on_a_stack(self, rng):
+        # verify runs the one-mode route of solve_stein on whole stacks of draws
+        x = np.array([random_schur_stable(rng, 2) for _ in range(50)])
+        y = np.array([random_psd(rng, 2) for _ in range(50)])
+        stacked = _stein2(x, y)
+        assert stacked.shape == (50, 2, 2)
+        assert np.array_equal(stacked, [solve_stein(xi, yi).S for xi, yi in zip(x, y)])
+        x[17] = np.eye(2)  # one draw of spectral radius 1 rejects the stack
+        with pytest.raises(StabilityError, match="spectral radius < 1"):
+            _stein2(x, y)
 
 
 class TestSteinSeries:

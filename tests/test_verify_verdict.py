@@ -15,7 +15,7 @@ import math
 import numpy as np
 import pytest
 
-from gaussgauge import gauging, verify
+from gaussgauge import gauging, matrix_equations, verify
 from gaussgauge.cli import main
 from gaussgauge.errors import StabilityError
 from gaussgauge.verify import SuiteResult, run_suite, run_verification
@@ -81,10 +81,10 @@ def test_nan_solution_fails_the_suite(name, module, solver, dims, monkeypatch):
         assert not result.passed, (name, dim)
 
 
-def nan_entry(monkeypatch, name):
-    """Patch verify.name, a whole-array kernel, to return NaN as the first
+def nan_entry(monkeypatch, module, name):
+    """Patch module.name, a whole-array kernel, to return NaN as the first
     element of its first output array."""
-    kernel = getattr(verify, name)
+    kernel = getattr(module, name)
     hits = []
 
     def patched(*args):
@@ -94,19 +94,20 @@ def nan_entry(monkeypatch, name):
         hits.append(first.size)
         return (first, *rest)
 
-    monkeypatch.setattr(verify, name, patched)
+    monkeypatch.setattr(module, name, patched)
     return hits
 
 
-@pytest.mark.parametrize("name, kernel", [
-    ("stein-residual", "stein2_entries"),
+@pytest.mark.parametrize("name, module, kernel", [
+    # the one-mode solve_stein route, matrix_equations._stein2
+    ("stein-residual", matrix_equations, "stein2_entries"),
     # eigvalsh gives NaN on a 2x2 NaN matrix
-    ("positivity-transfer", "stein2_entries"),
-    ("ep-closed-forms", "squeezed_ep_entries"),
+    ("positivity-transfer", matrix_equations, "stein2_entries"),
+    ("ep-closed-forms", verify, "squeezed_ep_entries"),
 ])
-def test_nan_kernel_fails_the_suite(name, kernel, monkeypatch):
+def test_nan_kernel_fails_the_suite(name, module, kernel, monkeypatch):
     assert run_suite(name, np.random.default_rng(0)).passed
-    hits = nan_entry(monkeypatch, kernel)
+    hits = nan_entry(monkeypatch, module, kernel)
     result = run_suite(name, np.random.default_rng(0))
     assert hits and min(hits) > 1  # one NaN among the draws of a stack
     assert not result.passed
