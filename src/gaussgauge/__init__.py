@@ -19,7 +19,6 @@ from .errors import (
     StabilityError,
 )
 from .phase_space import (
-    CpMethod,
     CpReport,
     GaussianChannel,
     MomentState,
@@ -27,7 +26,6 @@ from .phase_space import (
     apply_channel,
     compose,
     cp_check,
-    cp_matrix,
     identity_channel,
     interleaving_permutation,
     reorder,
@@ -49,7 +47,6 @@ from .matrix_equations import (
     JordanDrift2x2,
     StabilityReport,
     drift_exponential,
-    expm2,
     lyapunov_residual,
     solve_lyapunov,
     solve_stein,

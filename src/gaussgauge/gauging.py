@@ -14,10 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import StabilityError, _frozen
+from .errors import DimensionError, StabilityError, _frozen, _symmetrized
 from .generators import semigroup_arrays
 from .matrix_equations import GaugeCovariance, solve_lyapunov, solve_stein
-from .phase_space import GaussianChannel, compose
+from .phase_space import GaussianChannel
 
 
 @dataclass(frozen=True)
@@ -38,8 +38,11 @@ class SmoothingMap:
         return GaussianChannel(np.eye(n2), -self.S, np.zeros(n2))
 
     def conjugate(self, channel):
-        """V_S^{-1} o channel o V_S at the parameter level."""
-        return compose(self.inverse(), compose(channel, self.forward()))
+        """V_S^{-1} o channel o V_S at the parameter level: (X, X S X^T + Y - S, delta)."""
+        if self.S.shape != channel.X.shape:
+            raise DimensionError(f"smoothing map {self.S.shape} for a channel of {channel.X.shape}")
+        y = _symmetrized(channel.X @ self.S @ channel.X.T + channel.Y) - self.S
+        return GaussianChannel(X=channel.X, Y=y, delta=channel.delta)
 
 
 @dataclass(frozen=True)

@@ -52,10 +52,6 @@ class StabilityReport:
     eigenvalues: np.ndarray
     jury_triple: tuple | None = None
 
-    @property
-    def stable_discrete(self):
-        return self.spectral_radius < 1.0
-
 
 def stability(matrix):
     """Classify drift stability in continuous and discrete time."""
@@ -76,7 +72,7 @@ def stability(matrix):
 
 @dataclass(frozen=True)
 class GaugeCovariance:
-    """Symmetric gauge covariance with solver provenance and residual."""
+    """Symmetric gauge covariance with solver provenance and residual; S must be finite."""
 
     S: np.ndarray
     source: GaugeSource
@@ -85,6 +81,7 @@ class GaugeCovariance:
     def __post_init__(self):
         s = np.asarray(self.S, dtype=float)
         _square("gauge covariance", s)
+        require_finite(S=s)
         object.__setattr__(self, "S", _symmetrized(s))
         object.__setattr__(self, "source", GaugeSource(self.source))
 
@@ -138,7 +135,7 @@ def solve_stein(X, Y):
         S = _stein2(X, Y)
     else:
         if stability(X).spectral_radius >= 1.0:
-            raise StabilityError("Stein gauging requires spectral radius < 1")
+            raise _spectral_radius_error()
         import scipy.linalg
 
         S = _symmetrized(scipy.linalg.solve_discrete_lyapunov(X, Y))
@@ -156,9 +153,14 @@ def _stein2(X, Y):
     x, (y11, y12, _, y22) = _entries2(X), _entries2(Y)
     t1, t2, t3 = jury_triple(*x)
     if np.count_nonzero((t1 > 0.0) & (t2 > 0.0) & (t3 > 0.0)) < X.size // 4:
-        raise StabilityError("Stein gauging requires spectral radius < 1")
+        raise _spectral_radius_error()
     s11, s12, s22 = stein2_entries(*x, y11, y12, y22)
     return np.array([s11, s12, s12, s22]).T.reshape(X.shape)
+
+
+def _spectral_radius_error():
+    """The error of a Stein equation whose X is not Schur stable."""
+    return StabilityError("Stein gauging requires spectral radius < 1")
 
 
 def _entries2(m):
@@ -245,14 +247,6 @@ def stein_jordan_closed_form(drift, Y):
     )
 
 
-def expm2(B, t=1.0):
-    """Closed-form exp(t B) for real 2x2 B: `drift_exponential` held to 2x2."""
-    B = np.asarray(B, dtype=float)
-    if B.shape != (2, 2):
-        raise DimensionError(f"expm2 expects a 2x2 matrix, got {B.shape}")
-    return drift_exponential(B, t)
-
-
 def drift_exponential(A, t=1.0):
     """exp(t A) for one time t, or stacked along a leading axis for a 1-D array of times.
 
@@ -285,6 +279,10 @@ def _exponentials(A, times):
 
         e = scipy.linalg.expm(np.multiply.outer(times, A))
     if np.count_nonzero(np.isfinite(e)) != e.size:
-        bad = times.ravel()[np.argmin(np.isfinite(e).all(axis=(-2, -1)))]
-        raise NumericalOverflowError(f"exp(t A) leaves the float range at t = {bad}")
+        raise _overflow_error(times.ravel()[np.argmin(np.isfinite(e).all(axis=(-2, -1)))])
     return e
+
+
+def _overflow_error(t):
+    """The error of exp(t A) beyond the float range at the time t."""
+    return NumericalOverflowError(f"exp(t A) leaves the float range at t = {t}")

@@ -29,17 +29,18 @@ from .errors import (
     NumericalOverflowError,
     PhysicalityError,
     StabilityError,
+    require_finite,
 )
 from .generators import GaussianGenerator, LindbladData
 from .matrix_equations import (
     GaugeCovariance,
     GaugeSource,
     JordanDrift2x2,
-    expm2,
+    drift_exponential,
     lyapunov_residual,
     stein_jordan_closed_form,
 )
-from .phase_space import CpMethod, GaussianChannel, cp_check
+from .phase_space import GaussianChannel, cp_check
 
 
 class EpBranch(str, Enum):
@@ -249,17 +250,19 @@ def memory_factor(params, t):
 def nm_drift(params, t, lam=None, omega=None):
     lam = params.lam if lam is None else lam
     omega = params.omega if omega is None else omega
-    return memory_factor(params, t) * expm2(drift_tensor(lam, omega), t)
+    return memory_factor(params, t) * drift_exponential(drift_tensor(lam, omega), t)
 
 
 def nm_diffusion(params, t, lam=None, omega=None):
-    """Near-minimal diffusion matrix of the selected model at time t."""
+    """Near-minimal diffusion matrix of the selected model at time t; raises where undefined."""
     lam = params.lam if lam is None else lam
     omega = params.omega if omega is None else omega
     if isinstance(params.diffusion, DriftAlignedDiffusion) and lam * lam + omega * omega == 0.0:
         raise DegenerateModelError("drift-aligned diffusion undefined at B = 0")
     y11, y12, y22 = nm_diffusion_entries(params, memory_factor(params, t), lam, omega)
-    return np.array([[y11, y12], [y12, y22]])
+    y = np.array([[y11, y12], [y12, y22]])
+    require_finite(Y=y)
+    return y
 
 
 def nm_diffusion_entries(params, kt, lam, omega):
@@ -307,10 +310,15 @@ def nm_channel(params, t, lam=None, omega=None):
         Y=nm_diffusion(params, t, lam, omega),
         delta=np.zeros(2),
     )
-    report = cp_check(channel, method=CpMethod.DET_CONDITION)
+    report = cp_check(channel)
     if not report.passes:
-        raise PhysicalityError(f"channel violates CP (margin {report.margin:.3e})")
+        raise _cp_violation(report.margin)
     return channel
+
+
+def _cp_violation(margin):
+    """The error of a non-Markovian map that is not CP, with its CP margin."""
+    return PhysicalityError(f"channel violates CP (margin {margin:.3e})")
 
 
 def nm_ep_gauge(params, t, branch):

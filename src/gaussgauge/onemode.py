@@ -1,20 +1,20 @@
 """One-mode (2x2) kernels on matrix entries, for one matrix or a whole grid line.
 
 Each kernel takes the entries of 2x2 matrices as floats or as numpy arrays of
-one shape and returns entries of the same kind. The scalar API (`expm2`, the
-2x2 branch of `solve_stein`, the determinant route of `cp_check`, the 2x2
-route of `jordan_structure`) calls them on floats; the non-Markovian sweeps
-call them once on all points of a table. A float and the matching array
-element go through the same operations and round alike: + - * / round the
-same in Python and numpy, branches are selections, integer powers are written
-as products, and transcendentals are numpy ufuncs, whose loops give a float
-the value they give it inside an array. Beyond the float range they give inf
-(NaN where an inf meets a zero), with numpy's warnings silenced; `expm2`
-turns a non-finite result into NumericalOverflowError, the sweeps flag the
-row. The squeezed-reservoir closed forms of `models` keep the same rule, so
-it holds for every kernel of the package that takes floats or arrays; only
-functions of floats alone, such as `models.memory_factor`, call the math
-library.
+one shape and returns entries of the same kind. The scalar API (the 2x2
+routes of `drift_exponential`, `solve_stein`, `cp_check` and
+`jordan_structure`) calls them on floats; the non-Markovian tables call them
+once on all points of a table, and decide each row's status from them. A
+float and the matching array element go through the same operations and
+round alike: + - * / round the same in Python and numpy, branches are
+selections, integer powers are written as products, and transcendentals are
+numpy ufuncs, whose loops give a float the value they give it inside an
+array. Beyond the float range they give inf (NaN where an inf meets a zero),
+with numpy's warnings silenced; `drift_exponential` turns a non-finite
+result into NumericalOverflowError, the tables flag the row. The
+squeezed-reservoir closed forms of `models` keep the same rule, so it holds
+for every kernel of the package that takes floats or arrays; only functions
+of floats alone, such as `models.memory_factor`, call the math library.
 """
 
 import numpy as np
@@ -106,19 +106,15 @@ def jury_triple(a, b, c, d):
     return 1.0 - det, 1.0 - tr + det, 1.0 + tr + det
 
 
-def stein2_denominator(a, b, c, d):
-    """Determinant of the reduced 3x3 Stein system: the product of the Jury triple."""
-    t1, t2, t3 = jury_triple(a, b, c, d)
-    return t1 * t2 * t3
-
-
 def stein2_entries(a, b, c, d, y11, y12, y22):
     """Entries (s11, s12, s22) of the solution of S = X S X^T + Y by the adjugate closed form.
 
-    X = [[a, b], [c, d]] and symmetric Y = [[y11, y12], [y12, y22]]; the
-    caller makes sure the denominator is positive.
+    X = [[a, b], [c, d]] and symmetric Y = [[y11, y12], [y12, y22]]. The
+    denominator, the determinant of the reduced 3x3 Stein system, is the
+    product of the Jury triple; the caller makes sure it is positive.
     """
-    denom = stein2_denominator(a, b, c, d)
+    t1, t2, t3 = jury_triple(a, b, c, d)
+    denom = t1 * t2 * t3
     a2, b2, c2, d2 = a * a, b * b, c * c, d * d
     a3, b3, c3, d3 = a2 * a, b2 * b, c2 * c, d2 * d
     s11 = (

@@ -22,11 +22,6 @@ class Ordering(str, Enum):
     INTERLEAVED = "interleaved"
 
 
-class CpMethod(str, Enum):
-    HERMITIAN_EIG = "hermitian-eig"
-    DET_CONDITION = "det-condition"
-
-
 def symplectic_form(modes, ordering=Ordering.GROUPED):
     """Symplectic form for `modes` bosonic modes in the requested ordering.
 
@@ -173,42 +168,23 @@ def compose(second, first):
 
 @dataclass(frozen=True)
 class CpReport:
-    """Complete-positivity verdict with its margin.
-
-    For the Hermitian route the margin is the least eigenvalue of
-    Y + (i/2)(Sigma - X Sigma X^T); for the one-mode determinant route it is
-    min(lambda_min(Y), det Y - ((1 - det X)/2)^2).
-    """
+    """Complete-positivity verdict with its margin: for one mode
+    min(lambda_min(Y), det Y - ((1 - det X)/2)^2), for more modes the least
+    eigenvalue of the Hermitian CP matrix Y + (i/2)(Sigma - X Sigma X^T)."""
 
     passes: bool
     margin: float
-    method: CpMethod
     tolerance: float
 
 
-def cp_matrix(channel):
-    """Hermitian CP matrix Y + (i/2)(Sigma - X Sigma X^T)."""
+def cp_check(channel):
+    """Check complete positivity of a channel by the margin of its mode count (see `CpReport`)."""
+    if channel.modes == 1:
+        y11, y12, _, y22 = channel.Y.ravel().tolist()
+        margin, tol = cp_margin_entries(*channel.X.ravel().tolist(), y11, y12, y22)
+        return CpReport(passes=bool(margin >= -tol), margin=margin, tolerance=tol)
     sigma = symplectic_form(channel.modes)
-    return channel.Y + 0.5j * (sigma - channel.X @ sigma @ channel.X.T)
-
-
-def cp_check(channel, method=None):
-    """Check complete positivity of a channel.
-
-    The Hermitian route diagonalizes the CP matrix; the one-mode route uses
-    the scalar reduction Y >= 0 and det Y >= ((1 - det X)/2)^2. Both must
-    agree on pass/fail away from the tolerance band.
-    """
-    if method is None:
-        method = CpMethod.DET_CONDITION if channel.modes == 1 else CpMethod.HERMITIAN_EIG
-    method = CpMethod(method)
-    if method is CpMethod.HERMITIAN_EIG:
-        return _hermitian_cp_report(cp_matrix(channel))
-    if channel.modes != 1:
-        raise DimensionError("determinant CP condition applies to one mode only")
-    y11, y12, _, y22 = channel.Y.ravel().tolist()
-    margin, tol = cp_margin_entries(*channel.X.ravel().tolist(), y11, y12, y22)
-    return CpReport(passes=bool(margin >= -tol), margin=margin, method=method, tolerance=tol)
+    return _hermitian_cp_report(channel.Y + 0.5j * (sigma - channel.X @ sigma @ channel.X.T))
 
 
 def _hermitian_cp_report(z):
@@ -216,5 +192,4 @@ def _hermitian_cp_report(z):
     CP iff its least eigenvalue is >= -CP_REL_TOL (1 + max|z|)."""
     tol = CP_REL_TOL * (1.0 + float(abs(z).max()))
     margin = float(np.linalg.eigvalsh(z).min())
-    return CpReport(passes=margin >= -tol, margin=margin, method=CpMethod.HERMITIAN_EIG,
-                    tolerance=tol)
+    return CpReport(passes=margin >= -tol, margin=margin, tolerance=tol)

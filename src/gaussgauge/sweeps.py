@@ -24,7 +24,7 @@ import numpy as np
 
 from . import __version__
 from .errors import DimensionError, NonFiniteInputError, PhysicalityError
-from .matrix_equations import solve_stein
+from .matrix_equations import _overflow_error, _spectral_radius_error
 from .models import (
     AnisotropicDiffusion,
     DriftAlignedDiffusion,
@@ -32,8 +32,9 @@ from .models import (
     IsotropicDiffusion,
     NmFamilyParams,
     SqueezedReservoirParams,
+    _cp_violation,
     memory_factor,
-    nm_channel,
+    nm_diffusion,
     nm_diffusion_entries,
     squeezed_eigenvalue_entries,
     squeezed_ep_entries,
@@ -217,7 +218,7 @@ def run_squeezed_gauge(config, axis, branch):
     SqueezedReservoirParams(delta=0.0, **{name: np.min(v) for name, v in values.items()})
     entries = squeezed_ep_entries(**values, branch=branch)
     s_qq, s_qp, s_pp = np.broadcast_arrays(*entries, points)[:3]
-    lo, hi = np.linalg.eigvalsh(_stack2x2(s_qq, s_qp, s_qp, s_pp)).T
+    lo, hi = np.linalg.eigvalsh(_stack2(s_qq, s_qp, s_qp, s_pp)).T
     sign = 1.0 if branch is EpBranch.PLUS else -1.0
     return SweepTable(
         columns=(axis, "lambda1", "lambda2", "trace", "branch"),
@@ -246,50 +247,66 @@ def _nm_setup(config):
     return params, t
 
 
-def _stack2x2(m11, m12, m21, m22):
-    """The (n, 2, 2) stack of matrices with the given 1-D entry arrays."""
+def _stack2(m11, m12, m21, m22):
+    """The (n, 2, 2) stack of matrices with the given 1-D entry arrays; `_entries2` undone."""
     return np.stack([m11, m12, m21, m22], axis=-1).reshape(-1, 2, 2)
+
+
+# Row status codes of the non-Markovian tables (see `_nm_points`)
+GAUGED, EXP_OVERFLOW, Y_UNDEFINED, NOT_CP, NOT_SCHUR_STABLE = range(5)
+
+
+def _nm_status(kt, e, y):
+    """X = kt exp(t B), the CP margin and the status code of each row, from the
+    entries e of exp(t B) and y of Y_t (1-D arrays); kt is a float or an array."""
+    x = tuple(kt * v for v in e)
+    # where exp(t B) is finite but large the CP products overflow to a NaN margin
+    with np.errstate(over="ignore", invalid="ignore"):
+        margin, tol = cp_margin_entries(*x, *y)
+    # the checks in reverse order, so that the first one a row fails sets its code
+    status = np.where(margin >= -tol, GAUGED, NOT_CP)
+    status[~np.isfinite(y).all(axis=0)] = Y_UNDEFINED
+    status[~np.isfinite(e).all(axis=0)] = EXP_OVERFLOW
+    # Schur stable iff all three Jury terms, so also their product, the Stein
+    # denominator, are positive; only the rows that pass the checks before it
+    cp = np.flatnonzero(status == GAUGED)
+    jury = jury_triple(*(v[cp] for v in x))
+    status[cp[~np.logical_and.reduce([term > 0.0 for term in jury])]] = NOT_SCHUR_STABLE
+    return x, margin, status
 
 
 def _nm_points(params, t, lam, omega):
     """Gauge columns of the non-Markovian family at the points (lam[i], omega[i]).
 
     lam and omega are 1-D arrays holding every point of a table. Returns the
-    columns lambda_min, lambda_max, s_qp, defective, cp_margin and unstable.
-    Where the model is undefined (B = 0 drift alignment, CP violation,
-    exp(t B) beyond the float range, or CP products of a finite exp(t B)
-    beyond it) the row carries NaN values and margin,
-    defective 0 and unstable 1; where the channel is not Schur stable it
-    carries NaN values and unstable 1. The kernels are whole-array numpy
-    code: X, Y, the CP margin and the Jury triple that decides Schur
-    stability (spr X < 1 iff all three terms are positive) are closed forms,
-    and one stacked `eigvalsh` reduces the Stein solutions.
+    columns lambda_min, lambda_max, s_qp and defective, the CP margin and the
+    status code of each row, the first check of `nm_channel`, then
+    `solve_stein`, that it fails: GAUGED; EXP_OVERFLOW, exp(t B) beyond the
+    float range; Y_UNDEFINED, Y_t not finite (drift-aligned B = 0, or a
+    determinant target that is not positive); NOT_CP, a margin below its
+    tolerance or NaN (CP products of a finite exp(t B) beyond the float
+    range); or NOT_SCHUR_STABLE, a Jury term <= 0. Rows not gauged carry NaN
+    values, rows whose channel is undefined (the middle three codes)
+    defective 0. The kernels are whole-array numpy code; one stacked
+    `eigvalsh` reduces the Stein solutions.
     """
     kt = memory_factor(params, t)
-    # X_t = kappa(t) exp(t B) with B = [[lam, omega], [-omega, -lam]]
-    x = tuple(kt * e for e in expm2_entries(lam, omega, -omega, -lam, t))
     try:
         y = tuple(np.broadcast_arrays(*nm_diffusion_entries(params, kt, lam, omega), lam)[:3])
     except PhysicalityError:  # determinant target not positive: undefined everywhere
         y = (np.full(lam.shape, math.nan),) * 3
-    # where exp(t B) is finite but large the CP products overflow to a NaN
-    # margin; the Jury, Stein and Jordan kernels see only the defined rows
-    with np.errstate(over="ignore", invalid="ignore"):
-        margin, tol = cp_margin_entries(*x, *y)
-    defined = (margin >= -tol) & np.isfinite(x).all(axis=0)
-    x_defined = tuple(v[defined] for v in x)
-    stable = defined.copy()
-    # all three terms positive also makes the Stein denominator, their product, positive
-    stable[defined] = np.logical_and.reduce([term > 0.0 for term in jury_triple(*x_defined)])
+    # X_t = kappa(t) exp(t B) with B = [[lam, omega], [-omega, -lam]]
+    x, margin, status = _nm_status(kt, expm2_entries(lam, omega, -omega, -lam, t), y)
+    gauged = status == GAUGED
     values = np.full((lam.size, 3), math.nan)
-    if stable.any():
-        s11, s12, s22 = stein2_entries(*(v[stable] for v in x), *(v[stable] for v in y))
-        values[stable, :2] = np.linalg.eigvalsh(_stack2x2(s11, s12, s12, s22))
-        values[stable, 2] = s12
+    if gauged.any():
+        s11, s12, s22 = stein2_entries(*(v[gauged] for v in x), *(v[gauged] for v in y))
+        values[gauged, :2] = np.linalg.eigvalsh(_stack2(s11, s12, s12, s22))
+        values[gauged, 2] = s12
+    defined = (status == GAUGED) | (status == NOT_SCHUR_STABLE)
     defective = np.zeros(lam.shape, dtype=bool)
-    defective[defined] = jordan2_entries(*x_defined)[3]
-    return (*values.T, defective.astype(float), np.where(defined, margin, math.nan),
-            (~stable).astype(float))
+    defective[defined] = jordan2_entries(*(v[defined] for v in x))[3]
+    return (*values.T, defective.astype(float), margin, status)
 
 
 def run_nm_surface(config):
@@ -305,10 +322,13 @@ def run_nm_surface(config):
     omega = np.concatenate([np.tile(omega_axis, lam_axis.size), np.repeat(omega_axis, 2)])
     on_branch = np.concatenate([np.zeros(lam_axis.size * omega_axis.size),
                                 np.tile([1.0, -1.0], omega_axis.size)])
+    *values, margin, status = _nm_points(params, t, lam, omega)
+    # the margin of a row whose channel is defined
+    margin[(status != GAUGED) & (status != NOT_SCHUR_STABLE)] = math.nan
     return SweepTable(
         columns=("lam", "omega", "lambda_min", "lambda_max", "s_qp", "defective",
                  "cp_margin", "unstable", "on_branch"),
-        data=np.column_stack([lam, omega, *_nm_points(params, t, lam, omega), on_branch]),
+        data=np.column_stack([lam, omega, *values, margin, status != GAUGED, on_branch]),
         meta=_base_meta(
             config,
             grid=lam_grid.as_meta(),
@@ -327,12 +347,17 @@ def run_nm_branch(config):
     omega = np.repeat(grid.points(), 2)
     branch = np.tile([1.0, -1.0], grid.count)
     lam = branch * omega
-    lo, hi, s_qp, _, _, unstable = _nm_points(params, t, lam, omega)
-    if unstable.any():
-        # the scalar path raises the first such row's error: not CP, or not Schur stable
-        i = int(np.argmax(unstable))
-        channel = nm_channel(params, t, lam[i], omega[i])
-        solve_stein(channel.X, channel.Y)
+    lo, hi, s_qp, _, margin, status = _nm_points(params, t, lam, omega)
+    # the error of the scalar path at the first flagged row
+    i = int(np.argmax(status != GAUGED))
+    if status[i] == EXP_OVERFLOW:
+        raise _overflow_error(t)
+    if status[i] == Y_UNDEFINED:
+        nm_diffusion(params, t, lam[i], omega[i])  # raises where Y_t is undefined
+    if status[i] == NOT_CP:
+        raise _cp_violation(margin[i])
+    if status[i] == NOT_SCHUR_STABLE:
+        raise _spectral_radius_error()
     return SweepTable(
         columns=("omega", "branch", "lambda1", "lambda2", "s_qp"),
         data=np.column_stack([omega, branch, lo, hi, s_qp]),

@@ -28,10 +28,10 @@ LAPACK or scipy calls that share no code with what they check: a Kronecker
 `np.linalg.solve` for the one-mode Lyapunov equations, a stacked Stein
 series, `np.linalg.eigvals`, `np.linalg.eigvalsh`, `scipy.linalg.expm`; the
 residuals and max-norms are stacked too. The Stein half of
-`ep-closed-forms` checks `nm_ep_gauge` against the route of `nm_channel`
-and `solve_stein` (`expm2_entries`, `nm_diffusion_entries`,
-`cp_margin_entries`, `jury_triple`, `stein2_entries`); a draw that route
-would reject fails the suite.
+`ep-closed-forms` checks `nm_ep_gauge` against the whole-array route of the
+non-Markovian tables (`expm2_entries`, `nm_diffusion_entries`, the row
+status of `sweeps._nm_status`, `stein2_entries`); a draw whose row is not
+gauged fails the suite.
 """
 
 import math
@@ -61,7 +61,7 @@ from .phase_space import (
     symplectic_form,
 )
 from .spectral import jordan_structure, truncated_ou_matrix
-from .sweeps import SweepConfig, run_nm_branch, run_squeezed_gauge
+from .sweeps import GAUGED, SweepConfig, _nm_status, _stack2, run_nm_branch, run_squeezed_gauge
 
 
 # ---------------------------------------------------------------------------
@@ -227,11 +227,6 @@ def _draw_by_modes(rng, n, *draws):
     return {modes: [np.array(column) for column in zip(*rows[modes])] for modes in sorted(rows)}
 
 
-def _stack2(m11, m12, m21, m22):
-    """The (n, 2, 2) stack of the entry arrays; `_entries2` undone."""
-    return np.stack([m11, m12, m21, m22], axis=-1).reshape(-1, 2, 2)
-
-
 def _max_abs(m):
     """max|m| of each matrix of a stack."""
     return abs(m).max(axis=(-2, -1))
@@ -327,7 +322,7 @@ def _suite_jury(rng, fault):
     return n, [(mismatches, 0.0), (denom_bad, 0.0)]
 
 
-def _suite_expm2(rng, fault):
+def _suite_expm2_vs_general(rng, fault):
     import scipy.linalg
 
     n = 300
@@ -443,6 +438,8 @@ def _suite_noise_independence(rng, fault):
         a = random_ep2_drift(rng, dim) if k % 3 == 0 else random_hurwitz(rng, dim)
         gen = GaussianGenerator(A=a, D=random_psd(rng, dim), u=rng.standard_normal(dim))
         s = solve_lyapunov(a, gen.D).S
+        if fault == "noise":
+            s = s * (1.0 + 1e-6)
         residuals.append(gauge_similarity_residual(gen, s, degree))
     return n, [(residuals, 1e-12)]
 
@@ -479,8 +476,8 @@ def _suite_ep_closed_forms(rng, fault):
         a = _stack2(-0.5 * kappa, detuning - eps, -(detuning + eps), -0.5 * kappa)
         s_qq, s_qp, s_pp = squeezed_ep_entries(kappa, eps, r, phi, branch)
         lyapunov_gaps.append(_max_abs(_stack2(s_qq, s_qp, s_qp, s_pp) - _lyapunov_kronecker(a, d)))
-    # Stein half: nm_ep_gauge per draw, against the route of nm_channel and
-    # solve_stein on the arrays of all draws, the two branches of a draw in turn
+    # Stein half: nm_ep_gauge per draw, against the route of the tables on
+    # the arrays of all draws, the two branches of a draw in turn
     closed = np.empty((n, 2, 3))
     kt, omega, t = np.empty(n), np.empty(n), np.empty(n)
     family = NmFamilyParams(lam=0.0, omega=0.0)  # the default memory and diffusion settings
@@ -494,12 +491,10 @@ def _suite_ep_closed_forms(rng, fault):
         closed[..., 1] += 1e-6
     kt, omega, t = np.repeat(kt, 2), np.repeat(omega, 2), np.repeat(t, 2)
     lam = omega * np.tile([1.0, -1.0], n)
-    x = tuple(kt * e for e in expm2_entries(lam, omega, -omega, -lam, t))
     y = np.broadcast_arrays(*nm_diffusion_entries(family, kt, lam, omega), lam)[:3]
-    # a draw that nm_channel (finite, CP) or solve_stein (Jury) rejects fails the suite
-    margin, tol = cp_margin_entries(*x, *y)
-    accepted = np.isfinite(x).all(axis=0) & np.isfinite(y).all(axis=0) & (margin >= -tol)
-    accepted &= np.logical_and.reduce([term > 0.0 for term in jury_triple(*x)])
+    # a draw whose row is not gauged (not finite, not CP or not Schur stable) fails the suite
+    x, _, status = _nm_status(kt, expm2_entries(lam, omega, -omega, -lam, t), y)
+    accepted = status == GAUGED
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         direct = np.column_stack(stein2_entries(*x, *y))
     gap = np.abs(closed.reshape(-1, 3) - direct).max(axis=1)
@@ -556,7 +551,7 @@ _SUITES = {
     "stein-residual": _suite_stein,
     "positivity-transfer": _suite_positivity,
     "jury-spectral-agreement": _suite_jury,
-    "expm2-vs-general": _suite_expm2,
+    "expm2-vs-general": _suite_expm2_vs_general,
     "channel-gauging": _suite_channel_gauging,
     "semigroup-gauging": _suite_semigroup_gauging,
     "composition-consistency": _suite_composition,
@@ -582,7 +577,7 @@ def run_suite(name, rng, fault=None):
 
 FAULT_CHOICES = (
     "stein", "lyapunov", "gauge", "jury", "expm2", "one-mode", "ep-closed-form",
-    "positivity", "semigroup", "composition",
+    "positivity", "semigroup", "composition", "noise",
 )
 
 

@@ -21,7 +21,6 @@ from gaussgauge import (
     AnisotropicDiffusion,
     DriftAlignedDiffusion,
     IsotropicDiffusion,
-    CpMethod,
     SqueezedReservoirParams,
     cp_check,
     default_gauge_times,
@@ -268,20 +267,23 @@ def test_criterion_7_jordan_chain_law():
 
 
 def test_criterion_8_cp_equivalence():
+    # the one-mode determinant verdict of cp_check against the least
+    # eigenvalue of the Hermitian CP matrix Y + (i/2)(Sigma - X Sigma X^T)
     rng = np.random.default_rng(SEED + 8)
+    sigma = np.array([[0.0, 1.0], [-1.0, 0.0]])
     disagreements = 0
     in_band = 0
     for _ in range(10_000):
         x = rng.uniform(-1.5, 1.5, size=(2, 2))
         y = rng.standard_normal((2, 2))
         y = 0.5 * (y + y.T) + rng.uniform(-0.3, 1.2) * np.eye(2)
-        ch = GaussianChannel(X=x, Y=y, delta=np.zeros(2))
-        det_rep = cp_check(ch, method=CpMethod.DET_CONDITION)
-        herm_rep = cp_check(ch, method=CpMethod.HERMITIAN_EIG)
-        if abs(det_rep.margin) < 1e-10 or abs(herm_rep.margin) < 1e-10:
+        det_rep = cp_check(GaussianChannel(X=x, Y=y, delta=np.zeros(2)))
+        z = y + 0.5j * (sigma - x @ sigma @ x.T)
+        herm_margin = np.linalg.eigvalsh(z)[0]
+        if abs(det_rep.margin) < 1e-10 or abs(herm_margin) < 1e-10:
             in_band += 1
             continue
-        if det_rep.passes != herm_rep.passes:
+        if det_rep.passes != (herm_margin >= -1e-10 * (1.0 + abs(z).max())):
             disagreements += 1
     report(
         8,

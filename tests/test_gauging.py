@@ -42,6 +42,21 @@ class TestSmoothingMap:
             report = cp_check(SmoothingMap(s).inverse())
             assert not report.passes
 
+    def test_conjugate_matches_the_composition(self, rng):
+        # V_S^-1 o channel o V_S through compose, against the one record conjugate builds
+        for modes in (1, 2, 3):
+            channel = random_stable_channel(rng, modes)
+            smoothing = SmoothingMap(random_psd(rng, 2 * modes))
+            want = compose(smoothing.inverse(), compose(channel, smoothing.forward()))
+            got = smoothing.conjugate(channel)
+            npt.assert_array_equal(got.X, want.X)
+            npt.assert_array_equal(got.Y, want.Y)
+            npt.assert_array_equal(got.delta, want.delta)
+
+    def test_conjugate_rejects_a_mode_mismatch(self):
+        with pytest.raises(DimensionError):
+            SmoothingMap(np.eye(4)).conjugate(thermal_loss_channel(0.5))
+
     def test_leaves_the_callers_array_writable(self):
         s = np.eye(2)
         smoothing = SmoothingMap(s)

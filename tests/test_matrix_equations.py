@@ -7,6 +7,7 @@ import scipy.linalg
 from gaussgauge import (
     ConvergenceError,
     DimensionError,
+    GaugeCovariance,
     GaugeSource,
     GaussGaugeError,
     GaussianChannel,
@@ -17,7 +18,6 @@ from gaussgauge import (
     NumericalOverflowError,
     StabilityError,
     drift_exponential,
-    expm2,
     jordan_structure,
     solve_lyapunov,
     solve_stein,
@@ -34,7 +34,6 @@ class TestStability:
         report = stability(np.array([[0.5, 0.3], [0.0, 0.5]]))
         npt.assert_allclose(report.jury_triple, (0.75, 0.25, 2.25), atol=1e-15)
         assert report.spectral_radius == pytest.approx(0.5, abs=1e-12)
-        assert report.stable_discrete
 
     def test_minus_identity_is_hurwitz(self):
         report = stability(-np.eye(3))
@@ -44,7 +43,6 @@ class TestStability:
     def test_identity_on_discrete_boundary(self):
         report = stability(np.eye(2))
         assert report.spectral_radius == pytest.approx(1.0)
-        assert not report.stable_discrete
         assert min(report.jury_triple) == pytest.approx(0.0, abs=1e-15)
 
     def test_jury_agrees_with_spectral_radius(self, rng):
@@ -261,28 +259,30 @@ class TestJordanClosedForm:
 
 
 class TestExpm2:
+    """The 2x2 route of `drift_exponential`, the closed form of `expm2_entries`."""
+
     def test_hyperbolic_branch(self):
         b = np.array([[1.0, 0.0], [0.0, -1.0]])
         for t in (0.3, 1.7):
-            npt.assert_allclose(expm2(b, t), np.diag([np.exp(t), np.exp(-t)]), atol=1e-14)
+            npt.assert_allclose(drift_exponential(b, t), np.diag([np.exp(t), np.exp(-t)]), atol=1e-14)
 
     def test_trigonometric_branch(self):
         b = np.array([[0.0, 1.0], [-1.0, 0.0]])
         t = 0.9
         expected = np.array([[np.cos(t), np.sin(t)], [-np.sin(t), np.cos(t)]])
-        npt.assert_allclose(expm2(b, t), expected, atol=1e-14)
+        npt.assert_allclose(drift_exponential(b, t), expected, atol=1e-14)
 
     def test_degenerate_branch(self):
         b = np.array([[1.0, 1.0], [-1.0, -1.0]])  # lambda = omega
         t = 1.4
-        npt.assert_array_equal(expm2(b, t), np.eye(2) + t * b)
+        npt.assert_array_equal(drift_exponential(b, t), np.eye(2) + t * b)
 
     def test_near_nilpotent_long_time(self):
         # det B0 = 5e-15 and t = 1000: the sin(x)/x series keeps the
         # t^2 det B0 / 2 ~ 2.5e-9 term that a cut to I + t B would drop
         b = np.array([[0.0, 1.0], [-5e-15, 0.0]])
         reference = scipy.linalg.expm(1000.0 * b)
-        err = np.abs(expm2(b, 1000.0) - reference).max()
+        err = np.abs(drift_exponential(b, 1000.0) - reference).max()
         assert err <= 1e-15 * np.abs(reference).max()
 
     def test_matches_general_exponential(self, rng):
@@ -294,7 +294,7 @@ class TestExpm2:
             b = rng.uniform(-2, 2, size=(2, 2))
             t = rng.uniform(-5.0, 5.0)
             reference = scipy.linalg.expm(t * b)
-            err = np.abs(expm2(b, t) - reference).max() / (1.0 + np.abs(reference).max())
+            err = np.abs(drift_exponential(b, t) - reference).max() / (1.0 + np.abs(reference).max())
             worst = max(worst, err)
         assert worst <= 4e-12
 
@@ -308,7 +308,7 @@ class TestExpm2:
             t = rng.uniform(0.0, 5.0)
             exact_mp = mpmath.expm(mpmath.matrix(b.tolist()) * mpmath.mpf(t))
             exact = np.array([[float(exact_mp[i, j]) for j in range(2)] for i in range(2)])
-            err = np.abs(expm2(b, t) - exact).max() / (1.0 + np.abs(exact).max())
+            err = np.abs(drift_exponential(b, t) - exact).max() / (1.0 + np.abs(exact).max())
             worst = max(worst, err)
         assert worst <= 1e-13
 
@@ -320,7 +320,7 @@ class TestExpm2:
             for t in (0.5, 2.0, 5.0):
                 reference = scipy.linalg.expm(t * b)
                 tol = 1e-12 * (1.0 + np.abs(reference).max())
-                npt.assert_allclose(expm2(b, t), reference, atol=tol)
+                npt.assert_allclose(drift_exponential(b, t), reference, atol=tol)
 
     def test_scalar_shift_included(self, rng):
         for _ in range(100):
@@ -329,7 +329,7 @@ class TestExpm2:
             t = rng.uniform(0.0, 3.0)
             reference = scipy.linalg.expm(t * b)
             tol = 1e-12 * (1.0 + np.abs(reference).max())
-            npt.assert_allclose(expm2(b, t), reference, atol=tol)
+            npt.assert_allclose(drift_exponential(b, t), reference, atol=tol)
 
     @pytest.mark.parametrize(
         "b, t",
@@ -344,16 +344,16 @@ class TestExpm2:
     def test_overflow_raises_toolkit_error(self, b, t):
         assert issubclass(NumericalOverflowError, GaussGaugeError)
         with pytest.raises(NumericalOverflowError, match="float range"):
-            expm2(b, t)
+            drift_exponential(b, t)
 
     @pytest.mark.parametrize("x", [1.0, 17.0, 19.0, 20.0, 50.0, 300.0])
     def test_hyperbolic_diagonal_entrywise(self, x):
         # cosh x - sinh x cancels: e^-19 = 5.6e-9 once came out -1.5e-8, and 0 at x = 20
         b = np.diag([x, -x])
         reference = scipy.linalg.expm(b)
-        npt.assert_array_equal(expm2(b) == 0.0, reference == 0.0)
-        npt.assert_allclose(expm2(b), reference, rtol=1e-14, atol=0)
-        npt.assert_allclose(expm2(-b), reference[::-1, ::-1], rtol=1e-14, atol=0)
+        npt.assert_array_equal(drift_exponential(b) == 0.0, reference == 0.0)
+        npt.assert_allclose(drift_exponential(b), reference, rtol=1e-14, atol=0)
+        npt.assert_allclose(drift_exponential(-b), reference[::-1, ::-1], rtol=1e-14, atol=0)
 
     def test_hyperbolic_small_entries_entrywise(self, rng):
         # a dominant traceless diagonal with small off-diagonal entries: the
@@ -366,13 +366,13 @@ class TestExpm2:
             b = np.array([[a, off[0]], [off[1], -a]]) + rng.uniform(-1.0, 1.0) * np.eye(2)
             t = rng.choice([1.0, -1.0]) * rng.uniform(0.5, 1.0)
             reference = scipy.linalg.expm(t * b)
-            worst = max(worst, np.max(np.abs(expm2(b, t) - reference) / np.abs(reference)))
+            worst = max(worst, np.max(np.abs(drift_exponential(b, t) - reference) / np.abs(reference)))
         assert worst <= 1e-10
 
     def test_finite_just_below_overflow(self):
         b = np.array([[700.0, 0.0], [0.0, -700.0]])
         reference = np.diag([np.exp(700.0), np.exp(-700.0)])
-        npt.assert_allclose(expm2(b), reference, rtol=0, atol=1e-12 * np.exp(700.0))
+        npt.assert_allclose(drift_exponential(b), reference, rtol=0, atol=1e-12 * np.exp(700.0))
 
 
 class TestDriftExponential:
@@ -407,7 +407,7 @@ class TestDriftExponential:
 class TestGuards:
     def test_expm2_at_zero_time(self, rng):
         b = rng.standard_normal((2, 2))
-        npt.assert_array_equal(expm2(b, 0.0), np.eye(2))
+        npt.assert_array_equal(drift_exponential(b, 0.0), np.eye(2))
 
     def test_large_solves_match_kronecker_oracle(self, rng):
         # no size cap: 2N = 22 against the dense vectorized systems
@@ -447,17 +447,18 @@ class TestGuards:
         lambda bad: GaussianGenerator(A=-np.eye(4), D=bad, u=np.zeros(4)),
         lambda bad: GaussianGenerator(A=-np.eye(4), D=np.eye(4), u=bad[0]),
         lambda bad: stability(bad),
-        lambda bad: expm2(bad[:2, :2]),
-        lambda bad: expm2(-np.eye(2), bad[0, 0]),
+        lambda bad: drift_exponential(bad[:2, :2]),
+        lambda bad: drift_exponential(-np.eye(2), bad[0, 0]),
         lambda bad: drift_exponential(bad, 1.0),
         lambda bad: jordan_structure(bad[:2, :2]),
         lambda bad: jordan_structure(bad),
         lambda bad: MomentState(d=np.zeros(4), V=bad),
         lambda bad: MomentState(d=bad[0], V=np.eye(4)),
+        lambda bad: GaugeCovariance(S=bad, source=GaugeSource.STEIN, residual=0.0),
     ], ids=["lyap-D", "lyap-A", "stein-X", "stein-Y", "series-Y", "channel-X", "channel-Y",
             "channel-delta", "generator-A", "generator-D", "generator-u", "stability",
             "expm2-B", "expm2-t", "drift-exp-A", "jordan-2x2", "jordan-4x4", "state-V",
-            "state-d"])
+            "state-d", "gauge-covariance-S"])
     def test_non_finite_input_rejected(self, entry, value):
         bad = -0.5 * np.eye(4)
         bad[0, 0] = value
@@ -467,5 +468,3 @@ class TestGuards:
     def test_shape_validation(self):
         with pytest.raises(DimensionError):
             solve_lyapunov(-np.eye(2), np.eye(3))
-        with pytest.raises(DimensionError):
-            expm2(np.eye(3))

@@ -3,7 +3,6 @@ import numpy.testing as npt
 import pytest
 
 from gaussgauge import (
-    CpMethod,
     DimensionError,
     GaugeCovariance,
     GaugeSource,
@@ -194,7 +193,6 @@ class TestCompose:
 class TestCpCheck:
     def test_attenuator_saturates_det_condition(self):
         report = cp_check(thermal_loss_channel(0.5))
-        assert report.method is CpMethod.DET_CONDITION
         assert report.passes
         # det Y = 0.0625 exactly equals ((1 - det X)/2)^2
         assert report.margin == pytest.approx(0.0, abs=1e-15)
@@ -211,10 +209,6 @@ class TestCpCheck:
         # det Y - ((1 - det X)/2)^2 = -2.25
         assert report.margin == pytest.approx(-2.25, abs=1e-15)
 
-    def test_det_condition_only_for_one_mode(self):
-        with pytest.raises(DimensionError):
-            cp_check(identity_channel(2), method=CpMethod.DET_CONDITION)
-
     def test_one_mode_symplectic_scaling_identity(self, rng):
         sigma = symplectic_form(1)
         for _ in range(1000):
@@ -222,18 +216,37 @@ class TestCpCheck:
             lhs = x @ sigma @ x.T
             npt.assert_allclose(lhs, np.linalg.det(x) * sigma, atol=1e-13)
 
+    @staticmethod
+    def hermitian_margin(x, y):
+        """Least eigenvalue and tolerance of the CP matrix Y + (i/2)(Sigma - X Sigma X^T)."""
+        sigma = symplectic_form(x.shape[0] // 2)
+        z = y + 0.5j * (sigma - x @ sigma @ x.T)
+        return np.linalg.eigvalsh(z)[0], 1e-10 * (1.0 + abs(z).max())
+
     def test_det_and_hermitian_verdicts_agree(self, rng):
+        # one mode takes the determinant route
         band = 1e-10
         for _ in range(1000):
             x = rng.uniform(-1.5, 1.5, size=(2, 2))
             y = rng.standard_normal((2, 2))
             y = 0.5 * (y + y.T) + rng.uniform(-0.3, 1.2) * np.eye(2)
-            ch = GaussianChannel(X=x, Y=y, delta=np.zeros(2))
-            det_rep = cp_check(ch, method=CpMethod.DET_CONDITION)
-            herm_rep = cp_check(ch, method=CpMethod.HERMITIAN_EIG)
-            if abs(det_rep.margin) < band or abs(herm_rep.margin) < band:
+            report = cp_check(GaussianChannel(X=x, Y=y, delta=np.zeros(2)))
+            margin, tol = self.hermitian_margin(x, y)
+            if abs(report.margin) < band or abs(margin) < band:
                 continue
-            assert det_rep.passes == herm_rep.passes
+            assert report.passes == (margin >= -tol)
+
+    @pytest.mark.parametrize("modes", [2, 3])
+    def test_multi_mode_margin_is_least_hermitian_eigenvalue(self, rng, modes):
+        for _ in range(50):
+            x = rng.uniform(-1.0, 1.0, size=(2 * modes, 2 * modes))
+            g = rng.standard_normal((2 * modes, 2 * modes))
+            y = g @ g.T / modes + rng.uniform(-0.3, 1.0) * np.eye(2 * modes)
+            report = cp_check(GaussianChannel(X=x, Y=y, delta=np.zeros(2 * modes)))
+            margin, tol = self.hermitian_margin(x, y)
+            assert report.margin == pytest.approx(margin, rel=1e-12, abs=1e-12)
+            assert report.tolerance == pytest.approx(tol, rel=1e-12)
+            assert report.passes == (report.margin >= -report.tolerance)
 
 
 class TestEdgePaths:

@@ -668,6 +668,7 @@ class TestVerifyCommand:
             "gauge": {"channel-gauging"},
             "jury": {"jury-spectral-agreement"},
             "expm2": {"expm2-vs-general"},
+            "noise": {"noise-independence"},
             "one-mode": {"one-mode-identities"},
             "ep-closed-form": {"ep-closed-forms"},
             "positivity": {"positivity-transfer"},

@@ -4,7 +4,9 @@ The tracer wraps every public function of the package and reads the
 `residual` of each `solve_stein` and `solve_lyapunov` result; `layer_metrics`
 reduces the spans of a run to one number per metric. A traced `verify` run
 and solver calls at 2x2 and 4x4 must reduce to finite scalars, which holds
-only while every solver's residual is a Python float.
+only while every solver's residual is a Python float; so must traced
+`nm-branch` runs, one that writes its table and one that stops at a flagged
+row.
 """
 
 import importlib.util
@@ -14,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-import gaussgauge.cli  # noqa: F401  (every module the tracer wraps)
+import gaussgauge.cli  # every module the tracer wraps
 from gaussgauge import matrix_equations, verify
 from gaussgauge.matrix_equations import solve_lyapunov, solve_stein, stein_series
 from gaussgauge.verify import random_hurwitz, random_psd, random_schur_stable
@@ -27,6 +29,12 @@ def load_tracing():
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def assert_finite_scalars(metrics):
+    for name, value in metrics.items():
+        assert isinstance(value, (int, float, np.integer, np.floating)), name
+        assert math.isfinite(value), name
 
 
 def test_traced_verify_and_solvers_reduce_to_finite_scalars():
@@ -45,9 +53,27 @@ def test_traced_verify_and_solvers_reduce_to_finite_scalars():
     metrics = tracing.layer_metrics(tracer, tracer.spans(0, len(tracer)), 0)
     assert metrics["matrix_equations.solve_stein_calls"] > 0
     assert metrics["matrix_equations.solve_lyapunov_calls"] > 0
-    for name, value in metrics.items():
-        assert isinstance(value, (int, float, np.integer, np.floating)), name
-        assert math.isfinite(value), name
+    assert_finite_scalars(metrics)
+
+
+@pytest.mark.parametrize("argv, code, rows", [
+    (["nm-branch"], 0, 80),
+    (["nm-branch", "--grid=1e7:2e7:3"], 2, 0),  # a row that is not CP
+])
+def test_traced_branch_sweeps_reduce_to_finite_scalars(argv, code, rows, capsys):
+    tracing = load_tracing()
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        exit_code = gaussgauge.cli.main(argv)
+    finally:
+        tracer.restore()
+    assert exit_code == code
+    metrics = tracing.layer_metrics(tracer, tracer.spans(0, len(tracer)), 0)
+    assert metrics["sweeps.rows"] == rows
+    # the flagged row's error comes from its status code, not a rebuilt channel
+    assert metrics["models.nm_channel_calls"] == 0
+    assert_finite_scalars(metrics)
 
 
 @pytest.mark.parametrize("dim", [2, 4])
