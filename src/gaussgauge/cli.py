@@ -25,6 +25,7 @@ from .errors import DimensionError, GaussGaugeError
 from .sweeps import (
     _TEXT,
     DIFFUSION_CHOICES,
+    FAULT_CHOICES,
     MODEL_DEFAULTS,
     GridSpec,
     SweepConfig,
@@ -34,7 +35,6 @@ from .sweeps import (
     run_squeezed_gauge,
     write_table,
 )
-from .verify import FAULT_CHOICES, run_verification
 
 _MODEL_FLAGS = sorted(MODEL_DEFAULTS)
 
@@ -184,6 +184,8 @@ def _emit(table, config):
 
 
 def _run_verify(args):
+    from .verify import run_verification  # the sweep commands never load verify
+
     _, _, settings = _merge_config(args)
     seed = settings.get("seed", 0)
     fault = settings.get("fault")

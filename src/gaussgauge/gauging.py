@@ -14,20 +14,34 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, StabilityError, _frozen, _symmetrized
+from .errors import (
+    DimensionError,
+    StabilityError,
+    _square,
+    _symmetric,
+    _symmetrized,
+    require_finite,
+)
 from .generators import semigroup_arrays
-from .matrix_equations import GaugeCovariance, solve_lyapunov, solve_stein
+from .matrix_equations import GaugeCovariance, GaugeSource, _stein, solve_lyapunov, stein_residual
 from .phase_space import GaussianChannel
 
 
 @dataclass(frozen=True)
 class SmoothingMap:
-    """Gaussian smoothing map V_S = (I, S, 0) and its formal inverse."""
+    """Gaussian smoothing map V_S = (I, S, 0) and its formal inverse.
+
+    S must be a finite symmetric matrix of even dimension: DimensionError or
+    NonFiniteInputError otherwise.
+    """
 
     S: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "S", _frozen(self.S))
+        s = np.asarray(self.S, dtype=float)
+        _square("smoothing covariance", s, even=True)
+        require_finite(S=s)
+        object.__setattr__(self, "S", _symmetric("smoothing covariance", s))
 
     def forward(self):
         n2 = self.S.shape[0]
@@ -41,8 +55,13 @@ class SmoothingMap:
         """V_S^{-1} o channel o V_S at the parameter level: (X, X S X^T + Y - S, delta)."""
         if self.S.shape != channel.X.shape:
             raise DimensionError(f"smoothing map {self.S.shape} for a channel of {channel.X.shape}")
-        y = _symmetrized(channel.X @ self.S @ channel.X.T + channel.Y) - self.S
-        return GaussianChannel(X=channel.X, Y=y, delta=channel.delta)
+        return GaussianChannel(X=channel.X, Y=_gauged_y(channel.X, self.S, channel.Y),
+                               delta=channel.delta)
+
+
+def _gauged_y(X, S, Y):
+    """The diffusion X S X^T + Y - S of V_S^{-1} o (X, Y, delta) o V_S, symmetric."""
+    return _symmetrized(X @ S @ X.T + Y) - S
 
 
 @dataclass(frozen=True)
@@ -57,13 +76,17 @@ class GaugingResult:
 def gauge_channel(channel):
     """Remove Y from a stable channel by the Stein smoothing similarity.
 
-    Returns the gauged representative (X, ~0, delta) with X and delta bitwise
-    equal to the input's.
+    Returns the gauged representative (X, 0, delta) with X and delta bitwise
+    equal to the input's, and as `residual_Y` the max-norm of the diffusion
+    X S X^T + Y - S that the conjugation by V_S leaves.
     """
-    cov = solve_stein(channel.X, channel.Y)
-    conjugated = SmoothingMap(cov.S).conjugate(channel)
-    gauged = GaussianChannel(X=conjugated.X, Y=np.zeros_like(channel.Y), delta=conjugated.delta)
-    return GaugingResult(gauged=gauged, S=cov, residual_Y=float(np.max(np.abs(conjugated.Y))))
+    X, Y = channel.X, channel.Y
+    S = _stein(X, Y)
+    return GaugingResult(
+        gauged=GaussianChannel(X=X, Y=np.zeros_like(Y), delta=channel.delta),
+        S=GaugeCovariance(S=S, source=GaugeSource.STEIN, residual=stein_residual(X, S, Y)),
+        residual_Y=float(np.max(np.abs(_gauged_y(X, S, Y)))),
+    )
 
 
 def default_gauge_times(A, count=20):

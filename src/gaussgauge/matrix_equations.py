@@ -1,12 +1,15 @@
 """Stability classification and the Lyapunov/Stein/Jordan gauge-matrix solvers.
 
 A S + S A^T + D = 0 goes to scipy's Bartels-Stewart solver at every size.
-The one-mode (2x2) Stein equation S = X S X^T + Y takes the adjugate closed
-form with denominator (1-det)(1-tr+det)(1+tr+det), the product of the Jury
-triple, whose three terms are all positive iff spr(X) < 1; larger ones go
-to scipy (direct solve below dimension 10, the bilinear map to a Lyapunov
-equation above), with no size cap. Defective one-mode drifts
-X = alpha (I + t N), N^2 = 0, have a geometric-series closed form in
+The Stein equation S = X S X^T + Y has one route, `_stein`, for one pair or
+a stack of pairs of one size. At 2x2 it takes the adjugate closed form with
+denominator (1-det)(1-tr+det)(1+tr+det), the product of the Jury triple,
+whose three terms are all positive iff spr(X) < 1. Below dimension 10 one
+stacked `eigvals` decides spr(X) < 1 and one batched `scipy.linalg.solve`
+solves the Kronecker systems (I - X (x) X) vec S = vec Y of every pair, the
+system scipy's direct Stein route builds; from dimension 10 on scipy maps the
+equation to a Lyapunov one (bilinear), with no size cap. Defective one-mode
+drifts X = alpha (I + t N), N^2 = 0, have a geometric-series closed form in
 rho = alpha^2. scipy is imported at first use, by the routes above 2x2 and
 `solve_lyapunov`, so the one-mode closed forms never load it.
 """
@@ -124,22 +127,40 @@ def solve_lyapunov(A, D):
 def solve_stein(X, Y):
     """Unique symmetric solution of S = X S X^T + Y for spr(X) < 1.
 
-    2x2 inputs decide spr(X) < 1 by the Jury triple, the test the
-    non-Markovian tables apply to their rows, and evaluate the adjugate
-    closed forms, whose denominator is the triple's product; larger ones go
-    to scipy.linalg.solve_discrete_lyapunov. S inherits positive
-    semidefiniteness from Y.
+    The checked pair goes to `_stein`: the Jury triple and the adjugate
+    closed forms at 2x2, the test the non-Markovian tables apply to their
+    rows; the Kronecker system below dimension 10 and scipy's bilinear route
+    from there on. S inherits positive semidefiniteness from Y.
     """
     X, Y = _equation_pair(X, Y, "X", "Y")
-    if X.shape == (2, 2):
-        S = _stein2(X, Y)
-    else:
-        if stability(X).spectral_radius >= 1.0:
-            raise _spectral_radius_error()
-        import scipy.linalg
-
-        S = _symmetrized(scipy.linalg.solve_discrete_lyapunov(X, Y))
+    S = _stein(X, Y)
     return GaugeCovariance(S=S, source=GaugeSource.STEIN, residual=stein_residual(X, S, Y))
+
+
+def _stein(X, Y):
+    """S of S = X S X^T + Y for one checked (d, d) pair, or for (n, d, d)
+    stacks of them; StabilityError unless spr(X) < 1 for every pair.
+
+    2x2 goes to `_stein2`. Below dimension 10 one stacked `eigvals` decides
+    stability, and one batched `scipy.linalg.solve` solves every pair's
+    (I - X (x) X) vec S = vec Y, bit for bit as scipy's direct
+    `solve_discrete_lyapunov` solves each pair; from dimension 10 on scipy's
+    bilinear route solves each pair.
+    """
+    d = X.shape[-1]
+    if d == 2:
+        return _stein2(X, Y)
+    if np.count_nonzero(abs(np.linalg.eigvals(X)).max(axis=-1) < 1.0) < X.size // (d * d):
+        raise _spectral_radius_error()
+    import scipy.linalg
+
+    if d >= 10:
+        return _symmetrized(scipy.linalg.solve_discrete_lyapunov(X, Y))
+    batch, dd = X.shape[:-2], d * d
+    # kron[..., i, k, j, l] = X[..., i, j] X[..., k, l]: np.kron(X, X) of each pair
+    kron = (X[..., :, None, :, None] * X[..., None, :, None, :]).reshape(batch + (dd, dd))
+    lhs = np.subtract(np.eye(dd), kron, out=kron)
+    return _symmetrized(scipy.linalg.solve(lhs, Y.reshape(batch + (dd, 1))).reshape(Y.shape))
 
 
 def _stein2(X, Y):
@@ -224,6 +245,7 @@ def stein_jordan_closed_form(drift, Y):
 
     S = Y/(1-rho) + rho t (N Y + Y N^T)/(1-rho)^2
       + rho (1+rho) t^2 N Y N^T / (1-rho)^3 with rho = alpha^2.
+    NumericalOverflowError where an entry of S leaves the float range.
     """
     if abs(drift.alpha) >= 1.0:
         raise StabilityError(f"|alpha| = {abs(drift.alpha)} >= 1: single use unstable")
@@ -235,11 +257,14 @@ def stein_jordan_closed_form(drift, Y):
     rho = drift.alpha * drift.alpha
     one = 1.0 - rho
     ny = n @ Y
-    S = (
-        Y / one
-        + (rho * t / (one * one)) * (ny + ny.T)
-        + (rho * (1.0 + rho) * t * t / (one * one * one)) * (ny @ n.T)
-    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        S = (
+            Y / one
+            + (rho * t / (one * one)) * (ny + ny.T)
+            + (rho * (1.0 + rho) * t * t / (one * one * one)) * (ny @ n.T)
+        )
+    if np.count_nonzero(np.isfinite(S)) != S.size:
+        raise NumericalOverflowError(f"Jordan closed form leaves the float range at t = {t}")
     return GaugeCovariance(
         S=S,
         source=GaugeSource.JORDAN_CLOSED_FORM,

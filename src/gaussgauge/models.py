@@ -196,9 +196,18 @@ class IsotropicDiffusion:
 
 @dataclass(frozen=True)
 class AnisotropicDiffusion:
-    """Y_t = diag(g e^s, g e^-s) with det Y_t = g^2 at the near-minimal target."""
+    """Y_t = diag(g e^s, g e^-s) with det Y_t = g^2 at the near-minimal target.
+
+    NumericalOverflowError where e^|s| leaves the float range (|s| > 709.78).
+    """
 
     s: float = 0.5
+
+    def __post_init__(self):
+        try:
+            math.exp(abs(self.s))
+        except OverflowError:
+            raise NumericalOverflowError(f"e^s leaves the float range at s = {self.s}") from None
 
 
 @dataclass(frozen=True)

@@ -76,6 +76,12 @@ GRID_DEFAULTS = {
 
 DIFFUSION_CHOICES = ("iso", "aniso", "drift-aligned")
 
+# the computations `verify --fault` sabotages, one suite each (see verify.py)
+FAULT_CHOICES = (
+    "stein", "lyapunov", "gauge", "jury", "expm2", "one-mode", "ep-closed-form",
+    "positivity", "semigroup", "composition", "noise",
+)
+
 
 @dataclass(frozen=True)
 class GridSpec:

@@ -19,15 +19,15 @@ Every suite that draws random samples, but `semigroup-gauging` and
 loop would take them, groups them by mode count, and checks each group with
 stacked arrays.
 The code under test runs on the whole group where the scalar API already
-runs a whole-array kernel: the one-mode `solve_stein` route (`_stein2`, the
-Jury triple and `stein2_entries`), `squeezed_ep_entries`, `expm2_entries` and
-`cp_margin_entries`. Elsewhere it is one public call per draw, the only
-route: `solve_lyapunov`, `solve_stein` above 2x2, `gauge_channel`,
-`compose`, `apply_channel` and `nm_ep_gauge`. The oracles are stacked
-LAPACK or scipy calls that share no code with what they check: a Kronecker
-`np.linalg.solve` for the one-mode Lyapunov equations, a stacked Stein
-series, `np.linalg.eigvals`, `np.linalg.eigvalsh`, `scipy.linalg.expm`; the
-residuals and max-norms are stacked too. The Stein half of
+runs a whole-array route: `solve_stein`'s `_stein` at every size (the Jury
+triple and `stein2_entries` at 2x2, stacked Kronecker solves above),
+`squeezed_ep_entries`, `expm2_entries` and `cp_margin_entries`. Elsewhere it
+is one public call per draw, the only route: `solve_lyapunov`,
+`gauge_channel`, `compose`, `apply_channel` and `nm_ep_gauge`. The oracles
+are stacked LAPACK or scipy calls that share no code with what they check: a
+Kronecker `np.linalg.solve` for the one-mode Lyapunov equations, a stacked
+Stein series, `np.linalg.eigvals`, `np.linalg.eigvalsh`,
+`scipy.linalg.expm`; the residuals and max-norms are stacked too. The Stein half of
 `ep-closed-forms` checks `nm_ep_gauge` against the whole-array route of the
 non-Markovian tables (`expm2_entries`, `nm_diffusion_entries`, the row
 status of `sweeps._nm_status`, `stein2_entries`); a draw whose row is not
@@ -43,7 +43,7 @@ import numpy as np
 from .errors import ConvergenceError, GaussGaugeError, _symmetrized
 from .gauging import SmoothingMap, default_gauge_times, gauge_channel, gauge_semigroup
 from .generators import GaussianGenerator, semigroup_arrays, semigroup_channel
-from .matrix_equations import _entries2, _stein2, solve_lyapunov, solve_stein
+from .matrix_equations import _entries2, _stein, solve_lyapunov
 from .models import (
     EpBranch,
     NmFamilyParams,
@@ -61,7 +61,15 @@ from .phase_space import (
     symplectic_form,
 )
 from .spectral import jordan_structure, truncated_ou_matrix
-from .sweeps import GAUGED, SweepConfig, _nm_status, _stack2, run_nm_branch, run_squeezed_gauge
+from .sweeps import (
+    FAULT_CHOICES,
+    GAUGED,
+    SweepConfig,
+    _nm_status,
+    _stack2,
+    run_nm_branch,
+    run_squeezed_gauge,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -237,13 +245,6 @@ def _solutions(solve, a, b):
     return np.array([solve(ai, bi).S for ai, bi in zip(a, b)])
 
 
-def _stein_solutions(x, y):
-    """S = X S X^T + Y for a stack of draws of one size, by `solve_stein`'s
-    route: its one-mode route `_stein2` on the whole stack at 2x2, one call
-    per draw above."""
-    return _stein2(x, y) if x.shape[-1] == 2 else _solutions(solve_stein, x, y)
-
-
 def _lyapunov_kronecker(a, d):
     """S of A S + S A^T + D = 0 for a stack of 2x2 A and D, from one stacked
     solve of the 4x4 Kronecker system (I (x) A + A (x) I) vec S = -vec D."""
@@ -287,7 +288,7 @@ def _suite_stein(rng, fault):
     n = 300
     for modes, (g, spr, h) in _draw_by_modes(rng, n, _schur_draws, _matrix_draw).items():
         x, y = _rescaled(g, spr), _psd(h)
-        s = _stein_solutions(x, y)
+        s = _stein(x, y)
         if fault == "stein":
             s = s + 1e-6
         residuals.append(_max_abs(s - x @ s @ x.transpose(0, 2, 1) - y) / (1.0 + _max_abs(y)))
@@ -300,7 +301,7 @@ def _suite_positivity(rng, fault):
     negativity = []
     n = 200
     for g, spr, h in _draw_by_modes(rng, n, _schur_draws, _matrix_draw).values():
-        s = _stein_solutions(_rescaled(g, spr), _psd(h))
+        s = _stein(_rescaled(g, spr), _psd(h))
         if fault == "positivity":
             s = -s  # the solution of S = X S X^T - Y
         negativity.append(-np.linalg.eigvalsh(s).min(axis=1))
@@ -346,8 +347,8 @@ def _suite_channel_gauging(rng, fault):
         channels = _channels(*draws)
         x, y, delta = (np.array([getattr(ch, f) for ch in channels]) for f in ("X", "Y", "delta"))
         if fault == "gauge":
-            gauged_y = np.array([SmoothingMap(solve_stein(ch.X, ch.Y).S + 1e-6).conjugate(ch).Y
-                                 for ch in channels])
+            gauged_y = np.array([SmoothingMap(s + 1e-6).conjugate(ch).Y
+                                 for s, ch in zip(_stein(x, y), channels)])
             res = _max_abs(gauged_y)
         else:
             results = [gauge_channel(ch) for ch in channels]
@@ -573,12 +574,6 @@ def run_suite(name, rng, fault=None):
         return _verdict(name, *_SUITES[name](rng, fault))
     except (GaussGaugeError, np.linalg.LinAlgError) as exc:
         return SuiteResult(name, False, math.nan, math.nan, 0, f"{type(exc).__name__}: {exc}")
-
-
-FAULT_CHOICES = (
-    "stein", "lyapunov", "gauge", "jury", "expm2", "one-mode", "ep-closed-form",
-    "positivity", "semigroup", "composition", "noise",
-)
 
 
 @dataclass(frozen=True)

@@ -57,6 +57,16 @@ class TestSmoothingMap:
         with pytest.raises(DimensionError):
             SmoothingMap(np.eye(4)).conjugate(thermal_loss_channel(0.5))
 
+    @pytest.mark.parametrize("s, error", [
+        (np.array([np.nan, 1.0, 2.0]), DimensionError),  # 1-D
+        (np.array([[1.0, np.nan], [np.nan, 1.0]]), NonFiniteInputError),
+        (np.array([[1.0, 0.5], [0.0, 1.0]]), DimensionError),  # not symmetric
+        (np.eye(3), DimensionError),  # odd dimension
+    ])
+    def test_invalid_covariance_rejected_at_construction(self, s, error):
+        with pytest.raises(error):
+            SmoothingMap(s)
+
     def test_leaves_the_callers_array_writable(self):
         s = np.eye(2)
         smoothing = SmoothingMap(s)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -25,7 +27,8 @@ from gaussgauge import (
     stein_jordan_closed_form,
     stein_series,
 )
-from gaussgauge.matrix_equations import _stein2
+from gaussgauge.errors import _symmetrized
+from gaussgauge.matrix_equations import _stein, _stein2
 from gaussgauge.verify import random_hurwitz, random_psd, random_schur_stable
 
 
@@ -190,6 +193,26 @@ class TestSolveStein:
         with pytest.raises(StabilityError, match="spectral radius < 1"):
             _stein2(x, y)
 
+    @pytest.mark.parametrize("dim", [4, 6, 8, 12])
+    def test_stacked_route_matches_scipy_per_pair(self, rng, dim):
+        # verify runs `_stein` on whole stacks of draws: bit for bit the S of
+        # one solve_stein call and of scipy's own route per pair, symmetric
+        # drifts among them
+        x = np.array([random_schur_stable(rng, dim) for _ in range(20)])
+        x[::5] = 0.5 * (x[::5] + x[::5].transpose(0, 2, 1))
+        x[::5] *= 0.9 / abs(np.linalg.eigvals(x[::5])).max(axis=1)[:, None, None]
+        y = np.array([random_psd(rng, dim) for _ in range(20)])
+        stacked = _stein(x, y)
+        assert stacked.shape == (20, dim, dim)
+        for xi, yi, si in zip(x, y, stacked):
+            want = _symmetrized(scipy.linalg.solve_discrete_lyapunov(xi, yi))
+            assert np.array_equal(si, want)
+            assert np.array_equal(solve_stein(xi, yi).S, want)
+            assert np.array_equal(_stein(xi, yi), want)
+        x[7] = np.eye(dim)  # one draw of spectral radius 1 rejects the stack
+        with pytest.raises(StabilityError, match=r"^Stein gauging requires spectral radius < 1$"):
+            _stein(x, y)
+
 
 class TestSteinSeries:
     def test_geometric_value(self):
@@ -256,6 +279,15 @@ class TestJordanClosedForm:
         drift = JordanDrift2x2(alpha=0.5, nilpotent=nilp, t=1.0)
         with pytest.raises(NonFiniteInputError):
             stein_jordan_closed_form(drift, [[bad, 0.0], [0.0, 1.0]])
+
+    def test_overflow_raises_toolkit_error(self):
+        # t^2 = 1e400 leaves the float range: a NumericalOverflowError, and no
+        # RuntimeWarning from the inf * 0 = NaN it leaves in S
+        drift = JordanDrift2x2(alpha=0.5, nilpotent=np.array([[0.0, 1.0], [0.0, 0.0]]), t=1e200)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalOverflowError, match="t = 1e\\+200"):
+                stein_jordan_closed_form(drift, np.eye(2))
 
 
 class TestExpm2:

@@ -376,6 +376,15 @@ class TestCli:
         self.assert_rejected_before_writing(
             argv.split(), tmp_path, capsys, f"{key} must be finite")
 
+    @pytest.mark.parametrize("command", ["nm-branch", "nm-surface"])
+    def test_diffusion_exponent_beyond_float_range_rejected(self, command, tmp_path, capsys):
+        # e^710 overflows math.exp: that used to end in a raw OverflowError
+        self.assert_rejected_before_writing(
+            [command, "--diffusion", "aniso", "--s", "710"], tmp_path, capsys,
+            "e^s leaves the float range at s = 710.0")
+        out = tmp_path / "t.csv"
+        assert self.run_cli([command, "--diffusion", "aniso", "--s", "700", "--out", str(out)]) == 0
+
     @pytest.mark.parametrize(
         "command, line, message",
         [("nm-branch", "gamma = inf", "gamma must be finite"),
@@ -594,8 +603,9 @@ class TestParserReuse:
 
 
 class TestColdStart:
-    """The package, its CLI and the four sweep commands load no scipy; only
-    solvers above 2x2 and `verify` import it, at first use."""
+    """The package, its CLI and the four sweep commands load no scipy and no
+    `verify`; only solvers above 2x2 and `verify` import scipy, and only the
+    `verify` command imports `verify`, at first use."""
 
     SWEEPS = [
         ["drift-eigs", "--grid=-1:1:5"],
@@ -617,15 +627,23 @@ class TestColdStart:
     def test_import_loads_no_scipy(self):
         assert self.loaded("scipy", "import gaussgauge, gaussgauge.cli") == []
 
+    def test_cli_import_loads_no_verify(self):
+        assert self.loaded("gaussgauge.verify", "import gaussgauge.cli") == []
+
+    SWEEP_RUNS = (
+        "from gaussgauge.cli import main\n"
+        "out, sweeps = sys.argv[1], json.loads(sys.argv[2])\n"
+        "codes = [main([*argv, '--out', f'{out}/{i}']) for i, argv in enumerate(sweeps)]\n"
+        "assert codes == [0] * len(sweeps), codes"
+    )
+
     def test_sweep_commands_load_no_scipy(self, tmp_path):
-        code = (
-            "from gaussgauge.cli import main\n"
-            "out, sweeps = sys.argv[1], json.loads(sys.argv[2])\n"
-            "codes = [main([*argv, '--out', f'{out}/{i}']) for i, argv in enumerate(sweeps)]\n"
-            "assert codes == [0] * len(sweeps), codes"
-        )
-        assert self.loaded("scipy", code, str(tmp_path), json.dumps(self.SWEEPS)) == []
+        assert self.loaded("scipy", self.SWEEP_RUNS, str(tmp_path), json.dumps(self.SWEEPS)) == []
         assert all((tmp_path / str(i)).stat().st_size > 0 for i in range(len(self.SWEEPS)))
+
+    def test_sweep_commands_load_no_verify(self, tmp_path):
+        args = (str(tmp_path), json.dumps(self.SWEEPS))
+        assert self.loaded("gaussgauge.verify", self.SWEEP_RUNS, *args) == []
 
     VERIFY = ("from gaussgauge.cli import main\n"
               "assert main(['verify', '--seed', '0', '--out', sys.argv[1]]) == 0")
@@ -646,6 +664,14 @@ class TestVerifyCommand:
         payload = json.loads(out1.read_text())
         assert payload["all_passed"] is True
         assert all(s["passed"] for s in payload["suites"])
+
+    def test_unknown_fault_rejected(self, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(["verify", "--fault", "bogus"])
+        assert err.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "argument --fault: invalid choice: 'bogus'" in captured.err
 
     def test_suite_times_on_stderr_only(self, capsys):
         assert main(["verify", "--seed", "3"]) == 0

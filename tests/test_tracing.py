@@ -3,10 +3,10 @@
 The tracer wraps every public function of the package and reads the
 `residual` of each `solve_stein` and `solve_lyapunov` result; `layer_metrics`
 reduces the spans of a run to one number per metric. A traced `verify` run
-and solver calls at 2x2 and 4x4 must reduce to finite scalars, which holds
-only while every solver's residual is a Python float; so must traced
-`nm-branch` runs, one that writes its table and one that stops at a flagged
-row.
+and solver calls at 2x2, 4x4, 6x6 and 12x12, one of each size route, must
+reduce to finite scalars, which holds only while every solver's residual is
+a Python float; so must traced `nm-branch` runs, one that writes its table
+and one that stops at a flagged row.
 """
 
 import importlib.util
@@ -44,7 +44,7 @@ def test_traced_verify_and_solvers_reduce_to_finite_scalars():
     tracer.install()
     try:
         report = verify.run_verification(0)
-        for dim in (2, 4):
+        for dim in (2, 4, 6, 12):
             matrix_equations.solve_stein(random_schur_stable(rng, dim), random_psd(rng, dim))
             matrix_equations.solve_lyapunov(random_hurwitz(rng, dim), random_psd(rng, dim))
     finally:
@@ -53,6 +53,9 @@ def test_traced_verify_and_solvers_reduce_to_finite_scalars():
     metrics = tracing.layer_metrics(tracer, tracer.spans(0, len(tracer)), 0)
     assert metrics["matrix_equations.solve_stein_calls"] > 0
     assert metrics["matrix_equations.solve_lyapunov_calls"] > 0
+    for dim in (2, 6, 12):
+        assert metrics[f"matrix_equations.stein_ms_n{dim}"] > 0
+        assert metrics[f"matrix_equations.lyapunov_ms_n{dim}"] > 0
     assert_finite_scalars(metrics)
 
 
@@ -76,7 +79,7 @@ def test_traced_branch_sweeps_reduce_to_finite_scalars(argv, code, rows, capsys)
     assert_finite_scalars(metrics)
 
 
-@pytest.mark.parametrize("dim", [2, 4])
+@pytest.mark.parametrize("dim", [2, 4, 6, 12])
 def test_solver_residuals_are_python_floats(dim):
     rng = np.random.default_rng(dim)
     x, y, a = random_schur_stable(rng, dim), random_psd(rng, dim), random_hurwitz(rng, dim)

@@ -3,9 +3,9 @@
 Every suite returns its measurements, and `run_suite` judges them: passed
 only if every value is within its bound, worst the largest value with a NaN
 carried through. The tests below inject a NaN solution into the suites,
-through the solver each one calls per draw or through the whole-array kernel
-it runs on all draws, and raise a GaussGaugeError inside a suite, through the
-library and through the CLI.
+through the solver each one calls per draw or on a stack of draws, or
+through the whole-array kernel it runs on all draws, and raise a
+GaussGaugeError inside a suite, through the library and through the CLI.
 """
 
 import json
@@ -29,16 +29,18 @@ def nan_copy(cov):
 
 
 def nan_solution(monkeypatch, module, name, dim):
-    """Patch module.name to return an all-NaN S on its first solve at size dim."""
+    """Patch module.name to return an all-NaN S on its first solve at size dim:
+    the S of a solver's record, or the S that `_stein` returns for one pair
+    or a stack of pairs."""
     solve = getattr(module, name)
     hits = []
 
     def patched(a, b, *args, **kwargs):
-        cov = solve(a, b, *args, **kwargs)
-        if a.shape[0] != dim or hits:
-            return cov
+        out = solve(a, b, *args, **kwargs)
+        if a.shape[-1] != dim or hits:
+            return out
         hits.append(dim)
-        return nan_copy(cov)
+        return np.full_like(out, np.nan) if isinstance(out, np.ndarray) else nan_copy(out)
 
     monkeypatch.setattr(module, name, patched)
     return hits
@@ -71,10 +73,10 @@ class TestVerdict:
 @pytest.mark.parametrize("name, module, solver, dims", [
     ("lyapunov-residual", verify, "solve_lyapunov", (2, 4)),
     # 2x2 draws take the whole-array kernels (test_nan_kernel_fails_the_suite)
-    ("stein-residual", verify, "solve_stein", (4,)),
-    # eigvalsh raises LinAlgError on a 4x4 NaN matrix
-    ("positivity-transfer", verify, "solve_stein", (4,)),
-    ("channel-gauging", gauging, "solve_stein", (2, 4)),
+    ("stein-residual", verify, "_stein", (4,)),
+    # eigvalsh raises LinAlgError on a stack of 4x4 NaN matrices
+    ("positivity-transfer", verify, "_stein", (4,)),
+    ("channel-gauging", gauging, "_stein", (2, 4)),
     ("semigroup-gauging", gauging, "solve_lyapunov", (2, 4)),
     ("noise-independence", verify, "solve_lyapunov", (2, 4)),
 ])
