@@ -1,17 +1,19 @@
 """Stability classification and the Lyapunov/Stein/Jordan gauge-matrix solvers.
 
-A S + S A^T + D = 0 goes to scipy's Bartels-Stewart solver at every size.
-The Stein equation S = X S X^T + Y has one route, `_stein`, for one pair or
-a stack of pairs of one size. At 2x2 it takes the adjugate closed form with
+Each of the equations A S + S A^T + D = 0 and S = X S X^T + Y has one route,
+`_lyapunov` and `_stein`, for one pair or a stack of pairs of one size. At
+2x2 both take an adjugate closed form: for Lyapunov with denominator
+-2 tr A det A, positive iff A is Hurwitz (tr A < 0 < det A); for Stein with
 denominator (1-det)(1-tr+det)(1+tr+det), the product of the Jury triple,
 whose three terms are all positive iff spr(X) < 1. Below dimension 10 one
-stacked `eigvals` decides spr(X) < 1 and one batched `scipy.linalg.solve`
-solves the Kronecker systems (I - X (x) X) vec S = vec Y of every pair, the
-system scipy's direct Stein route builds; from dimension 10 on scipy maps the
-equation to a Lyapunov one (bilinear), with no size cap. Defective one-mode
-drifts X = alpha (I + t N), N^2 = 0, have a geometric-series closed form in
-rho = alpha^2. scipy is imported at first use, by the routes above 2x2 and
-`solve_lyapunov`, so the one-mode closed forms never load it.
+stacked `eigvals` decides stability and one batched `scipy.linalg.solve`
+solves the Kronecker systems of every pair: (I (x) A + A (x) I) vec S =
+-vec D, and (I - X (x) X) vec S = vec Y, the system scipy's direct Stein
+route builds. From dimension 10 on scipy solves each pair: Bartels-Stewart
+for Lyapunov, and for Stein the map to a Lyapunov equation (bilinear), with
+no size cap. Defective one-mode drifts X = alpha (I + t N), N^2 = 0, have a
+geometric-series closed form in rho = alpha^2. scipy is imported at first
+use, by the routes above 2x2, so the one-mode closed forms never load it.
 """
 
 from dataclasses import dataclass
@@ -30,7 +32,7 @@ from .errors import (
     _symmetrized,
     require_finite,
 )
-from .onemode import expm2_entries, jury_triple, stein2_entries
+from .onemode import expm2_entries, jury_triple, lyapunov2_entries, stein2_entries
 
 
 class GaugeSource(str, Enum):
@@ -111,17 +113,77 @@ def _equation_pair(a, b, name_a, name_b):
 def solve_lyapunov(A, D):
     """Unique symmetric solution of A S + S A^T + D = 0 for Hurwitz A.
 
-    scipy's Bartels-Stewart solver at every size; the Hurwitz gate excludes
-    the resonant pairs lambda_i + lambda_j = 0 that would make it singular.
-    The equation defect in max-norm is recorded on the result.
+    The checked pair goes to `_lyapunov`: the adjugate closed form at 2x2,
+    the Kronecker system below dimension 10 and scipy's Bartels-Stewart
+    solver from there on. The Hurwitz gate excludes the resonant pairs
+    lambda_i + lambda_j = 0 that would make the equation singular. The
+    equation defect in max-norm is recorded on the result.
     """
     A, D = _equation_pair(A, D, "A", "D")
-    if not stability(A).hurwitz:
-        raise StabilityError("Lyapunov gauging requires a Hurwitz drift")
+    S = _lyapunov(A, D)
+    return GaugeCovariance(S=S, source=GaugeSource.LYAPUNOV, residual=lyapunov_residual(A, S, D))
+
+
+def _lyapunov(A, D):
+    """S of A S + S A^T + D = 0 for one checked (d, d) pair, or for (n, d, d)
+    stacks of them; StabilityError unless every A is Hurwitz, and below
+    dimension 10 NumericalOverflowError where S or the Kronecker system
+    leaves the float range.
+
+    2x2 goes to `lyapunov2_entries`, whose trace and determinant decide
+    stability. Below dimension 10 one stacked `eigvals` decides it, and one
+    batched `scipy.linalg.solve` solves every pair's
+    (I (x) A + A (x) I) vec S = -vec D; from dimension 10 on scipy's
+    Bartels-Stewart solver solves each pair.
+    """
+    d = A.shape[-1]
+    if d == 2:
+        a, (y11, y12, _, y22) = _entries2(A), _entries2(D)
+        s11, s12, s22, hurwitz = lyapunov2_entries(*a, y11, y12, y22)
+        if np.count_nonzero(hurwitz) < A.size // 4:
+            raise _hurwitz_error()
+        return _in_range(np.array([s11, s12, s12, s22]).T.reshape(A.shape), "Lyapunov")
+    if np.count_nonzero(np.linalg.eigvals(A).real.max(axis=-1) < 0.0) < A.size // (d * d):
+        raise _hurwitz_error()
+    if d >= 10:
+        import scipy.linalg
+
+        return _symmetrized(scipy.linalg.solve_continuous_lyapunov(A, -D))
+    lhs = np.zeros(A.shape[:-2] + (d, d, d, d))
+    # lhs[..., i, k, j, l] = A[..., i, j] [k = l] + [i = j] A[..., k, l], written
+    # through the diagonal views of lhs
+    with np.errstate(over="ignore"):
+        np.einsum("...ikjk->...kij", lhs)[...] = A[..., None, :, :]
+        np.einsum("...ikil->...ikl", lhs)[...] += A[..., None, :, :]
+    return _kronecker_solve(lhs, -D, "Lyapunov")
+
+
+def _hurwitz_error():
+    """The error of a Lyapunov equation whose A is not Hurwitz."""
+    return StabilityError("Lyapunov gauging requires a Hurwitz drift")
+
+
+def _kronecker_solve(lhs, rhs, equation):
+    """S of the (..., d, d) right-hand sides rhs from their Kronecker systems
+    lhs vec S = vec rhs, lhs of shape (..., d, d, d, d), in one batched
+    `scipy.linalg.solve`, symmetrized; NumericalOverflowError where the
+    system or S leaves the float range."""
     import scipy.linalg
 
-    S = _symmetrized(scipy.linalg.solve_continuous_lyapunov(A, -D))
-    return GaugeCovariance(S=S, source=GaugeSource.LYAPUNOV, residual=lyapunov_residual(A, S, D))
+    if np.count_nonzero(np.isfinite(lhs)) != lhs.size:
+        raise NumericalOverflowError(f"the {equation} Kronecker system leaves the float range")
+    batch, dd = rhs.shape[:-2], rhs.shape[-1] ** 2
+    # rhs comes from checked input, and lhs is checked above
+    s = scipy.linalg.solve(lhs.reshape(batch + (dd, dd)), rhs.reshape(batch + (dd, 1)),
+                           check_finite=False)
+    return _symmetrized(_in_range(s.reshape(rhs.shape), equation))
+
+
+def _in_range(s, equation):
+    """s, or NumericalOverflowError where an entry of s is not finite."""
+    if np.count_nonzero(np.isfinite(s)) != s.size:
+        raise NumericalOverflowError(f"the {equation} solution leaves the float range")
+    return s
 
 
 def solve_stein(X, Y):
@@ -139,7 +201,9 @@ def solve_stein(X, Y):
 
 def _stein(X, Y):
     """S of S = X S X^T + Y for one checked (d, d) pair, or for (n, d, d)
-    stacks of them; StabilityError unless spr(X) < 1 for every pair.
+    stacks of them; StabilityError unless spr(X) < 1 for every pair, and
+    NumericalOverflowError where a Kronecker system of the route below
+    dimension 10, or its S, leaves the float range.
 
     2x2 goes to `_stein2`. Below dimension 10 one stacked `eigvals` decides
     stability, and one batched `scipy.linalg.solve` solves every pair's
@@ -152,15 +216,15 @@ def _stein(X, Y):
         return _stein2(X, Y)
     if np.count_nonzero(abs(np.linalg.eigvals(X)).max(axis=-1) < 1.0) < X.size // (d * d):
         raise _spectral_radius_error()
-    import scipy.linalg
-
     if d >= 10:
+        import scipy.linalg
+
         return _symmetrized(scipy.linalg.solve_discrete_lyapunov(X, Y))
-    batch, dd = X.shape[:-2], d * d
     # kron[..., i, k, j, l] = X[..., i, j] X[..., k, l]: np.kron(X, X) of each pair
-    kron = (X[..., :, None, :, None] * X[..., None, :, None, :]).reshape(batch + (dd, dd))
-    lhs = np.subtract(np.eye(dd), kron, out=kron)
-    return _symmetrized(scipy.linalg.solve(lhs, Y.reshape(batch + (dd, 1))).reshape(Y.shape))
+    with np.errstate(over="ignore"):
+        kron = X[..., :, None, :, None] * X[..., None, :, None, :]
+    eye = np.eye(d * d).reshape(d, d, d, d)
+    return _kronecker_solve(np.subtract(eye, kron, out=kron), Y, "Stein")
 
 
 def _stein2(X, Y):

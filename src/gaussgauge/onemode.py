@@ -2,8 +2,8 @@
 
 Each kernel takes the entries of 2x2 matrices as floats or as numpy arrays of
 one shape and returns entries of the same kind. The scalar API (the 2x2
-routes of `drift_exponential`, `solve_stein`, `cp_check` and
-`jordan_structure`) calls them on floats; the non-Markovian tables call them
+routes of `drift_exponential`, `solve_lyapunov`, `solve_stein`, `cp_check`
+and `jordan_structure`) calls them on floats; the non-Markovian tables call them
 once on all points of a table, and decide each row's status from them. A
 float and the matching array element go through the same operations and
 round alike: + - * / round the same in Python and numpy, branches are
@@ -133,6 +133,36 @@ def stein2_entries(a, b, c, d, y11, y12, y22):
         + (a3 * d - a2 * b * c - a2 - a * d - b * c + 1.0) * y22
     ) / denom
     return s11, s12, s22
+
+
+def lyapunov2_entries(a, b, c, d, y11, y12, y22):
+    """Entries (s11, s12, s22) of the solution of A S + S A^T + D = 0 by the
+    adjugate closed form, and whether A is Hurwitz.
+
+    A = [[a, b], [c, d]] and symmetric D = [[y11, y12], [y12, y22]]. With
+    adj A = [[d, -b], [-c, a]], S = (det A D + adj A D adj A^T) / (-2 tr A det A);
+    A is Hurwitz iff tr A < 0 < det A, and where it is not, S is left
+    meaningless (the denominator is taken as 1). The formula runs on A and D
+    divided by powers of two 2^ea and 2^ed that bring their largest entries
+    into [1/2, 1): outside the subnormal range they round as the entries
+    themselves do, the products stay in the float range, and S is the result
+    times 2^(ed - ea), inf where that leaves the float range.
+    """
+    ea = np.frexp(_maximum(abs(a), abs(b), abs(c), abs(d)))[1]
+    ed = np.frexp(_maximum(abs(y11), abs(y12), abs(y22)))[1]
+    a, b, c, d = np.ldexp((a, b, c, d), -ea)
+    y11, y12, y22 = np.ldexp((y11, y12, y22), -ed)
+    tr = a + d
+    det = a * d - b * c
+    hurwitz = (tr < 0.0) & (det > 0.0)
+    denom = _where(hurwitz, -2.0 * tr * det, 1.0)
+    # the rows (u, v) and (w, z) of adj A D
+    u, v = d * y11 - b * y12, d * y12 - b * y22
+    w, z = a * y12 - c * y11, a * y22 - c * y12
+    s = (det * y11 + d * u - b * v, det * y12 + a * v - c * u, det * y22 + a * z - c * w)
+    with np.errstate(over="ignore"):
+        s11, s12, s22 = np.ldexp(np.divide(s, denom), ed - ea)
+    return s11, s12, s22, hurwitz
 
 
 def cp_margin_entries(x11, x12, x21, x22, y11, y12, y22):

@@ -79,7 +79,7 @@ DIFFUSION_CHOICES = ("iso", "aniso", "drift-aligned")
 # the computations `verify --fault` sabotages, one suite each (see verify.py)
 FAULT_CHOICES = (
     "stein", "lyapunov", "gauge", "jury", "expm2", "one-mode", "ep-closed-form",
-    "positivity", "semigroup", "composition", "noise",
+    "positivity", "semigroup", "composition", "noise", "jordan", "trends",
 )
 
 

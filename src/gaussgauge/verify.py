@@ -19,11 +19,12 @@ Every suite that draws random samples, but `semigroup-gauging` and
 loop would take them, groups them by mode count, and checks each group with
 stacked arrays.
 The code under test runs on the whole group where the scalar API already
-runs a whole-array route: `solve_stein`'s `_stein` at every size (the Jury
-triple and `stein2_entries` at 2x2, stacked Kronecker solves above),
+runs a whole-array route: `solve_lyapunov`'s `_lyapunov` and `solve_stein`'s
+`_stein` at every size (`lyapunov2_entries`, and the Jury triple with
+`stein2_entries`, at 2x2; stacked Kronecker solves above),
 `squeezed_ep_entries`, `expm2_entries` and `cp_margin_entries`. Elsewhere it
-is one public call per draw, the only route: `solve_lyapunov`,
-`gauge_channel`, `compose`, `apply_channel` and `nm_ep_gauge`. The oracles
+is one public call per draw, the only route: `gauge_channel`, `compose`,
+`apply_channel` and `nm_ep_gauge`. The oracles
 are stacked LAPACK or scipy calls that share no code with what they check: a
 Kronecker `np.linalg.solve` for the one-mode Lyapunov equations, a stacked
 Stein series, `np.linalg.eigvals`, `np.linalg.eigvalsh`,
@@ -43,7 +44,7 @@ import numpy as np
 from .errors import ConvergenceError, GaussGaugeError, _symmetrized
 from .gauging import SmoothingMap, default_gauge_times, gauge_channel, gauge_semigroup
 from .generators import GaussianGenerator, semigroup_arrays, semigroup_channel
-from .matrix_equations import _entries2, _stein, solve_lyapunov
+from .matrix_equations import _entries2, _lyapunov, _stein, solve_lyapunov
 from .models import (
     EpBranch,
     NmFamilyParams,
@@ -240,11 +241,6 @@ def _max_abs(m):
     return abs(m).max(axis=(-2, -1))
 
 
-def _solutions(solve, a, b):
-    """The S of one `solve(a_i, b_i)` call per draw, stacked."""
-    return np.array([solve(ai, bi).S for ai, bi in zip(a, b)])
-
-
 def _lyapunov_kronecker(a, d):
     """S of A S + S A^T + D = 0 for a stack of 2x2 A and D, from one stacked
     solve of the 4x4 Kronecker system (I (x) A + A (x) I) vec S = -vec D."""
@@ -274,7 +270,7 @@ def _suite_lyapunov(rng, fault):
     n = 300
     for modes, (g, margin, h) in _draw_by_modes(rng, n, _hurwitz_draws, _matrix_draw).items():
         a, d = _hurwitz(g, margin), _psd(h)
-        s = _solutions(solve_lyapunov, a, d)
+        s = _lyapunov(a, d)
         if fault == "lyapunov":
             s = s + 1e-6
         residuals.append(_max_abs(a @ s + s @ a.transpose(0, 2, 1) + d) / (1.0 + _max_abs(d)))
@@ -452,6 +448,8 @@ def _suite_jordan_chain(rng, fault):
     drift = GaussianGenerator(A=a, D=np.zeros((2, 2)), u=np.zeros(2))
     for ell in range(1, 7):
         m = truncated_ou_matrix(drift, ell)[-(ell + 1):, -(ell + 1):].real  # degree ell
+        if fault == "jordan":  # the degree-ell block 1e-6 off on its diagonal
+            m = m + 1e-6 * np.eye(ell + 1)
         rep = jordan_structure(m, tol=0.2)
         bad += not (
             rep.defective
@@ -538,6 +536,8 @@ def _suite_figure_trends(rng, fault):
         table = run_nm_branch(SweepConfig(command="nm-branch", diffusion=diffusion))
         plus = np.array(table.select(branch=1.0))
         minus = np.array(table.select(branch=-1.0))
+        if fault == "trends":  # the plus branch's eigenvalues 1e-9 off
+            plus[:, 2:4] += 1e-9
         branch_gaps.append(np.max(np.abs(plus[:, 2:4] - minus[:, 2:4])))
     # plus and minus are the drift-aligned branches now
     qp_flip = np.max(plus[:, 4] * minus[:, 4])

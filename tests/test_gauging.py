@@ -159,9 +159,13 @@ class TestGaugeSemigroup:
         with pytest.raises(StabilityError):
             gauge_semigroup(gen)
 
-    def test_one_hurwitz_gate_per_channel(self, monkeypatch):
-        # the Lyapunov solve for the covariance is the only Hurwitz gate; the
-        # channels at each time take no eigenvalues
+    def test_one_hurwitz_gate_per_channel(self, rng, monkeypatch):
+        # the Lyapunov solve for the covariance is the only Hurwitz gate: at
+        # 2x2 its trace and determinant, with no eigenvalues, and one eigvals
+        # above; the channels at each time take no eigenvalues
+        one_mode = squeezed_generator(SqueezedReservoirParams(kappa=2.0, delta=0.3, epsilon=1.0))
+        two_mode = GaussianGenerator(
+            A=random_hurwitz(rng, 4), D=random_psd(rng, 4), u=np.zeros(4))
         calls = []
         eigvals = np.linalg.eigvals
 
@@ -170,9 +174,10 @@ class TestGaugeSemigroup:
             return eigvals(m)
 
         monkeypatch.setattr(np.linalg, "eigvals", counted)
-        gen = squeezed_generator(SqueezedReservoirParams(kappa=2.0, delta=0.3, epsilon=1.0))
-        gauge_semigroup(gen, times=[0.5, 1.0])
-        assert len(calls) == 1
+        gauge_semigroup(one_mode, times=[0.5, 1.0])
+        assert calls == []
+        gauge_semigroup(two_mode, times=[0.5, 1.0])
+        assert calls == [(4, 4)]
 
     @pytest.mark.parametrize("modes", [1, 2, 5])
     def test_residuals_match_single_time_channels(self, rng, modes):
@@ -198,7 +203,8 @@ class TestGaugeSemigroup:
     @pytest.mark.parametrize("modes", [1, 2])
     def test_one_stacked_pass_over_the_times(self, rng, monkeypatch, modes):
         # 20 times cost two scipy exponentials (X_t above 2x2, and the Van
-        # Loan blocks) and the covariance's Hurwitz gate, not one set per time
+        # Loan blocks) and the covariance's Hurwitz gate, not one set per time;
+        # at 2x2 that gate takes no eigenvalues
         gen = GaussianGenerator(
             A=random_hurwitz(rng, 2 * modes), D=random_psd(rng, 2 * modes), u=np.zeros(2 * modes)
         )
@@ -218,7 +224,7 @@ class TestGaugeSemigroup:
         result = gauge_semigroup(gen, np.linspace(0.0, 5.0, 20))
         assert result.residuals.shape == (20,)
         assert calls["expm"] <= 2
-        assert calls["eigvals"] == 1
+        assert calls["eigvals"] == (0 if modes == 1 else 1)
 
     @pytest.mark.parametrize("modes", [1, 2])
     def test_bad_times_rejected(self, rng, modes):

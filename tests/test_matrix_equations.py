@@ -1,4 +1,5 @@
 import warnings
+from contextlib import nullcontext
 
 import numpy as np
 import numpy.testing as npt
@@ -28,7 +29,8 @@ from gaussgauge import (
     stein_series,
 )
 from gaussgauge.errors import _symmetrized
-from gaussgauge.matrix_equations import _stein, _stein2
+from gaussgauge.matrix_equations import _entries2, _lyapunov, _stein, _stein2
+from gaussgauge.onemode import lyapunov2_entries
 from gaussgauge.verify import random_hurwitz, random_psd, random_schur_stable
 
 
@@ -128,6 +130,71 @@ class TestSolveLyapunov:
         # eigenvalues +-i (lambda_1 + lambda_2 = 0) fail the Hurwitz gate
         with pytest.raises(StabilityError):
             solve_lyapunov(np.array([[0.0, 1.0], [-1.0, 0.0]]), np.eye(2))
+
+    @pytest.mark.parametrize("dim", [2, 4, 6, 8, 12])
+    def test_stacked_route_matches_single_pairs(self, rng, dim):
+        # verify runs `_lyapunov` on whole stacks of draws: bit for bit the S
+        # of the same route on one pair and of one solve_lyapunov call
+        a = np.array([random_hurwitz(rng, dim) for _ in range(20)])
+        d = np.array([random_psd(rng, dim) for _ in range(20)])
+        stacked = _lyapunov(a, d)
+        assert stacked.shape == (20, dim, dim)
+        for ai, di, si in zip(a, d, stacked):
+            assert np.array_equal(_lyapunov(ai, di), si)
+            assert np.array_equal(solve_lyapunov(ai, di).S, si)
+        a[7] = np.eye(dim)  # one drift that is not Hurwitz rejects the stack
+        with pytest.raises(StabilityError, match=r"^Lyapunov gauging requires a Hurwitz drift$"):
+            _lyapunov(a, d)
+
+    def test_closed_form_matches_scipy(self, rng):
+        # half the drifts non-normal: an off-diagonal entry of up to 100 on a
+        # spectral abscissa of -0.2 or less; both solvers keep about 13 digits there
+        n = 10_000
+        g = rng.standard_normal((n, 2, 2))
+        g[::2, 0, 1] *= 10.0 ** rng.uniform(0.0, 2.0, size=n // 2)
+        shift = np.linalg.eigvals(g).real.max(axis=1) + rng.uniform(0.2, 1.0, size=n)
+        a = g - shift[:, None, None] * np.eye(2)
+        d = np.array([random_psd(rng, 2) for _ in range(n)])
+        for ai, di, si in zip(a, d, _lyapunov(a, d)):
+            want = scipy.linalg.solve_continuous_lyapunov(ai, -di)
+            assert np.abs(si - want).max() <= 1e-12 * np.abs(want).max()
+
+    def test_two_by_two_gate_agrees_with_eigenvalues(self, rng):
+        x = rng.uniform(-2.0, 2.0, size=(20_000, 2, 2))
+        hurwitz = lyapunov2_entries(*_entries2(x), 1.0, 0.0, 1.0)[3]
+        abscissa = np.linalg.eigvals(x).real.max(axis=1)
+        counted = abs(abscissa) >= 1e-12
+        assert np.count_nonzero(counted & hurwitz) > 1000
+        assert np.array_equal(hurwitz[counted], abscissa[counted] < 0.0)
+
+    @pytest.mark.parametrize("big", [1e20, 1e50])
+    @pytest.mark.parametrize("dim", [2, 4, 6])
+    def test_strongly_non_normal_drift(self, dim, big):
+        # A = -I/2 + big E_01: S_11 = 1, S_01 = big, S_00 = 1 + 2 big^2; the
+        # Kronecker system is ill-conditioned, and scipy says so
+        a = -0.5 * np.eye(dim)
+        a[0, 1] = big
+        warns = pytest.warns(scipy.linalg.LinAlgWarning) if dim > 2 else nullcontext()
+        with warns:
+            s = solve_lyapunov(a, np.eye(dim)).S
+        want = np.eye(dim)
+        want[:2, :2] = [[1.0 + 2.0 * big * big, big], [big, 1.0]]
+        npt.assert_allclose(s, want, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("solve", [
+        # X (x) X overflows at X[0, 1]^2 = 1e400
+        lambda: solve_stein(np.diag([0.5] * 4) + np.diag([1e200, 0.0, 0.0], 1), np.eye(4)),
+        # S = 2e308 I, by the closed form and by the Kronecker system
+        lambda: solve_lyapunov(-0.25 * np.eye(2), 1e308 * np.eye(2)),
+        lambda: solve_lyapunov(-0.25 * np.eye(4), 1e308 * np.eye(4)),
+        # A_ii + A_kk overflows in the Kronecker system
+        lambda: solve_lyapunov(-1e308 * np.eye(4), np.eye(4)),
+    ], ids=["stein-kron", "lyapunov-2x2", "lyapunov-kron-S", "lyapunov-kron-system"])
+    def test_overflow_raises_toolkit_error(self, solve):
+        # no numpy warning (an error under this suite's warning filter) and
+        # no raw scipy ValueError on the way
+        with pytest.raises(NumericalOverflowError, match="leaves the float range"):
+            solve()
 
 
 class TestSolveStein:

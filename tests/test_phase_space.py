@@ -319,9 +319,16 @@ class TestSymmetrization:
         npt.assert_array_equal(cov.S, big)
 
     def test_lyapunov_at_the_float_max_is_exact(self):
-        # scipy returns 1e308 I; the defect A S + S A^T + D is exactly 0
+        # the closed form returns 1e308 I; the defect A S + S A^T + D is exactly 0
         cov = solve_lyapunov(-0.5 * np.eye(2), BIG * np.eye(2))
         npt.assert_array_equal(cov.S, BIG * np.eye(2))
+        assert cov.residual == 0.0
+
+    @pytest.mark.filterwarnings("error")
+    def test_lyapunov_with_products_beyond_the_float_max_is_exact(self):
+        # det A D = 4e308 overflows unless A and D are scaled first
+        cov = solve_lyapunov(-2.0 * np.eye(2), BIG * np.eye(2))
+        npt.assert_array_equal(cov.S, 0.25 * BIG * np.eye(2))
         assert cov.residual == 0.0
 
     @pytest.mark.filterwarnings("error")

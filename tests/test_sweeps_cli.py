@@ -700,6 +700,8 @@ class TestVerifyCommand:
             "positivity": {"positivity-transfer"},
             "semigroup": {"semigroup-gauging"},
             "composition": {"composition-consistency"},
+            "jordan": {"jordan-chain"},
+            "trends": {"figure-trends"},
         }
         assert set(own) == set(FAULT_CHOICES)
         for fault, suites in own.items():

@@ -71,8 +71,8 @@ class TestVerdict:
 
 
 @pytest.mark.parametrize("name, module, solver, dims", [
-    ("lyapunov-residual", verify, "solve_lyapunov", (2, 4)),
     # 2x2 draws take the whole-array kernels (test_nan_kernel_fails_the_suite)
+    ("lyapunov-residual", verify, "_lyapunov", (4,)),
     ("stein-residual", verify, "_stein", (4,)),
     # eigvalsh raises LinAlgError on a stack of 4x4 NaN matrices
     ("positivity-transfer", verify, "_stein", (4,)),
@@ -108,6 +108,8 @@ def nan_entry(monkeypatch, module, name):
 
 
 @pytest.mark.parametrize("name, module, kernel", [
+    # the one-mode solve_lyapunov route
+    ("lyapunov-residual", matrix_equations, "lyapunov2_entries"),
     # the one-mode solve_stein route, matrix_equations._stein2
     ("stein-residual", matrix_equations, "stein2_entries"),
     # eigvalsh gives NaN on a 2x2 NaN matrix
@@ -136,15 +138,21 @@ def test_raised_error_fails_only_its_suite(monkeypatch):
 
 
 def test_cli_reports_a_nan_lyapunov_solution(monkeypatch, tmp_path, capsys):
-    # a NaN S for every 4x4 Lyapunov solve: lyapunov-residual reads NaN, and
-    # noise-independence raises NonFiniteInputError building its gauge operator
-    solve = verify.solve_lyapunov
+    # a NaN S for every 4x4 Lyapunov solve, on a stack of draws and per draw:
+    # lyapunov-residual reads NaN, and noise-independence raises
+    # NonFiniteInputError building its gauge operator
+    stacked, single = verify._lyapunov, verify.solve_lyapunov
 
-    def patched(a, d):
-        cov = solve(a, d)
+    def patched_stacked(a, d):
+        s = stacked(a, d)
+        return np.full_like(s, np.nan) if a.shape[-1] == 4 else s
+
+    def patched_single(a, d):
+        cov = single(a, d)
         return nan_copy(cov) if a.shape == (4, 4) else cov
 
-    monkeypatch.setattr(verify, "solve_lyapunov", patched)
+    monkeypatch.setattr(verify, "_lyapunov", patched_stacked)
+    monkeypatch.setattr(verify, "solve_lyapunov", patched_single)
     out = tmp_path / "report.json"
     assert main(["verify", "--seed", "0", "--out", str(out)]) == 1
     captured = capsys.readouterr()
