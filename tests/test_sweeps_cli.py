@@ -630,6 +630,12 @@ class TestColdStart:
     def test_cli_import_loads_no_verify(self):
         assert self.loaded("gaussgauge.verify", "import gaussgauge.cli") == []
 
+    def test_one_mode_solvers_load_no_scipy(self):
+        code = ("import numpy as np\n"
+                "from gaussgauge import solve_lyapunov, solve_stein\n"
+                "solve_lyapunov(-np.eye(2), np.eye(2)), solve_stein(0.5 * np.eye(2), np.eye(2))")
+        assert self.loaded("scipy", code) == []
+
     SWEEP_RUNS = (
         "from gaussgauge.cli import main\n"
         "out, sweeps = sys.argv[1], json.loads(sys.argv[2])\n"
