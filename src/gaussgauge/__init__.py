@@ -37,7 +37,6 @@ from .generators import (
     LindbladData,
     cp_check_generator,
     from_lindblad,
-    propagate_moments,
     semigroup_arrays,
     semigroup_channel,
 )
@@ -45,12 +44,10 @@ from .matrix_equations import (
     GaugeCovariance,
     GaugeSource,
     JordanDrift2x2,
-    StabilityReport,
     drift_exponential,
     lyapunov_residual,
     solve_lyapunov,
     solve_stein,
-    stability,
     stein_jordan_closed_form,
     stein_residual,
     stein_series,

@@ -52,13 +52,14 @@ def require_finite(**arrays):
             raise NonFiniteInputError(f"{name} has non-finite entries")
 
 
-def _square(name, m, even=False):
+def _square(name, m, even=False, stack=False):
     """Raise DimensionError unless the array m is a nonempty square matrix,
-    of even dimension where `even`."""
-    shape = m.shape
+    of even dimension where `even`, or where `stack` a stack of them along
+    one leading axis."""
+    shape = m.shape[1:] if stack and m.ndim == 3 else m.shape
     if len(shape) != 2 or shape[0] != shape[1] or not shape[0] or even and shape[0] % 2:
         kind = " of even dimension" if even else ""
-        raise DimensionError(f"{name} must be a nonempty square matrix{kind}, got shape {shape}")
+        raise DimensionError(f"{name} must be a nonempty square matrix{kind}, got shape {m.shape}")
 
 
 def _symmetric(name, m):

@@ -22,8 +22,15 @@ from .errors import (
     _symmetrized,
     require_finite,
 )
-from .generators import semigroup_arrays
-from .matrix_equations import GaugeCovariance, GaugeSource, _stein, solve_lyapunov, stein_residual
+from .generators import _semigroup_stack
+from .matrix_equations import (
+    GaugeCovariance,
+    GaugeSource,
+    _lyapunov,
+    _stein,
+    lyapunov_residual,
+    stein_residual,
+)
 from .phase_space import GaussianChannel
 
 
@@ -60,8 +67,9 @@ class SmoothingMap:
 
 
 def _gauged_y(X, S, Y):
-    """The diffusion X S X^T + Y - S of V_S^{-1} o (X, Y, delta) o V_S, symmetric."""
-    return _symmetrized(X @ S @ X.T + Y) - S
+    """The diffusion X S X^T + Y - S of V_S^{-1} o (X, Y, delta) o V_S,
+    symmetric, for one channel or stacks of them."""
+    return _symmetrized(X @ S @ X.swapaxes(-1, -2) + Y) - S
 
 
 @dataclass(frozen=True)
@@ -90,11 +98,12 @@ def gauge_channel(channel):
 
 
 def default_gauge_times(A, count=20):
-    """Log-spaced verification times in [1e-3, 10/|max Re lambda(A)|]."""
-    decay = -float(np.max(np.linalg.eigvals(np.asarray(A, dtype=float)).real))
-    if decay <= 0:
+    """Log-spaced verification times in [1e-3, 10/|max Re lambda(A)|]; for
+    an (n, d, d) stack of drifts one row per drift."""
+    decay = -np.linalg.eigvals(np.asarray(A, dtype=float)).real.max(axis=-1)
+    if np.count_nonzero(decay <= 0):
         raise StabilityError("default gauge times need a Hurwitz drift")
-    return np.geomspace(1e-3, 10.0 / decay, count)
+    return np.geomspace(1e-3, 10.0 / decay, count, axis=-1)
 
 
 @dataclass(frozen=True)
@@ -113,18 +122,28 @@ def gauge_semigroup(generator, times=None):
     The channels at all verification times come from one stacked
     `semigroup_arrays` pass, and each residual max|X_t S X_t^T + Y_t - S|,
     the worst leftover diffusion entry of V_S^{-1} o channel o V_S, from
-    stacked products; the theorem makes every residual vanish identically.
-    Times must be 1-D, finite and nonnegative. A drift that is not Hurwitz
-    raises StabilityError from the Lyapunov solve.
+    stacked products (`_semigroup_gauge`); the theorem makes every residual
+    vanish identically. Times must be 1-D, finite and nonnegative. A drift
+    that is not Hurwitz raises StabilityError from the Lyapunov solve.
     """
-    cov = solve_lyapunov(generator.A, generator.D)
-    times = default_gauge_times(generator.A) if times is None else np.asarray(times, dtype=float)
-    x, y, _ = semigroup_arrays(generator, times)
-    s = cov.S
-    residuals = abs(x @ s @ x.transpose(0, 2, 1) + y - s).max(axis=(1, 2))
+    A, D = generator.A, generator.D
+    S, times, residuals = _semigroup_gauge(
+        A, D, generator.u, None if times is None else np.asarray(times, dtype=float))
     return SemigroupGaugingResult(
-        S=cov,
+        S=GaugeCovariance(S=S, source=GaugeSource.LYAPUNOV, residual=lyapunov_residual(A, S, D)),
         times=times,
         residuals=residuals,
         max_residual=float(residuals.max()) if residuals.size else 0.0,
     )
+
+
+def _semigroup_gauge(A, D, u, times=None):
+    """The Lyapunov covariance S of one checked generator (A, D, u), or of
+    (n, d, d), (n, d, d) and (n, d) stacks, its times (`default_gauge_times`
+    where None) and the residuals max|X_t S X_t^T + Y_t - S| there, one row
+    per generator."""
+    S = _lyapunov(A, D)
+    times = default_gauge_times(A) if times is None else times
+    x, y, _ = _semigroup_stack(A, D, u, times)
+    s = S[..., None, :, :]
+    return S, times, abs(x @ s @ x.swapaxes(-1, -2) + y - s).max(axis=(-2, -1))

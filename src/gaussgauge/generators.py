@@ -7,11 +7,9 @@ the finite-time maps (X_t, Y_t, delta_t) of any drift on a whole time grid
 in one stacked pass of scaled Van Loan block exponentials and repeated
 doubling, so that Y_t never passes through a Lyapunov solution;
 `semigroup_channel` is that pass at one time.
-`propagate_moments` integrates the ODEs directly as an independent oracle.
 scipy is imported at first use, by `semigroup_arrays`.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,7 +24,7 @@ from .errors import (
     require_finite,
 )
 from .matrix_equations import _exponentials
-from .phase_space import GaussianChannel, MomentState, _hermitian_cp_report, symplectic_form
+from .phase_space import GaussianChannel, _hermitian_cp_report, symplectic_form
 
 
 @dataclass(frozen=True)
@@ -131,39 +129,47 @@ def semigroup_arrays(generator, times):
     ||A||_inf w <= 1/2; k doublings Y <- Y + X Y X^T, delta <- delta + X delta,
     X <- X X then reach t. X_t itself is `drift_exponential(A, times)`. The
     block exponentials of all times are one stacked scipy call and the
-    doublings stacked matrix products, each slice taking exactly its own k.
-    Times must form a 1-D array of finite nonnegative values; a result beyond
-    the float range raises NumericalOverflowError.
+    doublings stacked matrix products, each slice taking exactly its own k
+    (`_semigroup_stack`). Times must form a 1-D array of finite nonnegative
+    values; a result beyond the float range raises NumericalOverflowError.
     """
-    times = np.asarray(times, dtype=float)
-    if times.ndim != 1:
+    return _semigroup_stack(generator.A, generator.D, generator.u, np.asarray(times, dtype=float))
+
+
+def _semigroup_stack(A, D, u, times):
+    """`semigroup_arrays` of one checked generator (A, D, u) at 1-D times, or
+    of (n, d, d), (n, d, d) and (n, d) stacks of them at (n, m) times, one
+    row per generator: X_t and Y_t of shape (n, m, d, d), delta_t (n, m, d).
+    The times are checked here; every slice rounds as it does alone."""
+    if times.ndim != A.ndim - 1 or times.shape[:-1] != A.shape[:-2]:
         raise DimensionError(f"semigroup times must be 1-D, got shape {times.shape}")
     require_finite(times=times)
-    tl = times.tolist()
-    if any(t < 0.0 for t in tl):
+    if np.count_nonzero(times < 0.0):
         raise DimensionError("semigroup time must be nonnegative")
     import scipy.linalg
 
-    A, D, u = generator.A, generator.D, generator.u
-    n = A.shape[0]
+    n = A.shape[-1]
     # At full t the e^{-A^T t} block of the exponential overflows, or cancels
     # in the product Y_t = G_t X_t^T; at a step with ||A w|| <= 1/2 every
     # block is of order one, and the doublings only add and multiply. The
     # frexp exponent k is the least with 2 ||A||_inf t < 2^k.
-    norm = 2.0 * float(np.abs(A).sum(axis=1).max())
-    steps = [max(0, math.frexp(norm * t)[1]) for t in tl]
-    block = np.zeros((2 * n + 1, 2 * n + 1))
-    block[:n, :n] = A
-    block[:n, n:-1] = D
-    block[:n, -1] = u
-    block[n:-1, n:-1] = -A.T
+    norm = 2.0 * abs(A).sum(axis=-1).max(axis=-1)
+    steps = np.maximum(np.frexp(norm[..., None] * times)[1], 0)
+    block = np.zeros(A.shape[:-2] + (2 * n + 1, 2 * n + 1))
+    block[..., :n, :n] = A
+    block[..., :n, n:-1] = D
+    block[..., :n, -1] = u
+    block[..., n:-1, n:-1] = -A.swapaxes(-1, -2)
     with np.errstate(over="ignore", invalid="ignore"):
         x_t = _exponentials(A, times)
-        e = scipy.linalg.expm(np.multiply.outer([t / 2.0**k for t, k in zip(tl, steps)], block))
+        e = scipy.linalg.expm(np.ldexp(times, -steps)[..., None, None] * block[..., None, :, :])
+        # the slices of all generators and times along one axis
+        e = e.reshape((-1,) + e.shape[-2:])
         x, delta = e[:, :n, :n], e[:, :n, -1:]  # delta as a column
         y = e[:, :n, n:-1] @ x.transpose(0, 2, 1)
         # slice i takes exactly k_i doublings; while every slice takes one,
         # the whole stack doubles without a gather
+        steps = steps.ravel().tolist()
         for step in range(max(steps, default=0)):
             if step < min(steps):
                 x, y, delta = _double(x, y, delta)
@@ -173,53 +179,11 @@ def semigroup_arrays(generator, times):
         y, delta = _symmetrized(y), delta[..., 0]
     for name, arr in (("Y_t", y), ("delta_t", delta)):
         if np.count_nonzero(np.isfinite(arr)) != arr.size:
-            bad = times[np.argmin(np.isfinite(arr.reshape(times.size, -1)).all(axis=1))]
+            bad = times.ravel()[np.argmin(np.isfinite(arr.reshape(times.size, -1)).all(axis=1))]
             raise NumericalOverflowError(f"{name} leaves the float range at t = {bad:g}")
-    return x_t, y, delta
+    return x_t, y.reshape(x_t.shape), delta.reshape(times.shape + (n,))
 
 
 def _double(x, y, delta):
     """One doubling t -> 2t of stacked (X_t, Y_t, delta_t)."""
     return x @ x, y + x @ y @ x.transpose(0, 2, 1), delta + x @ delta
-
-
-def propagate_moments(generator, state, t, steps):
-    """Fixed-step 4th-order Runge-Kutta integration of the moment ODEs.
-
-    Serves as the independent oracle for `semigroup_channel`; error scales as
-    (t/steps)^4. `generator` and `state` may also be equal-length sequences
-    of one mode count, with `t` one time or one time per pair: the pairs are
-    integrated together, `steps` steps each, through stacked matrix products
-    along a leading batch axis, and a list of states comes back.
-    """
-    if steps < 1:
-        raise DimensionError("steps must be >= 1")
-    batch = not isinstance(generator, GaussianGenerator)
-    generators, states = (list(generator), list(state)) if batch else ([generator], [state])
-    if len(generators) != len(states):
-        raise DimensionError(f"{len(generators)} generators for {len(states)} states")
-    if any(g.A.shape[0] != s.d.shape[0] for g, s in zip(generators, states)):
-        raise DimensionError("generator and state mode counts differ")
-    if len({g.A.shape for g in generators}) > 1:
-        raise DimensionError("a batch of generators needs one mode count")
-    n = generators[0].A.shape[0]
-    a = np.stack([g.A for g in generators])
-    # the moments as one n x (n + 1) block [V | d] per pair, the drive as [D | u];
-    # with at_pad = [A^T | 0], x -> a @ x + x[:, :, :n] @ at_pad is
-    # [V | d] -> [A V + V A^T | A d]
-    w = np.stack([np.column_stack([s.V, s.d]) for s in states])
-    c = np.stack([np.column_stack([g.D, g.u]) for g in generators])
-    at_pad = np.concatenate([a.transpose(0, 2, 1), np.zeros((len(states), n, 1))], axis=2)
-    h = np.broadcast_to(np.asarray(t, dtype=float) / steps, (len(states),))[:, None, None]
-    h2, h3, h4 = h / 2.0, h / 3.0, h / 4.0
-    # For the affine right-hand side F(x) = J x + c the classical stages
-    # k1..k4 combine to k1 + (h/2) J k1 + (h^2/6) J^2 k1 + (h^3/24) J^3 k1
-    # with k1 = F(x); nested as below, a step applies J four times, not eight.
-    for _ in range(steps):
-        k1 = a @ w + w[..., :n] @ at_pad + c
-        x = k1 + h4 * (a @ k1 + k1[..., :n] @ at_pad)
-        x = k1 + h3 * (a @ x + x[..., :n] @ at_pad)
-        x = k1 + h2 * (a @ x + x[..., :n] @ at_pad)
-        w = w + h * x
-    out = [MomentState(d=wi[:, n], V=vi) for wi, vi in zip(w, _symmetrized(w[..., :n]))]
-    return out if batch else out[0]

@@ -1,4 +1,4 @@
-"""Stability classification and the Lyapunov/Stein/Jordan gauge-matrix solvers.
+"""The Lyapunov/Stein/Jordan gauge-matrix solvers, each gating its own stability.
 
 Each of the equations A S + S A^T + D = 0 and S = X S X^T + Y has one route,
 `_lyapunov` and `_stein`, for one pair or a stack of pairs of one size. At
@@ -44,38 +44,6 @@ class GaugeSource(str, Enum):
 
 
 @dataclass(frozen=True)
-class StabilityReport:
-    """Spectral stability data of a drift matrix.
-
-    `hurwitz` refers to the continuous-time criterion max Re(lambda) < 0;
-    `spectral_radius` to the discrete one. For 2x2 matrices `jury_triple`
-    carries (1-det, 1-tr+det, 1+tr+det), all positive iff spr < 1.
-    """
-
-    hurwitz: bool
-    spectral_radius: float
-    eigenvalues: np.ndarray
-    jury_triple: tuple | None = None
-
-
-def stability(matrix):
-    """Classify drift stability in continuous and discrete time."""
-    m = np.asarray(matrix, dtype=float)
-    _square("stability input", m)
-    try:
-        eigs = np.linalg.eigvals(m)
-    except np.linalg.LinAlgError:
-        require_finite(matrix=m)
-        raise
-    return StabilityReport(
-        hurwitz=bool(np.max(eigs.real) < 0.0),
-        spectral_radius=float(np.max(np.abs(eigs))),
-        eigenvalues=eigs,
-        jury_triple=jury_triple(*m.ravel().tolist()) if m.shape == (2, 2) else None,
-    )
-
-
-@dataclass(frozen=True)
 class GaugeCovariance:
     """Symmetric gauge covariance with solver provenance and residual; S must be finite."""
 
@@ -99,11 +67,12 @@ def stein_residual(X, S, Y):
     return float(np.max(np.abs(S - X @ S @ X.T - Y)))
 
 
-def _equation_pair(a, b, name_a, name_b):
-    """The coefficient and inhomogeneity of a matrix equation as checked float arrays."""
+def _equation_pair(a, b, name_a, name_b, stack=False):
+    """The coefficient and inhomogeneity of a matrix equation as checked float
+    arrays: one pair, or (n, d, d) stacks of pairs where `stack`."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    _square(name_a, a)
+    _square(name_a, a, stack=stack)
     if b.shape != a.shape:
         raise DimensionError(f"{name_b} shape {b.shape} does not match {name_a} {a.shape}")
     require_finite(**{name_a: a, name_b: b})
@@ -256,23 +225,29 @@ def _entries2(m):
 def stein_series(X, Y, tol=1e-12, max_terms=100_000):
     """Partial sums of S = sum_n X^n Y (X^T)^n; the solver-independent oracle.
 
-    Stops when the increment max-norm drops below `tol`; raises
-    ConvergenceError at the term cap (spectral radius >= 1 suspected).
+    X and Y are one (d, d) pair, or (n, d, d) stacks of pairs of one size
+    summed together. Each pair stops at its own first increment of max-norm
+    below `tol`; ConvergenceError if one reaches the term cap (spectral
+    radius >= 1 suspected). Returns the pair's GaugeCovariance, or for
+    stacks a list of them, one per pair.
     """
-    X, Y = _equation_pair(X, Y, "X", "Y")
+    X, Y = _equation_pair(X, Y, "X", "Y", stack=True)
     S = term = Y
-    xt = X.T.copy()
+    xt = X.swapaxes(-1, -2).copy()
+    active = np.ones(X.shape[:-2], dtype=bool)
     for _ in range(max_terms):
         term = X @ term @ xt
-        S = S + term
-        if np.max(np.abs(term)) < tol:
+        S = np.where(active[..., None, None], S + term, S)
+        active &= ~(abs(term).max(axis=(-2, -1)) < tol)
+        if not active.any():
             break
     else:
         raise ConvergenceError(f"Stein series not converged after {max_terms} terms")
     S = _symmetrized(S)
-    return GaugeCovariance(
-        S=S, source=GaugeSource.STEIN_SERIES, residual=stein_residual(X, S, Y)
-    )
+    residuals = abs(S - X @ S @ X.swapaxes(-1, -2) - Y).max(axis=(-2, -1))
+    covs = [GaugeCovariance(S=s, source=GaugeSource.STEIN_SERIES, residual=r)
+            for s, r in zip(S.reshape((-1,) + X.shape[-2:]), residuals.ravel().tolist())]
+    return covs if X.ndim == 3 else covs[0]
 
 
 @dataclass(frozen=True)
@@ -308,8 +283,9 @@ def stein_jordan_closed_form(drift, Y):
     """Stein solution on a Jordan drift, in closed form.
 
     S = Y/(1-rho) + rho t (N Y + Y N^T)/(1-rho)^2
-      + rho (1+rho) t^2 N Y N^T / (1-rho)^3 with rho = alpha^2.
-    NumericalOverflowError where an entry of S leaves the float range.
+      + rho (1+rho) t^2 N Y N^T / (1-rho)^3 with rho = alpha^2, from
+    `_stein_jordan`. NumericalOverflowError where an entry of S leaves the
+    float range.
     """
     if abs(drift.alpha) >= 1.0:
         raise StabilityError(f"|alpha| = {abs(drift.alpha)} >= 1: single use unstable")
@@ -317,23 +293,31 @@ def stein_jordan_closed_form(drift, Y):
     if Y.shape != (2, 2):
         raise DimensionError("Jordan closed form is a one-mode path; Y must be 2x2")
     require_finite(Y=Y)
-    n, t = drift.nilpotent, drift.t
-    rho = drift.alpha * drift.alpha
-    one = 1.0 - rho
-    ny = n @ Y
-    with np.errstate(over="ignore", invalid="ignore"):
-        S = (
-            Y / one
-            + (rho * t / (one * one)) * (ny + ny.T)
-            + (rho * (1.0 + rho) * t * t / (one * one * one)) * (ny @ n.T)
-        )
-    if np.count_nonzero(np.isfinite(S)) != S.size:
-        raise NumericalOverflowError(f"Jordan closed form leaves the float range at t = {t}")
+    S = _stein_jordan(drift.alpha, drift.t, drift.nilpotent, Y)
     return GaugeCovariance(
         S=S,
         source=GaugeSource.JORDAN_CLOSED_FORM,
         residual=stein_residual(drift.X, S, Y),
     )
+
+
+def _stein_jordan(alpha, t, N, Y):
+    """The Jordan closed form S of `stein_jordan_closed_form`, before it is
+    symmetrized, for one drift alpha (I + t N) with 2x2 N and Y, or for
+    stacks: alpha and t of shape (n,), N and Y of shape (n, 2, 2). The
+    products are stacked matmuls, so a stack rounds as its pairs do one by
+    one; NumericalOverflowError where an entry of S is not finite."""
+    rho = alpha * alpha
+    one = 1.0 - rho
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        first, second = rho * t / (one * one), rho * (1.0 + rho) * t * t / (one * one * one)
+        one, first, second = (np.asarray(c)[..., None, None] for c in (one, first, second))
+        ny = N @ Y
+        S = Y / one + first * (ny + ny.swapaxes(-1, -2)) + second * (ny @ N.swapaxes(-1, -2))
+    if np.count_nonzero(np.isfinite(S)) != S.size:
+        bad = np.ravel(t)[np.argmin(np.isfinite(S).all(axis=(-2, -1)))]
+        raise NumericalOverflowError(f"Jordan closed form leaves the float range at t = {bad}")
+    return S
 
 
 def drift_exponential(A, t=1.0):
@@ -357,18 +341,25 @@ def drift_exponential(A, t=1.0):
 
 def _exponentials(A, times):
     """`drift_exponential` without its input checks, for callers that have
-    checked A and the times; they also silence numpy's overflow warnings."""
-    if A.shape == (2, 2):
-        # one time goes as a float: the kernel rounds floats and arrays
-        # alike, and is cheaper on floats
-        entries = expm2_entries(*A.ravel().tolist(), times.item() if times.size == 1 else times)
-        e = np.array(entries).T.reshape(times.shape + (2, 2))
+    checked A and the times; they also silence numpy's overflow warnings.
+    A is one drift with times of any shape, or an (n, d, d) stack of drifts
+    with (n, m) times, one row per drift."""
+    if A.shape[-2:] == (2, 2):
+        if A.ndim == 2:
+            # one time goes as a float: the kernel rounds floats and arrays
+            # alike, and is cheaper on floats
+            entries = expm2_entries(*A.ravel().tolist(), times.item() if times.size == 1 else times)
+        else:
+            entries = expm2_entries(*A.reshape(-1, 4, 1).transpose(1, 0, 2), times)
+        e = np.array(entries)
+        e = (e.T if A.ndim == 2 else np.moveaxis(e, 0, -1)).reshape(times.shape + (2, 2))
     else:
         import scipy.linalg
 
-        e = scipy.linalg.expm(np.multiply.outer(times, A))
+        e = scipy.linalg.expm(times[..., None, None] * A[..., None, :, :] if A.ndim == 3
+                              else np.multiply.outer(times, A))
     if np.count_nonzero(np.isfinite(e)) != e.size:
-        raise _overflow_error(times.ravel()[np.argmin(np.isfinite(e).all(axis=(-2, -1)))])
+        raise _overflow_error(times.ravel()[np.argmin(np.isfinite(e).all(axis=(-2, -1)).ravel())])
     return e
 
 

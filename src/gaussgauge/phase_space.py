@@ -145,25 +145,36 @@ def identity_channel(modes):
 
 
 def apply_channel(channel, state):
-    """Moment action d -> X d + delta, V -> X V X^T + Y (V resymmetrized)."""
+    """Moment action d -> X d + delta, V -> X V X^T + Y (V resymmetrized), by `_applied`."""
     if channel.X.shape[0] != state.d.shape[0]:
         raise DimensionError(
             f"channel acts on {channel.modes} modes, state has {state.modes}"
         )
-    d = channel.X @ state.d + channel.delta
-    v = channel.X @ state.V @ channel.X.T + channel.Y
-    return MomentState(d=d, V=_symmetrized(v))
+    d, v = _applied(channel.X, channel.Y, channel.delta, state.d, state.V)
+    return MomentState(d=d, V=v)
+
+
+def _applied(x, y, delta, d, v):
+    """(X d + delta, X V X^T + Y symmetrized) of one channel's (X, Y, delta)
+    on one state's (d, V), or of stacks of them: (n, d, d) matrices and
+    (n, d) vectors."""
+    return (x @ d[..., None])[..., 0] + delta, _symmetrized(x @ v @ x.swapaxes(-1, -2) + y)
 
 
 def compose(second, first):
-    """Composition second o first: (X2 X1, X2 Y1 X2^T + Y2, X2 delta1 + delta2)."""
+    """Composition second o first: (X2 X1, X2 Y1 X2^T + Y2, X2 delta1 + delta2), by `_composed`."""
     if second.modes != first.modes:
         raise DimensionError(f"mode mismatch: {second.modes} modes vs {first.modes} modes")
-    return GaussianChannel(
-        X=second.X @ first.X,
-        Y=second.X @ first.Y @ second.X.T + second.Y,
-        delta=second.X @ first.delta + second.delta,
-    )
+    x, y, delta = _composed(second.X, second.Y, second.delta, first.X, first.Y, first.delta)
+    return GaussianChannel(X=x, Y=y, delta=delta)
+
+
+def _composed(x2, y2, delta2, x1, y1, delta1):
+    """(X2 X1, X2 Y1 X2^T + Y2 symmetrized, X2 delta1 + delta2) of two
+    channels' (X, Y, delta), or of stacks of them: (n, d, d) matrices and
+    (n, d) vectors."""
+    return (x2 @ x1, _symmetrized(x2 @ y1 @ x2.swapaxes(-1, -2) + y2),
+            (x2 @ delta1[..., None])[..., 0] + delta2)
 
 
 @dataclass(frozen=True)

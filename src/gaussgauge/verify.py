@@ -14,51 +14,64 @@ through (the JSON report prints it as NaN, the stderr line as nan);
 test (or a LinAlgError raised by an oracle on its output) fails that suite,
 with `ErrorClass: message` as its note, and the other suites still run.
 
-Every suite that draws random samples, but `semigroup-gauging` and
-`noise-independence`, takes all its draws first, in the order a per-draw
-loop would take them, groups them by mode count, and checks each group with
-stacked arrays.
-The code under test runs on the whole group where the scalar API already
-runs a whole-array route: `solve_lyapunov`'s `_lyapunov` and `solve_stein`'s
-`_stein` at every size (`lyapunov2_entries`, and the Jury triple with
-`stein2_entries`, at 2x2; stacked Kronecker solves above),
-`squeezed_ep_entries`, `expm2_entries` and `cp_margin_entries`. Elsewhere it
-is one public call per draw, the only route: `gauge_channel`, `compose`,
-`apply_channel` and `nm_ep_gauge`. The oracles
-are stacked LAPACK or scipy calls that share no code with what they check: a
-Kronecker `np.linalg.solve` for the one-mode Lyapunov equations, a stacked
-Stein series, `np.linalg.eigvals`, `np.linalg.eigvalsh`,
-`scipy.linalg.expm`; the residuals and max-norms are stacked too. The Stein half of
-`ep-closed-forms` checks `nm_ep_gauge` against the whole-array route of the
-non-Markovian tables (`expm2_entries`, `nm_diffusion_entries`, the row
-status of `sweeps._nm_status`, `stein2_entries`); a draw whose row is not
-gauged fails the suite.
+Every suite that draws random samples, but `noise-independence`, takes all
+its draws first, in the order a per-draw loop would take them, groups them
+by mode count, and checks each group with stacked arrays. The code under
+test runs on the whole group through the private array cores that the
+public routes wrap, each taking one input or a stack of one size:
+`_lyapunov` and `_stein` (`lyapunov2_entries`, and the Jury triple with
+`stein2_entries`, at 2x2; stacked Kronecker solves above), `_gauged_y`
+(`gauge_channel`), `_semigroup_gauge` and `_semigroup_stack`
+(`gauge_semigroup`, `semigroup_arrays`), `_composed` and `_applied`
+(`compose`, `apply_channel`), `_stein_jordan` (`nm_ep_gauge`),
+`squeezed_ep_entries`, `expm2_entries` and `cp_margin_entries`.
+`channel-gauging` also checks the public `gauge_channel` record on the
+first draw of each group. The oracles are stacked LAPACK or scipy calls
+that share no code with what they check: a Kronecker `np.linalg.solve` for
+the one-mode Lyapunov equations, the Stein series of `stein_series` on a
+stack, `np.linalg.eigvals`, `np.linalg.eigvalsh`, `scipy.linalg.expm`; the
+residuals and max-norms are stacked too. The Stein half of
+`ep-closed-forms` checks the Jordan closed form against the whole-array
+route of the non-Markovian tables (`expm2_entries`, `nm_diffusion_entries`,
+the row status of `sweeps._nm_status`, `stein2_entries`); a draw whose row
+is not gauged fails the suite.
 """
 
 import math
 import time
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, GaussGaugeError, _symmetrized
-from .gauging import SmoothingMap, default_gauge_times, gauge_channel, gauge_semigroup
-from .generators import GaussianGenerator, semigroup_arrays, semigroup_channel
-from .matrix_equations import _entries2, _lyapunov, _stein, solve_lyapunov
+from .errors import GaussGaugeError, _symmetrized
+from .gauging import (
+    _gauged_y,
+    _semigroup_gauge,
+    default_gauge_times,
+    gauge_channel,
+)
+from .generators import GaussianGenerator, _semigroup_stack
+from .matrix_equations import (
+    _entries2,
+    _lyapunov,
+    _stein,
+    _stein_jordan,
+    solve_lyapunov,
+    stein_series,
+)
 from .models import (
     EpBranch,
     NmFamilyParams,
     memory_factor,
     nm_diffusion_entries,
-    nm_ep_gauge,
     squeezed_ep_entries,
 )
 from .onemode import CP_REL_TOL, cp_margin_entries, expm2_entries, jury_triple, stein2_entries
 from .phase_space import (
     GaussianChannel,
     MomentState,
-    apply_channel,
-    compose,
+    _applied,
+    _composed,
     symplectic_form,
 )
 from .spectral import jordan_structure, truncated_ou_matrix
@@ -116,17 +129,27 @@ def _psd(g):
     return (g @ g.swapaxes(-1, -2)) / g.shape[-1]
 
 
+def _channel_arrays(g, spr, h):
+    """X and Y of the stable channels of stacked `_CHANNEL_DRAWS`: X of
+    spectral radius spr, Y = h h^T / dim, as a `GaussianChannel` holds them."""
+    return _rescaled(g, spr), _symmetrized(_psd(h))
+
+
 def _channels(g, spr, h, delta):
-    """The stable channels of stacked `_CHANNEL_DRAWS`: X of spectral radius
-    spr, Y = h h^T / dim."""
-    return [GaussianChannel(X=x, Y=y, delta=d)
-            for x, y, d in zip(_rescaled(g, spr), _psd(h), delta)]
+    """The stable channels of stacked `_CHANNEL_DRAWS`, with mean shift delta."""
+    x, y = _channel_arrays(g, spr, h)
+    return [GaussianChannel(X=xi, Y=yi, delta=di) for xi, yi, di in zip(x, y, delta)]
+
+
+def _state_covariances(h):
+    """The covariances of the states of stacked `_STATE_DRAWS`,
+    h h^T / dim + I/2, as a `MomentState` holds them."""
+    return _symmetrized(_psd(h) + 0.5 * np.eye(h.shape[-1]))
 
 
 def _states(d, h):
-    """The states of stacked `_STATE_DRAWS`: mean d, covariance h h^T / dim + I/2."""
-    v = _psd(h) + 0.5 * np.eye(h.shape[-1])
-    return [MomentState(d=di, V=vi) for di, vi in zip(d, v)]
+    """The states of stacked `_STATE_DRAWS`, with mean d."""
+    return [MomentState(d=di, V=vi) for di, vi in zip(d, _state_covariances(h))]
 
 
 # the draws of one `random_stable_channel` (X, Y and delta) and of one
@@ -224,14 +247,14 @@ def _verdict(name, samples, checks, note=""):
     )
 
 
-def _draw_by_modes(rng, n, *draws):
+def _draw_by_modes(rng, n, *draws, max_modes=3):
     """n samples drawn as a per-draw loop draws them: a mode count in
-    {1, 2, 3}, then each `draw(rng, 2 * modes)` in turn. Returns, for each
-    mode count drawn, in increasing order, the list of the draws' outputs,
-    each stacked over the samples of that count."""
+    {1, ..., max_modes}, then each `draw(rng, 2 * modes)` in turn. Returns,
+    for each mode count drawn, in increasing order, the list of the draws'
+    outputs, each stacked over the samples of that count."""
     rows = {}
     for _ in range(n):
-        modes = int(rng.integers(1, 4))
+        modes = int(rng.integers(1, max_modes + 1))
         rows.setdefault(modes, []).append([v for draw in draws for v in draw(rng, 2 * modes)])
     return {modes: [np.array(column) for column in zip(*rows[modes])] for modes in sorted(rows)}
 
@@ -247,22 +270,6 @@ def _lyapunov_kronecker(a, d):
     eye = np.eye(2)[None]
     lhs = np.kron(eye, a) + np.kron(a, eye)
     return _symmetrized(np.linalg.solve(lhs, -d.reshape(-1, 4, 1)).reshape(-1, 2, 2))
-
-
-def _stein_series(x, y):
-    """The partial sums of S = sum_n X^n Y (X^T)^n on a stack, each draw
-    stopped at its first term of max-norm below 1e-13, as `stein_series`
-    stops it; ConvergenceError if a draw reaches 100000 terms."""
-    s = term = y
-    xt = x.transpose(0, 2, 1).copy()
-    active = np.ones(len(x), dtype=bool)
-    for _ in range(100_000):
-        term = x @ term @ xt
-        s = np.where(active[:, None, None], s + term, s)
-        active &= ~(_max_abs(term) < 1e-13)
-        if not active.any():
-            return _symmetrized(s)
-    raise ConvergenceError("Stein series not converged after 100000 terms")
 
 
 def _suite_lyapunov(rng, fault):
@@ -289,7 +296,8 @@ def _suite_stein(rng, fault):
             s = s + 1e-6
         residuals.append(_max_abs(s - x @ s @ x.transpose(0, 2, 1) - y) / (1.0 + _max_abs(y)))
         if modes == 1:
-            gaps.append(_max_abs(_stein_series(x, y) - s))
+            series = np.array([cov.S for cov in stein_series(x, y, tol=1e-13)])
+            gaps.append(_max_abs(series - s))
     return n, [(np.concatenate(residuals), 1e-10), (np.concatenate([[], *gaps]), 1e-10)]
 
 
@@ -337,47 +345,47 @@ def _suite_expm2_vs_general(rng, fault):
 
 def _suite_channel_gauging(rng, fault):
     residuals = []
-    drift_changed = 0
+    drift_changed = record_moved = 0
     n = 300
-    for draws in _draw_by_modes(rng, n, *_CHANNEL_DRAWS).values():
-        channels = _channels(*draws)
-        x, y, delta = (np.array([getattr(ch, f) for ch in channels]) for f in ("X", "Y", "delta"))
+    for g, spr, h, delta in _draw_by_modes(rng, n, *_CHANNEL_DRAWS).values():
+        x, y = _channel_arrays(g, spr, h)
+        s = _stein(x, y)
         if fault == "gauge":
-            gauged_y = np.array([SmoothingMap(s + 1e-6).conjugate(ch).Y
-                                 for s, ch in zip(_stein(x, y), channels)])
-            res = _max_abs(gauged_y)
-        else:
-            results = [gauge_channel(ch) for ch in channels]
-            res = np.array([result.residual_Y for result in results])
-            same_x = (np.array([r.gauged.X for r in results]) == x).all(axis=(1, 2))
-            same_delta = (np.array([r.gauged.delta for r in results]) == delta).all(axis=1)
-            drift_changed += np.count_nonzero(~(same_x & same_delta))
+            s = s + 1e-6
+        res = _max_abs(_gauged_y(x, s, y))
+        if fault != "gauge":
+            # the record of the group's first draw: X and delta unchanged,
+            # and residual_Y the stacked value bit for bit
+            first = gauge_channel(GaussianChannel(X=x[0], Y=y[0], delta=delta[0]))
+            drift_changed += not (np.array_equal(first.gauged.X, x[0])
+                                  and np.array_equal(first.gauged.delta, delta[0]))
+            record_moved += first.residual_Y != res[0]
         residuals.append(res / (1.0 + _max_abs(y)))
-    return n, [(np.concatenate(residuals), 1e-9), (drift_changed, 0)]
+    return n, [(np.concatenate(residuals), 1e-9), (drift_changed, 0), (record_moved, 0)]
 
 
 def _suite_semigroup_gauging(rng, fault):
     residuals = []
     n = 50
-    for _ in range(n):
-        modes = int(rng.integers(1, 3))
-        gen = GaussianGenerator(
-            A=random_hurwitz(rng, 2 * modes), D=random_psd(rng, 2 * modes), u=np.zeros(2 * modes)
-        )
-        times = default_gauge_times(gen.A, count=10)
+    for g, margin, h in _draw_by_modes(rng, n, _hurwitz_draws, _matrix_draw, max_modes=2).values():
+        # the drifts and diffusions of `GaussianGenerator(random_hurwitz,
+        # random_psd)`, at ten times each
+        a, d = _hurwitz(g, margin), _symmetrized(_psd(h))
+        u = np.zeros(a.shape[:-1])
+        times = default_gauge_times(a, count=10)
         if fault == "lyapunov":
-            smoothing = SmoothingMap(solve_lyapunov(gen.A, gen.D).S + 1e-6)
-            residuals += [np.max(np.abs(smoothing.conjugate(semigroup_channel(gen, t)).Y))
-                          for t in times]
+            s = _lyapunov(a, d)[:, None] + 1e-6
+            x, y, _ = _semigroup_stack(a, d, u, times)
+            residuals.append(_max_abs(_gauged_y(x, s, y)))
         elif fault == "semigroup":
             # X_t and Y_t of times a relative 1e-6 apart
-            s = gauge_semigroup(gen, times).S.S
-            x = semigroup_arrays(gen, times)[0]
-            y = semigroup_arrays(gen, times * (1.0 + 1e-6))[1]
-            residuals.append(_max_abs(x @ s @ x.transpose(0, 2, 1) + y - s))
+            s = _lyapunov(a, d)[:, None]
+            x = _semigroup_stack(a, d, u, times)[0]
+            y = _semigroup_stack(a, d, u, times * (1.0 + 1e-6))[1]
+            residuals.append(_max_abs(x @ s @ x.swapaxes(-1, -2) + y - s))
         else:
-            residuals.append(gauge_semigroup(gen, times).max_residual)
-    return n, [(np.hstack(residuals), 1e-8)]
+            residuals.append(_semigroup_gauge(a, d, u, times)[2])
+    return n, [(np.concatenate([r.ravel() for r in residuals]), 1e-8)]
 
 
 def _suite_composition(rng, fault):
@@ -385,20 +393,16 @@ def _suite_composition(rng, fault):
     n = 100
     draws = (*_CHANNEL_DRAWS * 3, *_STATE_DRAWS)  # three channels, then a state
     for columns in _draw_by_modes(rng, n, *draws).values():
-        chs = [_channels(*columns[k:k + 4]) for k in (0, 4, 8)]
-        outputs = []
-        for ch0, ch1, ch2, state in zip(*chs, _states(*columns[12:])):
-            inner = compose(ch1, ch0)
-            if fault == "composition":  # a composite diffusion 1e-9 off
-                inner = GaussianChannel(X=inner.X, Y=inner.Y + 1e-9, delta=inner.delta)
-            left, right = compose(ch2, inner), compose(compose(ch2, ch1), ch0)
-            via_compose = apply_channel(inner, state)
-            via_sequence = apply_channel(ch1, apply_channel(ch0, state))
-            outputs.append((left.X, right.X, left.Y, right.Y, left.delta, right.delta,
-                            via_compose.d, via_sequence.d, via_compose.V, via_sequence.V))
-        stacks = [np.array(column) for column in zip(*outputs)]
+        ch0, ch1, ch2 = (_channel_arrays(*columns[k:k + 3]) + (columns[k + 3],) for k in (0, 4, 8))
+        d, v = columns[12], _state_covariances(columns[13])
+        inner = _composed(*ch1, *ch0)
+        if fault == "composition":  # a composite diffusion 1e-9 off
+            inner = (inner[0], inner[1] + 1e-9, inner[2])
+        left, right = _composed(*ch2, *inner), _composed(*_composed(*ch2, *ch1), *ch0)
+        via_compose = _applied(*inner, d, v)
+        via_sequence = _applied(*ch1, *_applied(*ch0, d, v))
         gaps += [abs(p - q).reshape(len(p), -1).max(axis=1)
-                 for p, q in zip(stacks[::2], stacks[1::2])]
+                 for p, q in zip((*left, *via_compose), (*right, *via_sequence))]
     return n, [(np.concatenate(gaps), 1e-12)]
 
 
@@ -475,28 +479,25 @@ def _suite_ep_closed_forms(rng, fault):
         a = _stack2(-0.5 * kappa, detuning - eps, -(detuning + eps), -0.5 * kappa)
         s_qq, s_qp, s_pp = squeezed_ep_entries(kappa, eps, r, phi, branch)
         lyapunov_gaps.append(_max_abs(_stack2(s_qq, s_qp, s_qp, s_pp) - _lyapunov_kronecker(a, d)))
-    # Stein half: nm_ep_gauge per draw, against the route of the tables on
-    # the arrays of all draws, the two branches of a draw in turn
-    closed = np.empty((n, 2, 3))
-    kt, omega, t = np.empty(n), np.empty(n), np.empty(n)
+    # Stein half: the Jordan closed form of nm_ep_gauge on the arrays of all
+    # draws, the two branches of a draw in turn, against the route of the tables
     family = NmFamilyParams(lam=0.0, omega=0.0)  # the default memory and diffusion settings
-    for i in range(n):
-        params = replace(family, omega=rng.uniform(0.1, 2.0))
-        t[i] = ti = rng.uniform(0.2, 3.0)
-        omega[i], kt[i] = params.omega, memory_factor(params, ti)
-        for j, branch in enumerate(EpBranch):
-            closed[i, j] = nm_ep_gauge(params, ti, branch).S[[0, 0, 1], [0, 1, 1]]
-    if fault == "ep-closed-form":
-        closed[..., 1] += 1e-6
-    kt, omega, t = np.repeat(kt, 2), np.repeat(omega, 2), np.repeat(t, 2)
+    omega, t = rng.uniform([0.1, 0.2], [2.0, 3.0], size=(n, 2)).T
+    # kappa(t) from the math library, as nm_ep_gauge takes it
+    kt = np.repeat([memory_factor(family, ti) for ti in t.tolist()], 2)
+    omega, t = np.repeat(omega, 2), np.repeat(t, 2)
     lam = omega * np.tile([1.0, -1.0], n)
     y = np.broadcast_arrays(*nm_diffusion_entries(family, kt, lam, omega), lam)[:3]
+    s = _stein_jordan(kt, t, _stack2(lam, omega, -omega, -lam), _stack2(y[0], y[1], y[1], y[2]))
+    closed = _symmetrized(s)[:, [0, 0, 1], [0, 1, 1]]
+    if fault == "ep-closed-form":
+        closed[:, 1] += 1e-6
     # a draw whose row is not gauged (not finite, not CP or not Schur stable) fails the suite
     x, _, status = _nm_status(kt, expm2_entries(lam, omega, -omega, -lam, t), y)
     accepted = status == GAUGED
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         direct = np.column_stack(stein2_entries(*x, *y))
-    gap = np.abs(closed.reshape(-1, 3) - direct).max(axis=1)
+    gap = np.abs(closed - direct).max(axis=1)
     rejected = np.count_nonzero(~accepted)
     note = f"{rejected} draws not CP or not Schur stable" if rejected else ""
     checks = [(np.concatenate(lyapunov_gaps), 1e-10), (gap[accepted], 1e-10), (rejected, 0)]

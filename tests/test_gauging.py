@@ -1,4 +1,3 @@
-import dataclasses
 import sys
 
 import numpy as np
@@ -246,15 +245,14 @@ class TestGaugeSemigroup:
         # the Lyapunov solver is off by 1e-6 wherever the package binds it;
         # Y_t must not come from it, so the residual shows the error instead
         # of cancelling it
-        solve = gauging.solve_lyapunov
+        solve = gauging._lyapunov
 
         def perturbed(a, d):
-            cov = solve(a, d)
-            return dataclasses.replace(cov, S=cov.S + 1e-6)
+            return solve(a, d) + 1e-6
 
         for name, module in list(sys.modules.items()):
-            if name.startswith("gaussgauge") and hasattr(module, "solve_lyapunov"):
-                monkeypatch.setattr(module, "solve_lyapunov", perturbed)
+            if name.startswith("gaussgauge") and hasattr(module, "_lyapunov"):
+                monkeypatch.setattr(module, "_lyapunov", perturbed)
         gen = squeezed_generator(SqueezedReservoirParams(kappa=2.0, delta=0.3, epsilon=1.0))
         assert gauge_semigroup(gen).max_residual > 1e-8
 

@@ -17,12 +17,12 @@ from gaussgauge import (
     compose,
     cp_check_generator,
     from_lindblad,
-    propagate_moments,
     semigroup_arrays,
     semigroup_channel,
     solve_lyapunov,
     symplectic_form,
 )
+from gaussgauge.errors import _symmetrized
 from gaussgauge.verify import random_hurwitz, random_psd, random_state
 
 SIGMA = symplectic_form(1)
@@ -280,6 +280,12 @@ class TestSemigroupChannel:
         gen = GaussianGenerator(A=np.diag([800.0, -1.0, -1.0, -1.0]), D=np.eye(4), u=np.zeros(4))
         with pytest.raises(NumericalOverflowError, match=r"exp\(t A\)"):
             semigroup_channel(gen, 1.0)
+        # 2 ||A||_inf t = 1e308 asks for 1024 halvings: the step t 2^-1024 is
+        # taken exactly, and Y_t ~ 1e615 overflows
+        gen = GaussianGenerator(A=np.array([[0.0, 5e307], [0.0, 0.0]]), D=np.eye(2),
+                                u=np.zeros(2))
+        with pytest.raises(NumericalOverflowError, match="Y_t"):
+            semigroup_channel(gen, 1.0)
 
 
 class TestSemigroupArrays:
@@ -315,6 +321,48 @@ class TestSemigroupArrays:
         gen = GaussianGenerator(A=np.diag([400.0, -1.0]), D=np.eye(2), u=np.zeros(2))
         with pytest.raises(NumericalOverflowError, match="Y_t .* at t = 1.5$"):
             semigroup_arrays(gen, [0.5, 1.5, 1.0])
+
+
+def propagate_moments(generator, state, t, steps):
+    """Fixed-step 4th-order Runge-Kutta integration of the moment ODEs.
+
+    The independent oracle for `semigroup_channel`; error scales as
+    (t/steps)^4. `generator` and `state` may also be equal-length sequences
+    of one mode count, with `t` one time or one time per pair: the pairs are
+    integrated together, `steps` steps each, through stacked matrix products
+    along a leading batch axis, and a list of states comes back.
+    """
+    if steps < 1:
+        raise DimensionError("steps must be >= 1")
+    batch = not isinstance(generator, GaussianGenerator)
+    generators, states = (list(generator), list(state)) if batch else ([generator], [state])
+    if len(generators) != len(states):
+        raise DimensionError(f"{len(generators)} generators for {len(states)} states")
+    if any(g.A.shape[0] != s.d.shape[0] for g, s in zip(generators, states)):
+        raise DimensionError("generator and state mode counts differ")
+    if len({g.A.shape for g in generators}) > 1:
+        raise DimensionError("a batch of generators needs one mode count")
+    n = generators[0].A.shape[0]
+    a = np.stack([g.A for g in generators])
+    # the moments as one n x (n + 1) block [V | d] per pair, the drive as [D | u];
+    # with at_pad = [A^T | 0], x -> a @ x + x[:, :, :n] @ at_pad is
+    # [V | d] -> [A V + V A^T | A d]
+    w = np.stack([np.column_stack([s.V, s.d]) for s in states])
+    c = np.stack([np.column_stack([g.D, g.u]) for g in generators])
+    at_pad = np.concatenate([a.transpose(0, 2, 1), np.zeros((len(states), n, 1))], axis=2)
+    h = np.broadcast_to(np.asarray(t, dtype=float) / steps, (len(states),))[:, None, None]
+    h2, h3, h4 = h / 2.0, h / 3.0, h / 4.0
+    # For the affine right-hand side F(x) = J x + c the classical stages
+    # k1..k4 combine to k1 + (h/2) J k1 + (h^2/6) J^2 k1 + (h^3/24) J^3 k1
+    # with k1 = F(x); nested as below, a step applies J four times, not eight.
+    for _ in range(steps):
+        k1 = a @ w + w[..., :n] @ at_pad + c
+        x = k1 + h4 * (a @ k1 + k1[..., :n] @ at_pad)
+        x = k1 + h3 * (a @ x + x[..., :n] @ at_pad)
+        x = k1 + h2 * (a @ x + x[..., :n] @ at_pad)
+        w = w + h * x
+    out = [MomentState(d=wi[:, n], V=vi) for wi, vi in zip(w, _symmetrized(w[..., :n]))]
+    return out if batch else out[0]
 
 
 class TestPropagateMoments:

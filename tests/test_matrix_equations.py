@@ -24,42 +24,49 @@ from gaussgauge import (
     jordan_structure,
     solve_lyapunov,
     solve_stein,
-    stability,
     stein_jordan_closed_form,
     stein_series,
 )
 from gaussgauge.errors import _symmetrized
 from gaussgauge.matrix_equations import _entries2, _lyapunov, _stein, _stein2
-from gaussgauge.onemode import lyapunov2_entries
+from gaussgauge.onemode import jury_triple, lyapunov2_entries
 from gaussgauge.verify import random_hurwitz, random_psd, random_schur_stable
 
 
+def spectral_radius(x):
+    return float(np.abs(np.linalg.eigvals(x)).max())
+
+
 class TestStability:
+    """The stability gates of the solvers against the eigenvalues."""
+
     def test_jury_triple_example(self):
-        report = stability(np.array([[0.5, 0.3], [0.0, 0.5]]))
-        npt.assert_allclose(report.jury_triple, (0.75, 0.25, 2.25), atol=1e-15)
-        assert report.spectral_radius == pytest.approx(0.5, abs=1e-12)
+        x = np.array([[0.5, 0.3], [0.0, 0.5]])
+        npt.assert_allclose(jury_triple(*x.ravel()), (0.75, 0.25, 2.25), atol=1e-15)
+        assert spectral_radius(x) == pytest.approx(0.5, abs=1e-12)
 
     def test_minus_identity_is_hurwitz(self):
-        report = stability(-np.eye(3))
-        assert report.hurwitz
-        assert report.jury_triple is None
+        # the stacked eigvals gate of the 3x3 Lyapunov route
+        npt.assert_array_equal(solve_lyapunov(-np.eye(3), np.eye(3)).S, 0.5 * np.eye(3))
+        with pytest.raises(StabilityError, match="Hurwitz"):
+            solve_lyapunov(np.eye(3), np.eye(3))
 
     def test_identity_on_discrete_boundary(self):
-        report = stability(np.eye(2))
-        assert report.spectral_radius == pytest.approx(1.0)
-        assert min(report.jury_triple) == pytest.approx(0.0, abs=1e-15)
+        assert spectral_radius(np.eye(2)) == pytest.approx(1.0)
+        assert min(jury_triple(1.0, 0.0, 0.0, 1.0)) == pytest.approx(0.0, abs=1e-15)
+        with pytest.raises(StabilityError, match="spectral radius"):
+            solve_stein(np.eye(2), np.eye(2))
 
     def test_jury_agrees_with_spectral_radius(self, rng):
         for _ in range(10_000):
             x = rng.uniform(-1.6, 1.6, size=(2, 2))
-            report = stability(x)
-            if abs(report.spectral_radius - 1.0) < 1e-10:
+            spr, triple = spectral_radius(x), jury_triple(*x.ravel().tolist())
+            if abs(spr - 1.0) < 1e-10:
                 continue
-            stable = report.spectral_radius < 1.0
-            assert stable == all(v > 0 for v in report.jury_triple)
+            stable = spr < 1.0
+            assert stable == all(v > 0 for v in triple)
             if stable:
-                assert np.prod(report.jury_triple) > 0.0
+                assert np.prod(triple) > 0.0
 
 
 class TestSolveLyapunov:
@@ -545,7 +552,6 @@ class TestGuards:
         lambda bad: GaussianGenerator(A=bad, D=np.eye(4), u=np.zeros(4)),
         lambda bad: GaussianGenerator(A=-np.eye(4), D=bad, u=np.zeros(4)),
         lambda bad: GaussianGenerator(A=-np.eye(4), D=np.eye(4), u=bad[0]),
-        lambda bad: stability(bad),
         lambda bad: drift_exponential(bad[:2, :2]),
         lambda bad: drift_exponential(-np.eye(2), bad[0, 0]),
         lambda bad: drift_exponential(bad, 1.0),
@@ -555,7 +561,7 @@ class TestGuards:
         lambda bad: MomentState(d=bad[0], V=np.eye(4)),
         lambda bad: GaugeCovariance(S=bad, source=GaugeSource.STEIN, residual=0.0),
     ], ids=["lyap-D", "lyap-A", "stein-X", "stein-Y", "series-Y", "channel-X", "channel-Y",
-            "channel-delta", "generator-A", "generator-D", "generator-u", "stability",
+            "channel-delta", "generator-A", "generator-D", "generator-u",
             "expm2-B", "expm2-t", "drift-exp-A", "jordan-2x2", "jordan-4x4", "state-V",
             "state-d", "gauge-covariance-S"])
     def test_non_finite_input_rejected(self, entry, value):

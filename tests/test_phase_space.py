@@ -21,7 +21,6 @@ from gaussgauge import (
     reorder,
     solve_lyapunov,
     solve_stein,
-    stability,
     stein_series,
     symplectic_form,
     thermal_loss_channel,
@@ -285,7 +284,6 @@ BAD_SHAPE_CASES = {
     "gauge-covariance-1d": lambda: GaugeCovariance(
         S=np.ones(2), source=GaugeSource.LYAPUNOV, residual=0.0),
     "reorder-0d": lambda: reorder(1.0, Ordering.GROUPED, Ordering.INTERLEAVED),
-    "stability-0x0": lambda: stability(EMPTY),
     "jordan-0x0": lambda: jordan_structure(EMPTY),
     "stein-0x0": lambda: solve_stein(EMPTY, EMPTY),
     "stein-series-0x0": lambda: stein_series(EMPTY, EMPTY),

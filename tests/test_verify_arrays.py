@@ -1,14 +1,17 @@
 """The stacked verify suites against the per-draw loops they replace.
 
-Every suite that draws random samples, but `semigroup-gauging` and
-`noise-independence`, takes all its draws first and checks them on stacked
-arrays. The reference loops below draw and check one sample at a time
-through the scalar API (`solve_lyapunov`, `solve_stein`, `stein_series`,
-`stability`, `drift_exponential`, `cp_check`, `gauge_channel`, `compose`,
-`apply_channel`, `nm_channel`); both must give equal results from the same
-generator. The suite checks the Lyapunov half of `ep-closed-forms` against a
-Kronecker solve and the reference against `solve_lyapunov`, so there the two
-agree up to `worst`, which stays within the bound.
+Every suite that draws random samples, but `noise-independence`, takes all
+its draws first and checks them on stacked arrays, through the same private
+array cores that the public routes wrap. The reference loops below draw and
+check one sample at a time through the public API (`solve_lyapunov`,
+`solve_stein`, `stein_series`, `drift_exponential`, `cp_check`,
+`gauge_channel`, `gauge_semigroup`, `semigroup_channel`, `compose`,
+`apply_channel`, `nm_ep_gauge`, `nm_channel`); both must give equal results
+from the same generator, with and without each suite's fault. The suite
+checks the Lyapunov half of `ep-closed-forms` against a Kronecker solve and
+the reference against `solve_lyapunov`, so there the two agree up to
+`worst`, which stays within the bound. Each core is also checked against
+its public record, slice by slice and bit for bit.
 """
 
 import dataclasses
@@ -20,13 +23,30 @@ import scipy.linalg
 
 from gaussgauge import verify
 from gaussgauge.errors import _symmetrized
-from gaussgauge.gauging import SmoothingMap, gauge_channel
+from gaussgauge.gauging import (
+    SmoothingMap,
+    _gauged_y,
+    _semigroup_gauge,
+    default_gauge_times,
+    gauge_channel,
+    gauge_semigroup,
+)
+from gaussgauge.generators import (
+    GaussianGenerator,
+    _semigroup_stack,
+    semigroup_arrays,
+    semigroup_channel,
+)
 from gaussgauge.matrix_equations import (
+    JordanDrift2x2,
+    _exponentials,
+    _stein,
+    _stein_jordan,
     drift_exponential,
     lyapunov_residual,
     solve_lyapunov,
     solve_stein,
-    stability,
+    stein_jordan_closed_form,
     stein_residual,
     stein_series,
 )
@@ -39,8 +59,11 @@ from gaussgauge.models import (
     squeezed_ep_gauge,
     squeezed_generator,
 )
+from gaussgauge.onemode import jury_triple
 from gaussgauge.phase_space import (
     GaussianChannel,
+    _applied,
+    _composed,
     apply_channel,
     compose,
     cp_check,
@@ -121,16 +144,42 @@ def reference_channel_gauging(rng, fault=None):
     return verify._verdict("channel-gauging", n, [(residuals, 1e-9), (drift_changed, 0)])
 
 
+def reference_semigroup(rng, fault=None):
+    residuals = []
+    n = 50
+    for _ in range(n):
+        modes = int(rng.integers(1, 3))
+        gen = GaussianGenerator(
+            A=random_hurwitz(rng, 2 * modes), D=random_psd(rng, 2 * modes), u=np.zeros(2 * modes)
+        )
+        times = default_gauge_times(gen.A, count=10)
+        if fault == "lyapunov":
+            smoothing = SmoothingMap(solve_lyapunov(gen.A, gen.D).S + 1e-6)
+            residuals += [np.max(np.abs(smoothing.conjugate(semigroup_channel(gen, t)).Y))
+                          for t in times]
+        elif fault == "semigroup":
+            s = gauge_semigroup(gen, times).S.S
+            x = semigroup_arrays(gen, times)[0]
+            y = semigroup_arrays(gen, times * (1.0 + 1e-6))[1]
+            residuals.append(np.max(np.abs(x @ s @ x.transpose(0, 2, 1) + y - s)))
+        else:
+            residuals.append(gauge_semigroup(gen, times).max_residual)
+    return verify._verdict("semigroup-gauging", n, [(residuals, 1e-8)])
+
+
 def reference_composition(rng, fault=None):
     gaps = []
     n = 100
     for _ in range(n):
         modes = int(rng.integers(1, 4))
         chs = [random_stable_channel(rng, modes) for _ in range(3)]
-        left = compose(chs[2], compose(chs[1], chs[0]))
-        right = compose(compose(chs[2], chs[1]), chs[0])
         state = random_state(rng, modes)
-        via_compose = apply_channel(compose(chs[1], chs[0]), state)
+        inner = compose(chs[1], chs[0])
+        if fault == "composition":
+            inner = GaussianChannel(X=inner.X, Y=inner.Y + 1e-9, delta=inner.delta)
+        left = compose(chs[2], inner)
+        right = compose(compose(chs[2], chs[1]), chs[0])
+        via_compose = apply_channel(inner, state)
         via_sequence = apply_channel(chs[1], apply_channel(chs[0], state))
         gaps += [np.max(np.abs(p - q)) for p, q in (
             (left.X, right.X), (left.Y, right.Y), (left.delta, right.delta),
@@ -144,14 +193,13 @@ def reference_jury(rng):
     denom_bad = 0
     for _ in range(n):
         x = rng.uniform(-1.6, 1.6, size=(2, 2))
-        rep = stability(x)
-        triple_stable = all(v > 0 for v in rep.jury_triple)
-        spr_stable = rep.spectral_radius < 1.0
-        if abs(rep.spectral_radius - 1.0) < 1e-10:
+        triple = jury_triple(*x.ravel().tolist())
+        spr = float(np.abs(np.linalg.eigvals(x)).max())
+        if abs(spr - 1.0) < 1e-10:
             continue
-        if triple_stable != spr_stable:
+        if all(v > 0 for v in triple) != (spr < 1.0):
             mismatches += 1
-        if spr_stable and np.prod(rep.jury_triple) <= 0:
+        if spr < 1.0 and np.prod(triple) <= 0:
             denom_bad += 1
     worst = float(mismatches + denom_bad)
     return SuiteResult("jury-spectral-agreement", worst == 0, worst, 0.0, n)
@@ -194,7 +242,7 @@ def reference_one_mode_identities(rng):
     return SuiteResult("one-mode-identities", passed, max(worst_id, float(disagreements)), 1e-13, n)
 
 
-def reference_ep_closed_forms(rng):
+def reference_ep_closed_forms(rng, fault=None):
     worst = 0.0
     n = 200
     for _ in range(n):
@@ -217,11 +265,13 @@ def reference_ep_closed_forms(rng):
         params = NmFamilyParams(lam=0.0, omega=rng.uniform(0.1, 2.0))
         t = rng.uniform(0.2, 3.0)
         for branch in EpBranch:
-            closed = nm_ep_gauge(params, t, branch)
+            closed = nm_ep_gauge(params, t, branch).S
+            if fault == "ep-closed-form":
+                closed = closed + [[0.0, 1e-6], [1e-6, 0.0]]
             sign = 1.0 if branch is EpBranch.PLUS else -1.0
             ch = nm_channel(params, t, lam=sign * params.omega, omega=params.omega)
             direct = solve_stein(ch.X, ch.Y).S
-            worst = max(worst, float(np.max(np.abs(closed.S - direct))))
+            worst = max(worst, float(np.max(np.abs(closed - direct))))
     return SuiteResult("ep-closed-forms", worst <= 1e-10, worst, 1e-10, 2 * n)
 
 
@@ -230,6 +280,7 @@ REFERENCES = {
     "stein-residual": reference_stein,
     "positivity-transfer": reference_positivity,
     "channel-gauging": reference_channel_gauging,
+    "semigroup-gauging": reference_semigroup,
     "composition-consistency": reference_composition,
     "jury-spectral-agreement": reference_jury,
     "expm2-vs-general": reference_expm2,
@@ -262,6 +313,10 @@ def test_array_suites_equal_per_draw_loops(seed):
     ("lyapunov", "lyapunov-residual"),
     ("stein", "stein-residual"),
     ("gauge", "channel-gauging"),
+    ("lyapunov", "semigroup-gauging"),
+    ("semigroup", "semigroup-gauging"),
+    ("composition", "composition-consistency"),
+    ("ep-closed-form", "ep-closed-forms"),
 ])
 def test_faulted_array_suites_equal_per_draw_loops(fault, name):
     got = run_suite(name, suite_rng(7, name), fault)
@@ -281,3 +336,140 @@ def test_draws_the_scalar_route_rejects_fail_ep_closed_forms(patch, value, monke
     result = verify.run_suite("ep-closed-forms", rng)
     assert not result.passed
     assert result.note == "400 draws not CP or not Schur stable"
+
+
+def test_channel_gauging_record_check_can_fail(monkeypatch):
+    # a gauge_channel whose gauged record moves X: the first draw of each of
+    # the three mode groups counts as drift-changed
+    def moved(channel):
+        result = gauge_channel(channel)
+        gauged = GaussianChannel(X=result.gauged.X + 1e-12, Y=result.gauged.Y,
+                                 delta=result.gauged.delta)
+        return dataclasses.replace(result, gauged=gauged)
+
+    assert run_suite("channel-gauging", suite_rng(7, "channel-gauging")).passed
+    monkeypatch.setattr(verify, "gauge_channel", moved)
+    got = run_suite("channel-gauging", suite_rng(7, "channel-gauging"))
+    assert not got.passed
+    assert got.worst == 3.0
+
+
+# ---------------------------------------------------------------------------
+# The array cores against their public records, slice by slice, bit for bit
+# ---------------------------------------------------------------------------
+
+MODES = [1, 2, 3]
+
+
+def equal(a, b):
+    """Bitwise equality of two arrays of one shape."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def generators(rng, modes, n=4):
+    return [GaussianGenerator(A=random_hurwitz(rng, 2 * modes), D=random_psd(rng, 2 * modes),
+                              u=rng.standard_normal(2 * modes)) for _ in range(n)]
+
+
+def stacked(records, *fields):
+    return [np.array([getattr(r, f) for r in records]) for f in fields]
+
+
+@pytest.mark.parametrize("modes", MODES)
+def test_gauged_y_of_a_stack_equals_gauge_channel(modes, rng):
+    channels = [random_stable_channel(rng, modes) for _ in range(5)]
+    x, y = stacked(channels, "X", "Y")
+    s = _stein(x, y)
+    left = _gauged_y(x, s, y)
+    for ch, si, li in zip(channels, s, left):
+        result = gauge_channel(ch)
+        assert equal(result.S.S, si)
+        assert result.residual_Y == np.abs(li).max()
+    assert equal(_gauged_y(x[:1], s[:1], y[:1])[0], _gauged_y(x[0], s[0], y[0]))
+
+
+@pytest.mark.parametrize("modes", MODES)
+def test_default_gauge_times_of_a_stack(modes, rng):
+    a = np.array([g.A for g in generators(rng, modes)])
+    times = default_gauge_times(a, count=7)
+    assert all(equal(row, default_gauge_times(ai, count=7)) for row, ai in zip(times, a))
+
+
+@pytest.mark.parametrize("modes", MODES)
+def test_semigroup_stack_equals_semigroup_arrays(modes, rng):
+    gens = generators(rng, modes)
+    a, d, u = stacked(gens, "A", "D", "u")
+    times = rng.uniform(0.0, 6.0, size=(len(gens), 5))
+    times[0, 0] = 0.0
+    x_t, y, delta = _semigroup_stack(a, d, u, times)
+    assert x_t.shape == y.shape == times.shape + a.shape[-2:]
+    for i, gen in enumerate(gens):
+        expected = semigroup_arrays(gen, times[i])
+        assert all(equal(got[i], want) for got, want in zip((x_t, y, delta), expected))
+        assert equal(x_t[i], drift_exponential(gen.A, times[i]))
+        assert equal(_exponentials(a[i:i + 1], times[i:i + 1])[0], x_t[i])
+    one = _semigroup_stack(a[:1], d[:1], u[:1], times[:1])
+    assert all(equal(p[0], q) for p, q in zip(one, _semigroup_stack(a[0], d[0], u[0], times[0])))
+
+
+@pytest.mark.parametrize("modes", MODES)
+def test_semigroup_gauge_equals_gauge_semigroup(modes, rng):
+    gens = generators(rng, modes)
+    a, d, u = stacked(gens, "A", "D", "u")
+    s, times, residuals = _semigroup_gauge(a, d, u)
+    for i, gen in enumerate(gens):
+        result = gauge_semigroup(gen)
+        assert equal(result.S.S, s[i])
+        assert equal(result.times, times[i])
+        assert equal(result.residuals, residuals[i])
+    one = _semigroup_gauge(a[:1], d[:1], u[:1], times[:1])
+    assert all(equal(p[0], q) for p, q in zip(one, _semigroup_gauge(a[0], d[0], u[0], times[0])))
+
+
+@pytest.mark.parametrize("modes", MODES)
+def test_composed_and_applied_equal_the_records(modes, rng):
+    firsts, seconds = ([random_stable_channel(rng, modes) for _ in range(5)] for _ in range(2))
+    states = [random_state(rng, modes) for _ in range(5)]
+    ch1, ch2 = (stacked(chs, "X", "Y", "delta") for chs in (firsts, seconds))
+    st = stacked(states, "d", "V")
+    composed, applied = _composed(*ch2, *ch1), _applied(*ch1, *st)
+    for i, (first, second, state) in enumerate(zip(firsts, seconds, states)):
+        record = compose(second, first)
+        want = (record.X, record.Y, record.delta)
+        assert all(equal(got[i], w) for got, w in zip(composed, want))
+        record = apply_channel(first, state)
+        assert equal(applied[0][i], record.d) and equal(applied[1][i], record.V)
+    for core, args in ((_composed, (*ch2, *ch1)), (_applied, (*ch1, *st))):
+        one, single = core(*(v[:1] for v in args)), core(*(v[0] for v in args))
+        assert all(equal(p[0], q) for p, q in zip(one, single))
+
+
+def test_stein_jordan_equals_the_closed_form(rng):
+    n = 6
+    alpha, t = rng.uniform(-0.95, 0.95, n), rng.uniform(0.1, 3.0, n)
+    omega = rng.uniform(0.1, 2.0, n)
+    lam = omega * rng.choice([-1.0, 1.0], n)
+    nil = np.array([[lam, omega], [-omega, -lam]]).transpose(2, 0, 1)
+    y = np.array([random_psd(rng, 2) for _ in range(n)])
+    s = _stein_jordan(alpha, t, nil, y)
+    for i in range(n):
+        drift = JordanDrift2x2(alpha=float(alpha[i]), nilpotent=nil[i], t=float(t[i]))
+        cov = stein_jordan_closed_form(drift, y[i])
+        assert equal(cov.S, _symmetrized(s[i]))
+        assert cov.residual == stein_residual(drift.X, s[i], y[i])
+        assert equal(_stein_jordan(drift.alpha, drift.t, nil[i], y[i]), s[i])
+    assert equal(_stein_jordan(alpha[:1], t[:1], nil[:1], y[:1])[0], s[0])
+
+
+@pytest.mark.parametrize("modes", MODES)
+def test_stein_series_of_a_stack(modes, rng):
+    x = np.array([random_schur_stable(rng, 2 * modes) for _ in range(5)])
+    y = np.array([random_psd(rng, 2 * modes) for _ in range(5)])
+    covs = stein_series(x, y, tol=1e-13)
+    assert len(covs) == len(x)
+    for cov, xi, yi in zip(covs, x, y):
+        # each pair stops at its own first increment below tol
+        alone = stein_series(xi, yi, tol=1e-13)
+        assert equal(cov.S, alone.S) and cov.residual == alone.residual
+    assert equal(stein_series(x[:1], y[:1])[0].S, stein_series(x[0], y[0]).S)

@@ -77,7 +77,7 @@ class TestVerdict:
     # eigvalsh raises LinAlgError on a stack of 4x4 NaN matrices
     ("positivity-transfer", verify, "_stein", (4,)),
     ("channel-gauging", gauging, "_stein", (2, 4)),
-    ("semigroup-gauging", gauging, "solve_lyapunov", (2, 4)),
+    ("semigroup-gauging", gauging, "_lyapunov", (2, 4)),
     ("noise-independence", verify, "solve_lyapunov", (2, 4)),
 ])
 def test_nan_solution_fails_the_suite(name, module, solver, dims, monkeypatch):
