@@ -222,28 +222,38 @@ def _entries2(m):
     return m.ravel().tolist() if m.ndim == 2 else tuple(m.reshape(-1, 4).T)
 
 
-def stein_series(X, Y, tol=1e-12, max_terms=100_000):
+def stein_series(X, Y, tol=1e-12, max_terms=2**18):
     """Partial sums of S = sum_n X^n Y (X^T)^n; the solver-independent oracle.
 
-    X and Y are one (d, d) pair, or (n, d, d) stacks of pairs of one size
-    summed together. Each pair stops at its own first increment of max-norm
-    below `tol`; ConvergenceError if one reaches the term cap (spectral
-    radius >= 1 suspected). Returns the pair's GaugeCovariance, or for
-    stacks a list of them, one per pair.
+    Summed by repeated squaring (Smith, SIAM J. Appl. Math. 16, 1968): from
+    S = Y and P = X, each doubling sets S <- S + P S P^T, then P <- P^2, so
+    after j doublings S holds the first 2^j terms. X and Y are one (d, d)
+    pair, or (n, d, d) stacks of pairs of one size summed together. Each
+    pair stops at its own first doubling increment P S P^T of max-norm below
+    `tol`; ConvergenceError if a pair still runs when one more doubling would
+    sum more than `max_terms` terms (spectral radius >= 1 suspected). A
+    doubling's increment sums its 2^j new terms, so it falls below `tol`
+    later than a single term would; the default cap of 2^18 terms reaches
+    spectral radius 0.9998 on well-conditioned X.
+    Returns the pair's GaugeCovariance, or for stacks a list of them, one
+    per pair.
     """
     X, Y = _equation_pair(X, Y, "X", "Y", stack=True)
-    S = term = Y
-    xt = X.swapaxes(-1, -2).copy()
-    active = np.ones(X.shape[:-2], dtype=bool)
-    for _ in range(max_terms):
-        term = X @ term @ xt
-        S = np.where(active[..., None, None], S + term, S)
-        active &= ~(abs(term).max(axis=(-2, -1)) < tol)
-        if not active.any():
-            break
-    else:
-        raise ConvergenceError(f"Stein series not converged after {max_terms} terms")
-    S = _symmetrized(S)
+    S = Y.reshape((-1,) + X.shape[-2:]).copy()
+    # the pairs still running: their indices into S, partial sums and powers
+    run, s, p = np.arange(len(S)), S, X.reshape(S.shape)
+    terms = 1
+    while run.size:
+        if 2 * terms > max_terms:
+            raise ConvergenceError(f"Stein series not converged after {terms} terms")
+        increment = p @ s @ p.swapaxes(-1, -2)
+        s = s + increment
+        terms *= 2
+        done = abs(increment).max(axis=(-2, -1)) < tol
+        S[run[done]] = s[done]
+        run, s, p = run[~done], s[~done], p[~done]
+        p = p @ p
+    S = _symmetrized(S.reshape(X.shape))
     residuals = abs(S - X @ S @ X.swapaxes(-1, -2) - Y).max(axis=(-2, -1))
     covs = [GaugeCovariance(S=s, source=GaugeSource.STEIN_SERIES, residual=r)
             for s, r in zip(S.reshape((-1,) + X.shape[-2:]), residuals.ravel().tolist())]

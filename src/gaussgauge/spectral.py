@@ -169,9 +169,9 @@ def jordan_structure(matrix, tol=None):
     scale = 1.0 + float(np.max(np.abs(m)))
     ctol = (1e-7 * scale) if tol is None else tol
     clusters = _cluster(list(eigs), ctol)
+    means = [eigs[g].mean() for g in clusters]
     reps, mults, blocks = [], [], []
-    for idx in sorted(clusters, key=lambda g: (eigs[g].mean().real, eigs[g].mean().imag)):
-        mu = eigs[idx].mean()
+    for mu, idx in sorted(zip(means, clusters), key=lambda c: (c[0].real, c[0].imag)):
         mult = len(idx)
         reps.append(complex(mu))
         mults.append(mult)
@@ -262,8 +262,14 @@ def truncated_ou_matrix(generator, max_degree):
     """
     if max_degree < 0:
         raise DimensionError("max_degree must be >= 0")
-    size, pos, coef, weight = _ou_terms(generator.A.shape[0], max_degree)
-    c = np.concatenate((generator.A.ravel(), generator.D.ravel(), generator.u))
+    return _ou_matrix(generator.A, generator.D, generator.u, max_degree)
+
+
+def _ou_matrix(A, D, u, max_degree):
+    """`truncated_ou_matrix` of the generator with arrays A, D and u, for a
+    max_degree >= 0."""
+    size, pos, coef, weight = _ou_terms(A.shape[0], max_degree)
+    c = np.concatenate((A.ravel(), D.ravel(), u))
     mat = np.zeros(size * size, dtype=complex)
     np.add.at(mat, pos, c[coef] * weight)
     return mat.reshape(size, size)

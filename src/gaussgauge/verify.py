@@ -25,16 +25,19 @@ public routes wrap, each taking one input or a stack of one size:
 (`gauge_semigroup`, `semigroup_arrays`), `_composed` and `_applied`
 (`compose`, `apply_channel`), `_stein_jordan` (`nm_ep_gauge`),
 `squeezed_ep_entries`, `expm2_entries` and `cp_margin_entries`.
-`channel-gauging` also checks the public `gauge_channel` record on the
-first draw of each group. The oracles are stacked LAPACK or scipy calls
-that share no code with what they check: a Kronecker `np.linalg.solve` for
-the one-mode Lyapunov equations, the Stein series of `stein_series` on a
-stack, `np.linalg.eigvals`, `np.linalg.eigvalsh`, `scipy.linalg.expm`; the
-residuals and max-norms are stacked too. The Stein half of
-`ep-closed-forms` checks the Jordan closed form against the whole-array
-route of the non-Markovian tables (`expm2_entries`, `nm_diffusion_entries`,
-the row status of `sweeps._nm_status`, `stein2_entries`); a draw whose row
-is not gauged fails the suite.
+`noise-independence` keeps its draws one at a time but builds no records:
+it calls `_lyapunov` and `_similarity_residual`, the core of
+`gauge_similarity_residual`, on each draw. `channel-gauging` also checks
+the public `gauge_channel` record on the first draw of each group. The
+oracles are stacked LAPACK or scipy calls that share no code with what
+they check: a Kronecker `np.linalg.solve` for the one-mode Lyapunov
+equations, the Stein series of `stein_series` on a stack (summed by
+repeated squaring), `np.linalg.eigvals`, `np.linalg.eigvalsh`,
+`scipy.linalg.expm`; the residuals and max-norms are stacked too. The
+Stein half of `ep-closed-forms` checks the Jordan closed form against the
+whole-array route of the non-Markovian tables (`expm2_entries`,
+`nm_diffusion_entries`, the row status of `sweeps._nm_status`,
+`stein2_entries`); a draw whose row is not gauged fails the suite.
 """
 
 import math
@@ -43,7 +46,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import GaussGaugeError, _symmetrized
+from .errors import GaussGaugeError, _symmetrized, require_finite
 from .gauging import (
     _gauged_y,
     _semigroup_gauge,
@@ -56,7 +59,6 @@ from .matrix_equations import (
     _lyapunov,
     _stein,
     _stein_jordan,
-    solve_lyapunov,
     stein_series,
 )
 from .models import (
@@ -74,7 +76,7 @@ from .phase_space import (
     _composed,
     symplectic_form,
 )
-from .spectral import jordan_structure, truncated_ou_matrix
+from .spectral import _ou_matrix, jordan_structure, truncated_ou_matrix
 from .sweeps import (
     FAULT_CHOICES,
     GAUGED,
@@ -204,15 +206,34 @@ def gauge_similarity_residual(generator, s, max_degree):
     the multiplication by exp(-xi^T S xi / 2): sum_k M^k / k! with M the
     nilpotent multiplication by -xi^T S xi / 2, and G^-1 the sum in -M. For
     A S + S A^T + D = 0 the identity is exact at every truncation, so the
-    residual is rounding, bounded by the entrywise-absolute product.
+    residual is rounding, bounded by the entrywise-absolute product. S is
+    checked as the diffusion of M's generator, and the value comes from
+    `_similarity_residual`.
     """
-    dim = generator.A.shape[0]
-    zero = np.zeros((dim, dim))
-    l_d = truncated_ou_matrix(generator, max_degree)
-    l_0 = truncated_ou_matrix(GaussianGenerator(A=generator.A, D=zero, u=generator.u), max_degree)
-    m = truncated_ou_matrix(GaussianGenerator(A=zero, D=s, u=np.zeros(dim)), max_degree).real
-    g = g_inv = term = np.eye(len(m))
-    for k in range(1, max_degree // 2 + 1):
+    zero = np.zeros_like(generator.A)
+    m_generator = GaussianGenerator(A=zero, D=s, u=np.zeros(len(zero)))
+    return _similarity_residual(generator.A, generator.D, generator.u, m_generator.D, max_degree)
+
+
+def _similarity_residual(a, d, u, s, max_degree):
+    """`gauge_similarity_residual` of the generator (a, d, u) and S = s, from
+    the arrays; NonFiniteInputError where s is not finite.
+
+    G is real, and L_D and L_0 are complex only through the drive i u^T xi,
+    which moves the degree by one, while the drift, the diffusion and M move
+    it by even amounts. So the real and imaginary parts of L_D, L_0 and
+    G^-1 L_D G sit on entries of opposite degree parity, and each is kept as
+    the real matrix of its real plus imaginary part: the products run in
+    real arithmetic, and each |entry| is the complex one exactly.
+    """
+    require_finite(D=s)  # S is the diffusion D of M's generator
+    zero = np.zeros_like(a)
+    l_d, l_0 = (_ou_matrix(a, diffusion, u, max_degree) for diffusion in (d, zero))
+    l_d, l_0 = l_d.real + l_d.imag, l_0.real + l_0.imag
+    m = _ou_matrix(zero, s, np.zeros(len(a)), max_degree).real
+    eye = np.eye(len(m))
+    g, g_inv, term = eye + m, eye - m, m
+    for k in range(2, max_degree // 2 + 1):
         term = term @ m / k
         g, g_inv = g + term, g_inv + (-1) ** k * term
     residual = np.max(np.abs(g_inv @ l_d @ g - l_0))
@@ -331,10 +352,9 @@ def _suite_expm2_vs_general(rng, fault):
     import scipy.linalg
 
     n = 300
-    b, t = np.empty((n, 2, 2)), np.empty(n)
-    for i in range(n):
-        b[i] = rng.uniform(-2, 2, size=(2, 2))
-        t[i] = rng.uniform(0.0, 5.0)
+    # n draws of a uniform B in [-2, 2]^(2x2), then t in [0, 5], in one call
+    draws = rng.uniform([-2, -2, -2, -2, 0], [2, 2, 2, 2, 5], size=(n, 5))
+    b, t = draws[:, :4].reshape(n, 2, 2), draws[:, 4]
     reference = scipy.linalg.expm(t[:, None, None] * b)
     e11, e12, e21, e22 = expm2_entries(*_entries2(b), t)
     if fault == "expm2":
@@ -437,11 +457,12 @@ def _suite_noise_independence(rng, fault):
     for k in range(n):
         dim, degree = ((2, 6), (4, 4))[k % 2]
         a = random_ep2_drift(rng, dim) if k % 3 == 0 else random_hurwitz(rng, dim)
-        gen = GaussianGenerator(A=a, D=random_psd(rng, dim), u=rng.standard_normal(dim))
-        s = solve_lyapunov(a, gen.D).S
+        # D and u as `GaussianGenerator(a, random_psd, u)` holds them
+        d, u = _symmetrized(random_psd(rng, dim)), rng.standard_normal(dim)
+        s = _lyapunov(a, d)
         if fault == "noise":
             s = s * (1.0 + 1e-6)
-        residuals.append(gauge_similarity_residual(gen, s, degree))
+        residuals.append(_similarity_residual(a, d, u, s, degree))
     return n, [(residuals, 1e-12)]
 
 

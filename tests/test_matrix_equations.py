@@ -311,6 +311,49 @@ class TestSteinSeries:
         with pytest.raises(ConvergenceError):
             stein_series(np.eye(2), np.eye(2), tol=1e-12, max_terms=500)
 
+    def test_term_cap_counts_terms(self):
+        # at spectral radius 1 no increment shrinks; j doublings sum 2^j
+        # terms, and only doublings that stay within the cap run
+        rotation = np.array([[0.6, -0.8], [0.8, 0.6]])
+        for x in (np.eye(2), rotation):
+            with pytest.raises(ConvergenceError, match="after 256 terms"):
+                stein_series(x, np.eye(2), max_terms=500)
+            with pytest.raises(ConvergenceError, match="after 262144 terms"):
+                stein_series(x, np.eye(2))
+        # nilpotent X: Y + X Y X^T, then a zero increment at the 4th term
+        x = np.array([[0.0, 1.0], [0.0, 0.0]])
+        npt.assert_array_equal(stein_series(x, np.eye(2), max_terms=4).S, np.diag([2.0, 1.0]))
+        with pytest.raises(ConvergenceError, match="after 2 terms"):
+            stein_series(x, np.eye(2), max_terms=3)
+
+    @pytest.mark.parametrize("rho", [0.999, 0.9999])
+    @pytest.mark.parametrize("b", [None, 1.0, 1e1, 1e2])
+    def test_near_unit_spectral_radius(self, rho, b):
+        # normal X = rho R, and non-normal X = Q [[rho, b], [0, -rho/2]] Q^T,
+        # against scipy's direct solve; both are within the forward error
+        # bound eps kappa(I - X (x) X) of a backward-stable solve, and the
+        # bound allows 4 of it (the largest seen on such draws is 0.36)
+        q = np.array([[0.6, -0.8], [0.8, 0.6]])
+        x = rho * q if b is None else q @ np.array([[rho, b], [0.0, -0.5 * rho]]) @ q.T
+        y = np.array([[1.0, 0.3], [0.3, 0.5]])
+        s = stein_series(x, y, max_terms=2**20).S
+        reference = scipy.linalg.solve_discrete_lyapunov(x, y)
+        bound = 4 * np.finfo(float).eps * np.linalg.cond(np.eye(4) - np.kron(x, x))
+        assert np.max(np.abs(s - reference)) <= bound * np.max(np.abs(reference))
+
+    def test_worst_known_draw(self):
+        # the one-mode draw of `verify --seed 357` stein-residual with
+        # max|S| = 2.4e5 and cond X = 1.5e3; S rounded from a 50-digit
+        # Kronecker solve. The series is 2.8e-13 from it, relative to max|S|
+        x = np.array([[5.538126970705809, 0.9189581599894323],
+                      [-25.299887661418495, -4.117114008493898]])
+        y = np.array([[9.342202931234107, 4.543606247978475],
+                      [4.543606247978475, 2.312332925110558]])
+        exact = np.array([[9600.400357381615, -47575.8057812017],
+                          [-47575.8057812017, 236113.83044961267]])
+        s = stein_series(x, y, tol=1e-13).S
+        assert np.max(np.abs(s - exact)) <= 1e-12 * np.max(np.abs(exact))
+
 
 class TestJordanClosedForm:
     def test_matches_direct_stein_on_example(self):

@@ -2,11 +2,13 @@
 
 Every suite that draws random samples, but `noise-independence`, takes all
 its draws first and checks them on stacked arrays, through the same private
-array cores that the public routes wrap. The reference loops below draw and
+array cores that the public routes wrap; `noise-independence` runs those
+cores one draw at a time. The reference loops below draw and
 check one sample at a time through the public API (`solve_lyapunov`,
 `solve_stein`, `stein_series`, `drift_exponential`, `cp_check`,
 `gauge_channel`, `gauge_semigroup`, `semigroup_channel`, `compose`,
-`apply_channel`, `nm_ep_gauge`, `nm_channel`); both must give equal results
+`apply_channel`, `nm_ep_gauge`, `nm_channel`, `GaussianGenerator`,
+`gauge_similarity_residual`); both must give equal results
 from the same generator, with and without each suite's fault. The suite
 checks the Lyapunov half of `ep-closed-forms` against a Kronecker solve and
 the reference against `solve_lyapunov`, so there the two agree up to
@@ -22,7 +24,7 @@ import pytest
 import scipy.linalg
 
 from gaussgauge import verify
-from gaussgauge.errors import _symmetrized
+from gaussgauge.errors import NonFiniteInputError, _symmetrized
 from gaussgauge.gauging import (
     SmoothingMap,
     _gauged_y,
@@ -69,8 +71,11 @@ from gaussgauge.phase_space import (
     cp_check,
     symplectic_form,
 )
+from gaussgauge.spectral import _ou_matrix, truncated_ou_matrix
 from gaussgauge.verify import (
     SuiteResult,
+    gauge_similarity_residual,
+    random_ep2_drift,
     random_hurwitz,
     random_psd,
     random_schur_stable,
@@ -275,6 +280,20 @@ def reference_ep_closed_forms(rng, fault=None):
     return SuiteResult("ep-closed-forms", worst <= 1e-10, worst, 1e-10, 2 * n)
 
 
+def reference_noise_independence(rng, fault=None):
+    residuals = []
+    n = 30
+    for k in range(n):
+        dim, degree = ((2, 6), (4, 4))[k % 2]
+        a = random_ep2_drift(rng, dim) if k % 3 == 0 else random_hurwitz(rng, dim)
+        gen = GaussianGenerator(A=a, D=random_psd(rng, dim), u=rng.standard_normal(dim))
+        s = solve_lyapunov(gen.A, gen.D).S
+        if fault == "noise":
+            s = s * (1.0 + 1e-6)
+        residuals.append(gauge_similarity_residual(gen, s, degree))
+    return verify._verdict("noise-independence", n, [(residuals, 1e-12)])
+
+
 REFERENCES = {
     "lyapunov-residual": reference_lyapunov,
     "stein-residual": reference_stein,
@@ -286,6 +305,7 @@ REFERENCES = {
     "expm2-vs-general": reference_expm2,
     "one-mode-identities": reference_one_mode_identities,
     "ep-closed-forms": reference_ep_closed_forms,
+    "noise-independence": reference_noise_independence,
 }
 
 
@@ -317,6 +337,7 @@ def test_array_suites_equal_per_draw_loops(seed):
     ("semigroup", "semigroup-gauging"),
     ("composition", "composition-consistency"),
     ("ep-closed-form", "ep-closed-forms"),
+    ("noise", "noise-independence"),
 ])
 def test_faulted_array_suites_equal_per_draw_loops(fault, name):
     got = run_suite(name, suite_rng(7, name), fault)
@@ -473,3 +494,61 @@ def test_stein_series_of_a_stack(modes, rng):
         alone = stein_series(xi, yi, tol=1e-13)
         assert equal(cov.S, alone.S) and cov.residual == alone.residual
     assert equal(stein_series(x[:1], y[:1])[0].S, stein_series(x[0], y[0]).S)
+
+
+@pytest.mark.parametrize("modes", MODES)
+def test_ou_matrix_equals_the_public_matrix(modes, rng):
+    for gen in generators(rng, modes, n=2):
+        for degree in range(5 - modes):
+            assert equal(_ou_matrix(gen.A, gen.D, gen.u, degree),
+                         truncated_ou_matrix(gen, degree))
+
+
+def complex_similarity_residual(gen, s, max_degree):
+    """`gauge_similarity_residual` in complex arithmetic, from the public
+    matrices and records."""
+    zero = np.zeros_like(gen.A)
+    l_d = truncated_ou_matrix(gen, max_degree)
+    l_0 = truncated_ou_matrix(GaussianGenerator(A=gen.A, D=zero, u=gen.u), max_degree)
+    m = truncated_ou_matrix(GaussianGenerator(A=zero, D=s, u=np.zeros(len(zero))), max_degree).real
+    g = g_inv = term = np.eye(len(m))
+    for k in range(1, max_degree // 2 + 1):
+        term = term @ m / k
+        g, g_inv = g + term, g_inv + (-1) ** k * term
+    residual = np.max(np.abs(g_inv @ l_d @ g - l_0))
+    return float(residual / np.max(np.abs(g_inv) @ np.abs(l_d) @ np.abs(g)))
+
+
+@pytest.mark.parametrize("modes, degree", [(1, 6), (2, 4), (3, 2)])
+def test_similarity_residual_equals_complex_arithmetic(modes, degree, rng):
+    # the folded real products sum the same nonzero terms as the complex
+    # ones; both values are rounding-level ratios, so they must agree to a
+    # few ulps of 1 (and stay relative 1e-12 apart under a 1e-6 error in S)
+    for gen in generators(rng, modes, n=3):
+        s = solve_lyapunov(gen.A, gen.D).S
+        for scale in (1.0, 1.0 + 1e-6):
+            want = complex_similarity_residual(gen, s * scale, degree)
+            got = gauge_similarity_residual(gen, s * scale, degree)
+            assert got == pytest.approx(want, rel=1e-12, abs=8 * np.finfo(float).eps)
+
+
+def test_similarity_residual_raises_on_a_non_finite_s(rng):
+    (gen,) = generators(rng, 1, n=1)
+    s = solve_lyapunov(gen.A, gen.D).S.copy()
+    s[0, 0] = np.nan
+    for residual in (gauge_similarity_residual,
+                     lambda g, s, k: verify._similarity_residual(g.A, g.D, g.u, s, k)):
+        with pytest.raises(NonFiniteInputError, match="D has non-finite entries"):
+            residual(gen, s, 4)
+
+
+def test_expm2_draws_equal_the_per_draw_loop():
+    # the suite's one uniform call takes the draws of a per-draw loop of two
+    # calls per sample, bit for bit, and leaves the generator in its state
+    low, high = [-2, -2, -2, -2, 0], [2, 2, 2, 2, 5]
+    for seed in range(200):
+        loop, one_call = np.random.default_rng(seed), np.random.default_rng(seed)
+        want = [np.append(loop.uniform(-2, 2, size=(2, 2)), loop.uniform(0.0, 5.0))
+                for _ in range(300)]
+        assert equal(one_call.uniform(low, high, size=(300, 5)), np.array(want))
+        assert loop.bit_generator.state == one_call.bit_generator.state
