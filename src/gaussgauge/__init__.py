@@ -22,15 +22,11 @@ from .phase_space import (
     CpReport,
     GaussianChannel,
     MomentState,
-    Ordering,
     apply_channel,
     compose,
     cp_check,
     identity_channel,
-    interleaving_permutation,
-    reorder,
     symplectic_form,
-    vacuum_state,
 )
 from .generators import (
     GaussianGenerator,

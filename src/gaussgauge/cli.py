@@ -218,7 +218,7 @@ def main(argv=None):
         if args.command == "drift-eigs":
             table = run_drift_eigs(config)
         elif args.command == "squeezed-gauge":
-            table = run_squeezed_gauge(config, config.axis, config.branch)
+            table = run_squeezed_gauge(config)
         elif args.command == "nm-surface":
             table = run_nm_surface(config)
         elif args.command == "nm-branch":

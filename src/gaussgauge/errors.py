@@ -13,7 +13,7 @@ class GaussGaugeError(Exception):
 
 
 class DimensionError(GaussGaugeError):
-    """Inconsistent matrix/vector dimensions or quadrature orderings."""
+    """Inconsistent matrix/vector dimensions."""
 
 
 class StabilityError(GaussGaugeError):

@@ -100,7 +100,10 @@ def gauge_channel(channel):
 def default_gauge_times(A, count=20):
     """Log-spaced verification times in [1e-3, 10/|max Re lambda(A)|]; for
     an (n, d, d) stack of drifts one row per drift."""
-    decay = -np.linalg.eigvals(np.asarray(A, dtype=float)).real.max(axis=-1)
+    A = np.asarray(A, dtype=float)
+    _square("drift", A, stack=True)
+    require_finite(A=A)
+    decay = -np.linalg.eigvals(A).real.max(axis=-1)
     if np.count_nonzero(decay <= 0):
         raise StabilityError("default gauge times need a Hurwitz drift")
     return np.geomspace(1e-3, 10.0 / decay, count, axis=-1)

@@ -2,14 +2,11 @@
 
 A Gaussian channel is the triple (X, Y, delta) acting on moments as
 d -> X d + delta and V -> X V X^T + Y. States are moment pairs (d, V) in
-dimensionless quadrature units with vacuum V = I/2. Every record is in the
-grouped quadrature ordering (q1..qN, p1..pN). The interleaved ordering
-(q1, p1, ..., qN, pN) exists only at the boundary: `reorder` converts
-vectors and matrices between the two, and `symplectic_form` takes either.
+dimensionless quadrature units with vacuum V = I/2. Every record, and
+`symplectic_form`, is in the grouped quadrature ordering (q1..qN, p1..pN).
 """
 
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -17,67 +14,15 @@ from .errors import DimensionError, _frozen, _square, _symmetric, _symmetrized, 
 from .onemode import CP_REL_TOL, cp_margin_entries
 
 
-class Ordering(str, Enum):
-    GROUPED = "grouped"
-    INTERLEAVED = "interleaved"
-
-
-def symplectic_form(modes, ordering=Ordering.GROUPED):
-    """Symplectic form for `modes` bosonic modes in the requested ordering.
-
-    Grouped gives the block form [[0, I], [-I, 0]]; interleaved the direct sum
-    of N copies of [[0, 1], [-1, 0]]. The returned array is read-only.
-    """
+def symplectic_form(modes):
+    """Read-only symplectic form [[0, I], [-I, 0]] of `modes` bosonic modes."""
     if modes < 1:
         raise DimensionError(f"mode count must be >= 1, got {modes}")
-    ordering = Ordering(ordering)
-    n = modes
-    m = np.zeros((2 * n, 2 * n))
-    if ordering is Ordering.GROUPED:
-        m[:n, n:] = np.eye(n)
-        m[n:, :n] = -np.eye(n)
-    else:
-        for i in range(n):
-            m[2 * i, 2 * i + 1] = 1.0
-            m[2 * i + 1, 2 * i] = -1.0
+    m = np.zeros((2 * modes, 2 * modes))
+    m[:modes, modes:] = np.eye(modes)
+    m[modes:, :modes] = -np.eye(modes)
     m.setflags(write=False)
     return m
-
-
-def interleaving_permutation(modes):
-    """Permutation P with x_grouped = P @ r_interleaved.
-
-    P[i, 2i] = 1 and P[N+i, 2i+1] = 1 (zero-based), so conjugation by P maps
-    interleaved-ordered matrices to grouped ones.
-    """
-    n = modes
-    p = np.zeros((2 * n, 2 * n))
-    for i in range(n):
-        p[i, 2 * i] = 1.0
-        p[n + i, 2 * i + 1] = 1.0
-    return p
-
-
-def reorder(obj, src, dst):
-    """Convert a vector or square matrix between quadrature orderings.
-
-    Matrices conjugate by the permutation, vectors transform linearly; the
-    round trip is an exact permutation of entries.
-    """
-    src, dst = Ordering(src), Ordering(dst)
-    obj = np.asarray(obj, dtype=float)
-    # a vector of length 2N reorders as the diagonal of a 2N x 2N matrix
-    _square("reorder input", np.diag(obj) if obj.ndim == 1 else obj, even=True)
-    if src == dst:
-        return obj.copy()
-    p = interleaving_permutation(obj.shape[0] // 2)
-    if src is Ordering.INTERLEAVED:  # to grouped
-        mat = p
-    else:  # grouped to interleaved
-        mat = p.T
-    if obj.ndim == 1:
-        return mat @ obj
-    return mat @ obj @ mat.T
 
 
 @dataclass(frozen=True)
@@ -100,11 +45,6 @@ class MomentState:
     @property
     def modes(self):
         return self.d.shape[0] // 2
-
-
-def vacuum_state(modes):
-    """Vacuum: d = 0, V = I/2 (dimensionless quadrature units)."""
-    return MomentState(d=np.zeros(2 * modes), V=0.5 * np.eye(2 * modes))
 
 
 @dataclass(frozen=True)

@@ -212,7 +212,9 @@ def additive_spectrum(eigenvalues, max_degree):
     """Enumerate sum_j n_j lambda_j over all multi-indices with |n| <= max_degree."""
     if max_degree < 0:
         raise DimensionError("max_degree must be >= 0")
-    base = tuple(complex(v) for v in np.atleast_1d(eigenvalues))
+    eigenvalues = np.atleast_1d(eigenvalues)
+    require_finite(eigenvalues=eigenvalues)
+    base = tuple(complex(v) for v in eigenvalues)
     values = []
     for n in bounded_multi_indices(len(base), max_degree):
         values.append((n, sum(nj * lj for nj, lj in zip(n, base))))

@@ -212,11 +212,12 @@ def run_drift_eigs(config):
     )
 
 
-def run_squeezed_gauge(config, axis, branch):
+def run_squeezed_gauge(config):
     """Eigenvalues of the EP-branch gauge covariance along kappa, r, or phi."""
+    axis = config.axis
     if axis not in ("kappa", "r", "phi"):
         raise DimensionError("axis must be one of kappa, r, phi")
-    branch = EpBranch(branch)
+    branch = EpBranch(config.branch)
     grid = config.grid(axis)
     values = {name: config.param(name) for name in ("kappa", "epsilon", "r", "phi")}
     points = values[axis] = grid.points()
@@ -234,13 +235,9 @@ def run_squeezed_gauge(config, axis, branch):
 
 
 def _nm_setup(config):
-    """The family parameters and time of a non-Markovian table, validated once.
-
-    lam and omega of the parameters are placeholders: every point passes its own.
-    """
+    """The family parameters and time of a non-Markovian table, validated
+    once; every point of the table passes its own (lam, omega)."""
     params = NmFamilyParams(
-        lam=0.0,
-        omega=0.0,
         gamma=config.param("gamma"),
         r_mem=config.param("r_mem"),
         nu=config.param("nu"),

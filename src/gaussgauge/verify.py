@@ -502,7 +502,7 @@ def _suite_ep_closed_forms(rng, fault):
         lyapunov_gaps.append(_max_abs(_stack2(s_qq, s_qp, s_qp, s_pp) - _lyapunov_kronecker(a, d)))
     # Stein half: the Jordan closed form of nm_ep_gauge on the arrays of all
     # draws, the two branches of a draw in turn, against the route of the tables
-    family = NmFamilyParams(lam=0.0, omega=0.0)  # the default memory and diffusion settings
+    family = NmFamilyParams()  # the default memory and diffusion settings
     omega, t = rng.uniform([0.1, 0.2], [2.0, 3.0], size=(n, 2)).T
     # kappa(t) from the math library, as nm_ep_gauge takes it
     kt = np.repeat([memory_factor(family, ti) for ti in t.tolist()], 2)
@@ -533,21 +533,16 @@ def _suite_figure_trends(rng, fault):
         slack = 1e-12 * (1.0 + np.max(np.abs(values)))
         return bool(np.all(direction * diffs >= -slack))
 
+    peaks = {}  # the phi of each branch's largest lambda2
     for branch in ("plus", "minus"):
-        cfg = SweepConfig(command="squeezed-gauge")
-        table = run_squeezed_gauge(cfg, "kappa", branch)
-        if not (monotone(table.column("lambda1"), -1) and monotone(table.column("lambda2"), -1)):
-            broken.append(f"kappa trend broken ({branch})")
-        table = run_squeezed_gauge(cfg, "r", branch)
-        if not (monotone(table.column("lambda1"), +1) and monotone(table.column("lambda2"), +1)):
-            broken.append(f"r trend broken ({branch})")
-    phi_tables = {
-        branch: run_squeezed_gauge(SweepConfig(command="squeezed-gauge"), "phi", branch)
-        for branch in ("plus", "minus")
-    }
-    args = {b: t.column("phi")[np.argmax(t.column("lambda2"))] for b, t in phi_tables.items()}
-    step = np.diff(phi_tables["plus"].column("phi"))[0]
-    offset = abs(args["plus"] - args["minus"])
+        for axis, direction in (("kappa", -1), ("r", +1)):
+            table = run_squeezed_gauge(SweepConfig("squeezed-gauge", axis=axis, branch=branch))
+            if not all(monotone(table.column(c), direction) for c in ("lambda1", "lambda2")):
+                broken.append(f"{axis} trend broken ({branch})")
+        table = run_squeezed_gauge(SweepConfig("squeezed-gauge", axis="phi", branch=branch))
+        peaks[branch] = table.column("phi")[np.argmax(table.column("lambda2"))]
+    step = np.diff(table.column("phi"))[0]
+    offset = abs(peaks["plus"] - peaks["minus"])
     offset = min(offset, 2 * math.pi - offset)
     if abs(offset - math.pi) > 0.5 * step:
         broken.append(f"phi argmax offset {offset:.4f} != pi")

@@ -66,7 +66,7 @@ def warmup_kernels():
     solve_lyapunov(-np.eye(2), np.eye(2))
     solve_stein(0.5 * np.eye(2), np.eye(2))
     stein_series(0.5 * np.eye(2), np.eye(2))
-    nm_channel(NmFamilyParams(lam=0.1, omega=0.2), 1.0)
+    nm_channel(NmFamilyParams(), 1.0, 0.1, 0.2)
 
 
 def test_criterion_1_solver_residuals():
@@ -188,14 +188,13 @@ def test_criterion_5_jordan_closed_form():
     )
     worst_direct = worst_series = 0.0
     for i in range(1000):
-        params = NmFamilyParams(
-            lam=0.0, omega=rng.uniform(0.05, 2.0), diffusion=models[i % 3]
-        )
+        params = NmFamilyParams(diffusion=models[i % 3])
+        omega = rng.uniform(0.05, 2.0)
         t = rng.uniform(0.2, 3.0)
         branch = EpBranch.PLUS if rng.integers(2) else EpBranch.MINUS
         sign = 1.0 if branch is EpBranch.PLUS else -1.0
-        closed = nm_ep_gauge(params, t, branch)
-        ch = nm_channel(params, t, lam=sign * params.omega, omega=params.omega)
+        closed = nm_ep_gauge(params, t, omega, branch)
+        ch = nm_channel(params, t, sign * omega, omega)
         worst_direct = max(worst_direct, np.abs(closed.S - solve_stein(ch.X, ch.Y).S).max())
         worst_series = max(
             worst_series, np.abs(closed.S - stein_series(ch.X, ch.Y, tol=1e-13).S).max()
@@ -316,7 +315,7 @@ def sweep_suite():
     for axis in ("kappa", "r", "phi"):
         for branch in ("plus", "minus"):
             tables[f"squeezed-{axis}-{branch}"] = run_squeezed_gauge(
-                SweepConfig(command="squeezed-gauge"), axis, branch
+                SweepConfig(command="squeezed-gauge", axis=axis, branch=branch)
             )
     for diffusion in ("iso", "aniso", "drift-aligned"):
         tables[f"surface-{diffusion}"] = run_nm_surface(

@@ -8,8 +8,10 @@ import scipy.integrate
 import scipy.linalg
 
 from gaussgauge import (
+    AnisotropicDiffusion,
     ConvergenceError,
     DimensionError,
+    DriftAlignedDiffusion,
     GaugeCovariance,
     GaugeSource,
     GaussGaugeError,
@@ -17,15 +19,24 @@ from gaussgauge import (
     GaussianGenerator,
     JordanDrift2x2,
     MomentState,
+    NmFamilyParams,
     NonFiniteInputError,
     NumericalOverflowError,
+    SqueezedReservoirParams,
     StabilityError,
+    additive_spectrum,
+    default_gauge_times,
     drift_exponential,
     jordan_structure,
+    memory_factor,
+    nm_channel,
+    nm_diffusion,
+    nm_ep_gauge,
     solve_lyapunov,
     solve_stein,
     stein_jordan_closed_form,
     stein_series,
+    thermal_loss_channel,
 )
 from gaussgauge.errors import _symmetrized
 from gaussgauge.matrix_equations import _entries2, _lyapunov, _stein, _stein2
@@ -603,10 +614,27 @@ class TestGuards:
         lambda bad: MomentState(d=np.zeros(4), V=bad),
         lambda bad: MomentState(d=bad[0], V=np.eye(4)),
         lambda bad: GaugeCovariance(S=bad, source=GaugeSource.STEIN, residual=0.0),
+        lambda bad: default_gauge_times(bad),
+        lambda bad: additive_spectrum(np.diag(bad), 2),
+        lambda bad: SqueezedReservoirParams(kappa=bad[0, 0], delta=0.1, epsilon=1.0),
+        lambda bad: SqueezedReservoirParams(kappa=1.0, delta=0.1, epsilon=1.0, r=bad[0, 0]),
+        lambda bad: SqueezedReservoirParams(kappa=1.0, delta=0.1, epsilon=1.0, phi=bad[0, 0]),
+        lambda bad: NmFamilyParams(gamma=bad[0, 0]),
+        lambda bad: AnisotropicDiffusion(s=bad[0, 0]),
+        lambda bad: DriftAlignedDiffusion(alpha=bad[0, 0]),
+        lambda bad: thermal_loss_channel(bad[0, 0]),
+        lambda bad: thermal_loss_channel(0.5, bad[0, 0]),
+        lambda bad: memory_factor(NmFamilyParams(), bad[0, 0]),
+        lambda bad: nm_channel(NmFamilyParams(), bad[0, 0], 0.7, 0.7),
+        lambda bad: nm_diffusion(NmFamilyParams(), bad[0, 0], 0.7, 0.7),
+        lambda bad: nm_ep_gauge(NmFamilyParams(), bad[0, 0], 0.7, "plus"),
     ], ids=["lyap-D", "lyap-A", "stein-X", "stein-Y", "series-Y", "channel-X", "channel-Y",
             "channel-delta", "generator-A", "generator-D", "generator-u",
             "expm2-B", "expm2-t", "drift-exp-A", "jordan-2x2", "jordan-4x4", "state-V",
-            "state-d", "gauge-covariance-S"])
+            "state-d", "gauge-covariance-S", "gauge-times-A", "additive-spectrum",
+            "squeezed-kappa", "squeezed-r", "squeezed-phi", "nm-gamma", "aniso-s",
+            "drift-aligned-alpha", "thermal-eta", "thermal-nbar", "memory-t", "nm-channel-t",
+            "nm-diffusion-t", "nm-ep-gauge-t"])
     def test_non_finite_input_rejected(self, entry, value):
         bad = -0.5 * np.eye(4)
         bad[0, 0] = value

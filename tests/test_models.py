@@ -1,4 +1,6 @@
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
@@ -104,24 +106,28 @@ class TestSqueezedEpGauge:
 class TestNmChannel:
     def test_memory_factor_window(self):
         with pytest.raises(Exception):
-            NmFamilyParams(lam=0.0, omega=1.0, r_mem=1.5)  # r_mem >= gamma/nu
+            NmFamilyParams(r_mem=1.5)  # r_mem >= gamma/nu
+
+    def test_fields_are_keyword_only(self):
+        # positionally, 0.1 and 0.2 would bind gamma and r_mem
+        with pytest.raises(TypeError):
+            NmFamilyParams(0.1, 0.2)
 
     def test_ep_line_defective_for_all_times(self):
-        params = NmFamilyParams(lam=0.8, omega=0.8)
         for t in (0.3, 1.0, 2.7):
-            ch = nm_channel(params, t)
+            ch = nm_channel(NmFamilyParams(), t, 0.8, 0.8)
             assert jordan_structure(ch.X).defective
 
     def test_off_line_not_defective(self):
         for lam, omega in ((0.3, 0.9), (1.2, 0.4)):
-            ch = nm_channel(NmFamilyParams(lam=lam, omega=omega), 1.0)
+            ch = nm_channel(NmFamilyParams(), 1.0, lam, omega)
             assert not jordan_structure(ch.X).defective
 
     def test_isotropic_strength_formula(self):
-        params = NmFamilyParams(lam=0.5, omega=0.5)
+        params = NmFamilyParams()
         t = 1.0
         kt = math.exp(-params.gamma * t + params.r_mem * math.sin(params.nu * t))
-        ch = nm_channel(params, t)
+        ch = nm_channel(params, t, 0.5, 0.5)
         expected = 0.5 * abs(1.0 - kt * kt) + params.eps_buffer
         npt.assert_allclose(ch.Y, expected * np.eye(2), atol=1e-15)
 
@@ -136,16 +142,16 @@ class TestNmChannel:
             lam, omega = rng.uniform(-1.2, 1.2, size=2)
             if lam == 0 and omega == 0:
                 continue
-            params = NmFamilyParams(lam=lam, omega=omega, diffusion=diffusion)
-            ch = nm_channel(params, rng.uniform(0.2, 3.0))
+            params = NmFamilyParams(diffusion=diffusion)
+            ch = nm_channel(params, rng.uniform(0.2, 3.0), lam, omega)
             # det target (alpha + eps)^2 gives slack 2*alpha*eps + eps^2 >= eps^2
             assert cp_check(ch).margin >= params.eps_buffer**2
 
     def test_memory_breaks_semigroup_property(self):
-        params = NmFamilyParams(lam=0.2, omega=0.7)
+        params = NmFamilyParams()
         t, s = 0.6, 0.9
-        stepwise = compose(nm_channel(params, t), nm_channel(params, s))
-        combined = nm_channel(params, t + s)
+        stepwise = compose(nm_channel(params, t, 0.2, 0.7), nm_channel(params, s, 0.2, 0.7))
+        combined = nm_channel(params, t + s, 0.2, 0.7)
         assert np.abs(stepwise.X - combined.X).max() > 1e-3
         # and the memory factor is the whole effect
         ratio = memory_factor(params, t) * memory_factor(params, s) / memory_factor(
@@ -154,9 +160,9 @@ class TestNmChannel:
         npt.assert_allclose(stepwise.X, combined.X * ratio, atol=1e-12)
 
     def test_drift_aligned_needs_nonzero_drift(self):
-        params = NmFamilyParams(lam=0.0, omega=0.0, diffusion=DriftAlignedDiffusion())
+        params = NmFamilyParams(diffusion=DriftAlignedDiffusion())
         with pytest.raises(DegenerateModelError):
-            nm_channel(params, 1.0)
+            nm_channel(params, 1.0, 0.0, 0.0)
 
 
 class TestNmEpGauge:
@@ -166,14 +172,13 @@ class TestNmEpGauge:
     )
     def test_matches_direct_stein_and_series(self, rng, diffusion):
         for _ in range(60):
-            params = NmFamilyParams(
-                lam=0.0, omega=rng.uniform(0.1, 2.0), diffusion=diffusion
-            )
+            params = NmFamilyParams(diffusion=diffusion)
+            omega = rng.uniform(0.1, 2.0)
             t = rng.uniform(0.2, 3.0)
             for branch in EpBranch:
                 sign = 1.0 if branch is EpBranch.PLUS else -1.0
-                closed = nm_ep_gauge(params, t, branch)
-                ch = nm_channel(params, t, lam=sign * params.omega, omega=params.omega)
+                closed = nm_ep_gauge(params, t, omega, branch)
+                ch = nm_channel(params, t, sign * omega, omega)
                 npt.assert_allclose(closed.S, solve_stein(ch.X, ch.Y).S, atol=1e-10)
                 npt.assert_allclose(
                     closed.S, stein_series(ch.X, ch.Y, tol=1e-13).S, atol=1e-9
@@ -181,22 +186,22 @@ class TestNmEpGauge:
                 assert closed.residual <= 1e-10
 
     def test_isotropic_branches_share_eigenvalues(self, rng):
-        params = NmFamilyParams(lam=0.0, omega=1.1)
-        lam_plus = np.linalg.eigvalsh(nm_ep_gauge(params, 1.0, EpBranch.PLUS).S)
-        lam_minus = np.linalg.eigvalsh(nm_ep_gauge(params, 1.0, EpBranch.MINUS).S)
+        params = NmFamilyParams()
+        lam_plus = np.linalg.eigvalsh(nm_ep_gauge(params, 1.0, 1.1, EpBranch.PLUS).S)
+        lam_minus = np.linalg.eigvalsh(nm_ep_gauge(params, 1.0, 1.1, EpBranch.MINUS).S)
         npt.assert_allclose(lam_plus, lam_minus, atol=1e-13)
 
     def test_drift_aligned_branches_differ_in_orientation(self):
-        params = NmFamilyParams(lam=0.0, omega=1.1, diffusion=DriftAlignedDiffusion(1.0))
-        s_plus = nm_ep_gauge(params, 1.0, EpBranch.PLUS).S
-        s_minus = nm_ep_gauge(params, 1.0, EpBranch.MINUS).S
+        params = NmFamilyParams(diffusion=DriftAlignedDiffusion(1.0))
+        s_plus = nm_ep_gauge(params, 1.0, 1.1, EpBranch.PLUS).S
+        s_minus = nm_ep_gauge(params, 1.0, 1.1, EpBranch.MINUS).S
         assert s_plus[0, 1] * s_minus[0, 1] < 0  # off-diagonal sign flip
         assert abs(s_plus[0, 1]) > 1e-3
         assert np.abs(s_plus - s_minus).max() > 1e-3
 
     def test_degenerate_guard(self):
         with pytest.raises(DegenerateModelError):
-            nm_ep_gauge(NmFamilyParams(lam=0.0, omega=0.0), 1.0, EpBranch.PLUS)
+            nm_ep_gauge(NmFamilyParams(), 1.0, 0.0, EpBranch.PLUS)
 
     def test_memory_factor_stays_below_one_in_legal_window(self, rng):
         # sin(nu t) <= nu t makes kappa(t) < 1 for every t > 0 whenever
@@ -205,7 +210,7 @@ class TestNmEpGauge:
             gamma = rng.uniform(0.1, 3.0)
             nu = rng.uniform(0.1, 3.0)
             r_mem = rng.uniform(0.01, 0.99) * gamma / nu
-            params = NmFamilyParams(lam=0.0, omega=1.0, gamma=gamma, r_mem=r_mem, nu=nu)
+            params = NmFamilyParams(gamma=gamma, r_mem=r_mem, nu=nu)
             times = rng.uniform(1e-3, 10.0, size=20)
             assert all(memory_factor(params, t) < 1.0 for t in times)
 
@@ -250,3 +255,11 @@ class TestEpGeometry:
     def test_zero_drive_is_scalar_not_defective(self):
         gen = squeezed_generator(SqueezedReservoirParams(kappa=2.0, delta=0.0, epsilon=0.0))
         assert not jordan_structure(gen.A).defective
+
+
+def test_readme_library_sketch_runs(capsys):
+    # the README's python block as written, so a changed signature cannot leave it stale
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    (block,) = re.findall(r"^```python\n(.*?)^```", text, flags=re.S | re.M)
+    exec(compile(block, "README.md", "exec"), {})
+    assert "True" in capsys.readouterr().out.splitlines()  # the EP line's X is defective

@@ -82,7 +82,7 @@ def test_expm2_matches_scalar_bitwise(rng):
 
 @pytest.mark.parametrize("diffusion", sorted(DIFFUSIONS))
 def test_channel_kernels_match_scalar_bitwise(rng, diffusion):
-    params = NmFamilyParams(lam=0.0, omega=0.0, diffusion=DIFFUSIONS[diffusion])
+    params = NmFamilyParams(diffusion=DIFFUSIONS[diffusion])
     kt = memory_factor(params, 1.0)
     for lam, omega in lambda_lines(rng):
         defined = (lam != 0.0) | (omega != 0.0) | (diffusion != "drift-aligned")
@@ -151,7 +151,7 @@ SLOW_MEMORY = {"gamma": 1.0, "nu": 0.1, "r_mem": 9.9}
 @pytest.mark.parametrize("diffusion", sorted(DIFFUSIONS))
 def test_surface_rows_match_scalar_api_bitwise(diffusion, model):
     table = _surface(diffusion, 15, model)
-    params = NmFamilyParams(lam=0.0, omega=0.0, diffusion=DIFFUSIONS[diffusion], **model)
+    params = NmFamilyParams(diffusion=DIFFUSIONS[diffusion], **model)
     want = [_reference_row(params, row[0], row[1], row[8]) for row in table.rows]
     npt.assert_array_equal(np.array(table.rows), np.array(want))
 
@@ -165,7 +165,7 @@ def test_unstable_flag_at_the_schur_boundary(diffusion):
     grids = {"lam": GridSpec(0.5, 0.502, 41), "omega": GridSpec(0.4998, 0.5018, 43)}
     table = run_nm_surface(SweepConfig(command="nm-surface", diffusion=diffusion,
                                        model=SLOW_MEMORY, grids=grids))
-    params = NmFamilyParams(lam=0.0, omega=0.0, diffusion=DIFFUSIONS[diffusion], **SLOW_MEMORY)
+    params = NmFamilyParams(diffusion=DIFFUSIONS[diffusion], **SLOW_MEMORY)
     assert not np.isnan(table.column("cp_margin")).any()
     near = []
     for lam, omega, _, _, _, _, _, unstable, _ in table.rows:
@@ -187,7 +187,7 @@ def test_flagged_branch_row_raises_scalar_error(capsys):
     # scalar path raises at its first flagged row.
     model = {**SLOW_MEMORY, "eps_buffer": 1e3}
     grid = GridSpec(1e6, 1e8, 9)
-    params = NmFamilyParams(lam=0.0, omega=0.0, **model)
+    params = NmFamilyParams(**model)
 
     def scalar_error(lam, omega):
         channel = nm_channel(params, 1.0, lam, omega)
@@ -236,7 +236,8 @@ def test_squeezed_tables_without_eigvals_or_per_element_calls(
     if axis is None:
         table = run_drift_eigs(SweepConfig(command="drift-eigs"))
     else:
-        table = run_squeezed_gauge(SweepConfig(command="squeezed-gauge"), axis, branch)
+        table = run_squeezed_gauge(
+            SweepConfig(command="squeezed-gauge", axis=axis, branch=branch))
     assert np.isfinite(table.data).all()
 
 
@@ -249,7 +250,7 @@ def test_nonsquare_surface_grid_order(diffusion):
     table = run_nm_surface(SweepConfig(command="nm-surface", diffusion=diffusion, grids=grids))
     points = [(lam, omega, 0.0) for lam in lam_axis for omega in omega_axis]
     points += [(sign * omega, omega, sign) for omega in omega_axis for sign in (1.0, -1.0)]
-    params = NmFamilyParams(lam=0.0, omega=0.0, diffusion=DIFFUSIONS[diffusion])
+    params = NmFamilyParams(diffusion=DIFFUSIONS[diffusion])
     want = np.array([_reference_row(params, *point) for point in points])
     assert table.data.shape == (7 * 13 + 2 * 13, 9)
     npt.assert_array_equal(table.data, want)
@@ -320,7 +321,7 @@ def test_branch_errors_match_scalar_path(diffusion, model, grid, error, message)
     # B = 0 (1e-170); or alpha = 1e300 makes Y NaN. The sweep raises what the
     # scalar path raises at its first such row, with the same message.
     family = DIFFUSIONS[diffusion] if not model else DriftAlignedDiffusion(**model)
-    params = NmFamilyParams(lam=0.0, omega=0.0, diffusion=family)
+    params = NmFamilyParams(diffusion=family)
 
     def scalar_error(lam, omega):
         try:
@@ -365,7 +366,7 @@ def test_growing_or_static_memory_rejected(model, message):
     # gamma = nu = -1 passed 0 < r_mem < gamma/nu with kappa(1) = 1.78 > 1,
     # and nu = 0 divided by zero
     with pytest.raises(DimensionError, match=message):
-        NmFamilyParams(lam=0.0, omega=1.0, **model)
+        NmFamilyParams(**model)
     for run, command in ((run_nm_surface, "nm-surface"), (run_nm_branch, "nm-branch")):
         with pytest.raises(DimensionError, match=message):
             run(SweepConfig(command=command, model=model))

@@ -10,21 +10,18 @@ from gaussgauge import (
     GaussianGenerator,
     LindbladData,
     MomentState,
-    Ordering,
     apply_channel,
     compose,
     cp_check,
+    default_gauge_times,
     drift_exponential,
     identity_channel,
-    interleaving_permutation,
     jordan_structure,
-    reorder,
     solve_lyapunov,
     solve_stein,
     stein_series,
     symplectic_form,
     thermal_loss_channel,
-    vacuum_state,
 )
 from gaussgauge.verify import random_stable_channel, random_state
 
@@ -44,17 +41,9 @@ class TestSymplecticForm:
         expected[2:, :2] = -np.eye(2)
         npt.assert_array_equal(symplectic_form(2), expected)
 
-    def test_two_modes_interleaved_direct_sum(self):
-        block = np.array([[0.0, 1.0], [-1.0, 0.0]])
-        expected = np.block(
-            [[block, np.zeros((2, 2))], [np.zeros((2, 2)), block]]
-        )
-        npt.assert_array_equal(symplectic_form(2, Ordering.INTERLEAVED), expected)
-
     @pytest.mark.parametrize("modes", [1, 2, 3])
-    @pytest.mark.parametrize("ordering", list(Ordering))
-    def test_antisymmetric_and_squares_to_minus_identity(self, modes, ordering):
-        m = symplectic_form(modes, ordering)
+    def test_antisymmetric_and_squares_to_minus_identity(self, modes):
+        m = symplectic_form(modes)
         npt.assert_array_equal(m, -m.T)
         npt.assert_array_equal(m @ m, -np.eye(2 * modes))
 
@@ -69,47 +58,9 @@ class TestSymplecticForm:
             m[0, 1] = 2.0
 
 
-class TestReorder:
-    def test_interleaved_form_maps_to_grouped_form(self):
-        omega = symplectic_form(2, Ordering.INTERLEAVED)
-        sigma = symplectic_form(2, Ordering.GROUPED)
-        npt.assert_array_equal(reorder(omega, Ordering.INTERLEAVED, Ordering.GROUPED), sigma)
-
-    def test_vector_convention(self):
-        # (q1, p1, q2, p2) -> (q1, q2, p1, p2)
-        out = reorder([1.0, 2.0, 3.0, 4.0], Ordering.INTERLEAVED, Ordering.GROUPED)
-        npt.assert_array_equal(out, [1.0, 3.0, 2.0, 4.0])
-
-    def test_round_trip_is_exact(self, rng):
-        m = rng.standard_normal((6, 6))
-        back = reorder(
-            reorder(m, Ordering.GROUPED, Ordering.INTERLEAVED),
-            Ordering.INTERLEAVED,
-            Ordering.GROUPED,
-        )
-        npt.assert_array_equal(back, m)
-
-    def test_odd_dimension_rejected(self):
-        with pytest.raises(DimensionError):
-            reorder(np.zeros(3), Ordering.GROUPED, Ordering.INTERLEAVED)
-
-    @pytest.mark.parametrize("modes", [1, 2, 3])
-    def test_interleaving_permutation(self, rng, modes):
-        p = interleaving_permutation(modes)
-        q, mom = 10.0 * np.arange(1, modes + 1), 10.0 * np.arange(1, modes + 1) + 1.0
-        interleaved = np.column_stack([q, mom]).ravel()  # (q1, p1, q2, p2, ...)
-        npt.assert_array_equal(p @ interleaved, np.concatenate([q, mom]))
-        npt.assert_array_equal(p @ p.T, np.eye(2 * modes))
-        npt.assert_array_equal(p.T @ p, np.eye(2 * modes))
-        v, m = rng.standard_normal(2 * modes), rng.standard_normal((2 * modes, 2 * modes))
-        for obj, grouped in ((v, p @ v), (m, p @ m @ p.T)):
-            npt.assert_array_equal(reorder(obj, Ordering.INTERLEAVED, Ordering.GROUPED), grouped)
-            npt.assert_array_equal(reorder(grouped, Ordering.GROUPED, Ordering.INTERLEAVED), obj)
-
-
 class TestMomentState:
     def test_vacuum_is_physical_with_zero_margin(self):
-        state = vacuum_state(2)
+        state = MomentState(np.zeros(4), 0.5 * np.eye(4))
         assert robertson_margin(state) == pytest.approx(0.0, abs=1e-12)
 
     def test_asymmetric_covariance_rejected(self):
@@ -117,7 +68,7 @@ class TestMomentState:
             MomentState(d=np.zeros(2), V=np.array([[1.0, 0.5], [0.0, 1.0]]))
 
     def test_arrays_frozen(self):
-        state = vacuum_state(1)
+        state = MomentState(np.zeros(2), 0.5 * np.eye(2))
         with pytest.raises(ValueError):
             state.V[0, 0] = 3.0
 
@@ -130,7 +81,7 @@ class TestApplyChannel:
         npt.assert_allclose(out.V, state.V, atol=1e-15)
 
     def test_attenuator_fixes_vacuum(self):
-        out = apply_channel(thermal_loss_channel(0.5), vacuum_state(1))
+        out = apply_channel(thermal_loss_channel(0.5), MomentState(np.zeros(2), 0.5 * np.eye(2)))
         npt.assert_allclose(out.d, np.zeros(2), atol=1e-15)
         npt.assert_allclose(out.V, 0.5 * np.eye(2), atol=1e-15)
 
@@ -143,7 +94,7 @@ class TestApplyChannel:
 
     def test_mode_mismatch_rejected(self):
         with pytest.raises(DimensionError):
-            apply_channel(identity_channel(2), vacuum_state(1))
+            apply_channel(identity_channel(2), MomentState(np.zeros(2), 0.5 * np.eye(2)))
 
 
 class TestCompose:
@@ -254,12 +205,6 @@ class TestEdgePaths:
             state = random_state(rng, int(rng.integers(1, 4)))
             assert robertson_margin(state) >= -1e-12
 
-    def test_reorder_same_ordering_returns_copy(self, rng):
-        m = rng.standard_normal((4, 4))
-        out = reorder(m, Ordering.GROUPED, Ordering.GROUPED)
-        npt.assert_array_equal(out, m)
-        assert out is not m
-
 
 BIG = 1e308
 
@@ -271,7 +216,8 @@ NEAR_MAX_CASES = {
     "stein-4x4": lambda: solve_stein(0.1 * np.eye(4), BIG * np.eye(4)).S,
     "stein-series": lambda: stein_series(0.1 * np.eye(2), BIG * np.eye(2)).S,
     "apply-channel": lambda: apply_channel(
-        GaussianChannel(X=np.eye(2), Y=BIG * np.eye(2), delta=np.zeros(2)), vacuum_state(1)).V,
+        GaussianChannel(X=np.eye(2), Y=BIG * np.eye(2), delta=np.zeros(2)),
+        MomentState(np.zeros(2), 0.5 * np.eye(2))).V,
 }
 
 EMPTY = np.zeros((0, 0))
@@ -283,12 +229,13 @@ BAD_SHAPE_CASES = {
     "lindblad-0x0": lambda: LindbladData(H=EMPTY),
     "gauge-covariance-1d": lambda: GaugeCovariance(
         S=np.ones(2), source=GaugeSource.LYAPUNOV, residual=0.0),
-    "reorder-0d": lambda: reorder(1.0, Ordering.GROUPED, Ordering.INTERLEAVED),
     "jordan-0x0": lambda: jordan_structure(EMPTY),
     "stein-0x0": lambda: solve_stein(EMPTY, EMPTY),
     "stein-series-0x0": lambda: stein_series(EMPTY, EMPTY),
     "lyapunov-0x0": lambda: solve_lyapunov(EMPTY, EMPTY),
     "drift-exponential-0x0": lambda: drift_exponential(EMPTY),
+    "gauge-times-1d": lambda: default_gauge_times(-np.ones(2)),
+    "gauge-times-0x0": lambda: default_gauge_times(EMPTY),
 }
 
 

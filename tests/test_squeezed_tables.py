@@ -72,8 +72,9 @@ GAUGE_CASES = [
 @pytest.mark.parametrize("axis, model, grid", GAUGE_CASES)
 def test_gauge_rows_match_scalar_api_bitwise(axis, model, grid, branch):
     grids = {} if grid is None else {axis: grid}
-    config = SweepConfig(command="squeezed-gauge", model=model, grids=grids)
-    table = run_squeezed_gauge(config, axis, branch.value)
+    config = SweepConfig(
+        command="squeezed-gauge", model=model, grids=grids, axis=axis, branch=branch.value)
+    table = run_squeezed_gauge(config)
     base = {name: config.param(name) for name in ("kappa", "epsilon", "r", "phi")}
     want = []
     for value in config.grid(axis).points():
@@ -133,9 +134,9 @@ ERROR_CASES = [
 @pytest.mark.parametrize("axis, grid, model, message", ERROR_CASES)
 def test_gauge_grid_errors(axis, grid, model, message, capsys):
     grids = {} if grid is None else {axis: grid}
-    config = SweepConfig(command="squeezed-gauge", model=model, grids=grids)
+    config = SweepConfig(command="squeezed-gauge", model=model, grids=grids, axis=axis)
     with pytest.raises(DimensionError, match=f"^{message}$"):
-        run_squeezed_gauge(config, axis, "plus")
+        run_squeezed_gauge(config)
     argv = ["squeezed-gauge", "--axis", axis, "--branch", "minus"]
     argv += [] if grid is None else [f"--grid={grid.lo}:{grid.hi}:{grid.count}"]
     for name, value in model.items():

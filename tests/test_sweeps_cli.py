@@ -93,7 +93,7 @@ class TestDriftEigs:
 class TestSqueezedGaugeSweep:
     def test_unsqueezed_closed_form_along_kappa(self):
         config = cfg("squeezed-gauge", model={"epsilon": 1.0, "r": 0.0})
-        table = run_squeezed_gauge(config, "kappa", "plus")
+        table = run_squeezed_gauge(config)
         kappa = table.column("kappa")
         lam2 = table.column("lambda2")
         # S = [[1/2, -eps/kappa], [-eps/kappa, 1/2 + 4 eps^2/kappa^2]]
@@ -103,8 +103,8 @@ class TestSqueezedGaugeSweep:
         assert np.all(np.diff(lam2) < 0)
 
     def test_rows_revalidate_against_library(self):
-        config = cfg("squeezed-gauge")
-        table = run_squeezed_gauge(config, "r", "minus")
+        config = cfg("squeezed-gauge", axis="r", branch="minus")
+        table = run_squeezed_gauge(config)
         for row in table.rows[::17]:
             value = row[table.columns.index("r")]
             p = SqueezedReservoirParams(
@@ -120,16 +120,16 @@ class TestSqueezedGaugeSweep:
 
     def test_monotone_trends_on_default_grids(self):
         for branch in ("plus", "minus"):
-            kappa_table = run_squeezed_gauge(cfg("squeezed-gauge"), "kappa", branch)
+            kappa_table = run_squeezed_gauge(cfg("squeezed-gauge", branch=branch))
             for col in ("lambda1", "lambda2"):
                 assert np.all(np.diff(kappa_table.column(col)) <= 1e-12)
-            r_table = run_squeezed_gauge(cfg("squeezed-gauge"), "r", branch)
+            r_table = run_squeezed_gauge(cfg("squeezed-gauge", axis="r", branch=branch))
             for col in ("lambda1", "lambda2"):
                 assert np.all(np.diff(r_table.column(col)) >= -1e-12)
 
     def test_phi_argmax_offset_is_pi(self):
         tables = {
-            branch: run_squeezed_gauge(cfg("squeezed-gauge"), "phi", branch)
+            branch: run_squeezed_gauge(cfg("squeezed-gauge", axis="phi", branch=branch))
             for branch in ("plus", "minus")
         }
         args = {}
@@ -152,10 +152,8 @@ class TestNmSurface:
             omega = row[table.columns.index("omega")]
             if abs(omega) < 1e-9:
                 continue
-            params = NmFamilyParams(
-                lam=omega, omega=omega, diffusion=_aniso_default()
-            )
-            closed = nm_ep_gauge(params, 1.0, EpBranch.PLUS)
+            params = NmFamilyParams(diffusion=_aniso_default())
+            closed = nm_ep_gauge(params, 1.0, omega, EpBranch.PLUS)
             lo, hi = np.linalg.eigvalsh(closed.S)
             assert row[table.columns.index("lambda_min")] == pytest.approx(lo, abs=1e-10)
             assert row[table.columns.index("lambda_max")] == pytest.approx(hi, abs=1e-10)
@@ -171,7 +169,7 @@ class TestNmSurface:
             if r[0] == 0.0 and r[1] == 0.0
         ]
         assert len(rows) == 1
-        params = NmFamilyParams(lam=0.0, omega=0.0)
+        params = NmFamilyParams()
         kt = memory_factor(params, 1.0)
         y = 0.5 * abs(1.0 - kt * kt) + params.eps_buffer
         expected = y / (1.0 - kt * kt)
@@ -251,8 +249,7 @@ class TestNmBranch:
         for row in table.rows[::13]:
             omega = row[table.columns.index("omega")]
             sign = row[table.columns.index("branch")]
-            params = NmFamilyParams(lam=sign * omega, omega=omega)
-            ch = nm_channel(params, 1.0)
+            ch = nm_channel(NmFamilyParams(), 1.0, sign * omega, omega)
             s = solve_stein(ch.X, ch.Y).S
             lo, hi = np.linalg.eigvalsh(s)
             assert row[table.columns.index("lambda1")] == pytest.approx(lo, abs=1e-12)

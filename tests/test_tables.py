@@ -80,7 +80,8 @@ def default_figure_tables():
     yield run_drift_eigs(SweepConfig(command="drift-eigs"))
     for axis in ("kappa", "r", "phi"):
         for branch in ("plus", "minus"):
-            yield run_squeezed_gauge(SweepConfig(command="squeezed-gauge"), axis, branch)
+            yield run_squeezed_gauge(
+                SweepConfig(command="squeezed-gauge", axis=axis, branch=branch))
     for diffusion in DIFFUSION_CHOICES:
         yield run_nm_branch(SweepConfig(command="nm-branch", diffusion=diffusion))
         yield run_nm_surface(SweepConfig(command="nm-surface", diffusion=diffusion))

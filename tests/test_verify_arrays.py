@@ -267,14 +267,15 @@ def reference_ep_closed_forms(rng, fault=None):
             direct = solve_lyapunov(gen.A, gen.D).S
             worst = max(worst, float(np.max(np.abs(closed.S - direct))))
     for _ in range(n):
-        params = NmFamilyParams(lam=0.0, omega=rng.uniform(0.1, 2.0))
+        params = NmFamilyParams()
+        omega = rng.uniform(0.1, 2.0)
         t = rng.uniform(0.2, 3.0)
         for branch in EpBranch:
-            closed = nm_ep_gauge(params, t, branch).S
+            closed = nm_ep_gauge(params, t, omega, branch).S
             if fault == "ep-closed-form":
                 closed = closed + [[0.0, 1e-6], [1e-6, 0.0]]
             sign = 1.0 if branch is EpBranch.PLUS else -1.0
-            ch = nm_channel(params, t, lam=sign * params.omega, omega=params.omega)
+            ch = nm_channel(params, t, sign * omega, omega)
             direct = solve_stein(ch.X, ch.Y).S
             worst = max(worst, float(np.max(np.abs(closed - direct))))
     return SuiteResult("ep-closed-forms", worst <= 1e-10, worst, 1e-10, 2 * n)
