@@ -74,8 +74,6 @@ from .models import (
     drift_tensor,
     memory_factor,
     nm_channel,
-    nm_diffusion,
-    nm_drift,
     nm_ep_gauge,
     squeezed_drift_eigenvalues,
     squeezed_ep_gauge,

@@ -113,38 +113,38 @@ def read_config_file(path):
     return values
 
 
-# the settings that only some commands read
-_COMMAND_SETTINGS = {
-    "squeezed-gauge": ("axis", "branch"),
-    "nm-surface": ("diffusion",),
-    "nm-branch": ("diffusion",),
-    "verify": ("seed", "fault"),
+# the config keys each command reads, grid.<axis> for each of its axes
+_SWEEP_KEYS = ("format", "out", *MODEL_DEFAULTS)
+_CONFIG_KEYS = {
+    "drift-eigs": (*_SWEEP_KEYS, "grid.delta"),
+    "squeezed-gauge": (*_SWEEP_KEYS, "axis", "branch", "grid.kappa", "grid.r", "grid.phi"),
+    "nm-surface": (*_SWEEP_KEYS, "diffusion", "grid.lam", "grid.omega"),
+    "nm-branch": (*_SWEEP_KEYS, "diffusion", "grid.omega"),
+    "verify": ("seed", "fault", "out"),
 }
 
 
 def _merge_config(args):
     """Apply precedence: CLI flag > config file entry > defaults.
 
-    A config file that sets a setting of another command (`_COMMAND_SETTINGS`)
-    is rejected as one with an unknown key, as argparse rejects a flag the
-    command does not take; `seed` and `fault`, for one, are verify settings,
-    since no sweep draws a random number.
+    A config file key that the command does not read (`_CONFIG_KEYS`) is
+    rejected as unknown, as argparse rejects a flag the command does not
+    take; `seed` and `fault`, for one, are verify settings, since no sweep
+    draws a random number, and verify reads no model parameter or grid.
     """
     file_values = read_config_file(args.config) if getattr(args, "config", None) else {}
     model = {}
     grids = {}
     settings = {}
     for key, value in file_values.items():
+        if key not in _CONFIG_KEYS[args.command]:
+            raise GaussGaugeError(f"unknown config key {key!r}")
         if key.startswith("grid."):
             grids[key.split(".", 1)[1]] = _grid(value)
         elif key in MODEL_DEFAULTS:
             model[key] = float(value)
-        elif key in {"format", "fmt"}:
-            settings["fmt"] = value
-        elif key == "out" or key in _COMMAND_SETTINGS.get(args.command, ()):
-            settings[key] = int(value) if key == "seed" else value
         else:
-            raise GaussGaugeError(f"unknown config key {key!r}")
+            settings["fmt" if key == "format" else key] = int(value) if key == "seed" else value
     for name in _MODEL_FLAGS:
         flag = getattr(args, name, None)
         if flag is not None:

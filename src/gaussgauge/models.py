@@ -11,7 +11,7 @@ They follow the rule of the `onemode` kernels: cosh, sinh, cos and sin are
 numpy ufuncs and squares are products, so a float and the matching array
 element round alike. The non-Markovian family X_t = kappa(t) e^{tB} with
 memory factor kappa(t) = exp(-gamma t + r sin(nu t)) (gamma > 0 and
-0 < r < gamma/nu, so kappa(t) < 1) is defective on the lines
+0 < r < gamma/nu, so kappa(t) < 1 up to rounding) is defective on the lines
 lambda = +-omega, where the Stein covariance follows from the Jordan closed
 form for three diffusion structures. The thermal attenuator, whose drift is
 proportional to the identity, is the standard channel that cannot have an EP.
@@ -30,18 +30,19 @@ from .errors import (
     NumericalOverflowError,
     PhysicalityError,
     StabilityError,
-    require_finite,
 )
 from .generators import GaussianGenerator, LindbladData
 from .matrix_equations import (
     GaugeCovariance,
     GaugeSource,
     JordanDrift2x2,
-    drift_exponential,
+    _overflow_error,
+    _spectral_radius_error,
     lyapunov_residual,
     stein_jordan_closed_form,
 )
-from .phase_space import GaussianChannel, cp_check
+from .onemode import cp_margin_entries, expm2_entries, jury_triple
+from .phase_space import GaussianChannel
 
 
 class EpBranch(str, Enum):
@@ -147,17 +148,17 @@ def squeezed_eigenvalue_entries(kappa, delta, epsilon):
     return -0.5 * kappa - root, -0.5 * kappa + root
 
 
-def squeezed_ep_gauge(params, branch):
-    """Closed-form gauge covariance directly on an EP branch delta = +-eps.
-
-    The detuning is pinned to the branch internally (params.delta is ignored).
-    """
-    branch = EpBranch(branch)
+def squeezed_ep_gauge(params):
+    """Closed-form gauge covariance on the EP branch of params.delta: delta = eps
+    is the plus branch, delta = -eps the minus branch (both at eps = 0, where
+    they agree); any other delta raises DimensionError."""
     k, eps = params.kappa, params.epsilon
+    if params.delta not in (eps, -eps):
+        raise DimensionError(f"EP branches need delta = +-epsilon, got delta = {params.delta}")
+    branch = EpBranch.PLUS if params.delta == eps else EpBranch.MINUS
     s_qq, s_qp, s_pp = squeezed_ep_entries(k, eps, params.r, params.phi, branch)
     s = np.array([[s_qq, s_qp], [s_qp, s_pp]])
-    sign = 1.0 if branch is EpBranch.PLUS else -1.0
-    gen = squeezed_generator(SqueezedReservoirParams(k, sign * eps, eps, params.r, params.phi))
+    gen = squeezed_generator(params)
     return GaugeCovariance(
         S=s, source=GaugeSource.EP_BRANCH_FORMULA, residual=lyapunov_residual(gen.A, s, gen.D)
     )
@@ -235,8 +236,9 @@ class DriftAlignedDiffusion:
 
 @dataclass(frozen=True, kw_only=True)
 class NmFamilyParams:
-    """Keyword-only memory and diffusion settings of the non-Markovian family;
-    the drift-plane point (lam, omega) is an argument of each `nm_*` call."""
+    """Keyword-only memory and diffusion settings of the non-Markovian family,
+    which give kappa(t) < 1 for t > 0 up to rounding; the drift-plane point
+    (lam, omega) is an argument of each `nm_*` call."""
 
     gamma: float = 1.0
     r_mem: float = 0.3
@@ -250,7 +252,7 @@ class NmFamilyParams:
         if self.eps_buffer <= 0:
             raise DimensionError("CP buffer eps_buffer must be positive")
         # gamma > 0 and 0 < r_mem < gamma/nu give r_mem sin(nu t) < gamma t,
-        # so the memory factor kappa(t) decays below 1 for every t > 0
+        # so the memory factor kappa(t) decays below 1 for every t > 0, up to rounding
         if self.gamma <= 0:
             raise DimensionError("memory decay rate gamma must be positive")
         if self.nu == 0:
@@ -270,75 +272,119 @@ def memory_factor(params, t):
     return math.exp(-params.gamma * t + params.r_mem * math.sin(params.nu * t))
 
 
-def nm_drift(params, t, lam, omega):
-    """X_t = kappa(t) exp(t B(lam, omega))."""
-    return memory_factor(params, t) * drift_exponential(drift_tensor(lam, omega), t)
-
-
-def nm_diffusion(params, t, lam, omega):
-    """Near-minimal diffusion matrix of the selected model at time t; raises where undefined."""
-    if isinstance(params.diffusion, DriftAlignedDiffusion) and lam * lam + omega * omega == 0.0:
-        raise DegenerateModelError("drift-aligned diffusion undefined at B = 0")
-    y11, y12, y22 = nm_diffusion_entries(params, memory_factor(params, t), lam, omega)
-    y = np.array([[y11, y12], [y12, y22]])
-    require_finite(Y=y)
-    return y
-
-
 def nm_diffusion_entries(params, kt, lam, omega):
     """Entries (y11, y12, y22) of the model's Y_t at memory factor kt = kappa(t).
 
     lam and omega are floats or arrays of one shape; an entry that does not
     depend on them is a float. Raises PhysicalityError when the determinant
-    target is not positive. The drift-aligned model is undefined at B = 0,
-    where its array entries are NaN (`nm_diffusion` raises there instead).
+    target is not positive. The drift-aligned entries are NaN at B = 0 and
+    NaN or infinite beyond the float range, with numpy's warnings silenced.
     """
     model = params.diffusion
     if isinstance(model, IsotropicDiffusion):
         y = 0.5 * abs(1.0 - kt * kt) + params.eps_buffer
         return y, 0.0, y
-    g = 0.5 * (1.0 - kt * kt) + params.eps_buffer
-    if g <= 0:
-        raise PhysicalityError(
-            f"determinant target {g:.3e} not positive (kappa(t) = {kt:.4f} > 1)"
-        )
+    g = _determinant_target(params, kt)
     if isinstance(model, AnisotropicDiffusion):
         return g * math.exp(model.s), 0.0, g * math.exp(-model.s)
     if isinstance(model, DriftAlignedDiffusion):
         # M = I + alpha B B^T / tr(B B^T); (B B^T)_11 = (B B^T)_22 = lam^2 + omega^2
-        w11 = lam * lam + omega * omega
-        w12 = -2.0 * lam * omega
-        tr = w11 + w11
-        with np.errstate(divide="ignore", invalid="ignore"):
-            m11 = 1.0 + model.alpha * w11 / tr
-            m12 = model.alpha * w12 / tr
-        scale = g / np.sqrt(m11 * m11 - m12 * m12)
-        return scale * m11, scale * m12, scale * m11
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            w11 = lam * lam + omega * omega
+            w12 = -2.0 * lam * omega
+            tr = w11 + w11
+            # np.divide: on floats too a zero tr gives NaN, not ZeroDivisionError
+            m11 = 1.0 + np.divide(model.alpha * w11, tr)
+            m12 = np.divide(model.alpha * w12, tr)
+            scale = g / np.sqrt(m11 * m11 - m12 * m12)
+            return scale * m11, scale * m12, scale * m11
     raise DimensionError(f"unknown diffusion model {model!r}")
 
 
-def nm_channel(params, t, lam, omega):
-    """Fixed-time map (X_t, Y_t, 0) of the non-Markovian family.
+def _determinant_target(params, kt):
+    """The target g = (1 - kt^2)/2 + eps_buffer of det Y_t = g^2 (anisotropic
+    and drift-aligned models); PhysicalityError where it is not positive."""
+    g = 0.5 * (1.0 - kt * kt) + params.eps_buffer
+    if g <= 0:
+        raise PhysicalityError(f"determinant target {g:.3e} not positive (kappa(t) = {kt:.4f} > 1)")
+    return g
 
-    Construction does not require stability (only downstream Stein calls do);
-    complete positivity is verified through the one-mode determinant check.
-    """
+
+# Status codes of a non-Markovian point, in the order of its checks (see
+# `_nm_points`): EXP_OVERFLOW, exp(t B) beyond the float range; Y_B_ZERO, the
+# drift-aligned Y_t at B = 0; Y_TARGET, a determinant target that is not
+# positive; Y_NON_FINITE, any other Y_t that is not finite; NOT_CP, a CP margin
+# below its tolerance or NaN; NOT_SCHUR_STABLE, a Jury term <= 0
+GAUGED, EXP_OVERFLOW, Y_B_ZERO, Y_TARGET, Y_NON_FINITE, NOT_CP, NOT_SCHUR_STABLE = range(7)
+
+
+def _nm_status(kt, e, y, undefined=Y_NON_FINITE):
+    """X = kt exp(t B), the CP margin and the status code of each point, from
+    the entries e of exp(t B) and y of Y_t (1-D arrays); kt is a float or an
+    array, `undefined` the code, or codes, of a point whose Y_t is not finite."""
+    x = tuple(kt * v for v in e)
+    # where exp(t B) is finite but large the CP products overflow to a NaN margin
+    with np.errstate(over="ignore", invalid="ignore"):
+        margin, tol = cp_margin_entries(*x, *y)
+    # the checks in reverse order, so that the first one a point fails sets its code
+    status = np.where(margin >= -tol, GAUGED, NOT_CP)
+    status = np.where(np.isfinite(y).all(axis=0), status, undefined)
+    status[~np.isfinite(e).all(axis=0)] = EXP_OVERFLOW
+    # Schur stable iff all three Jury terms, so also their product, the Stein
+    # denominator, are positive; only the points that pass the checks before it
+    cp = np.flatnonzero(status == GAUGED)
+    jury = jury_triple(*(v[cp] for v in x))
+    status[cp[~np.logical_and.reduce([term > 0.0 for term in jury])]] = NOT_SCHUR_STABLE
+    return x, margin, status
+
+
+def _nm_points(params, t, lam, omega):
+    """Entries of X_t and Y_t, CP margin and status code, the first check it
+    fails, of each point (lam[i], omega[i]) of 1-D arrays: the one rule of
+    `nm_channel` and the non-Markovian tables. DimensionError where t <= 0."""
     if t <= 0:
         raise DimensionError("family time must be positive")
-    channel = GaussianChannel(
-        X=nm_drift(params, t, lam, omega),
-        Y=nm_diffusion(params, t, lam, omega),
-        delta=np.zeros(2),
-    )
-    report = cp_check(channel)
-    if not report.passes:
-        raise _cp_violation(report.margin)
-    return channel
+    kt = memory_factor(params, t)
+    try:
+        y, undefined = nm_diffusion_entries(params, kt, lam, omega), Y_NON_FINITE
+    except PhysicalityError:  # the determinant target, the same at every point
+        y, undefined = (math.nan,) * 3, Y_TARGET
+    if isinstance(params.diffusion, DriftAlignedDiffusion):
+        with np.errstate(over="ignore"):
+            undefined = np.where(lam * lam + omega * omega == 0.0, Y_B_ZERO, undefined)
+    y = tuple(np.broadcast_arrays(*y, lam)[:3])
+    # X_t = kappa(t) exp(t B) with B = [[lam, omega], [-omega, -lam]]
+    x, margin, status = _nm_status(kt, expm2_entries(lam, omega, -omega, -lam, t), y, undefined)
+    return x, y, margin, status
 
 
-def _cp_violation(margin):
-    """The error of a non-Markovian map that is not CP, with its CP margin."""
-    return PhysicalityError(f"channel violates CP (margin {margin:.3e})")
+def _raise_nm_error(status, params, t, margin):
+    """Raise the error of a non-Markovian point at time t whose status code
+    (see `_nm_points`) is not GAUGED; margin is its CP margin."""
+    if status == EXP_OVERFLOW:
+        raise _overflow_error(t)
+    if status == Y_B_ZERO:
+        raise DegenerateModelError("drift-aligned diffusion undefined at B = 0")
+    if status == Y_TARGET:
+        _determinant_target(params, memory_factor(params, t))  # raises PhysicalityError
+    if status == Y_NON_FINITE:
+        raise NonFiniteInputError("Y has non-finite entries")
+    if status == NOT_CP:
+        raise PhysicalityError(f"channel violates CP (margin {margin:.3e})")
+    raise _spectral_radius_error()
+
+
+def nm_channel(params, t, lam, omega):
+    """Fixed-time map (X_t, Y_t, 0) of the non-Markovian family, `_nm_points`
+    at one point. It raises the error of the point's status code unless that
+    is GAUGED or NOT_SCHUR_STABLE: construction does not require stability
+    (only downstream Stein calls do), and the map it returns is CP."""
+    _require_finite_values(lam=lam, omega=omega)
+    x, y, margin, status = _nm_points(params, t, np.array([lam], float), np.array([omega], float))
+    if status[0] not in (GAUGED, NOT_SCHUR_STABLE):
+        _raise_nm_error(status[0], params, t, margin[0])
+    (y11,), (y12,), (y22,) = y
+    return GaussianChannel(X=np.reshape(x, (2, 2)), Y=[[y11, y12], [y12, y22]], delta=np.zeros(2))
 
 
 def nm_ep_gauge(params, t, omega, branch):
@@ -354,8 +400,9 @@ def nm_ep_gauge(params, t, omega, branch):
     kt = memory_factor(params, t)
     if kt >= 1.0:
         raise StabilityError(f"kappa(t) = {kt:.4f} >= 1: single use unstable")
+    y11, y12, y22 = nm_diffusion_entries(params, kt, lam, omega)
     drift = JordanDrift2x2(alpha=kt, nilpotent=drift_tensor(lam, omega), t=t)
-    return stein_jordan_closed_form(drift, nm_diffusion(params, t, lam, omega))
+    return stein_jordan_closed_form(drift, [[y11, y12], [y12, y22]])
 
 
 # ---------------------------------------------------------------------------

@@ -5,14 +5,15 @@ fixed column list, and a metadata block with the fully resolved configuration
 so that a run is reproducible from its own output. Every table is evaluated
 in one pass over all its points through array-valued kernels that give the
 scalar API's values bit for bit: the squeezed-reservoir closed forms of
-`models` for `drift-eigs` and `squeezed-gauge`, the one-mode kernels of
-`onemode` for `nm-surface`, `nm-branch` and the `ep` column of
-`drift-eigs` (the 2x2 Jordan rule on the squeezed drift). All these
-kernels are whole-array numpy code, transcendentals included, and the
-non-Markovian tables decide Schur stability by the Jury triple, so their
-only LAPACK call is the stacked `eigvalsh` of the Stein solutions. Stable
-numeric formatting (17 significant digits in CSV, shortest-roundtrip repr
-in JSON) makes identical configurations byte-identical.
+`models` for `drift-eigs` and `squeezed-gauge`, the point rule of
+`nm_channel` (`models._nm_points`) and the `onemode` kernels for
+`nm-surface`, `nm-branch` and the `ep` column of `drift-eigs` (the 2x2
+Jordan rule on the squeezed drift). All these kernels are whole-array
+numpy code, transcendentals included, and the non-Markovian tables decide
+Schur stability by the Jury triple, so their only LAPACK call is the
+stacked `eigvalsh` of the Stein solutions. Stable numeric formatting (17
+significant digits in CSV, shortest-roundtrip repr in JSON) makes
+identical configurations byte-identical.
 """
 
 import itertools
@@ -23,29 +24,22 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__
-from .errors import DimensionError, NonFiniteInputError, PhysicalityError
-from .matrix_equations import _overflow_error, _spectral_radius_error
+from .errors import DimensionError, NonFiniteInputError
 from .models import (
+    GAUGED,
+    NOT_SCHUR_STABLE,
     AnisotropicDiffusion,
     DriftAlignedDiffusion,
     EpBranch,
     IsotropicDiffusion,
     NmFamilyParams,
     SqueezedReservoirParams,
-    _cp_violation,
-    memory_factor,
-    nm_diffusion,
-    nm_diffusion_entries,
+    _nm_points,
+    _raise_nm_error,
     squeezed_eigenvalue_entries,
     squeezed_ep_entries,
 )
-from .onemode import (
-    cp_margin_entries,
-    expm2_entries,
-    jordan2_entries,
-    jury_triple,
-    stein2_entries,
-)
+from .onemode import jordan2_entries, stein2_entries
 
 # Documented sweep defaults: the strong-drive/weak-damping regime, where the
 # sweep trends are clean on the default grids (gauge eigenvalues monotone in
@@ -235,8 +229,8 @@ def run_squeezed_gauge(config):
 
 
 def _nm_setup(config):
-    """The family parameters and time of a non-Markovian table, validated
-    once; every point of the table passes its own (lam, omega)."""
+    """The family parameters and time of a non-Markovian table, the parameters
+    validated once; every point of the table passes its own (lam, omega)."""
     params = NmFamilyParams(
         gamma=config.param("gamma"),
         r_mem=config.param("r_mem"),
@@ -244,10 +238,7 @@ def _nm_setup(config):
         diffusion=_diffusion_model(config),
         eps_buffer=config.param("eps_buffer"),
     )
-    t = config.param("t")
-    if t <= 0:
-        raise DimensionError("family time must be positive")
-    return params, t
+    return params, config.param("t")
 
 
 def _stack2(m11, m12, m21, m22):
@@ -255,58 +246,21 @@ def _stack2(m11, m12, m21, m22):
     return np.stack([m11, m12, m21, m22], axis=-1).reshape(-1, 2, 2)
 
 
-# Row status codes of the non-Markovian tables (see `_nm_points`)
-GAUGED, EXP_OVERFLOW, Y_UNDEFINED, NOT_CP, NOT_SCHUR_STABLE = range(5)
-
-
-def _nm_status(kt, e, y):
-    """X = kt exp(t B), the CP margin and the status code of each row, from the
-    entries e of exp(t B) and y of Y_t (1-D arrays); kt is a float or an array."""
-    x = tuple(kt * v for v in e)
-    # where exp(t B) is finite but large the CP products overflow to a NaN margin
-    with np.errstate(over="ignore", invalid="ignore"):
-        margin, tol = cp_margin_entries(*x, *y)
-    # the checks in reverse order, so that the first one a row fails sets its code
-    status = np.where(margin >= -tol, GAUGED, NOT_CP)
-    status[~np.isfinite(y).all(axis=0)] = Y_UNDEFINED
-    status[~np.isfinite(e).all(axis=0)] = EXP_OVERFLOW
-    # Schur stable iff all three Jury terms, so also their product, the Stein
-    # denominator, are positive; only the rows that pass the checks before it
-    cp = np.flatnonzero(status == GAUGED)
-    jury = jury_triple(*(v[cp] for v in x))
-    status[cp[~np.logical_and.reduce([term > 0.0 for term in jury])]] = NOT_SCHUR_STABLE
-    return x, margin, status
-
-
-def _nm_points(params, t, lam, omega):
-    """Gauge columns of the non-Markovian family at the points (lam[i], omega[i]).
-
-    lam and omega are 1-D arrays holding every point of a table. Returns the
-    columns lambda_min, lambda_max, s_qp and defective, the CP margin and the
-    status code of each row, the first check of `nm_channel`, then
-    `solve_stein`, that it fails: GAUGED; EXP_OVERFLOW, exp(t B) beyond the
-    float range; Y_UNDEFINED, Y_t not finite (drift-aligned B = 0, or a
-    determinant target that is not positive); NOT_CP, a margin below its
-    tolerance or NaN (CP products of a finite exp(t B) beyond the float
-    range); or NOT_SCHUR_STABLE, a Jury term <= 0. Rows not gauged carry NaN
-    values, rows whose channel is undefined (the middle three codes)
-    defective 0. The kernels are whole-array numpy code; one stacked
-    `eigvalsh` reduces the Stein solutions.
+def _nm_rows(params, t, lam, omega):
+    """The columns lambda_min, lambda_max, s_qp and defective, and the CP
+    margin and status code of `models._nm_points`, at all points of a table
+    (1-D arrays lam and omega). Rows not gauged carry NaN values, rows whose
+    channel is undefined (neither GAUGED nor NOT_SCHUR_STABLE) defective 0.
+    One stacked `eigvalsh` reduces the Stein solutions.
     """
-    kt = memory_factor(params, t)
-    try:
-        y = tuple(np.broadcast_arrays(*nm_diffusion_entries(params, kt, lam, omega), lam)[:3])
-    except PhysicalityError:  # determinant target not positive: undefined everywhere
-        y = (np.full(lam.shape, math.nan),) * 3
-    # X_t = kappa(t) exp(t B) with B = [[lam, omega], [-omega, -lam]]
-    x, margin, status = _nm_status(kt, expm2_entries(lam, omega, -omega, -lam, t), y)
+    x, y, margin, status = _nm_points(params, t, lam, omega)
     gauged = status == GAUGED
     values = np.full((lam.size, 3), math.nan)
     if gauged.any():
         s11, s12, s22 = stein2_entries(*(v[gauged] for v in x), *(v[gauged] for v in y))
         values[gauged, :2] = np.linalg.eigvalsh(_stack2(s11, s12, s12, s22))
         values[gauged, 2] = s12
-    defined = (status == GAUGED) | (status == NOT_SCHUR_STABLE)
+    defined = gauged | (status == NOT_SCHUR_STABLE)
     defective = np.zeros(lam.shape, dtype=bool)
     defective[defined] = jordan2_entries(*(v[defined] for v in x))[3]
     return (*values.T, defective.astype(float), margin, status)
@@ -325,7 +279,7 @@ def run_nm_surface(config):
     omega = np.concatenate([np.tile(omega_axis, lam_axis.size), np.repeat(omega_axis, 2)])
     on_branch = np.concatenate([np.zeros(lam_axis.size * omega_axis.size),
                                 np.tile([1.0, -1.0], omega_axis.size)])
-    *values, margin, status = _nm_points(params, t, lam, omega)
+    *values, margin, status = _nm_rows(params, t, lam, omega)
     # the margin of a row whose channel is defined
     margin[(status != GAUGED) & (status != NOT_SCHUR_STABLE)] = math.nan
     return SweepTable(
@@ -350,17 +304,11 @@ def run_nm_branch(config):
     omega = np.repeat(grid.points(), 2)
     branch = np.tile([1.0, -1.0], grid.count)
     lam = branch * omega
-    lo, hi, s_qp, _, margin, status = _nm_points(params, t, lam, omega)
-    # the error of the scalar path at the first flagged row
+    lo, hi, s_qp, _, margin, status = _nm_rows(params, t, lam, omega)
+    # the error nm_channel, then solve_stein, raises at the first flagged row
     i = int(np.argmax(status != GAUGED))
-    if status[i] == EXP_OVERFLOW:
-        raise _overflow_error(t)
-    if status[i] == Y_UNDEFINED:
-        nm_diffusion(params, t, lam[i], omega[i])  # raises where Y_t is undefined
-    if status[i] == NOT_CP:
-        raise _cp_violation(margin[i])
-    if status[i] == NOT_SCHUR_STABLE:
-        raise _spectral_radius_error()
+    if status[i] != GAUGED:
+        _raise_nm_error(status[i], params, t, margin[i])
     return SweepTable(
         columns=("omega", "branch", "lambda1", "lambda2", "s_qp"),
         data=np.column_stack([omega, branch, lo, hi, s_qp]),

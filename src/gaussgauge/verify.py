@@ -36,7 +36,7 @@ repeated squaring), `np.linalg.eigvals`, `np.linalg.eigvalsh`,
 `scipy.linalg.expm`; the residuals and max-norms are stacked too. The
 Stein half of `ep-closed-forms` checks the Jordan closed form against the
 whole-array route of the non-Markovian tables (`expm2_entries`,
-`nm_diffusion_entries`, the row status of `sweeps._nm_status`,
+`nm_diffusion_entries`, the point status of `models._nm_status`,
 `stein2_entries`); a draw whose row is not gauged fails the suite.
 """
 
@@ -62,8 +62,10 @@ from .matrix_equations import (
     stein_series,
 )
 from .models import (
+    GAUGED,
     EpBranch,
     NmFamilyParams,
+    _nm_status,
     memory_factor,
     nm_diffusion_entries,
     squeezed_ep_entries,
@@ -79,9 +81,7 @@ from .phase_space import (
 from .spectral import _ou_matrix, jordan_structure, truncated_ou_matrix
 from .sweeps import (
     FAULT_CHOICES,
-    GAUGED,
     SweepConfig,
-    _nm_status,
     _stack2,
     run_nm_branch,
     run_squeezed_gauge,

@@ -7,6 +7,7 @@ rotations of each other - and is marked as a strict expected failure; its
 recoverable content is asserted by test_criterion_10e_orientation_flip.
 """
 
+import dataclasses
 import math
 import time
 
@@ -159,15 +160,13 @@ def test_criterion_4_squeezed_ep_closed_forms():
             r=rng.uniform(0.0, 1.5),
             phi=rng.uniform(0.0, 2.0 * math.pi),
         )
-        branch = EpBranch.PLUS if rng.integers(2) else EpBranch.MINUS
-        sign = 1.0 if branch is EpBranch.PLUS else -1.0
-        closed = squeezed_ep_gauge(p, branch)
-        gen = squeezed_generator(
-            SqueezedReservoirParams(p.kappa, sign * p.epsilon, p.epsilon, p.r, p.phi)
-        )
+        sign = 1.0 if rng.integers(2) else -1.0  # the plus or the minus branch
+        p = dataclasses.replace(p, delta=sign * p.epsilon)
+        closed = squeezed_ep_gauge(p)
+        gen = squeezed_generator(p)
         worst = max(worst, np.abs(closed.S - solve_lyapunov(gen.A, gen.D).S).max())
     pinned = squeezed_ep_gauge(
-        SqueezedReservoirParams(kappa=2.0, delta=1.0, epsilon=1.0, r=0.0), EpBranch.PLUS
+        SqueezedReservoirParams(kappa=2.0, delta=1.0, epsilon=1.0, r=0.0)
     ).S
     pin_err = np.abs(pinned - np.array([[0.5, -0.5], [-0.5, 1.5]])).max()
     report(

@@ -30,7 +30,6 @@ from gaussgauge import (
     jordan_structure,
     memory_factor,
     nm_channel,
-    nm_diffusion,
     nm_ep_gauge,
     solve_lyapunov,
     solve_stein,
@@ -46,6 +45,17 @@ from gaussgauge.verify import random_hurwitz, random_psd, random_schur_stable
 
 def spectral_radius(x):
     return float(np.abs(np.linalg.eigvals(x)).max())
+
+
+def _naming(name, entry):
+    """entry, whose NonFiniteInputError must name the argument `name`."""
+    def checked(bad):
+        try:
+            entry(bad)
+        except NonFiniteInputError as exc:
+            assert str(exc).startswith(f"{name} "), exc
+            raise
+    return checked
 
 
 class TestStability:
@@ -626,7 +636,7 @@ class TestGuards:
         lambda bad: thermal_loss_channel(0.5, bad[0, 0]),
         lambda bad: memory_factor(NmFamilyParams(), bad[0, 0]),
         lambda bad: nm_channel(NmFamilyParams(), bad[0, 0], 0.7, 0.7),
-        lambda bad: nm_diffusion(NmFamilyParams(), bad[0, 0], 0.7, 0.7),
+        _naming("lam", lambda bad: nm_channel(NmFamilyParams(), 1.0, bad[0, 0], 0.7)),
         lambda bad: nm_ep_gauge(NmFamilyParams(), bad[0, 0], 0.7, "plus"),
     ], ids=["lyap-D", "lyap-A", "stein-X", "stein-Y", "series-Y", "channel-X", "channel-Y",
             "channel-delta", "generator-A", "generator-D", "generator-u",
@@ -634,7 +644,7 @@ class TestGuards:
             "state-d", "gauge-covariance-S", "gauge-times-A", "additive-spectrum",
             "squeezed-kappa", "squeezed-r", "squeezed-phi", "nm-gamma", "aniso-s",
             "drift-aligned-alpha", "thermal-eta", "thermal-nbar", "memory-t", "nm-channel-t",
-            "nm-diffusion-t", "nm-ep-gauge-t"])
+            "nm-channel-lam", "nm-ep-gauge-t"])
     def test_non_finite_input_rejected(self, entry, value):
         bad = -0.5 * np.eye(4)
         bad[0, 0] = value

@@ -33,6 +33,7 @@ from gaussgauge import (
     stein_series,
     thermal_loss_channel,
 )
+from gaussgauge.models import squeezed_ep_entries
 
 
 def random_squeezed_params(rng):
@@ -79,7 +80,7 @@ class TestSqueezedGenerator:
 class TestSqueezedEpGauge:
     def test_plus_branch_reference_point(self):
         p = SqueezedReservoirParams(kappa=2.0, delta=1.0, epsilon=1.0, r=0.0)
-        cov = squeezed_ep_gauge(p, EpBranch.PLUS)
+        cov = squeezed_ep_gauge(p)
         npt.assert_allclose(cov.S, [[0.5, -0.5], [-0.5, 1.5]], atol=1e-14)
         assert cov.source is GaugeSource.EP_BRANCH_FORMULA
         assert cov.residual <= 1e-13
@@ -88,18 +89,27 @@ class TestSqueezedEpGauge:
         # Lyapunov solution for the delta = -eps drift (the naive eps -> -eps
         # substitution in the plus-branch forms does not solve it)
         p = SqueezedReservoirParams(kappa=2.0, delta=-1.0, epsilon=1.0, r=0.0)
-        cov = squeezed_ep_gauge(p, EpBranch.MINUS)
+        cov = squeezed_ep_gauge(p)
         npt.assert_allclose(cov.S, [[1.5, -0.5], [-0.5, 0.5]], atol=1e-14)
+
+    def test_branch_read_from_delta(self):
+        # delta = eps is the plus branch and delta = -eps the minus branch; at
+        # eps = 0, where both hold, the two branches give one S
+        p = SqueezedReservoirParams(kappa=2.0, delta=0.0, epsilon=0.0, r=0.3, phi=0.4)
+        s_qq, s_qp, s_pp = squeezed_ep_entries(2.0, 0.0, 0.3, 0.4, EpBranch.MINUS)
+        npt.assert_array_equal(squeezed_ep_gauge(p).S, [[s_qq, s_qp], [s_qp, s_pp]])
+        for delta in (5.0, 0.5, -0.999):  # delta = 5 gave the delta = 1 result
+            with pytest.raises(DimensionError, match="delta = "):
+                squeezed_ep_gauge(SqueezedReservoirParams(kappa=1.0, delta=delta, epsilon=1.0))
 
     @pytest.mark.parametrize("branch", list(EpBranch))
     def test_matches_lyapunov_solver(self, rng, branch):
         sign = 1.0 if branch is EpBranch.PLUS else -1.0
         for _ in range(200):
             p = random_squeezed_params(rng)
-            closed = squeezed_ep_gauge(p, branch)
-            gen = squeezed_generator(
-                SqueezedReservoirParams(p.kappa, sign * p.epsilon, p.epsilon, p.r, p.phi)
-            )
+            p = SqueezedReservoirParams(p.kappa, sign * p.epsilon, p.epsilon, p.r, p.phi)
+            closed = squeezed_ep_gauge(p)
+            gen = squeezed_generator(p)
             npt.assert_allclose(closed.S, solve_lyapunov(gen.A, gen.D).S, atol=1e-10)
 
 

@@ -20,11 +20,10 @@ from gaussgauge import (
     PhysicalityError,
     cp_check,
     drift_exponential,
+    drift_tensor,
     jordan_structure,
     memory_factor,
     nm_channel,
-    nm_diffusion,
-    nm_drift,
     solve_stein,
 )
 from gaussgauge.cli import main
@@ -93,8 +92,10 @@ def test_channel_kernels_match_scalar_bitwise(rng, diffusion):
         defective = jordan2_entries(*x)[3]
         s = stein2_entries(*x, *y)
         for i in np.flatnonzero(defined):
-            X = nm_drift(params, 1.0, lam[i], omega[i])
-            Y = nm_diffusion(params, 1.0, lam[i], omega[i])
+            # the scalar routes: exp(t B) of the 2x2 drift, Y_t from floats
+            X = kt * drift_exponential(drift_tensor(lam[i], omega[i]), 1.0)
+            y11, y12, y22 = nm_diffusion_entries(params, kt, lam[i], omega[i])
+            Y = np.array([[y11, y12], [y12, y22]])
             npt.assert_array_equal([v[i] for v in x], X.ravel())
             npt.assert_array_equal([y[0][i], y[1][i], y[2][i]], Y.ravel()[[0, 1, 3]])
             report = cp_check(GaussianChannel(X, Y, np.zeros(2)))
@@ -107,7 +108,7 @@ def test_channel_kernels_match_scalar_bitwise(rng, diffusion):
                 npt.assert_array_equal([v[i] for v in s], S.ravel()[[0, 1, 3]])
         for i in np.flatnonzero(~defined):
             with pytest.raises(DegenerateModelError):
-                nm_diffusion(params, 1.0, lam[i], omega[i])
+                nm_channel(params, 1.0, lam[i], omega[i])
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
@@ -169,7 +170,7 @@ def test_unstable_flag_at_the_schur_boundary(diffusion):
     assert not np.isnan(table.column("cp_margin")).any()
     near = []
     for lam, omega, _, _, _, _, _, unstable, _ in table.rows:
-        X = nm_drift(params, 1.0, lam, omega)
+        X = nm_channel(params, 1.0, lam, omega).X
         spr = float(np.abs(np.linalg.eigvals(X)).max())
         if abs(spr - 1.0) > 1e-12:
             assert unstable == float(spr >= 1.0), (lam, omega, spr)
@@ -330,15 +331,41 @@ def test_branch_errors_match_scalar_path(diffusion, model, grid, error, message)
         except GaussGaugeError as exc:
             return exc
 
-    with np.errstate(over="ignore", invalid="ignore"):
-        # rows in table order: lam = +omega, then -omega
-        errors = [scalar_error(sign * omega, omega) for omega in grid.points() for sign in (1, -1)]
-        config = SweepConfig(command="nm-branch", diffusion=diffusion, model=model,
-                             grids={"omega": grid})
-        with pytest.raises(error, match=message) as table:
-            run_nm_branch(config)
+    # rows in table order: lam = +omega, then -omega
+    errors = [scalar_error(sign * omega, omega) for omega in grid.points() for sign in (1, -1)]
+    config = SweepConfig(command="nm-branch", diffusion=diffusion, model=model,
+                         grids={"omega": grid})
+    with pytest.raises(error, match=message) as table:
+        run_nm_branch(config)
     first = next(exc for exc in errors if exc is not None)
     assert type(first) is error and str(first) == str(table.value)
+
+
+# settings that pass validation, yet at T_ABOVE_ONE the rounded kappa(t) is
+# 1 + 7e-15, since -gamma t + r_mem sin(nu t) nearly cancels
+KAPPA_ABOVE_ONE = {"gamma": 236550.30509014626, "nu": 1.549200509242374e-05,
+                   "r_mem": 15269185859.345577, "eps_buffer": 1e-16}
+T_ABOVE_ONE = 0.00024800058811992224
+
+
+def test_rounded_memory_factor_above_one(capsys):
+    # the determinant target (1 - kappa(t)^2)/2 + eps_buffer is negative: the
+    # scalar path and nm-branch raise, nm-surface flags every row
+    params = NmFamilyParams(diffusion=AnisotropicDiffusion(), **KAPPA_ABOVE_ONE)
+    assert memory_factor(params, T_ABOVE_ONE) > 1.0
+    message = r"determinant target -\S+ not positive \(kappa\(t\) = 1\.0000 > 1\)"
+    with pytest.raises(PhysicalityError, match=message) as scalar:
+        nm_channel(params, T_ABOVE_ONE, 0.5, 0.7)
+    model = dict(KAPPA_ABOVE_ONE, t=T_ABOVE_ONE)
+    with pytest.raises(PhysicalityError, match=message):
+        run_nm_branch(SweepConfig(command="nm-branch", diffusion="aniso", model=model))
+    flags = [f"--{name.replace('_', '-')}={value}" for name, value in model.items()]
+    capsys.readouterr()
+    assert main(["nm-branch", "--diffusion", "aniso", *flags]) == 2
+    assert capsys.readouterr().err == f"error: {scalar.value}\n"
+    table = run_nm_surface(SweepConfig(command="nm-surface", diffusion="aniso", model=model))
+    assert (table.column("unstable") == 1.0).all() and (table.column("defective") == 0.0).all()
+    assert np.isnan(table.data[:, 2:5]).all() and np.isnan(table.column("cp_margin")).all()
 
 
 @pytest.mark.xfail(strict=True, reason="ROADMAP item 4: det X and tr X of X = kappa (I + t B) "

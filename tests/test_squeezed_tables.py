@@ -6,6 +6,7 @@ gives at that point, and the scalar API must still take the closed forms by
 the operations written out below, in their order.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -79,9 +80,10 @@ def test_gauge_rows_match_scalar_api_bitwise(axis, model, grid, branch):
     want = []
     for value in config.grid(axis).points():
         vals = dict(base, **{axis: value})
+        sign = 1.0 if branch is EpBranch.PLUS else -1.0
         params = SqueezedReservoirParams(
-            vals["kappa"], 0.0, vals["epsilon"], vals["r"], vals["phi"])
-        s = squeezed_ep_gauge(params, branch).S
+            vals["kappa"], sign * vals["epsilon"], vals["epsilon"], vals["r"], vals["phi"])
+        s = squeezed_ep_gauge(params).S
         npt.assert_array_equal(
             s, written_out_ep_entries(vals["kappa"], vals["epsilon"], vals["r"], vals["phi"],
                                       branch))
@@ -184,9 +186,9 @@ def test_squeezing_beyond_float_range(r, capsys):
     # cosh(2r) overflows past r ~ 355.2; at r = 354 the entries scaled by
     # 4 eps^2 / kappa^2 already do
     params = SqueezedReservoirParams(kappa=0.04, delta=1.0, epsilon=1.0, r=r, phi=math.pi / 2)
-    for branch in EpBranch:
+    for delta in (1.0, -1.0):  # the plus and minus branches
         with pytest.raises(NumericalOverflowError):
-            squeezed_ep_gauge(params, branch)
+            squeezed_ep_gauge(dataclasses.replace(params, delta=delta))
     capsys.readouterr()
     assert main(["squeezed-gauge", "--axis", "r", f"--grid=0:{r}:5"]) == 2
     assert capsys.readouterr().err.startswith("error: ")

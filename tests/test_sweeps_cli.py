@@ -109,12 +109,12 @@ class TestSqueezedGaugeSweep:
             value = row[table.columns.index("r")]
             p = SqueezedReservoirParams(
                 kappa=config.param("kappa"),
-                delta=0.0,
+                delta=-config.param("epsilon"),  # the minus branch
                 epsilon=config.param("epsilon"),
                 r=value,
                 phi=config.param("phi"),
             )
-            lo, hi = np.linalg.eigvalsh(squeezed_ep_gauge(p, EpBranch.MINUS).S)
+            lo, hi = np.linalg.eigvalsh(squeezed_ep_gauge(p).S)
             assert row[table.columns.index("lambda1")] == pytest.approx(lo, abs=1e-13)
             assert row[table.columns.index("lambda2")] == pytest.approx(hi, abs=1e-13)
 
@@ -445,7 +445,16 @@ class TestCli:
          ("nm-surface", "axis", "r"),
          ("nm-branch", "branch", "minus"),
          ("squeezed-gauge", "diffusion", "aniso"),
-         ("verify", "diffusion", "aniso")],
+         ("verify", "diffusion", "aniso"),
+         ("verify", "kappa", "3"),
+         ("verify", "grid.kappa", "0:1:3"),
+         ("verify", "format", "json"),
+         ("nm-branch", "grid.lamda", "0:1:3"),
+         ("nm-branch", "grid.lam", "0:1:3"),
+         ("nm-surface", "grid.delta", "0:1:3"),
+         ("drift-eigs", "grid.kappa", "0:1:3"),
+         ("squeezed-gauge", "grid.omega", "0:1:3"),
+         ("drift-eigs", "fmt", "json")],
     )
     def test_setting_of_another_command_rejected(self, command, key, value, tmp_path, capsys):
         # a config key that the command does not read is an unknown key, not
@@ -455,6 +464,20 @@ class TestCli:
         self.assert_rejected_before_writing(
             [command, "--config", str(config)], tmp_path, capsys,
             f"unknown config key '{key}'")
+
+    @pytest.mark.parametrize(
+        "command, lines, meta",
+        [("drift-eigs", "grid.delta = -1:1:3", "# grid = -1.0:1.0:3\n"),
+         ("squeezed-gauge", "axis = phi\ngrid.phi = 0:1:3", "# grid = 0.0:1.0:3\n"),
+         ("nm-surface", "grid.lam = -1:1:3\ngrid.omega = 0:1:3", "# grid2 = 0.0:1.0:3\n"),
+         ("nm-branch", "grid.omega = 0.5:1:3", "# grid = 0.5:1.0:3\n")],
+    )
+    def test_grid_keys_of_the_command_accepted(self, command, lines, meta, tmp_path):
+        config = tmp_path / "grid.cfg"
+        config.write_text(lines + "\n")
+        out = tmp_path / "t.csv"
+        assert self.run_cli([command, "--config", str(config), "--out", str(out)]) == 0
+        assert meta in out.read_text()
 
     def test_unknown_format_rejected(self, tmp_path, capsys):
         from gaussgauge import DimensionError

@@ -258,12 +258,10 @@ def reference_ep_closed_forms(rng, fault=None):
             r=rng.uniform(0.0, 1.5),
             phi=rng.uniform(0.0, 2 * math.pi),
         )
-        for branch in EpBranch:
-            closed = squeezed_ep_gauge(p, branch)
-            sign = 1.0 if branch is EpBranch.PLUS else -1.0
-            gen = squeezed_generator(
-                SqueezedReservoirParams(p.kappa, sign * p.epsilon, p.epsilon, p.r, p.phi)
-            )
+        for sign in (1.0, -1.0):  # the plus and minus branches
+            on_branch = dataclasses.replace(p, delta=sign * p.epsilon)
+            closed = squeezed_ep_gauge(on_branch)
+            gen = squeezed_generator(on_branch)
             direct = solve_lyapunov(gen.A, gen.D).S
             worst = max(worst, float(np.max(np.abs(closed.S - direct))))
     for _ in range(n):
