@@ -1,12 +1,8 @@
 """Command-line front end: parameter sweeps and the self-verification suite.
 
-Commands
---------
-drift-eigs       drift eigenvalue branches vs detuning (EP rows marked)
-squeezed-gauge   gauge-covariance eigenvalues along kappa | r | phi per branch
-nm-surface       gauge eigenvalues over the (lambda, omega) drift plane
-nm-branch        gauge eigenvalues along the EP lines lambda = +-omega
-verify           run the invariant suites; exit 1 on any failure
+The sweep commands, with their settings and grid axes, are the entries of
+`sweeps.SWEEPS`; `verify` runs the invariant suites and exits 1 on any
+failure.
 
 Configuration precedence: command-line flags > config file (`key = value`
 lines) > built-in defaults. Exit codes: 0 success, 1 verification failure,
@@ -21,20 +17,10 @@ import functools
 import json
 import sys
 
+from . import sweeps
 from .errors import DimensionError, GaussGaugeError
-from .sweeps import (
-    _TEXT,
-    DIFFUSION_CHOICES,
-    FAULT_CHOICES,
-    MODEL_DEFAULTS,
-    GridSpec,
-    SweepConfig,
-    run_drift_eigs,
-    run_nm_branch,
-    run_nm_surface,
-    run_squeezed_gauge,
-    write_table,
-)
+from .sweeps import (_CHOICES, _TEXT, FAULT_CHOICES, MODEL_DEFAULTS, SWEEPS, GridSpec,
+                     SweepConfig, write_table)
 
 _MODEL_FLAGS = sorted(MODEL_DEFAULTS)
 
@@ -54,6 +40,13 @@ def _parse_grid(text):
         raise argparse.ArgumentTypeError(str(exc))
 
 
+def _grid_flags(command, axis):
+    """(flag, grid axis) pairs of a sweep command: --grid sets its first axis,
+    or `axis` if the command has an `axis` setting, and --grid2 its second."""
+    sweep = SWEEPS[command]
+    return zip(("grid", "grid2"), (axis,) if "axis" in sweep.settings else sweep.grids)
+
+
 def _add_common(parser):
     parser.add_argument("--out", help="output path (default: stdout)")
     parser.add_argument("--format", choices=("csv", "json"), default=None, dest="fmt")
@@ -70,26 +63,14 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("drift-eigs", help="drift eigenvalues vs detuning")
-    _add_common(p)
-    p.add_argument("--grid", type=_parse_grid, default=None, help="delta grid lo:hi:count")
-
-    p = sub.add_parser("squeezed-gauge", help="EP-branch gauge eigenvalues along an axis")
-    _add_common(p)
-    p.add_argument("--axis", choices=("kappa", "r", "phi"), default=None)
-    p.add_argument("--branch", choices=("plus", "minus"), default=None)
-    p.add_argument("--grid", type=_parse_grid, default=None, help="axis grid lo:hi:count")
-
-    p = sub.add_parser("nm-surface", help="gauge eigenvalues over the drift plane")
-    _add_common(p)
-    p.add_argument("--diffusion", choices=DIFFUSION_CHOICES, default=None)
-    p.add_argument("--grid", type=_parse_grid, default=None, help="lambda grid lo:hi:count")
-    p.add_argument("--grid2", type=_parse_grid, default=None, help="omega grid lo:hi:count")
-
-    p = sub.add_parser("nm-branch", help="gauge eigenvalues along the EP lines")
-    _add_common(p)
-    p.add_argument("--diffusion", choices=DIFFUSION_CHOICES, default=None)
-    p.add_argument("--grid", type=_parse_grid, default=None, help="omega grid lo:hi:count")
+    for command, sweep in SWEEPS.items():
+        p = sub.add_parser(command, help=sweep.help)
+        _add_common(p)
+        for name, choices in sweep.settings.items():
+            p.add_argument(f"--{name}", choices=choices, default=None)
+        for flag, axis in _grid_flags(command, "axis"):
+            p.add_argument(f"--{flag}", type=_parse_grid, default=None,
+                           help=f"{axis} grid lo:hi:count")
 
     p = sub.add_parser("verify", help="run the invariant suites")
     p.add_argument("--seed", type=int, default=None)
@@ -114,14 +95,12 @@ def read_config_file(path):
 
 
 # the config keys each command reads, grid.<axis> for each of its axes
-_SWEEP_KEYS = ("format", "out", *MODEL_DEFAULTS)
-_CONFIG_KEYS = {
-    "drift-eigs": (*_SWEEP_KEYS, "grid.delta"),
-    "squeezed-gauge": (*_SWEEP_KEYS, "axis", "branch", "grid.kappa", "grid.r", "grid.phi"),
-    "nm-surface": (*_SWEEP_KEYS, "diffusion", "grid.lam", "grid.omega"),
-    "nm-branch": (*_SWEEP_KEYS, "diffusion", "grid.omega"),
-    "verify": ("seed", "fault", "out"),
-}
+_CONFIG_KEYS = {command: ("format", "out", *MODEL_DEFAULTS, *sweep.settings,
+                          *(f"grid.{axis}" for axis in sweep.grids))
+                for command, sweep in SWEEPS.items()}
+_CONFIG_KEYS["verify"] = ("seed", "fault", "out")
+# the attribute of every flag that carries a model parameter or a setting
+_FLAGS = (*_MODEL_FLAGS, "fmt", "seed", "fault", "out", *_CHOICES)
 
 
 def _merge_config(args):
@@ -145,23 +124,11 @@ def _merge_config(args):
             model[key] = float(value)
         else:
             settings["fmt" if key == "format" else key] = int(value) if key == "seed" else value
-    for name in _MODEL_FLAGS:
-        flag = getattr(args, name, None)
-        if flag is not None:
-            model[name] = flag
-    for attr in ("fmt", "seed", "axis", "branch", "diffusion", "out", "fault"):
+    for attr in _FLAGS:
         flag = getattr(args, attr, None)
         if flag is not None:
-            settings[attr] = flag
+            (model if attr in MODEL_DEFAULTS else settings)[attr] = flag
     return model, grids, settings
-
-
-_PRIMARY_AXIS = {
-    "drift-eigs": "delta",
-    "squeezed-gauge": None,  # depends on --axis
-    "nm-surface": "lam",
-    "nm-branch": "omega",
-}
 
 
 def _build_sweep_config(args):
@@ -169,10 +136,9 @@ def _build_sweep_config(args):
     config file gives keeps the SweepConfig default."""
     model, grids, settings = _merge_config(args)
     config = SweepConfig(command=args.command, model=model, grids=grids, **settings)
-    if getattr(args, "grid", None) is not None:
-        config.grids[_PRIMARY_AXIS[args.command] or config.axis] = args.grid
-    if getattr(args, "grid2", None) is not None:
-        config.grids["omega"] = args.grid2
+    for flag, axis in _grid_flags(args.command, config.axis):
+        if getattr(args, flag) is not None:
+            config.grids[axis] = getattr(args, flag)
     return config
 
 
@@ -215,17 +181,9 @@ def main(argv=None):
         if args.command == "verify":
             return _run_verify(args)
         config = _build_sweep_config(args)
-        if args.command == "drift-eigs":
-            table = run_drift_eigs(config)
-        elif args.command == "squeezed-gauge":
-            table = run_squeezed_gauge(config)
-        elif args.command == "nm-surface":
-            table = run_nm_surface(config)
-        elif args.command == "nm-branch":
-            table = run_nm_branch(config)
-        else:  # pragma: no cover - argparse enforces the choices
-            parser.error(f"unknown command {args.command}")
-        _emit(table, config)
+        # looked up at call time, so a wrapper put on the sweeps module is called
+        run = getattr(sweeps, f"run_{args.command.replace('-', '_')}")
+        _emit(run(config), config)
         return 0
     except (GaussGaugeError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -103,8 +103,8 @@ def default_gauge_times(A, count=20):
     A = np.asarray(A, dtype=float)
     _square("drift", A, stack=True)
     require_finite(A=A)
-    if count < 0:
-        raise DimensionError(f"gauge time count must be nonnegative, got {count}")
+    if not isinstance(count, (int, np.integer)) or count < 0:
+        raise DimensionError(f"gauge time count must be a nonnegative integer, got {count!r}")
     decay = -np.linalg.eigvals(A).real.max(axis=-1)
     if np.count_nonzero(decay <= 0):
         raise StabilityError("default gauge times need a Hurwitz drift")

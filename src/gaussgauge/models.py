@@ -394,6 +394,7 @@ def nm_ep_gauge(params, t, omega, branch):
     the single channel use to be stable.
     """
     branch = EpBranch(branch)
+    _require_finite_values(omega=omega)
     if omega == 0:
         raise DegenerateModelError("EP branches need omega != 0 (B = 0 is not defective)")
     lam = omega if branch is EpBranch.PLUS else -omega

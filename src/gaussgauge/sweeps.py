@@ -19,6 +19,7 @@ identical configurations byte-identical.
 import itertools
 import json
 import math
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -58,17 +59,28 @@ MODEL_DEFAULTS = {
     "alpha": 1.0,
 }
 
-GRID_DEFAULTS = {
-    "delta": (-2.0, 2.0, 101),
-    "kappa": (0.04, 5.0, 101),
-    "r": (0.0, 2.0, 81),
-    "phi": (0.0, 2.0 * math.pi, 101),
-    "lam": (-1.5, 1.5, 41),
-    "omega": (-1.5, 1.5, 41),
-    "branch_omega": (0.1, 2.0, 40),
+DIFFUSION_CHOICES = ("iso", "aniso", "drift-aligned")
+
+# Each sweep command: its help line, its settings with their choices (the
+# first is the SweepConfig default) and its grid axes with their default
+# (lo, hi, count). The CLI builds its parsers, config keys and dispatch (to
+# `run_<command>`) from this table; --grid sets the first axis, or the one
+# the `axis` setting names, and --grid2 the second.
+Sweep = namedtuple("Sweep", "help settings grids")
+SWEEPS = {
+    "drift-eigs": Sweep("drift eigenvalues vs detuning", {}, {"delta": (-2.0, 2.0, 101)}),
+    "squeezed-gauge": Sweep(
+        "EP-branch gauge eigenvalues along an axis",
+        {"axis": ("kappa", "r", "phi"), "branch": ("plus", "minus")},
+        {"kappa": (0.04, 5.0, 101), "r": (0.0, 2.0, 81), "phi": (0.0, 2.0 * math.pi, 101)}),
+    "nm-surface": Sweep("gauge eigenvalues over the drift plane", {"diffusion": DIFFUSION_CHOICES},
+                        {"lam": (-1.5, 1.5, 41), "omega": (-1.5, 1.5, 41)}),
+    "nm-branch": Sweep("gauge eigenvalues along the EP lines", {"diffusion": DIFFUSION_CHOICES},
+                       {"omega": (0.1, 2.0, 40)}),
 }
 
-DIFFUSION_CHOICES = ("iso", "aniso", "drift-aligned")
+# a setting has the same choices in every command that reads it
+_CHOICES = {name: choices for sweep in SWEEPS.values() for name, choices in sweep.settings.items()}
 
 # the computations `verify --fault` sabotages, one suite each (see verify.py)
 FAULT_CHOICES = (
@@ -103,29 +115,37 @@ class SweepConfig:
     command: str
     model: dict = field(default_factory=dict)
     grids: dict = field(default_factory=dict)
-    axis: str = "kappa"
-    branch: str = "plus"
-    diffusion: str = "iso"
+    axis: str = _CHOICES["axis"][0]
+    branch: str = _CHOICES["branch"][0]
+    diffusion: str = _CHOICES["diffusion"][0]
     fmt: str = "csv"
     out: str = None
 
     def __post_init__(self):
         # one check for flags and config-file lines alike, before any table is built
+        if self.command not in SWEEPS:
+            raise DimensionError(f"command must be one of {', '.join(SWEEPS)}")
         for name, value in self.model.items():
             if not math.isfinite(float(value)):
                 raise NonFiniteInputError(f"{name} must be finite, got {value}")
         if self.fmt not in _TEXT:
             raise DimensionError(f"unknown output format {self.fmt!r}")
+        for name, choices in _CHOICES.items():
+            if getattr(self, name) not in choices:
+                raise DimensionError(f"{name} must be one of {', '.join(choices)}")
+        axes = SWEEPS[self.command].grids
+        for name in self.grids:
+            if name not in axes:
+                raise DimensionError(f"grid axis {name!r} is not one of {', '.join(axes)}")
 
     def param(self, name):
         return float(self.model.get(name, MODEL_DEFAULTS[name]))
 
-    def grid(self, name, default_key=None):
-        key = default_key or name
+    def grid(self, name):
+        """The grid of axis `name`: the given one, else the command's default."""
         if name in self.grids:
             return self.grids[name]
-        lo, hi, count = GRID_DEFAULTS[key]
-        return GridSpec(lo, hi, count)
+        return GridSpec(*SWEEPS[self.command].grids[name])
 
 
 @dataclass(frozen=True)
@@ -162,13 +182,17 @@ class SweepTable:
 
 
 def _diffusion_model(config):
-    if config.diffusion == "iso":
-        return IsotropicDiffusion()
+    """The diffusion model of a config; SweepConfig admits only DIFFUSION_CHOICES."""
     if config.diffusion == "aniso":
         return AnisotropicDiffusion(s=config.param("s"))
     if config.diffusion == "drift-aligned":
         return DriftAlignedDiffusion(alpha=config.param("alpha"))
-    raise DimensionError(f"unknown diffusion model {config.diffusion!r}")
+    return IsotropicDiffusion()
+
+
+def _require_command(config, command):
+    if config.command != command:
+        raise DimensionError(f"the {command} sweep cannot run a {config.command} config")
 
 
 def _base_meta(config, **extra):
@@ -190,6 +214,7 @@ def run_drift_eigs(config):
     [[-kappa/2, delta - eps], [-(delta + eps), -kappa/2]] of
     `squeezed_generator`, entry for entry.
     """
+    _require_command(config, "drift-eigs")
     grid = config.grid("delta")
     kappa, eps = config.param("kappa"), config.param("epsilon")
     r, phi = config.param("r"), config.param("phi")
@@ -208,9 +233,8 @@ def run_drift_eigs(config):
 
 def run_squeezed_gauge(config):
     """Eigenvalues of the EP-branch gauge covariance along kappa, r, or phi."""
+    _require_command(config, "squeezed-gauge")
     axis = config.axis
-    if axis not in ("kappa", "r", "phi"):
-        raise DimensionError("axis must be one of kappa, r, phi")
     branch = EpBranch(config.branch)
     grid = config.grid(axis)
     values = {name: config.param(name) for name in ("kappa", "epsilon", "r", "phi")}
@@ -268,6 +292,7 @@ def _nm_rows(params, t, lam, omega):
 
 def run_nm_surface(config):
     """Gauge-covariance eigenvalues over the drift plane with EP overlay rows."""
+    _require_command(config, "nm-surface")
     lam_grid = config.grid("lam")
     omega_grid = config.grid("omega")
     params, t = _nm_setup(config)
@@ -297,7 +322,8 @@ def run_nm_surface(config):
 
 def run_nm_branch(config):
     """Gauge eigenvalues along the two EP branches lambda = +-omega."""
-    grid = config.grid("omega", default_key="branch_omega")
+    _require_command(config, "nm-branch")
+    grid = config.grid("omega")
     if grid.lo <= 0.0:
         raise DimensionError("branch sweeps need omega > 0 (B = 0 at omega = 0)")
     params, t = _nm_setup(config)

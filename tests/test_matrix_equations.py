@@ -638,13 +638,14 @@ class TestGuards:
         lambda bad: nm_channel(NmFamilyParams(), bad[0, 0], 0.7, 0.7),
         _naming("lam", lambda bad: nm_channel(NmFamilyParams(), 1.0, bad[0, 0], 0.7)),
         lambda bad: nm_ep_gauge(NmFamilyParams(), bad[0, 0], 0.7, "plus"),
+        _naming("omega", lambda bad: nm_ep_gauge(NmFamilyParams(), 1.0, bad[0, 0], "plus")),
     ], ids=["lyap-D", "lyap-A", "stein-X", "stein-Y", "series-Y", "channel-X", "channel-Y",
             "channel-delta", "generator-A", "generator-D", "generator-u",
             "expm2-B", "expm2-t", "drift-exp-A", "jordan-2x2", "jordan-4x4", "state-V",
             "state-d", "gauge-covariance-S", "gauge-times-A", "additive-spectrum",
             "squeezed-kappa", "squeezed-r", "squeezed-phi", "nm-gamma", "aniso-s",
             "drift-aligned-alpha", "thermal-eta", "thermal-nbar", "memory-t", "nm-channel-t",
-            "nm-channel-lam", "nm-ep-gauge-t"])
+            "nm-channel-lam", "nm-ep-gauge-t", "nm-ep-gauge-omega"])
     def test_non_finite_input_rejected(self, entry, value):
         bad = -0.5 * np.eye(4)
         bad[0, 0] = value

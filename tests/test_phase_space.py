@@ -237,6 +237,7 @@ BAD_SHAPE_CASES = {
     "gauge-times-1d": lambda: default_gauge_times(-np.ones(2)),
     "gauge-times-0x0": lambda: default_gauge_times(EMPTY),
     "gauge-times-count-negative": lambda: default_gauge_times(-np.eye(2), count=-1),
+    "gauge-times-count-float": lambda: default_gauge_times(-np.eye(2), count=2.5),
 }
 
 

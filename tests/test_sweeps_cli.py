@@ -45,6 +45,43 @@ def test_grid_spec_validation():
             GridSpec(lo, hi, 3)
 
 
+@pytest.mark.parametrize(
+    "config, message",
+    [(dict(command="bogus"),
+      "command must be one of drift-eigs, squeezed-gauge, nm-surface, nm-branch"),
+     (dict(command="verify"), "command must be one of "),
+     (dict(command="drift-eigs", grids={"kappa": (0.0, 1.0, 3)}),
+      "grid axis 'kappa' is not one of delta"),
+     (dict(command="nm-branch", grids={"lam": (0.0, 1.0, 3)}),
+      "grid axis 'lam' is not one of omega"),
+     (dict(command="squeezed-gauge", grids={"delta": (0.0, 1.0, 3)}),
+      "grid axis 'delta' is not one of kappa, r, phi")],
+    ids=["bogus", "verify", "drift-eigs-kappa", "nm-branch-lam", "squeezed-gauge-delta"],
+)
+def test_config_outside_the_sweep_table_rejected(config, message):
+    from gaussgauge import DimensionError
+
+    with pytest.raises(DimensionError, match=f"^{re.escape(message)}"):
+        SweepConfig(**config)
+
+
+@pytest.mark.parametrize(
+    "run, command",
+    [(run_drift_eigs, "squeezed-gauge"),
+     (run_squeezed_gauge, "drift-eigs"),
+     (run_nm_surface, "nm-branch"),
+     (run_nm_branch, "nm-surface"),
+     (run_nm_branch, "drift-eigs")],
+)
+def test_config_of_another_command_not_run(run, command):
+    # a run_* given another command's config used to build its own table
+    # under the other command's name in the meta
+    from gaussgauge import DimensionError
+
+    with pytest.raises(DimensionError, match=f"cannot run a {command} config"):
+        run(cfg(command))
+
+
 class TestDriftEigs:
     def test_real_parts_and_ep_markers(self):
         table = run_drift_eigs(
@@ -489,6 +526,27 @@ class TestCli:
         self.assert_rejected_before_writing(
             ["drift-eigs", "--config", str(config)], tmp_path, capsys,
             "unknown output format 'xml'")
+
+    @pytest.mark.parametrize(
+        "command, key, message",
+        [("squeezed-gauge", "axis", "axis must be one of kappa, r, phi"),
+         ("squeezed-gauge", "branch", "branch must be one of plus, minus"),
+         ("nm-surface", "diffusion", "diffusion must be one of iso, aniso, drift-aligned"),
+         ("nm-branch", "diffusion", "diffusion must be one of iso, aniso, drift-aligned")],
+        ids=["axis", "branch", "nm-surface-diffusion", "nm-branch-diffusion"],
+    )
+    def test_setting_outside_its_choices_rejected(self, command, key, message, tmp_path, capsys):
+        # one message form from the library and the config file alike; a bad
+        # branch used to read "'foo' is not a valid EpBranch", a bad diffusion
+        # "unknown diffusion model 'foo'"
+        from gaussgauge import DimensionError
+
+        with pytest.raises(DimensionError, match=f"^{message}$"):
+            cfg(command, **{key: "foo"})
+        config = tmp_path / "sweep.cfg"
+        config.write_text(f"{key} = foo\n")
+        self.assert_rejected_before_writing(
+            [command, "--config", str(config)], tmp_path, capsys, f"{message}\n")
 
     def test_invalid_config_exit_code(self, tmp_path):
         config = tmp_path / "bad.cfg"

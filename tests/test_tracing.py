@@ -6,7 +6,8 @@ reduces the spans of a run to one number per metric. A traced `verify` run
 and solver calls at 2x2, 4x4, 6x6 and 12x12, one of each size route, must
 reduce to finite scalars, which holds only while every solver's residual is
 a Python float; so must traced `nm-branch` runs, one that writes its table
-and one that stops at a flagged row.
+and one that stops at a flagged row, and one default run of each other
+sweep command.
 """
 
 import importlib.util
@@ -62,6 +63,11 @@ def test_traced_verify_and_solvers_reduce_to_finite_scalars():
 @pytest.mark.parametrize("argv, code, rows", [
     (["nm-branch"], 0, 80),
     (["nm-branch", "--grid=1e7:2e7:3"], 2, 0),  # a row that is not CP
+    # one default run of each other sweep: the dispatch must call the binding
+    # the tracer wraps, or the rows vanish from the per-layer metrics
+    (["drift-eigs"], 0, 101),
+    (["squeezed-gauge"], 0, 101),
+    (["nm-surface"], 0, 41 * 41 + 2 * 41),
 ])
 def test_traced_branch_sweeps_reduce_to_finite_scalars(argv, code, rows, capsys):
     tracing = load_tracing()
