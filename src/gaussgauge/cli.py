@@ -1,8 +1,8 @@
 """Command-line front end: parameter sweeps and the self-verification suite.
 
-The sweep commands, with their settings and grid axes, are the entries of
-`sweeps.SWEEPS`; `verify` runs the invariant suites and exits 1 on any
-failure.
+The sweep commands, with the model parameters they read (`params`), their
+settings and their grid axes, are the entries of `sweeps.SWEEPS`; `verify`
+runs the invariant suites and exits 1 on any failure.
 
 Configuration precedence: command-line flags > config file (`key = value`
 lines) > built-in defaults. Exit codes: 0 success, 1 verification failure,
@@ -19,10 +19,8 @@ import sys
 
 from . import sweeps
 from .errors import DimensionError, GaussGaugeError
-from .sweeps import (_CHOICES, _TEXT, FAULT_CHOICES, MODEL_DEFAULTS, SWEEPS, GridSpec,
-                     SweepConfig, write_table)
-
-_MODEL_FLAGS = sorted(MODEL_DEFAULTS)
+from .sweeps import (_CHOICES, _TEXT, DIFFUSION_PARAMS, FAULT_CHOICES, MODEL_DEFAULTS, SWEEPS,
+                     GridSpec, SweepConfig, write_table)
 
 
 def _grid(text):
@@ -47,14 +45,6 @@ def _grid_flags(command, axis):
     return zip(("grid", "grid2"), (axis,) if "axis" in sweep.settings else sweep.grids)
 
 
-def _add_common(parser):
-    parser.add_argument("--out", help="output path (default: stdout)")
-    parser.add_argument("--format", choices=("csv", "json"), default=None, dest="fmt")
-    parser.add_argument("--config", help="config file with 'key = value' lines")
-    for name in _MODEL_FLAGS:
-        parser.add_argument(f"--{name.replace('_', '-')}", type=float, default=None, dest=name)
-
-
 @functools.cache
 def build_parser():
     parser = argparse.ArgumentParser(
@@ -64,8 +54,15 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     for command, sweep in SWEEPS.items():
-        p = sub.add_parser(command, help=sweep.help)
-        _add_common(p)
+        # no abbreviations: nm-branch --r would otherwise set r_mem
+        p = sub.add_parser(command, help=sweep.help, allow_abbrev=False)
+        p.add_argument("--out", help="output path (default: stdout)")
+        p.add_argument("--format", choices=("csv", "json"), default=None, dest="fmt")
+        p.add_argument("--config", help="config file with 'key = value' lines")
+        # a flag for each model parameter that some setting of the command reads
+        diffusions = DIFFUSION_PARAMS.values() if "diffusion" in sweep.settings else ()
+        for name in sweep.params + sum(diffusions, ()):
+            p.add_argument(f"--{name.replace('_', '-')}", type=float, default=None, dest=name)
         for name, choices in sweep.settings.items():
             p.add_argument(f"--{name}", choices=choices, default=None)
         for flag, axis in _grid_flags(command, "axis"):
@@ -94,37 +91,35 @@ def read_config_file(path):
     return values
 
 
-# the config keys each command reads, grid.<axis> for each of its axes
-_CONFIG_KEYS = {command: ("format", "out", *MODEL_DEFAULTS, *sweep.settings,
-                          *(f"grid.{axis}" for axis in sweep.grids))
-                for command, sweep in SWEEPS.items()}
-_CONFIG_KEYS["verify"] = ("seed", "fault", "out")
-# the attribute of every flag that carries a model parameter or a setting
-_FLAGS = (*_MODEL_FLAGS, "fmt", "seed", "fault", "out", *_CHOICES)
+# the attribute of every flag that carries a model parameter or a setting, by config key
+_FLAGS = {key: key for key in (*MODEL_DEFAULTS, "seed", "fault", "out", *_CHOICES)}
+_FLAGS["format"] = "fmt"
 
 
 def _merge_config(args):
     """Apply precedence: CLI flag > config file entry > defaults.
 
-    A config file key that the command does not read (`_CONFIG_KEYS`) is
-    rejected as unknown, as argparse rejects a flag the command does not
-    take; `seed` and `fault`, for one, are verify settings, since no sweep
-    draws a random number, and verify reads no model parameter or grid.
+    A config key is read where the command has the flag of that name
+    (`format` for --format) or the grid axis of `grid.<axis>`; any other key
+    is rejected as unknown, as argparse rejects the flag. `seed` and `fault`,
+    for one, are verify settings, since no sweep draws a random number.
     """
     file_values = read_config_file(args.config) if getattr(args, "config", None) else {}
+    axes = SWEEPS[args.command].grids if args.command in SWEEPS else {}
     model = {}
     grids = {}
     settings = {}
     for key, value in file_values.items():
-        if key not in _CONFIG_KEYS[args.command]:
+        kind, _, axis = key.partition(".")
+        if kind == "grid" and axis in axes:
+            grids[axis] = _grid(value)
+        elif key not in _FLAGS or not hasattr(args, _FLAGS[key]):
             raise GaussGaugeError(f"unknown config key {key!r}")
-        if key.startswith("grid."):
-            grids[key.split(".", 1)[1]] = _grid(value)
         elif key in MODEL_DEFAULTS:
             model[key] = float(value)
         else:
-            settings["fmt" if key == "format" else key] = int(value) if key == "seed" else value
-    for attr in _FLAGS:
+            settings[_FLAGS[key]] = int(value) if key == "seed" else value
+    for attr in _FLAGS.values():
         flag = getattr(args, attr, None)
         if flag is not None:
             (model if attr in MODEL_DEFAULTS else settings)[attr] = flag

@@ -1,11 +1,13 @@
 """Parameter sweeps over the model families, emitted as figure-ready tables.
 
 Each command produces a SweepTable: one float array of rows in grid order, a
-fixed column list, and a metadata block with the fully resolved configuration
-so that a run is reproducible from its own output. Every table is evaluated
-in one pass over all its points through array-valued kernels that give the
-scalar API's values bit for bit: the squeezed-reservoir closed forms of
-`models` for `drift-eigs` and `squeezed-gauge`, the point rule of
+fixed column list, and a metadata block with the fully resolved configuration,
+the model parameters it reads included (`SweepConfig.reads`, from the
+`params` column of `SWEEPS`), so that a run is reproducible from its own
+output. Every table is evaluated in one pass over all its points through
+array-valued kernels that give the scalar API's values bit for bit: the
+squeezed-reservoir closed forms of `models` for `drift-eigs` and
+`squeezed-gauge`, the point rule of
 `nm_channel` (`models._nm_points`) and the `onemode` kernels for
 `nm-surface`, `nm-branch` and the `ep` column of `drift-eigs` (the 2x2
 Jordan rule on the squeezed drift). All these kernels are whole-array
@@ -59,24 +61,30 @@ MODEL_DEFAULTS = {
     "alpha": 1.0,
 }
 
-DIFFUSION_CHOICES = ("iso", "aniso", "drift-aligned")
+# the model parameters each diffusion model reads
+DIFFUSION_PARAMS = {"iso": (), "aniso": ("s",), "drift-aligned": ("alpha",)}
+DIFFUSION_CHOICES = tuple(DIFFUSION_PARAMS)
 
-# Each sweep command: its help line, its settings with their choices (the
-# first is the SweepConfig default) and its grid axes with their default
+# Each sweep command: its help line, the names of the model parameters it
+# reads (MODEL_DEFAULTS has their defaults), its settings with their choices
+# (the first is the SweepConfig default) and its grid axes with their default
 # (lo, hi, count). The CLI builds its parsers, config keys and dispatch (to
 # `run_<command>`) from this table; --grid sets the first axis, or the one
 # the `axis` setting names, and --grid2 the second.
-Sweep = namedtuple("Sweep", "help settings grids")
+Sweep = namedtuple("Sweep", "help params settings grids")
+_NM_PARAMS = ("gamma", "r_mem", "nu", "t", "eps_buffer")
 SWEEPS = {
-    "drift-eigs": Sweep("drift eigenvalues vs detuning", {}, {"delta": (-2.0, 2.0, 101)}),
+    "drift-eigs": Sweep("drift eigenvalues vs detuning", ("kappa", "epsilon"), {},
+                        {"delta": (-2.0, 2.0, 101)}),
     "squeezed-gauge": Sweep(
-        "EP-branch gauge eigenvalues along an axis",
+        "EP-branch gauge eigenvalues along an axis", ("kappa", "epsilon", "r", "phi"),
         {"axis": ("kappa", "r", "phi"), "branch": ("plus", "minus")},
         {"kappa": (0.04, 5.0, 101), "r": (0.0, 2.0, 81), "phi": (0.0, 2.0 * math.pi, 101)}),
-    "nm-surface": Sweep("gauge eigenvalues over the drift plane", {"diffusion": DIFFUSION_CHOICES},
+    "nm-surface": Sweep("gauge eigenvalues over the drift plane", _NM_PARAMS,
+                        {"diffusion": DIFFUSION_CHOICES},
                         {"lam": (-1.5, 1.5, 41), "omega": (-1.5, 1.5, 41)}),
-    "nm-branch": Sweep("gauge eigenvalues along the EP lines", {"diffusion": DIFFUSION_CHOICES},
-                       {"omega": (0.1, 2.0, 40)}),
+    "nm-branch": Sweep("gauge eigenvalues along the EP lines", _NM_PARAMS,
+                       {"diffusion": DIFFUSION_CHOICES}, {"omega": (0.1, 2.0, 40)}),
 }
 
 # a setting has the same choices in every command that reads it
@@ -133,10 +141,23 @@ class SweepConfig:
         for name, choices in _CHOICES.items():
             if getattr(self, name) not in choices:
                 raise DimensionError(f"{name} must be one of {', '.join(choices)}")
-        axes = SWEEPS[self.command].grids
-        for name in self.grids:
-            if name not in axes:
-                raise DimensionError(f"grid axis {name!r} is not one of {', '.join(axes)}")
+        sweep = SWEEPS[self.command]
+        for name, grid in self.grids.items():
+            if name not in sweep.grids:
+                raise DimensionError(f"grid axis {name!r} is not one of {', '.join(sweep.grids)}")
+            if not isinstance(grid, GridSpec):
+                raise DimensionError(f"grid {name!r} must be a GridSpec, got {grid!r}")
+        for name in self.model:
+            if name not in self.reads():
+                raise DimensionError(f"{self.command} reads {', '.join(self.reads())}, not {name}")
+
+    def reads(self):
+        """The model parameters this config reads: its command's, those of its
+        diffusion model, less the squeezed-gauge axis, whose values come from its grid."""
+        sweep = SWEEPS[self.command]
+        diffusion = DIFFUSION_PARAMS[self.diffusion] if "diffusion" in sweep.settings else ()
+        axis = self.axis if "axis" in sweep.settings else None
+        return tuple(name for name in sweep.params + diffusion if name != axis)
 
     def param(self, name):
         return float(self.model.get(name, MODEL_DEFAULTS[name]))
@@ -201,7 +222,7 @@ def _base_meta(config, **extra):
         "version": __version__,
         "format": config.fmt,
     }
-    for key in sorted(MODEL_DEFAULTS):
+    for key in config.reads():
         meta[f"param.{key}"] = config.param(key)
     meta.update(extra)
     return meta
@@ -217,8 +238,7 @@ def run_drift_eigs(config):
     _require_command(config, "drift-eigs")
     grid = config.grid("delta")
     kappa, eps = config.param("kappa"), config.param("epsilon")
-    r, phi = config.param("r"), config.param("phi")
-    SqueezedReservoirParams(kappa, grid.lo, eps, r, phi)  # delta is unchecked: one row checks all
+    SqueezedReservoirParams(kappa, grid.lo, eps)  # delta is unchecked: one row checks all
     delta = grid.points()
     lam_minus, lam_plus = squeezed_eigenvalue_entries(kappa, delta, eps)
     ep = jordan2_entries(-0.5 * kappa, delta - eps, -(delta + eps), -0.5 * kappa)[3]

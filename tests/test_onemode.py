@@ -368,7 +368,7 @@ def test_rounded_memory_factor_above_one(capsys):
     assert np.isnan(table.data[:, 2:5]).all() and np.isnan(table.column("cp_margin")).all()
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 4: det X and tr X of X = kappa (I + t B) "
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 2: det X and tr X of X = kappa (I + t B) "
                    "lose their digits near omega t = 1e7, and a large CP buffer hides it")
 def test_large_cp_buffer_hides_no_branch_defect(capsys):
     # exits 0 with lambda_1 = -5.98e15, a covariance that is not positive

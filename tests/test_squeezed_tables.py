@@ -149,16 +149,25 @@ def test_gauge_grid_errors(axis, grid, model, message, capsys):
 
 
 @pytest.mark.parametrize(
-    "flag, value, message",
-    [("kappa", 0.0, "kappa must be positive"),
-     ("r", -1.0, "squeezing magnitude r must be nonnegative")],
+    "flag, value, message, cli_error",
+    [pytest.param("kappa", 0.0, "kappa must be positive", "error: kappa must be positive",
+                  id="kappa-0.0-kappa must be positive"),
+     # the drift spectrum is independent of the squeezing: no --r flag
+     pytest.param("r", 1.0, "drift-eigs reads kappa, epsilon, not r",
+                  "gaussgauge: error: unrecognized arguments: --r 1.0",
+                  id="drift-eigs rejects --r")],
 )
-def test_drift_eigs_errors(flag, value, message, capsys):
+def test_drift_eigs_errors(flag, value, message, cli_error, capsys):
     with pytest.raises(DimensionError, match=f"^{message}$"):
         run_drift_eigs(SweepConfig(command="drift-eigs", model={flag: value}))
     capsys.readouterr()
-    assert main(["drift-eigs", f"--{flag}", str(value)]) == 2
-    assert capsys.readouterr().err == f"error: {message}\n"
+    try:
+        code = main(["drift-eigs", f"--{flag}", str(value)])
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err.endswith(f"{cli_error}\n")
 
 
 def test_kernels_match_scalar_api_on_random_points(rng):

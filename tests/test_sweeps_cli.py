@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import re
@@ -17,8 +18,11 @@ from gaussgauge import (
     squeezed_ep_gauge,
     SqueezedReservoirParams,
 )
-from gaussgauge.cli import main
+from gaussgauge import sweeps
+from gaussgauge.cli import build_parser, main
 from gaussgauge.sweeps import (
+    MODEL_DEFAULTS,
+    SWEEPS,
     SweepConfig,
     run_drift_eigs,
     run_nm_branch,
@@ -55,14 +59,75 @@ def test_grid_spec_validation():
      (dict(command="nm-branch", grids={"lam": (0.0, 1.0, 3)}),
       "grid axis 'lam' is not one of omega"),
      (dict(command="squeezed-gauge", grids={"delta": (0.0, 1.0, 3)}),
-      "grid axis 'delta' is not one of kappa, r, phi")],
-    ids=["bogus", "verify", "drift-eigs-kappa", "nm-branch-lam", "squeezed-gauge-delta"],
+      "grid axis 'delta' is not one of kappa, r, phi"),
+     # a grid that is not a GridSpec used to end in a raw AttributeError
+     (dict(command="drift-eigs", grids={"delta": (0.0, 1.0, 3)}),
+      "grid 'delta' must be a GridSpec, got (0.0, 1.0, 3)"),
+     # a model value no sweep reads used to be dropped without a trace
+     (dict(command="drift-eigs", model={"delta": 5.0}), "drift-eigs reads kappa, epsilon, not delta")],
+    ids=["bogus", "verify", "drift-eigs-kappa", "nm-branch-lam", "squeezed-gauge-delta",
+         "drift-eigs-tuple-grid", "drift-eigs-model-delta"],
 )
 def test_config_outside_the_sweep_table_rejected(config, message):
     from gaussgauge import DimensionError
 
     with pytest.raises(DimensionError, match=f"^{re.escape(message)}"):
         SweepConfig(**config)
+
+
+def settings_of(command):
+    """Every combination of the command's settings, as SweepConfig keywords."""
+    settings = SWEEPS[command].settings
+    return [dict(zip(settings, choices)) for choices in itertools.product(*settings.values())]
+
+
+def readable(command):
+    """The model parameters that some setting of the command reads."""
+    return {name for settings in settings_of(command)
+            for name in SweepConfig(command, **settings).reads()}
+
+
+@pytest.mark.parametrize("command", SWEEPS)
+def test_config_takes_only_the_model_values_it_reads(command):
+    from gaussgauge import DimensionError
+
+    for settings in settings_of(command):
+        reads = SweepConfig(command, **settings).reads()
+        assert set(reads) <= set(MODEL_DEFAULTS)
+        for name in (*MODEL_DEFAULTS, "delta"):
+            if name in reads:
+                SweepConfig(command, model={name: MODEL_DEFAULTS[name]}, **settings)
+            else:
+                with pytest.raises(DimensionError, match=f"^{command} reads .*, not {name}$"):
+                    SweepConfig(command, model={name: 1.0}, **settings)
+
+
+@pytest.mark.parametrize("command", SWEEPS)
+def test_meta_records_exactly_the_model_values_read(command):
+    run = getattr(sweeps, f"run_{command.replace('-', '_')}")
+    for settings in settings_of(command):
+        config = SweepConfig(command, **settings)
+        meta = run(config).meta
+        params = {key[len("param."):]: value for key, value in meta.items()
+                  if key.startswith("param.")}
+        assert params == {name: config.param(name) for name in config.reads()}
+
+
+@pytest.mark.parametrize("name", MODEL_DEFAULTS)
+@pytest.mark.parametrize("command", SWEEPS)
+def test_model_flag_and_key_only_where_some_setting_reads_it(command, name, tmp_path, capsys):
+    flag = f"--{name.replace('_', '-')}"
+    if name in readable(command):
+        assert getattr(build_parser().parse_args([command, flag, "1"]), name) == 1.0
+        return
+    with pytest.raises(SystemExit) as err:
+        build_parser().parse_args([command, flag, "1"])
+    assert err.value.code == 2
+    config = tmp_path / "model.cfg"
+    config.write_text(f"{name} = 1\n")
+    capsys.readouterr()
+    assert main([command, "--config", str(config)]) == 2
+    assert capsys.readouterr() == ("", f"error: unknown config key {name!r}\n")
 
 
 @pytest.mark.parametrize(
@@ -403,12 +468,28 @@ class TestCli:
         "argv, key",
         [("nm-branch --t inf", "t"),
          ("nm-branch --gamma inf", "gamma"),
-         ("nm-branch --alpha nan", "alpha"),
+         ("nm-branch --diffusion drift-aligned --alpha nan", "alpha"),
          ("drift-eigs --kappa inf", "kappa")],
     )
     def test_non_finite_flags_rejected(self, argv, key, tmp_path, capsys):
         self.assert_rejected_before_writing(
             argv.split(), tmp_path, capsys, f"{key} must be finite")
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [("nm-surface --s 1", "nm-surface reads gamma, r_mem, nu, t, eps_buffer, not s"),
+         ("nm-branch --diffusion aniso --alpha 2",
+          "nm-branch reads gamma, r_mem, nu, t, eps_buffer, s, not alpha"),
+         ("squeezed-gauge --axis kappa --kappa 2", "squeezed-gauge reads epsilon, r, phi, not kappa")],
+    )
+    def test_model_value_not_read_rejected(self, argv, message, tmp_path, capsys):
+        # a flag the command takes, under a setting that does not read it:
+        # the iso model has no s, and the kappa axis takes kappa from its grid
+        *argv, flag, value = argv.split()
+        config = tmp_path / "model.cfg"
+        config.write_text(f"{flag[2:]} = {value}\n")
+        for extra in ([flag, value], ["--config", str(config)]):
+            self.assert_rejected_before_writing([*argv, *extra], tmp_path, capsys, f"{message}\n")
 
     @pytest.mark.parametrize("command", ["nm-branch", "nm-surface"])
     def test_diffusion_exponent_beyond_float_range_rejected(self, command, tmp_path, capsys):
