@@ -19,8 +19,8 @@ import sys
 
 from . import sweeps
 from .errors import DimensionError, GaussGaugeError
-from .sweeps import (_CHOICES, _TEXT, DIFFUSION_PARAMS, FAULT_CHOICES, MODEL_DEFAULTS, SWEEPS,
-                     GridSpec, SweepConfig, write_table)
+from .sweeps import (_CHOICES, _TEXT, FAULT_CHOICES, MODEL_DEFAULTS, SWEEPS, GridSpec,
+                     SweepConfig, write_table)
 
 
 def _grid(text):
@@ -59,9 +59,7 @@ def build_parser():
         p.add_argument("--out", help="output path (default: stdout)")
         p.add_argument("--format", choices=("csv", "json"), default=None, dest="fmt")
         p.add_argument("--config", help="config file with 'key = value' lines")
-        # a flag for each model parameter that some setting of the command reads
-        diffusions = DIFFUSION_PARAMS.values() if "diffusion" in sweep.settings else ()
-        for name in sweep.params + sum(diffusions, ()):
+        for name in sweeps.settable(command):
             p.add_argument(f"--{name.replace('_', '-')}", type=float, default=None, dest=name)
         for name, choices in sweep.settings.items():
             p.add_argument(f"--{name}", choices=choices, default=None)
@@ -106,9 +104,7 @@ def _merge_config(args):
     """
     file_values = read_config_file(args.config) if getattr(args, "config", None) else {}
     axes = SWEEPS[args.command].grids if args.command in SWEEPS else {}
-    model = {}
-    grids = {}
-    settings = {}
+    model, grids, settings = {}, {}, {}
     for key, value in file_values.items():
         kind, _, axis = key.partition(".")
         if kind == "grid" and axis in axes:

@@ -2,13 +2,12 @@
 
 Each command produces a SweepTable: one float array of rows in grid order, a
 fixed column list, and a metadata block with the fully resolved configuration,
-the model parameters it reads included (`SweepConfig.reads`, from the
-`params` column of `SWEEPS`), so that a run is reproducible from its own
-output. Every table is evaluated in one pass over all its points through
-array-valued kernels that give the scalar API's values bit for bit: the
-squeezed-reservoir closed forms of `models` for `drift-eigs` and
-`squeezed-gauge`, the point rule of
-`nm_channel` (`models._nm_points`) and the `onemode` kernels for
+the model parameters it reads included (`SweepConfig.reads`, from the `params`
+column of `SWEEPS`), so that a run is reproducible from its own output. Every
+table is evaluated in one pass over all its points through array-valued
+kernels that give the scalar API's values bit for bit: the squeezed-reservoir
+closed forms of `models` for `drift-eigs` and `squeezed-gauge`, the point rule
+of `nm_channel` (`models._nm_points`) and the `onemode` kernels for
 `nm-surface`, `nm-branch` and the `ep` column of `drift-eigs` (the 2x2
 Jordan rule on the squeezed drift). All these kernels are whole-array
 numpy code, transcendentals included, and the non-Markovian tables decide
@@ -169,6 +168,13 @@ class SweepConfig:
         return GridSpec(*SWEEPS[self.command].grids[name])
 
 
+def settable(command):
+    """The model parameters some setting of the command reads, sorted: its model flags."""
+    settings = SWEEPS[command].settings
+    return sorted({name for choices in itertools.product(*settings.values())
+                   for name in SweepConfig(command, **dict(zip(settings, choices))).reads()})
+
+
 @dataclass(frozen=True)
 class SweepTable:
     """A table of float rows; `data` is a read-only (n_rows, n_columns) float
@@ -203,12 +209,10 @@ class SweepTable:
 
 
 def _diffusion_model(config):
-    """The diffusion model of a config; SweepConfig admits only DIFFUSION_CHOICES."""
-    if config.diffusion == "aniso":
-        return AnisotropicDiffusion(s=config.param("s"))
-    if config.diffusion == "drift-aligned":
-        return DriftAlignedDiffusion(alpha=config.param("alpha"))
-    return IsotropicDiffusion()
+    """The diffusion model of a config, given the parameters DIFFUSION_PARAMS names."""
+    model = {"iso": IsotropicDiffusion, "aniso": AnisotropicDiffusion,
+             "drift-aligned": DriftAlignedDiffusion}[config.diffusion]
+    return model(**{name: config.param(name) for name in DIFFUSION_PARAMS[config.diffusion]})
 
 
 def _require_command(config, command):

@@ -469,7 +469,9 @@ class TestCli:
         [("nm-branch --t inf", "t"),
          ("nm-branch --gamma inf", "gamma"),
          ("nm-branch --diffusion drift-aligned --alpha nan", "alpha"),
-         ("drift-eigs --kappa inf", "kappa")],
+         ("drift-eigs --kappa inf", "kappa"),
+         # not read under iso: the finiteness check comes before the reads check
+         ("nm-branch --s nan", "s")],
     )
     def test_non_finite_flags_rejected(self, argv, key, tmp_path, capsys):
         self.assert_rejected_before_writing(
