@@ -137,7 +137,7 @@ def _emit(table, config):
     if config.out:
         write_table(table, config.out, config.fmt)
     else:
-        sys.stdout.writelines(_TEXT[config.fmt](table))
+        sys.stdout.write(_TEXT[config.fmt](table))
 
 
 def _run_verify(args):

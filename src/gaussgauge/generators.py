@@ -10,6 +10,7 @@ doubling, so that Y_t never passes through a Lyapunov solution;
 scipy is imported at first use, by `semigroup_arrays`.
 """
 
+import bisect
 from dataclasses import dataclass
 
 import numpy as np
@@ -167,15 +168,24 @@ def _semigroup_stack(A, D, u, times):
         e = e.reshape((-1,) + e.shape[-2:])
         x, delta = e[:, :n, :n], e[:, :n, -1:]  # delta as a column
         y = e[:, :n, n:-1] @ x.transpose(0, 2, 1)
-        # slice i takes exactly k_i doublings; while every slice takes one,
-        # the whole stack doubles without a gather
-        steps = steps.ravel().tolist()
-        for step in range(max(steps, default=0)):
-            if step < min(steps):
-                x, y, delta = _double(x, y, delta)
+        # slice i takes exactly k_i doublings: with the slices in the order
+        # of k (one generator's ascending times are in it already), those
+        # still doubling at a step are a suffix of the stack, doubled in
+        # place, and while that is the whole stack it doubles without a copy
+        counts = steps.ravel().tolist()
+        order = None if counts == sorted(counts) else np.argsort(steps, axis=None)
+        if order is not None:
+            x, y, delta = x[order], y[order], delta[order]
+            counts.sort()
+        for step in range(max(counts, default=0)):
+            start = bisect.bisect_right(counts, step)
+            if start:
+                x[start:], y[start:], delta[start:] = _double(x[start:], y[start:], delta[start:])
             else:
-                i = [j for j, k in enumerate(steps) if k > step]
-                x[i], y[i], delta[i] = _double(x[i], y[i], delta[i])
+                x, y, delta = _double(x, y, delta)
+        if order is not None:
+            back = np.argsort(order)
+            y, delta = y[back], delta[back]
         y, delta = _symmetrized(y), delta[..., 0]
     for name, arr in (("Y_t", y), ("delta_t", delta)):
         if np.count_nonzero(np.isfinite(arr)) != arr.size:

@@ -17,6 +17,8 @@ for every kernel of the package that takes floats or arrays; only functions
 of floats alone, such as `models.memory_factor`, call the math library.
 """
 
+import math
+
 import numpy as np
 
 # Relative tolerance under which a 2x2 matrix counts as having a double
@@ -31,6 +33,9 @@ CP_REL_TOL = 1e-10
 # Taylor window for sin(x)/x and sinh(x)/x; below it the direct quotient loses
 # no accuracy either, but the series keeps the ratio exactly continuous at 0.
 _SMALL_X = 1e-4
+
+# LAPACK's dlamch('E'), the unit roundoff of dsterf's split tests
+_EPS = 2.0**-53
 
 
 def _where(cond, a, b):
@@ -163,6 +168,52 @@ def lyapunov2_entries(a, b, c, d, y11, y12, y22):
     with np.errstate(over="ignore"):
         s11, s12, s22 = np.ldexp(np.divide(s, denom), ed - ea)
     return s11, s12, s22, hurwitz
+
+
+def eigh2_entries(a, b, c):
+    """Ascending eigenvalues (lo, hi) of the symmetric matrix [[a, b], [b, c]].
+
+    The path reference LAPACK takes for a 2x2 matrix in `dsyevd`, which
+    `np.linalg.eigvalsh` calls: `dsytrd` leaves the tridiagonal (a, c; b);
+    `dsterf` splits it where |b| <= sqrt|a| sqrt|c| eps, or else where
+    b^2 <= eps^2 |a c|, and a split gives a and c; otherwise `dlae2` gives
+    rt1, the eigenvalue of larger modulus, and rt2 of [[a, rte], [rte, c]],
+    rte = sqrt(b^2); `dlasrt` sorts by insertion, so a tie keeps its order
+    (a split's 0.0 and -0.0). Where the largest entry lies in [2^-405, 2^485],
+    which LAPACK leaves unscaled, the result is eigvalsh's bit for bit.
+    Beyond, LAPACK scales by factors that are no powers of two; here the
+    entries are divided by the power of two 2^k that brings the largest to
+    the nearer end of that range, which rounds as the entries themselves do,
+    and the eigenvalues multiplied back: finite and within a few ulps of
+    eigvalsh, inf only where an eigenvalue leaves the float range. A row with
+    a NaN or infinite entry gives NaN for both, where LAPACK can give finite
+    values.
+    """
+    e = np.frexp(np.maximum(np.maximum(abs(a), abs(b)), abs(c)))[1]
+    k = e - np.minimum(np.maximum(e, -404), 485)
+    scale = np.ldexp(1.0, -k)
+    a, b, c = a * scale, b * scale, c * scale
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        b2 = b * b
+        abs_a, abs_c = abs(a), abs(c)
+        split = (abs(b) <= np.sqrt(abs_a) * np.sqrt(abs_c) * _EPS) | (b2 <= _EPS * _EPS * abs(a * c))
+        # dlae2: rt = hypot(a - c, 2 rte) as it takes it, rt1 = (sm +- rt)/2,
+        # rt2 = det / rt1 with the larger of a, c in modulus divided first
+        rte = np.sqrt(b2)
+        sm = a + c
+        adf, ab = abs(a - c), 2.0 * rte
+        big = np.maximum(adf, ab)
+        q = np.minimum(adf, ab) / big
+        rt1 = 0.5 * (sm + np.copysign(big * np.sqrt(1.0 + q * q), sm))
+        qr = abs_c < abs_a
+        rt2 = _where(sm == 0.0, -rt1,
+                     (_where(qr, a, c) / rt1) * _where(qr, c, a) - (rte / rt1) * rte)
+        # off a split rt1 is nonzero, so rt1 and rt2 tie only with equal bits,
+        # and the order dsterf's QL or QR sweep leaves them in does not show
+        first, second = _where(split, a, rt1), _where(split, c, rt2)
+        swap = second < first
+        unscale = np.ldexp(_where(np.isfinite(sm + b), 1.0, math.nan), k)
+        return _where(swap, second, first) * unscale, _where(swap, first, second) * unscale
 
 
 def cp_margin_entries(x11, x12, x21, x22, y11, y12, y22):

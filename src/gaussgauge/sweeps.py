@@ -11,10 +11,12 @@ of `nm_channel` (`models._nm_points`) and the `onemode` kernels for
 `nm-surface`, `nm-branch` and the `ep` column of `drift-eigs` (the 2x2
 Jordan rule on the squeezed drift). All these kernels are whole-array
 numpy code, transcendentals included, and the non-Markovian tables decide
-Schur stability by the Jury triple, so their only LAPACK call is the
-stacked `eigvalsh` of the Stein solutions. Stable numeric formatting (17
-significant digits in CSV, shortest-roundtrip repr in JSON) makes
-identical configurations byte-identical.
+Schur stability by the Jury triple. The gauge-covariance eigenvalues come
+from `onemode.eigh2_entries`, LAPACK's own 2x2 path in numpy, which gives
+`np.linalg.eigvalsh`'s values bit for bit, so no table calls LAPACK. Stable
+numeric formatting (17 significant digits in CSV, shortest-roundtrip repr in
+JSON) makes identical configurations byte-identical; the writers format the
+distinct values of each column in one `%` operation and write one string.
 """
 
 import itertools
@@ -41,7 +43,7 @@ from .models import (
     squeezed_eigenvalue_entries,
     squeezed_ep_entries,
 )
-from .onemode import jordan2_entries, stein2_entries
+from .onemode import eigh2_entries, jordan2_entries, stein2_entries
 
 # Documented sweep defaults: the strong-drive/weak-damping regime, where the
 # sweep trends are clean on the default grids (gauge eigenvalues monotone in
@@ -119,12 +121,16 @@ class GridSpec:
 
 @dataclass
 class SweepConfig:
+    """A sweep's command, model values, grids and output. A setting (axis,
+    branch, diffusion) that is not given takes its command's first choice;
+    a command without that setting leaves it None and refuses a value."""
+
     command: str
     model: dict = field(default_factory=dict)
     grids: dict = field(default_factory=dict)
-    axis: str = _CHOICES["axis"][0]
-    branch: str = _CHOICES["branch"][0]
-    diffusion: str = _CHOICES["diffusion"][0]
+    axis: str = None
+    branch: str = None
+    diffusion: str = None
     fmt: str = "csv"
     out: str = None
 
@@ -133,14 +139,24 @@ class SweepConfig:
         if self.command not in SWEEPS:
             raise DimensionError(f"command must be one of {', '.join(SWEEPS)}")
         for name, value in self.model.items():
-            if not math.isfinite(float(value)):
+            try:
+                number = float(value)
+            except (TypeError, ValueError):
+                raise DimensionError(f"{name} must be a number, got {value!r}") from None
+            if not math.isfinite(number):
                 raise NonFiniteInputError(f"{name} must be finite, got {value}")
         if self.fmt not in _TEXT:
             raise DimensionError(f"unknown output format {self.fmt!r}")
-        for name, choices in _CHOICES.items():
-            if getattr(self, name) not in choices:
-                raise DimensionError(f"{name} must be one of {', '.join(choices)}")
         sweep = SWEEPS[self.command]
+        for name, choices in _CHOICES.items():
+            value = getattr(self, name)
+            if name not in sweep.settings:
+                if value is not None:
+                    raise DimensionError(f"{self.command} has no {name} setting, got {value!r}")
+            elif value is None:
+                setattr(self, name, choices[0])
+            elif value not in choices:
+                raise DimensionError(f"{name} must be one of {', '.join(choices)}")
         for name, grid in self.grids.items():
             if name not in sweep.grids:
                 raise DimensionError(f"grid axis {name!r} is not one of {', '.join(sweep.grids)}")
@@ -153,10 +169,9 @@ class SweepConfig:
     def reads(self):
         """The model parameters this config reads: its command's, those of its
         diffusion model, less the squeezed-gauge axis, whose values come from its grid."""
-        sweep = SWEEPS[self.command]
-        diffusion = DIFFUSION_PARAMS[self.diffusion] if "diffusion" in sweep.settings else ()
-        axis = self.axis if "axis" in sweep.settings else None
-        return tuple(name for name in sweep.params + diffusion if name != axis)
+        diffusion = DIFFUSION_PARAMS[self.diffusion] if self.diffusion else ()
+        return tuple(name for name in SWEEPS[self.command].params + diffusion
+                     if name != self.axis)
 
     def param(self, name):
         return float(self.model.get(name, MODEL_DEFAULTS[name]))
@@ -267,7 +282,7 @@ def run_squeezed_gauge(config):
     SqueezedReservoirParams(delta=0.0, **{name: np.min(v) for name, v in values.items()})
     entries = squeezed_ep_entries(**values, branch=branch)
     s_qq, s_qp, s_pp = np.broadcast_arrays(*entries, points)[:3]
-    lo, hi = np.linalg.eigvalsh(_stack2(s_qq, s_qp, s_qp, s_pp)).T
+    lo, hi = eigh2_entries(s_qq, s_qp, s_pp)
     sign = 1.0 if branch is EpBranch.PLUS else -1.0
     return SweepTable(
         columns=(axis, "lambda1", "lambda2", "trace", "branch"),
@@ -289,25 +304,20 @@ def _nm_setup(config):
     return params, config.param("t")
 
 
-def _stack2(m11, m12, m21, m22):
-    """The (n, 2, 2) stack of matrices with the given 1-D entry arrays; `_entries2` undone."""
-    return np.stack([m11, m12, m21, m22], axis=-1).reshape(-1, 2, 2)
-
-
 def _nm_rows(params, t, lam, omega):
     """The columns lambda_min, lambda_max, s_qp and defective, and the CP
     margin and status code of `models._nm_points`, at all points of a table
     (1-D arrays lam and omega). Rows not gauged carry NaN values, rows whose
     channel is undefined (neither GAUGED nor NOT_SCHUR_STABLE) defective 0.
-    One stacked `eigvalsh` reduces the Stein solutions.
+    The Stein solutions of all gauged rows are reduced at once by
+    `eigh2_entries`, eigvalsh's values without a LAPACK call.
     """
     x, y, margin, status = _nm_points(params, t, lam, omega)
     gauged = status == GAUGED
     values = np.full((lam.size, 3), math.nan)
     if gauged.any():
         s11, s12, s22 = stein2_entries(*(v[gauged] for v in x), *(v[gauged] for v in y))
-        values[gauged, :2] = np.linalg.eigvalsh(_stack2(s11, s12, s12, s22))
-        values[gauged, 2] = s12
+        values[gauged] = np.column_stack([*eigh2_entries(s11, s12, s22), s12])
     defined = gauged | (status == NOT_SCHUR_STABLE)
     defective = np.zeros(lam.shape, dtype=bool)
     defective[defined] = jordan2_entries(*(v[defined] for v in x))[3]
@@ -370,41 +380,45 @@ def run_nm_branch(config):
 # Writers
 # ---------------------------------------------------------------------------
 
-# CSV writes 17 significant digits; JSON writes float.__repr__, as `json` does
-_CSV = "%.17g".__mod__
 
+def _cells(data, spec, nan, start, sep, end):
+    """The strings of a float array's values, as an object array of its shape:
+    spec % v, or nan for a NaN, after `start` in the first column and followed
+    by `end` in the last and by `sep` in the others.
 
-def _column_text(column, fmt, nan, end=""):
-    """Strings fmt(v) + end, or nan + end for a NaN, for the values v of a float column.
-
-    Each distinct bit pattern is formatted once. Bit patterns, not values,
-    are the keys: -0.0 and 0.0 print differently.
+    Each column formats its distinct bit patterns, all in one `%` operation.
+    Bit patterns, not values, are the keys: -0.0 and 0.0 print differently.
     """
-    bits, index = np.unique(column.view(np.int64), return_inverse=True)
-    values = bits.view(np.float64)
-    text = np.array(list(map(fmt, values.tolist())), dtype=object)
-    text[np.isnan(values)] = nan
-    return (text + end)[index].tolist()
+    cells = np.empty(data.shape, dtype=object)
+    last = data.shape[1] - 1
+    for j, column in enumerate(data.T):
+        before, after = start if j == 0 else "", end if j == last else sep
+        bits, index = np.unique(column.view(np.int64), return_inverse=True)
+        values = bits.view(np.float64)
+        text = ((before + spec + after + "\0") * len(values) % tuple(values.tolist())).split("\0")
+        for i in np.flatnonzero(np.isnan(values)).tolist():
+            text[i] = before + nan + after
+        cells[:, j] = np.array(text[:-1], dtype=object)[index]
+    return cells
 
 
 def _csv_text(table):
-    """The CSV text as an iterable of strings; every value is formatted
-    before it returns, only the joining into lines is left to the writer."""
-    head = [f"# {key} = {table.meta[key]}\n" for key in sorted(table.meta)]
-    head.append(",".join(table.columns) + "\n")
-    *first, last = table.data.T
-    # the strings of the last column carry the line ends
-    columns = [_column_text(c, _CSV, "nan") for c in first] + [_column_text(last, _CSV, "nan", "\n")]
-    return itertools.chain(head, map(",".join, zip(*columns)))
+    """The CSV text: the meta lines, the header and a line of 17-digit values per row."""
+    head = "".join(f"# {key} = {table.meta[key]}\n" for key in sorted(table.meta))
+    head += ",".join(table.columns) + "\n"
+    if not len(table.data):
+        return head
+    cells = _cells(table.data, "%.17g", "nan", "", ",", "\n")
+    cells[0, 0] = head + cells[0, 0]
+    return "".join(cells.ravel().tolist())
 
 
 def _json_text(table):
-    """The text of `json.dump` with sort_keys=True, indent=1, allow_nan=False,
-    as an iterable of strings.
+    """The text of `json.dump` with sort_keys=True, indent=1, allow_nan=False.
 
     `json` lays out the small columns/meta head; the rows block is laid out
-    here from per-column strings. An infinite value, in the meta or the rows,
-    raises json's ValueError before it returns.
+    here, values as float.__repr__ as `json` writes them. An infinite value,
+    in the meta or the rows, raises json's ValueError.
     """
     head = json.dumps({"columns": list(table.columns), "meta": table.meta},
                       sort_keys=True, indent=1, allow_nan=False)
@@ -415,12 +429,12 @@ def _json_text(table):
     # head ends in the object's closing "\n}"; rows go on one indent level deeper
     head = head[:-2] + ',\n "rows": ['
     if not len(table.data):
-        return [head, "]\n}\n"]
-    *first, last = table.data.T
-    columns = ([_column_text(c, float.__repr__, "null", ",\n   ") for c in first]
-               + [_column_text(last, float.__repr__, "null", "\n  ]")])
-    starts = itertools.chain(["\n  [\n   "], itertools.repeat(",\n  [\n   "))
-    return itertools.chain([head], map("".join, zip(starts, *columns)), ["\n ]\n}\n"])
+        return head + "]\n}\n"
+    # every row opens with ",\n  [\n   "; the first row's comma is dropped
+    cells = _cells(table.data, "%r", "null", ",\n  [\n   ", ",\n   ", "\n  ]")
+    cells[0, 0] = head + cells[0, 0][1:]
+    cells[-1, -1] += "\n ]\n}\n"
+    return "".join(cells.ravel().tolist())
 
 
 _TEXT = {"csv": _csv_text, "json": _json_text}
@@ -434,4 +448,4 @@ def write_table(table, path, fmt):
         raise DimensionError(f"unknown output format {fmt!r}")
     text = _TEXT[fmt](table)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.writelines(text)
+        fh.write(text)

@@ -82,7 +82,6 @@ from .spectral import _ou_matrix, jordan_structure, truncated_ou_matrix
 from .sweeps import (
     FAULT_CHOICES,
     SweepConfig,
-    _stack2,
     run_nm_branch,
     run_squeezed_gauge,
 )
@@ -283,6 +282,11 @@ def _draw_by_modes(rng, n, *draws, max_modes=3):
 def _max_abs(m):
     """max|m| of each matrix of a stack."""
     return abs(m).max(axis=(-2, -1))
+
+
+def _stack2(m11, m12, m21, m22):
+    """The (n, 2, 2) stack of matrices with the given 1-D entry arrays; `_entries2` undone."""
+    return np.stack([m11, m12, m21, m22], axis=-1).reshape(-1, 2, 2)
 
 
 def _lyapunov_kronecker(a, d):

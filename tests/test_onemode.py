@@ -31,6 +31,7 @@ from gaussgauge.errors import DegenerateModelError, StabilityError
 from gaussgauge.models import nm_diffusion_entries
 from gaussgauge.onemode import (
     cp_margin_entries,
+    eigh2_entries,
     expm2_entries,
     jordan2_entries,
     jury_triple,
@@ -119,6 +120,89 @@ def test_cp_margin_nan_when_det_overflows():
     assert math.isnan(cp_margin_entries(*x, *y)[0])
     margin = cp_margin_entries(*(np.array([v, 0.5]) for v in x), *y)[0]
     assert math.isnan(margin[0]) and margin[1] == 0.75  # det Y - ((1 - 0)/2)^2
+
+
+def _eigvalsh_entries(a, b, c):
+    """(lo, hi) of np.linalg.eigvalsh on the stack of [[a, b], [b, c]]."""
+    return tuple(np.linalg.eigvalsh(np.stack([a, b, b, c], axis=-1).reshape(-1, 2, 2)).T)
+
+
+def _bits(*arrays):
+    return [np.asarray(v, dtype=float).tobytes() for v in arrays]
+
+
+def _near_split(rng, a):
+    """c within two ulps of a and b within a few ulps of sqrt|a| sqrt|c| eps,
+    where dsterf's two split tests decide and the coupling still shows."""
+    c = a * (1.0 + rng.integers(-2, 3, a.size) * 2.0**-52)
+    b = np.sqrt(abs(a)) * np.sqrt(abs(c)) * 2.0**-53 * (1.0 + rng.integers(-4, 5, a.size) * 2.0**-52)
+    return a, b, c
+
+
+def _ill_conditioned_psd(rng, n):
+    """G G^T with nearly parallel columns of G: a PSD matrix of condition up to 1e30."""
+    g = rng.standard_normal((n, 2, 2))
+    g[:, :, 1] = g[:, :, 0] + 10.0 ** rng.uniform(-15, -3, (n, 1)) * g[:, :, 1]
+    s = g @ g.transpose(0, 2, 1)
+    return s[:, 0, 0], s[:, 0, 1], s[:, 1, 1]
+
+
+EIGH2_ENSEMBLES = {
+    "normal": lambda rng, a, b, c: (a, b, c),
+    "b=0": lambda rng, a, b, c: (a, 0.0 * b, c),
+    "a=-c": lambda rng, a, b, c: (a, b, -a),
+    "a=c": lambda rng, a, b, c: (a, b, a),
+    "tiny-b": lambda rng, a, b, c: (a, a * 10.0 ** rng.uniform(-20, -5, a.size) * np.sign(b), c),
+    "near-split": lambda rng, a, b, c: _near_split(rng, a),
+    "near-degenerate": lambda rng, a, b, c: (
+        a, b * 10.0 ** rng.uniform(-12, -6, a.size), a * (1.0 + c * 10.0 ** rng.uniform(-16, -8, a.size))),
+    "ill-conditioned-psd": lambda rng, a, b, c: _ill_conditioned_psd(rng, a.size),
+    "1e30": lambda rng, a, b, c: (1e30 * a, 1e30 * b, 1e30 * c),
+    "1e-30": lambda rng, a, b, c: (1e-30 * a, 1e-30 * b, 1e-30 * c),
+    "mixed-magnitudes": lambda rng, a, b, c: tuple(
+        v * 10.0 ** rng.uniform(-30, 30, a.size) for v in (a, b, c)),
+    # b^2 and the split threshold of c near or below the subnormal range
+    "underflow": lambda rng, a, b, c: (
+        a, b * 10.0 ** rng.uniform(-165, -150, a.size), c * 10.0 ** rng.uniform(-322, -290, a.size)),
+    "signed-zeros": lambda rng, a, b, c: tuple(
+        rng.choice([0.0, -0.0, 0.5, -0.5, 1.0], (3, a.size))),
+}
+
+
+@pytest.mark.parametrize("ensemble", sorted(EIGH2_ENSEMBLES))
+def test_eigh2_matches_eigvalsh_bitwise(rng, ensemble):
+    a, b, c = EIGH2_ENSEMBLES[ensemble](rng, *rng.standard_normal((3, 20000)))
+    assert _bits(*eigh2_entries(a, b, c)) == _bits(*_eigvalsh_entries(a, b, c))
+    # a float gives the value of its array element
+    i = int(rng.integers(a.size))
+    assert _bits(*eigh2_entries(float(a[i]), float(b[i]), float(c[i]))) == _bits(
+        *(v[i] for v in _eigvalsh_entries(a, b, c)))
+
+
+@pytest.mark.parametrize("scale", [1e200, 1e-200, 1e300, 1e-300])
+def test_eigh2_finite_where_lapack_scales(rng, scale):
+    # beyond LAPACK's unscaled range b^2 would overflow or underflow; the
+    # power-of-two scaling keeps the result finite and within a few ulps
+    a, b, c = scale * rng.standard_normal((3, 20000))
+    lo, hi = eigh2_entries(a, b, c)
+    want_lo, want_hi = _eigvalsh_entries(a, b, c)
+    unit = np.spacing(np.maximum(abs(want_lo), abs(want_hi)))
+    assert np.isfinite(lo).all() and np.isfinite(hi).all()
+    assert np.max(abs(lo - want_lo) / unit) <= 8 and np.max(abs(hi - want_hi) / unit) <= 8
+
+
+def test_eigh2_non_finite_rows_give_nan(rng):
+    a, b, c = rng.standard_normal((3, 3000))
+    bad = rng.integers(3, size=a.size)
+    # eigvalsh gives +-sqrt(2) b for a = nan, and 0 and -0 for b = 0, c = nan
+    b[::7] = 0.0
+    for k, value in enumerate([math.nan, math.inf, -math.inf]):
+        rows = slice(k, None, 3)
+        for entry, v in enumerate((a, b, c)):
+            v[rows][bad[rows] == entry] = value
+    lo, hi = eigh2_entries(a, b, c)
+    assert np.isnan(lo).all() and np.isnan(hi).all()
+    assert all(math.isnan(v) for v in eigh2_entries(1.0, 0.0, math.nan))
 
 
 def _reference_row(params, lam, omega, on_branch):
@@ -212,9 +296,11 @@ def _refuse(*args, **kwargs):
 
 @pytest.fixture
 def whole_array_only(monkeypatch):
-    # the tables are whole-array code: no LAPACK eigvals for stability, no
-    # element-by-element map (np.fromiter)
+    # the tables are whole-array code: no LAPACK eigenvalue call (eigvals for
+    # stability, eigvalsh for the gauge covariances), no element-by-element
+    # map (np.fromiter)
     monkeypatch.setattr(np.linalg, "eigvals", _refuse)
+    monkeypatch.setattr(np.linalg, "eigvalsh", _refuse)
     monkeypatch.setattr(np, "fromiter", _refuse)
 
 

@@ -21,6 +21,7 @@ from gaussgauge import (
 from gaussgauge import sweeps
 from gaussgauge.cli import build_parser, main
 from gaussgauge.sweeps import (
+    _CHOICES,
     MODEL_DEFAULTS,
     SWEEPS,
     SweepConfig,
@@ -64,15 +65,39 @@ def test_grid_spec_validation():
      (dict(command="drift-eigs", grids={"delta": (0.0, 1.0, 3)}),
       "grid 'delta' must be a GridSpec, got (0.0, 1.0, 3)"),
      # a model value no sweep reads used to be dropped without a trace
-     (dict(command="drift-eigs", model={"delta": 5.0}), "drift-eigs reads kappa, epsilon, not delta")],
+     (dict(command="drift-eigs", model={"delta": 5.0}), "drift-eigs reads kappa, epsilon, not delta"),
+     # so were settings the command lacks
+     (dict(command="drift-eigs", branch="minus", diffusion="aniso", axis="r"),
+      "drift-eigs has no axis setting, got 'r'"),
+     # a model value that is no number used to end in a raw ValueError or TypeError
+     (dict(command="drift-eigs", model={"kappa": "abc"}), "kappa must be a number, got 'abc'"),
+     (dict(command="nm-branch", model={"gamma": None}), "gamma must be a number, got None")],
     ids=["bogus", "verify", "drift-eigs-kappa", "nm-branch-lam", "squeezed-gauge-delta",
-         "drift-eigs-tuple-grid", "drift-eigs-model-delta"],
+         "drift-eigs-tuple-grid", "drift-eigs-model-delta", "drift-eigs-settings",
+         "drift-eigs-kappa-text", "nm-branch-gamma-none"],
 )
 def test_config_outside_the_sweep_table_rejected(config, message):
     from gaussgauge import DimensionError
 
     with pytest.raises(DimensionError, match=f"^{re.escape(message)}"):
         SweepConfig(**config)
+
+
+@pytest.mark.parametrize("command", SWEEPS)
+def test_config_refuses_settings_its_command_lacks(command):
+    from gaussgauge import DimensionError
+
+    for name, choices in _CHOICES.items():
+        for choice in choices:
+            if name in SWEEPS[command].settings:
+                assert getattr(SweepConfig(command, **{name: choice}), name) == choice
+            else:
+                with pytest.raises(DimensionError,
+                                   match=f"^{command} has no {name} setting, got {choice!r}$"):
+                    SweepConfig(command, **{name: choice})
+        # a setting not given is the command's first choice, or None where it has none
+        default = SWEEPS[command].settings.get(name, (None,))[0]
+        assert getattr(SweepConfig(command), name) == default
 
 
 def settings_of(command):

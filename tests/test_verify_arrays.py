@@ -420,13 +420,26 @@ def test_default_gauge_times_of_a_stack(modes, rng):
 def test_semigroup_stack_equals_semigroup_arrays(modes, rng):
     gens = generators(rng, modes)
     a, d, u = stacked(gens, "A", "D", "u")
-    times = rng.uniform(0.0, 6.0, size=(len(gens), 5))
-    times[0, 0] = 0.0
+    # times over three decades, in a different order per generator, and t = 0
+    times = rng.permuted(np.tile(np.geomspace(6e-3, 6.0, 6), (len(gens), 1)), axis=1)
+    times[1, 3] = 0.0
+    # the doubling counts, as _semigroup_stack takes them, are unsorted in
+    # every row and mixed across generators
+    steps = np.maximum(np.frexp(2.0 * abs(a).sum(axis=-1).max(axis=-1)[:, None] * times)[1], 0)
+    assert all(np.any(np.diff(row) < 0) for row in steps)
+    assert len(set(steps.ravel().tolist())) >= 5 and steps.min() == 0
     x_t, y, delta = _semigroup_stack(a, d, u, times)
     assert x_t.shape == y.shape == times.shape + a.shape[-2:]
     for i, gen in enumerate(gens):
         expected = semigroup_arrays(gen, times[i])
         assert all(equal(got[i], want) for got, want in zip((x_t, y, delta), expected))
+        # ascending times are already in the order of their doubling counts
+        ascending = semigroup_arrays(gen, np.sort(times[i]))
+        rank = np.argsort(np.argsort(times[i]))
+        for j, t in enumerate(times[i]):  # each slice as it rounds alone
+            alone = semigroup_arrays(gen, [t])
+            assert all(equal(got[i, j], want[0]) for got, want in zip((x_t, y, delta), alone))
+            assert all(equal(got[rank[j]], want[0]) for got, want in zip(ascending, alone))
         assert equal(x_t[i], drift_exponential(gen.A, times[i]))
         assert equal(_exponentials(a[i:i + 1], times[i:i + 1])[0], x_t[i])
     one = _semigroup_stack(a[:1], d[:1], u[:1], times[:1])
